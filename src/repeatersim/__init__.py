@@ -7,8 +7,8 @@ Layers:
 - :mod:`repeatersim.protocol` — link generation/swapping recursions + oracles.
 - :mod:`repeatersim.applications` — CHSH, key distribution, teleportation.
 - :mod:`repeatersim.scaling` — communication-time scaling and optimization.
-- :mod:`repeatersim.montecarlo` — seeded waiting-time trials (numba kernels
-  with a NumPy fallback, selected by ``REPEATERSIM_NO_NUMBA``).
+- :mod:`repeatersim.montecarlo` — seeded waiting-time trials (one lockstep
+  NumPy sampler, bit-identical to the scalar reference).
 """
 
 from .applications import (

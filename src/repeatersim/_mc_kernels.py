@@ -1,16 +1,15 @@
 """Trial-sampling kernels for the timing Monte Carlo.
 
-Hot loops are compiled with numba when available; setting the environment
-variable ``REPEATERSIM_NO_NUMBA`` (to any non-empty value) forces the pure
-NumPy/Python fallback.  Both paths consume the same counter-based random
-stream (splitmix64 keyed by ``(seed, trial index)``), so results are
-bit-identical across backends, thread counts, and chunkings.
+Every trial draws from its own counter-based stream: splitmix64 keyed by
+``(seed, trial index)``.  The scalar functions are the single-sample API
+and the reference.  The bulk samplers advance every live trial of a batch
+in the same NumPy calls and reproduce the scalar samples bit for bit, so
+a sample depends only on its seed and trial index.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -98,133 +97,135 @@ def chain_sample(n: int, p_levels, q: float, t_delta: float, parallel: bool,
 
 
 # ---------------------------------------------------------------------------
-# fallback bulk drivers
+# bulk samplers (NumPy, one row per trial)
+
+_U = np.uint64
+_BLOCK = 1 << 14      # uniforms drawn ahead per refill, summed over live trials
+_MAX_AHEAD = 256      # draws ahead per trial once few trials are left
 
 
-def _generation_times_numpy(seed: int, start: int, count: int, q: float,
-                            t_delta: float, out: np.ndarray):
-    """Vectorized one-draw-per-trial geometric sampler."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    golden = np.uint64(_GOLDEN)
-    z = np.uint64(seed) + golden * (idx + np.uint64(1))
-    for step in range(2):   # stream-init mix, then one stream advance
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        if step == 0:
-            z = z + golden
-    u = ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+def _mix(z: np.ndarray):
+    """``mix64`` in place on a uint64 array."""
+    z ^= z >> _U(30)
+    z *= _U(_MIX1)
+    z ^= z >> _U(27)
+    z *= _U(_MIX2)
+    z ^= z >> _U(31)
+
+
+def _stream_states(seed: int, count: int) -> np.ndarray:
+    """``stream_state`` of trials 0..count-1."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= _U(_GOLDEN)
+    z += _U(seed)
+    _mix(z)
+    return z
+
+
+def _uniforms(state: np.ndarray, draws: int) -> np.ndarray:
+    """The next ``draws`` uniforms of each stream, one row per stream."""
+    z = state[:, None] + _U(_GOLDEN) * np.arange(1, draws + 1, dtype=np.uint64)
+    _mix(z)
+    z >>= _U(11)
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= _INV_2_53
+    return u
+
+
+def _attempts(u: np.ndarray, q: float) -> np.ndarray:
+    """``geometric``'s attempt count for each uniform, as floats."""
     if q >= 1.0:
-        out[:] = t_delta
-    else:
-        out[:] = (1.0 + np.floor(np.log(u) / math.log1p(-q))) * t_delta
+        return np.ones_like(u)
+    c = math.log1p(-q)
+    x = np.log(u)
+    x /= c
+    k = np.floor(x)
+    # np.log may differ from math.log by an ulp or so, which can move the
+    # floor only where the quotient sits on an integer: redo those as the
+    # scalar does.  The margin, 2**-40 of the largest quotient, is far
+    # wider than that difference.
+    x -= k
+    x -= 0.5
+    np.abs(x, out=x)
+    near = np.flatnonzero(x > 0.5 - 2.0 ** -40 * 37.5 / -c)   # -ln(u) < 37.5
+    for i in near:
+        k.flat[i] = math.floor(math.log(u.flat[i]) / c)
+    k += 1.0
+    return k
 
 
-def _chain_times_python(seed: int, start: int, count: int, n: int, p_levels,
-                        q: float, t_delta: float, parallel: bool, out: np.ndarray):
-    levels = list(p_levels)
-    for k in range(count):
-        state = stream_state(seed, start + k)
-        _, t = chain_sample(n, levels, q, t_delta, parallel, state)
-        out[k] = t
+def generation_times(seed: int, count: int, q: float, t_delta: float) -> np.ndarray:
+    """Level-0 times of trials 0..count-1, ``geometric`` times ``t_delta``."""
+    k = _attempts(_uniforms(_stream_states(seed, count), 1).ravel(), q)
+    k *= t_delta
+    return k
 
 
-BACKEND = "numpy"
+def chain_times(seed: int, count: int, n: int, p_levels, q: float,
+                t_delta: float, parallel: bool) -> np.ndarray:
+    """Level-``n`` times of trials 0..count-1, ``chain_sample`` bit for bit.
 
-if not os.environ.get("REPEATERSIM_NO_NUMBA"):
-    try:
-        import numba as _nb
-
-        _U = np.uint64
-
-        @_nb.njit(cache=True, nogil=True)
-        def _nb_mix(z):
-            z = (z ^ (z >> _U(30))) * _U(_MIX1)
-            z = (z ^ (z >> _U(27))) * _U(_MIX2)
-            return z ^ (z >> _U(31))
-
-        @_nb.njit(cache=True, nogil=True)
-        def _nb_next(state):
-            state = state + _U(_GOLDEN)
-            z = _nb_mix(state)
-            return state, (np.float64(z >> _U(11)) + 0.5) * _INV_2_53
-
-        @_nb.njit(cache=True, nogil=True)
-        def _nb_geometric(state, q):
-            state, u = _nb_next(state)
-            if q >= 1.0:
-                return state, 1
-            return state, 1 + int(math.floor(math.log(u) / math.log1p(-q)))
-
-        @_nb.njit(cache=True, nogil=True)
-        def _nb_chain_sample(n, p_levels, q, t_delta, parallel, state):
-            if n == 0:
-                state, k = _nb_geometric(state, q)
-                return state, k * t_delta
-            tot = np.zeros(n + 1)
-            first = np.zeros(n + 1)
-            phase = np.zeros(n + 1, dtype=np.int64)
-            lvl = n
-            while True:
-                if lvl - 1 == 0:
-                    state, k = _nb_geometric(state, q)
-                    child = k * t_delta
-                    have = True
-                else:
-                    lvl -= 1
-                    tot[lvl] = 0.0
-                    phase[lvl] = 0
-                    continue
-                while have:
-                    if phase[lvl] == 0:
-                        first[lvl] = child
-                        phase[lvl] = 1
-                        have = False
-                    else:
-                        attempt = max(first[lvl], child) if parallel else first[lvl] + child
-                        tot[lvl] += attempt
-                        phase[lvl] = 0
-                        state, u = _nb_next(state)
-                        if u < p_levels[lvl]:
-                            if lvl == n:
-                                return state, tot[n]
-                            child = tot[lvl]
-                            lvl += 1
-                            have = True
-                        else:
-                            have = False
-
-        @_nb.njit(cache=True, nogil=True)
-        def _nb_generation_times(seed, start, count, q, t_delta, out):
-            for k in range(count):
-                # keep the index arithmetic in uint64 end to end
-                state = _nb_mix(seed + _U(_GOLDEN) * (_U(start + k) + _U(1)))
-                _, kk = _nb_geometric(state, q)
-                out[k] = kk * t_delta
-
-        @_nb.njit(cache=True, nogil=True)
-        def _nb_chain_times(seed, start, count, n, p_levels, q, t_delta, parallel, out):
-            for k in range(count):
-                state = _nb_mix(seed + _U(_GOLDEN) * (_U(start + k) + _U(1)))
-                _, t = _nb_chain_sample(n, p_levels, q, t_delta, parallel, state)
-                out[k] = t
-
-        def generation_times_bulk(seed, start, count, q, t_delta, out):
-            _nb_generation_times(np.uint64(seed), int(start), count, q,
-                                 t_delta, out)
-
-        def chain_times_bulk(seed, start, count, n, p_levels, q, t_delta, parallel, out):
-            _nb_chain_times(np.uint64(seed), int(start), count, n,
-                            np.asarray(p_levels, dtype=np.float64), q, t_delta,
-                            parallel, out)
-
-        BACKEND = "numba"
-    except ImportError:
-        pass
-
-if BACKEND == "numpy":
-    def generation_times_bulk(seed, start, count, q, t_delta, out):
-        _generation_times_numpy(seed, start, count, q, t_delta, out)
-
-    def chain_times_bulk(seed, start, count, n, p_levels, q, t_delta, parallel, out):
-        _chain_times_python(seed, start, count, n, p_levels, q, t_delta, parallel, out)
+    Lockstep: in each step every live trial takes exactly one draw.  With
+    ``lvl`` 0 it is a leaf geometric, whose pair is put in column 0 of
+    ``tot``; with ``lvl`` l >= 1 it is the swap test of a level-l attempt,
+    and ``tot[:, l]`` is that level's time so far.  A leaf, or a level whose
+    test succeeds, hands its pair up: the pair waits in ``first`` at the
+    next level (0 where none waits), or it joins the waiting pair into an
+    attempt whose swap test is the trial's next draw.  Every other next draw
+    is a leaf.  Column n + 1 receives the finished link.  A level's total is
+    cleared when its pair is handed up, so every level below the one at
+    work is empty and a descent is just ``lvl = 0``.  Uniforms are drawn in
+    blocks ahead of the steps; finished trials are compacted out.
+    """
+    if n == 0:
+        return generation_times(seed, count, q, t_delta)
+    join = np.maximum if parallel else np.add
+    p = np.array(p_levels, dtype=np.float64)
+    p[0] = 2.0                   # a leaf draw always hands its pair up
+    width = n + 2
+    # the fewest draws from one finished link to the next: checking for
+    # finished trials this often records each before it could finish again
+    check = 2 ** (n + 1) - 1
+    out = np.empty(count)
+    trial = np.arange(count)
+    state = _stream_states(seed, count)
+    lvl = np.zeros(count, dtype=np.intp)
+    tot = np.zeros((count, width))
+    first = np.zeros((count, width))
+    steps = 0
+    while trial.size:
+        draws = max(1, min(_MAX_AHEAD, _BLOCK // trial.size))
+        u_ahead = _uniforms(state, draws)
+        leaf_ahead = _attempts(u_ahead, q)
+        leaf_ahead *= t_delta
+        state += _U(_GOLDEN * draws & _MASK)
+        rows = np.arange(trial.size) * width
+        tot_, first_ = tot.ravel(), first.ravel()   # views, flat (row, level)
+        for j in range(draws):
+            tot[:, 0] = leaf_ahead[:, j]
+            at = rows + lvl
+            up = tot_[at]
+            ok = u_ahead[:, j] < p[lvl]
+            tot_[at] = np.where(ok, 0.0, up)
+            at += 1
+            f = first_[at]
+            pair = ok & (f > 0.0)
+            first_[at] = np.where(pair, 0.0, np.where(ok, up, f))
+            tot_[at] += np.where(pair, join(f, up), 0.0)
+            lvl = np.where(pair, lvl + 1, 0)
+            steps += 1
+            if steps % check:
+                continue
+            done = first[:, n + 1] > 0.0
+            if done.any():
+                out[trial[done]] = first[done, n + 1]
+                keep = ~done
+                trial, state, lvl = trial[keep], state[keep], lvl[keep]
+                tot, first = tot[keep], first[keep]
+                u_ahead, leaf_ahead = u_ahead[keep], leaf_ahead[keep]
+                rows = np.arange(trial.size) * width
+                tot_, first_ = tot.ravel(), first.ravel()
+                if not trial.size:
+                    break
+    return out

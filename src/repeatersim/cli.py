@@ -13,6 +13,7 @@ rates in 1/s.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -284,23 +285,14 @@ def cmd_ekert(cfg: Config, args) -> int:
 
 
 def cmd_montecarlo(cfg: Config, args) -> int:
-    trials = cfg.trials
-    if args.seed is not None:
-        trials = montecarlo.TrialConfig(args.seed, trials.n_trials, trials.policy,
-                                        trials.threads)
-    if args.trials is not None:
-        trials = montecarlo.TrialConfig(trials.seed, args.trials, trials.policy,
-                                        trials.threads)
-    if args.policy is not None:
-        trials = montecarlo.TrialConfig(trials.seed, trials.n_trials, args.policy,
-                                        trials.threads)
-    if args.threads is not None:
-        trials = montecarlo.TrialConfig(trials.seed, trials.n_trials, trials.policy,
-                                        args.threads)
+    overrides = {"seed": args.seed, "n_trials": args.trials,
+                 "policy": args.policy, "threads": args.threads}
+    trials = dataclasses.replace(
+        cfg.trials, **{k: v for k, v in overrides.items() if v is not None})
     level = args.level if args.level is not None else cfg.repeater.levels
-    est = montecarlo.estimate(cfg.repeater, level, trials)
+    times = montecarlo.chain_times(cfg.repeater, level, trials)
+    est = montecarlo.estimate(cfg.repeater, level, trials, times)
     if args.trace_csv:
-        times = montecarlo.chain_times(cfg.repeater, level, trials)
         emit_csv(("trial", "time_s"), list(enumerate(times)), cfg, args.trace_csv)
     emit_json({
         "params_echo": {

@@ -3,30 +3,36 @@ process, quantifying how the multiplicative mean-time formula compares to
 the exact waiting-time distribution.
 
 Reproducibility contract: every trial draws from its own counter-based
-substream keyed by ``(seed, trial index)``, so results are bit-identical
-for any thread count or chunking and for both compute backends.
+substream keyed by ``(seed, trial index)``, so a sample depends only on
+the seed and its trial index.  One NumPy sampler advances all trials of a
+batch in lockstep and equals the scalar ``sample_chain_time`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _mc_kernels as kernels
 from .protocol import RepeaterParams, chain
+from .scaling import InfeasibleError
 
-BACKEND = kernels.BACKEND
+BACKEND = "numpy"
 
 POLICIES = ("serial_redo", "parallel_max")
 
 MAX_LEVEL = 30   # recursion depth guard; expected work grows like prod(1/p_i)
+DRAW_BUDGET = 1e9   # expected draws per chain_times call: minutes of sampling, not years
 
 
 @dataclass(frozen=True)
 class TrialConfig:
+    """Seed, trial count and swap policy of one batch.  ``threads`` is
+    validated and reported but does not change the samples; the sampler
+    runs on one thread."""
+
     seed: int
     n_trials: int
     policy: str = "parallel_max"
@@ -95,46 +101,36 @@ def sample_chain_time(params: RepeaterParams, n: int, rng: SplitMix,
     return t
 
 
-def _run_chunked(run_chunk, n_trials: int, threads: int, out: np.ndarray):
-    if threads == 1:
-        run_chunk(0, n_trials, out)
-        return
-    bounds = np.linspace(0, n_trials, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(run_chunk, int(lo), int(hi - lo), out[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        for f in futures:
-            f.result()
-
-
 def generation_times(params: RepeaterParams, cfg: TrialConfig) -> np.ndarray:
     """Sampled segment-generation times, one per trial."""
-    q = click_probability(params)
-    out = np.empty(cfg.n_trials)
+    return kernels.generation_times(cfg.seed, cfg.n_trials,
+                                    click_probability(params), params.pulse_time)
 
-    def run_chunk(start, count, sink):
-        kernels.generation_times_bulk(cfg.seed, start, count, q,
-                                      params.pulse_time, sink)
 
-    _run_chunked(run_chunk, cfg.n_trials, cfg.threads, out)
-    return out
+def _expected_draws(probs) -> float:
+    """Expected uniforms per trial for level success probabilities
+    ``probs[1:]``: d_0 = 1, d_l = (2 d_{l-1} + 1) / p_l."""
+    d = 1.0
+    for p in probs[1:]:
+        d = (2.0 * d + 1.0) / p
+    return d
 
 
 def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
-    """Sampled level-``n`` waiting times, one per trial."""
+    """Sampled level-``n`` waiting times, one per trial.
+
+    Raises ``InfeasibleError`` before sampling when the expected number of
+    draws exceeds ``DRAW_BUDGET``.
+    """
     probs = _level_probs(params, n)
-    q = click_probability(params)
-    parallel = cfg.policy == "parallel_max"
-    out = np.empty(cfg.n_trials)
-
-    def run_chunk(start, count, sink):
-        kernels.chain_times_bulk(cfg.seed, start, count, n, probs, q,
-                                 params.pulse_time, parallel, sink)
-
-    _run_chunked(run_chunk, cfg.n_trials, cfg.threads, out)
-    return out
+    draws = cfg.n_trials * _expected_draws(probs)
+    if draws > DRAW_BUDGET:
+        raise InfeasibleError(
+            f"level {n} with {cfg.n_trials} trials needs about {draws:.3g} "
+            f"random draws, over the budget of {DRAW_BUDGET:.0e}")
+    return kernels.chain_times(cfg.seed, cfg.n_trials, n, probs,
+                               click_probability(params), params.pulse_time,
+                               cfg.policy == "parallel_max")
 
 
 @dataclass(frozen=True)
@@ -155,9 +151,15 @@ def analytic_chain_time(params: RepeaterParams, n: int) -> float:
     return chain(params.with_(levels=n))[-1].elapsed_time
 
 
-def estimate(params: RepeaterParams, n: int, cfg: TrialConfig) -> McEstimate:
-    """Sampled waiting-time statistics against the analytic chain time."""
-    times = chain_times(params, n, cfg)
+def estimate(params: RepeaterParams, n: int, cfg: TrialConfig,
+             times: np.ndarray | None = None) -> McEstimate:
+    """Sampled waiting-time statistics against the analytic chain time.
+
+    ``times`` are the samples of ``chain_times(params, n, cfg)``; they are
+    drawn here when not given.
+    """
+    if times is None:
+        times = chain_times(params, n, cfg)
     mean = float(times.mean())
     stddev = float(times.std(ddof=1)) if cfg.n_trials > 1 else 0.0
     t_n = analytic_chain_time(params, n)

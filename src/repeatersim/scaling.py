@@ -16,7 +16,8 @@ from .protocol import ChainStallError, RepeaterParams, chain
 
 
 class InfeasibleError(ValueError):
-    """The requested fidelity budget cannot be met by any excitation level."""
+    """A request that cannot be met: a fidelity budget no excitation level
+    reaches, or a Monte Carlo run over its draw budget."""
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,13 @@ class TestMonteCarlo:
         assert lines[1] == "trial,time_s"
         assert len(lines) == 102
 
+    def test_level_beyond_draw_budget_exits_4(self, capsys):
+        # level 8 at the default 10 000 trials expects about 2e14 draws
+        code, out = run_cli(["montecarlo", "--level", "8"])
+        assert code == 4
+        assert out == ""
+        assert "draws" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_rates_sweep_table(self):

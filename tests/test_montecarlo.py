@@ -1,12 +1,10 @@
-import importlib
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from repeatersim import _mc_kernels as kernels
+from repeatersim import config
 from repeatersim import montecarlo as mc
 from repeatersim.montecarlo import (
     SplitMix,
@@ -154,29 +152,35 @@ class TestDeterminism:
         large = estimate(params, 1, TrialConfig(seed=1, n_trials=40_000))
         assert large.ci95 == pytest.approx(small.ci95 / 2, rel=0.2)
 
-    def test_backend_equivalence(self):
-        # the numpy fallback must reproduce the active backend bit for bit
-        env = dict(os.environ, REPEATERSIM_NO_NUMBA="1")
-        code = (
-            "import numpy as np\n"
-            "from repeatersim import montecarlo as mc\n"
-            "from repeatersim.protocol import RepeaterParams\n"
-            "assert mc.BACKEND == 'numpy', mc.BACKEND\n"
-            "p = RepeaterParams(excitation_prob=0.01, pulse_time=1e-6,"
-            " local_efficiency=1.0, swap_efficiency=2/3, app_efficiency=0.5,"
-            " dark_prob=0.0, segment_length=1e-9)\n"
-            "gen = mc.generation_times(p, mc.TrialConfig(seed=42, n_trials=20000))\n"
-            "ch = mc.chain_times(p, 2, mc.TrialConfig(seed=42, n_trials=3000))\n"
-            "np.save('/tmp/mc_fallback_gen.npy', gen)\n"
-            "np.save('/tmp/mc_fallback_chain.npy', ch)\n"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                       cwd=os.path.dirname(os.path.dirname(__file__)))
-        params = make_params()
-        gen = generation_times(params, TrialConfig(seed=42, n_trials=20000))
-        ch = chain_times(params, 2, TrialConfig(seed=42, n_trials=3000))
-        assert np.array_equal(gen, np.load("/tmp/mc_fallback_gen.npy"))
-        assert np.array_equal(ch, np.load("/tmp/mc_fallback_chain.npy"))
+    def test_lockstep_matches_scalar(self):
+        # the bulk sampler against the scalar reference, bit for bit, without
+        # dark counts and at the CLI defaults (with them): levels 0-4 under
+        # both policies, 109 360 trials in all
+        cli_params = config.from_raw(config.default_raw()).repeater
+        for params in (make_params(), cli_params):
+            q = mc.click_probability(params)
+            for policy in mc.POLICIES:
+                for n, trials in ((0, 20_000), (1, 5_000), (2, 2_000), (3, 300), (4, 40)):
+                    cfg = TrialConfig(seed=100 + n, n_trials=trials, policy=policy)
+                    probs = list(mc._level_probs(params, n))
+                    scalar = [
+                        kernels.chain_sample(n, probs, q, params.pulse_time,
+                                             policy == "parallel_max",
+                                             kernels.stream_state(cfg.seed, k))[1]
+                        for k in range(trials)
+                    ]
+                    assert np.array_equal(chain_times(params, n, cfg), scalar), (n, policy)
+
+    def test_attempts_on_integer_boundaries(self):
+        # uniforms within 8 ulps of exp(m ln(1-q)), where log(u) / ln(1-q)
+        # sits on an integer and an ulp of error in log moves the floor
+        for q in (0.01, 0.005, 1e-3):
+            c = math.log1p(-q)
+            u0 = np.exp(c * np.arange(1, 4001))
+            u = (u0[:, None] + np.arange(-8, 9) * np.spacing(u0)[:, None]).ravel()
+            u = u[(u > 0.0) & (u < 1.0)]
+            scalar = [1 + math.floor(math.log(x) / c) for x in u]
+            assert np.array_equal(kernels._attempts(u, q), scalar)
 
 
 class TestConfig:
