@@ -3,8 +3,8 @@
 Subcommands bind the library modules to machine-readable CSV/JSON reports.
 Every command is deterministic given (config, seed) and emits byte-stable
 output; numeric formatting honours the configured precision (significant
-digits).  Exit codes: 0 success, 2 configuration, 3 numeric failure,
-4 infeasible request.
+digits).  Exit codes: 0 success, 2 configuration or output file,
+3 numeric failure, 4 infeasible request.
 
 Units: lengths in multiples of the attenuation length, times in seconds,
 rates in 1/s.
@@ -30,6 +30,7 @@ SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
+EXIT_OUTPUT = 2
 EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
 
@@ -422,8 +423,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        raw = (config.parse_raw(open(args.config, encoding="utf-8").read())
-               if args.config else config.default_raw())
+        raw = config.read_raw(args.config or None)
         cfg = config.from_raw(raw)
         if args.format is None:
             args.format = cfg.output.format
@@ -433,8 +433,8 @@ def main(argv=None) -> int:
             return _run_sweep(args.command, raw, args)
         return COMMANDS[args.command](cfg, args)
     except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -208,15 +208,20 @@ def from_raw(raw: dict) -> Config:
     )
 
 
-def load(path: str | None = None) -> Config:
+def read_raw(path: str | None = None) -> dict:
+    """Raw values of the config file at ``path`` (the defaults if None)."""
     if path is None:
-        return from_raw(default_raw())
+        return default_raw()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return from_raw(parse_raw(text))
+    return parse_raw(text)
+
+
+def load(path: str | None = None) -> Config:
+    return from_raw(read_raw(path))
 
 
 def set_raw(raw: dict, dotted_key: str, value: str) -> dict:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import fock
 
@@ -92,9 +91,12 @@ def langevin_mean_ode(params: EnsembleParams, t_grid, rtol: float = 1e-11,
                       atol: float = 1e-13) -> np.ndarray:
     """Numerical integration of the drift equation dS/dt = (kappa'/2) S.
 
-    Cross-check for the closed-form gain; tolerances are tighter than the
-    master-equation default because the comparison budget is 1e-8.
+    Cross-check for the closed-form gain; the comparison budget is 1e-8.
+    SciPy is imported here, not at module level, so that no CLI command
+    pays for it.
     """
+    from scipy.integrate import solve_ivp
+
     kp = effective_rates(params).kappa_prime
     t_grid = np.asarray(t_grid, dtype=float)
     sol = solve_ivp(lambda t, y: 0.5 * kp * y, (0.0, float(t_grid[-1])), [1.0],
@@ -118,9 +120,9 @@ def squeezed_joint_state(rates: EffectiveRates, cutoff: int,
 
 @dataclass
 class ModePopulations:
-    """Populations of the collective mode and of one representative noise
-    mode over a time grid (noise modes are statistically identical; the
-    reported value is their average)."""
+    """Mean occupations of the collective mode and of one noise mode over a
+    time grid (all noise modes are identical), and the trace of the
+    truncated multimode state."""
 
     time_grid: np.ndarray
     collective: np.ndarray
@@ -137,74 +139,39 @@ class ModePopulations:
         return float(np.dot(self.collective, t)) / denom
 
 
-def _gain_lindblad_populations(kappa_prime: float, gamma_s_prime: float,
-                               n_modes: int, cutoff: int, t_grid,
-                               rtol: float = 1e-9, atol: float = 1e-12) -> ModePopulations:
-    t_grid = np.asarray(t_grid, dtype=float)
-    layout = fock.ModeLayout(n_modes, cutoff)
-    d = layout.dim
-    dm = layout.mode_dim
-    a = np.diag(np.sqrt(np.arange(1, dm)), 1).astype(complex)
-
-    def embed(op, mode):
-        mats = [np.eye(dm, dtype=complex)] * n_modes
-        mats[mode] = op
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
-    rates = [kappa_prime + gamma_s_prime] + [gamma_s_prime] * (n_modes - 1)
-    lops = []   # (rate, X, X†X) with X = a† for the gain process
-    for mode, rate in enumerate(rates):
-        if rate == 0.0:
-            continue
-        x = embed(a.conj().T, mode)
-        lops.append((rate, x, x.conj().T @ x))
-
-    def rhs(_t, y):
-        rho = (y[:d * d] + 1j * y[d * d:]).reshape(d, d)
-        drho = np.zeros_like(rho)
-        for rate, x, xx in lops:
-            drho += rate * (x @ rho @ x.conj().T - 0.5 * (xx @ rho + rho @ xx))
-        return np.concatenate([drho.real.ravel(), drho.imag.ravel()])
-
-    rho0 = fock.vacuum(layout).matrix
-    y0 = np.concatenate([rho0.real.ravel(), rho0.imag.ravel()])
-    sol = solve_ivp(rhs, (float(t_grid[0]), float(t_grid[-1])), y0, t_eval=t_grid,
-                    method="RK45", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"master-equation integration failed: {sol.message}")
-
-    number_diag = [np.real(np.diag(embed(a.conj().T @ a, m))) for m in range(n_modes)]
-    collective = np.empty(len(t_grid))
-    noise = np.zeros(len(t_grid))
-    traces = np.empty(len(t_grid))
-    for k in range(len(t_grid)):
-        rho = (sol.y[:d * d, k] + 1j * sol.y[d * d:, k]).reshape(d, d)
-        diag = np.real(np.diag(rho))
-        traces[k] = diag.sum()
-        collective[k] = float(np.dot(number_diag[0], diag))
-        if n_modes > 1:
-            noise[k] = float(np.mean([np.dot(number_diag[m], diag)
-                                      for m in range(1, n_modes)]))
-    return ModePopulations(t_grid, collective, noise, traces)
-
-
 def integrate_master_equation(params: EnsembleParams, n_modes: int, cutoff: int,
-                              t_grid, rtol: float = 1e-9,
-                              atol: float = 1e-12) -> ModePopulations:
-    """Integrate the gain-Lindblad equation from multimode vacuum.
+                              t_grid) -> ModePopulations:
+    """Solve the gain-Lindblad equation from multimode vacuum in closed form.
 
     Mode 0 (collective) is heated at kappa' + gamma', every other mode at
     gamma' only; valid for rate extraction in the weak-excitation window
-    kappa' t << 1.
+    kappa' t << 1.  The Lindbladian is a sum of single-mode gain terms and
+    a jump a^dagger keeps a Fock-diagonal state diagonal, so rho(t) is a
+    product of diagonal single-mode states.  Each mode is a pure-birth
+    chain whose top level c = cutoff absorbs (truncated a a^dagger =
+    diag(1, ..., c, 0)): with x = 1 - exp(-R t) its populations are
+    exp(-R t) x^n for n < c and x^c at n = c.  Time runs from t_grid[0].
     """
     if n_modes < 2:
         raise ValueError("need at least one collective and one noise mode")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 2:
+        raise ValueError(f"the master equation needs at least two time points, "
+                         f"got {t_grid.size}")
     rates = effective_rates(params)
-    return _gain_lindblad_populations(rates.kappa_prime, rates.gamma_s_prime,
-                                      n_modes, cutoff, t_grid, rtol, atol)
+    # axis 0: collective mode, one noise mode; axis 1: time; axis 2: level
+    rate_t = np.array([rates.kappa_prime + rates.gamma_s_prime,
+                       rates.gamma_s_prime])[:, None, None] * (t_grid - t_grid[0])[:, None]
+    x = -np.expm1(-rate_t)
+    levels = np.arange(cutoff + 1)
+    pops = np.exp(-rate_t) * x ** levels
+    pops[..., cutoff] = x[..., 0] ** cutoff
+    collective, per_noise_mode = pops @ levels
+    trace_collective, trace_noise = pops.sum(axis=-1)
+    return ModePopulations(t_grid, collective, per_noise_mode,
+                           trace_collective * trace_noise ** (n_modes - 1))
 
 
 @dataclass(frozen=True)

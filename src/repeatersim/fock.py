@@ -190,8 +190,10 @@ def _split_shape(layout: ModeLayout, mode: int):
 def _sandwich_one_mode(mat: np.ndarray, op: np.ndarray, layout: ModeLayout, mode: int) -> np.ndarray:
     """Return ``(op on mode) @ mat @ (op on mode)^dagger``."""
     pre, d, post = _split_shape(layout, mode)
-    t = mat.reshape(pre, d, post, pre, d, post)
-    out = np.einsum("ab,pbqrcs,dc->paqrds", op, t, op.conj(), optimize=True)
+    # op on the ket index, then conj(op) on the bra index, each a batched
+    # matmul whose result is C-contiguous, so no transposed copies are made
+    left = op @ mat.reshape(pre, d, post * layout.dim)
+    out = op.conj() @ left.reshape(pre * d * post * pre, d, post)
     return out.reshape(layout.dim, layout.dim)
 
 
@@ -346,8 +348,9 @@ def apply_loss(rho: DensityOperator, i: int, eta: float) -> DensityOperator:
     layout.check_mode(i)
     if eta == 1.0:
         return DensityOperator(layout, rho.matrix.copy())
-    out = np.zeros_like(rho.matrix)
-    for a in loss_kraus(layout.cutoff, eta):
+    first, *rest = loss_kraus(layout.cutoff, eta)
+    out = _sandwich_one_mode(rho.matrix, first, layout, i)
+    for a in rest:
         out += _sandwich_one_mode(rho.matrix, a, layout, i)
     return DensityOperator(layout, out)
 

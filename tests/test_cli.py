@@ -56,6 +56,27 @@ class TestRates:
         assert code == 2
         assert "repeater.bogus" in capsys.readouterr().err
 
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        code = cli.main(["--config", str(tmp_path / "absent.ini"), "rates"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[ensemble]\ndetuning = \xff\n")
+        code = cli.main(["--config", str(path), "rates"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+
+    def test_unwritable_output_is_an_output_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["rates", "--out", str(blocker / "rates.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert "config error" not in err
+
 
 class TestDynamics:
     def test_writes_time_series(self, tmp_path):
@@ -82,6 +103,25 @@ class TestDynamics:
         rows = out_file.read_text().strip().splitlines()[2:]
         noise = [float(r.split(",")[2]) for r in rows]
         assert max(abs(v) for v in noise) < 1e-10
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_short_time_grid_exits_3(self, tmp_path, capsys, points):
+        out_file = tmp_path / "dyn.csv"
+        code, out = run_cli(["dynamics", "--points", points, "--out", str(out_file)])
+        assert code == 3
+        assert out == ""
+        assert "at least two time points" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_many_noise_modes_print_the_four_mode_summary(self, tmp_path):
+        # noise modes are identical; a dense 12-mode state would need
+        # 3^24 entries
+        _, four = run_cli(["dynamics", "--modes", "4", "--out", str(tmp_path / "a.csv")])
+        code, twelve = run_cli(["dynamics", "--modes", "12",
+                                "--out", str(tmp_path / "b.csv")])
+        assert code == 0
+        assert twelve == four
+        assert (tmp_path / "b.csv").read_text() == (tmp_path / "a.csv").read_text()
 
 
 class TestChain:
@@ -215,6 +255,22 @@ class TestOutputDirEnv:
 
 
 class TestEntryPoint:
+    def test_cli_does_not_import_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import repeatersim, repeatersim.cli\n"
+            "for argv in (['rates'], ['chain'], ['teleport'],\n"
+            "             ['dynamics', '--out', sys.argv[1]]):\n"
+            "    assert repeatersim.cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "d.csv")],
+                              capture_output=True, env=env, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_module_invocation_byte_identical(self):
         cmd = [sys.executable, "-m", "repeatersim.cli", "chsh"]
         env = dict(os.environ)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.integrate import solve_ivp
 
-from repeatersim import ensemble
+from repeatersim import fock
 from repeatersim.ensemble import (
     EnsembleParams,
     effective_rates,
@@ -105,6 +107,52 @@ class TestSqueezedJointState:
         assert diag_sum >= 1.0 - math.tanh(rates.squeeze) ** (2 * (cutoff + 1))
 
 
+def dense_gain_populations(kappa_prime, gamma_s_prime, n_modes, cutoff, t_grid,
+                           rtol=1e-12, atol=1e-14):
+    """Oracle for the closed form: integrate the full (cutoff+1)^(2 m)
+    complex density matrix under the gain Lindbladian with RK45.
+
+    The Liouvillian acts on the row-major vec(rho), vec(A rho B) =
+    (A kron B^T) vec(rho), and is built as a sparse matrix; the state keeps
+    every coherence.  Returns (collective, per_noise_mode, traces) on
+    ``t_grid``; meant for m <= 4 modes.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    layout = fock.ModeLayout(n_modes, cutoff)
+    d = layout.dim
+    dm = layout.mode_dim
+    a = np.diag(np.sqrt(np.arange(1, dm)), 1).astype(complex)
+
+    def embed(op, mode):
+        mats = [np.eye(dm, dtype=complex)] * n_modes
+        mats[mode] = op
+        out = sparse.csr_array(mats[0])
+        for m in mats[1:]:
+            out = sparse.kron(out, m, format="csr")
+        return out
+
+    eye = sparse.identity(d, dtype=complex, format="csr")
+    liouvillian = sparse.csr_array((d * d, d * d), dtype=complex)
+    rates = [kappa_prime + gamma_s_prime] + [gamma_s_prime] * (n_modes - 1)
+    for mode, rate in enumerate(rates):
+        x = embed(a.conj().T, mode)     # gain jump X = a^dagger
+        xx = x.conj().T @ x
+        liouvillian = liouvillian + rate * (
+            sparse.kron(x, x.conj(), format="csr")
+            - 0.5 * (sparse.kron(xx, eye, format="csr")
+                     + sparse.kron(eye, xx.T, format="csr")))
+
+    y0 = fock.vacuum(layout).matrix.ravel()
+    sol = solve_ivp(lambda _t, y: liouvillian @ y, (float(t_grid[0]), float(t_grid[-1])),
+                    y0, t_eval=t_grid, method="RK45", rtol=rtol, atol=atol)
+    assert sol.success, sol.message
+
+    diags = sol.y[::d + 1].real   # (d, T): the populations of rho
+    number_diag = [embed(a.conj().T @ a, m).diagonal().real for m in range(n_modes)]
+    noise = np.mean([number_diag[m] @ diags for m in range(1, n_modes)], axis=0)
+    return number_diag[0] @ diags, noise, diags.sum(axis=0)
+
+
 class TestMasterEquation:
     def test_no_spontaneous_emission_keeps_noise_modes_dark(self):
         params = make_params(spont_rate=0.0)
@@ -123,9 +171,12 @@ class TestMasterEquation:
         assert pops.rate_ratio() == pytest.approx(expected, rel=0.05)
 
     def test_symmetric_when_collective_rate_vanishes(self):
-        # kappa' = 0 with equal heating everywhere: permutation symmetry
-        pops = ensemble._gain_lindblad_populations(0.0, 0.05, n_modes=3, cutoff=2,
-                                                   t_grid=np.linspace(0, 0.2, 9))
+        # kappa' = 0 (no coupling) with equal heating everywhere:
+        # permutation symmetry
+        params = make_params(coupling=0.0, spont_rate=5.0)
+        assert effective_rates(params).kappa_prime == 0.0
+        pops = integrate_master_equation(params, n_modes=3, cutoff=2,
+                                         t_grid=np.linspace(0, 0.2, 9))
         assert np.max(np.abs(pops.collective - pops.per_noise_mode)) < 1e-9
 
     def test_trace_preservation_and_positivity(self):
@@ -147,6 +198,40 @@ class TestMasterEquation:
         with pytest.raises(ValueError):
             integrate_master_equation(make_params(), n_modes=1, cutoff=2,
                                       t_grid=np.linspace(0, 0.1, 5))
+
+    def test_cutoff_guard(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            integrate_master_equation(make_params(), n_modes=2, cutoff=0,
+                                      t_grid=np.linspace(0, 0.1, 5))
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_short_time_grid_refused(self, points):
+        with pytest.raises(ValueError, match="at least two time points"):
+            integrate_master_equation(make_params(), n_modes=2, cutoff=2,
+                                      t_grid=np.linspace(0, 0.1, points))
+
+    @pytest.mark.parametrize("n_modes", [2, 3, 4])
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_closed_form_matches_dense_oracle(self, n_modes, cutoff):
+        # kappa' t up to 1, so every truncated level is populated
+        params = make_params()
+        rates = effective_rates(params)
+        grid = np.linspace(0.0, 1.0 / rates.kappa_prime, 11)
+        pops = integrate_master_equation(params, n_modes, cutoff, grid)
+        dense = dense_gain_populations(rates.kappa_prime, rates.gamma_s_prime,
+                                       n_modes, cutoff, grid)
+        for closed, oracle in zip((pops.collective, pops.per_noise_mode, pops.traces),
+                                  dense):
+            assert np.max(np.abs(closed - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+    def test_noise_modes_do_not_change_the_columns(self):
+        params = make_params()
+        grid = np.linspace(0, 0.1, 15)
+        small = integrate_master_equation(params, n_modes=2, cutoff=2, t_grid=grid)
+        large = integrate_master_equation(params, n_modes=40, cutoff=2, t_grid=grid)
+        assert np.array_equal(small.collective, large.collective)
+        assert np.array_equal(small.per_noise_mode, large.per_noise_mode)
+        assert np.max(np.abs(large.traces - 1.0)) < 1e-9
 
 
 class TestFreeSpaceSnr:

@@ -244,6 +244,20 @@ class TestLoss:
         with pytest.raises(ValueError):
             apply_loss(vacuum(ModeLayout(1, 1)), 0, 1.2)
 
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_each_mode_matches_embedded_kraus_sum(self, mode):
+        layout = ModeLayout(3, 2)
+        rho = random_density(layout, np.random.default_rng(mode))
+        eye = np.eye(layout.mode_dim)
+        oracle = np.zeros_like(rho.matrix)
+        for k in fock.loss_kraus(layout.cutoff, 0.37):
+            mats = [eye] * layout.modes
+            mats[mode] = k
+            full = np.kron(np.kron(mats[0], mats[1]), mats[2])
+            oracle += full @ rho.matrix @ full.conj().T
+        out = apply_loss(rho, mode, 0.37)
+        assert np.max(np.abs(out.matrix - oracle)) < 1e-14
+
 
 class TestDetector:
     def test_vacuum_never_clicks_without_dark(self):
