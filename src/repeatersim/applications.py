@@ -53,17 +53,15 @@ def _pattern_probability(rho: fock.DensityOperator, outcomes: dict,
     destructively (descending index order keeps lower indices valid).
     Returns ``(probability, conditional state on the remaining modes)``."""
     det = fock.DetectorModel(efficiency=1.0, dark_count_prob=dark_prob)
-    prob = 1.0
-    state = rho
+    prob, state = 1.0, rho
     for mode in sorted(outcomes, reverse=True):
-        p = fock.detector_probability(state, mode, det, outcomes[mode])
-        if p < 1e-15:
-            return 0.0, None
         if state.layout.modes == 1:
-            prob *= p
-            state = None
-            break
-        _, state = fock.measure_detector(state, mode, det, outcomes[mode])
+            p = fock.detector_probability(state, mode, det, outcomes[mode])
+            return (prob * p, None) if p >= 1e-15 else (0.0, None)
+        try:
+            p, state = fock.measure_detector(state, mode, det, outcomes[mode])
+        except fock.ImpossibleOutcomeError:
+            return 0.0, None
         prob *= p
     return prob, state
 
@@ -75,12 +73,16 @@ class CorrelationResult:
     pattern_probs: dict       # {"11": .., "12": .., "21": .., "22": ..}
 
 
-def _two_pair_state(c_n: float, phi: float, cutoff: int = 2) -> fock.DensityOperator:
-    """rho(c, phi) x rho(c, phi) on modes (L1, R1, L2, R2)."""
-    pair_layout = fock.ModeLayout(2, cutoff)
-    one = eme_density(pair_layout, (0, 1), c_n, phi)
-    two = eme_density(pair_layout, (0, 1), c_n, phi)
-    return fock.tensor(one, two)
+# every circuit here holds two-mode factors at cutoff 2
+_PAIR = fock.ModeLayout(2, 2)
+
+
+def _lossy(rho: fock.DensityOperator, eta_a: float, modes) -> fock.DensityOperator:
+    """``rho`` after loss ``eta_a`` on ``modes``.  Loss on one factor commutes
+    with ``fock.tensor``, so circuits apply it to the 9-dim factors."""
+    for mode in modes:
+        rho = fock.apply_loss(rho, mode, eta_a)
+    return rho
 
 
 def correlation(c_n: float, phi: float, setting: MeasurementSetting, eta_a: float,
@@ -93,28 +95,22 @@ def correlation(c_n: float, phi: float, setting: MeasurementSetting, eta_a: floa
     """
     if not 0.0 < eta_a <= 1.0:
         raise ValueError(f"application efficiency {eta_a} outside (0, 1]")
-    rho = _two_pair_state(c_n, phi)
+    pair = _lossy(eme_density(_PAIR, (0, 1), c_n, phi), eta_a, (0, 1))
+    rho = fock.tensor(pair, pair)
     L1, R1, L2, R2 = 0, 1, 2, 3
-    for mode in (L1, R1, L2, R2):
-        rho = fock.apply_loss(rho, mode, eta_a)
     rho = fock.apply_phase(rho, L1, setting.psi_left)
     rho = fock.apply_phase(rho, R1, setting.psi_right)
     rho = fock.apply_beamsplitter(rho, L1, L2)
     rho = fock.apply_beamsplitter(rho, R1, R2)
 
     # detector 1 of a site sits on the first-mode output, detector 2 on the second
-    ports = {1: {"L": L1, "R": R1}, 2: {"L": L2, "R": R2}}
+    left, right = {1: L1, 2: L2}, {1: R1, 2: R2}
     pattern_probs = {}
     for i in (1, 2):
         for j in (1, 2):
-            outcomes = {
-                ports[i]["L"]: "click",
-                ports[3 - i]["L"]: "no_click",
-                ports[j]["R"]: "click",
-                ports[3 - j]["R"]: "no_click",
-            }
-            p, _ = _pattern_probability(rho, outcomes, dark_prob)
-            pattern_probs[f"{i}{j}"] = p
+            outcomes = {left[i]: "click", left[3 - i]: "no_click",
+                        right[j]: "click", right[3 - j]: "no_click"}
+            pattern_probs[f"{i}{j}"] = _pattern_probability(rho, outcomes, dark_prob)[0]
     total = sum(pattern_probs.values())
     if total <= 0.0:
         raise ValueError("no coincidences: correlation undefined")
@@ -132,11 +128,20 @@ CHSH_SETTINGS = (
 )
 
 
+def chsh_correlations(c_n: float, phi: float, eta_a: float) -> tuple:
+    """``CorrelationResult`` at each of ``CHSH_SETTINGS``, in that order."""
+    return tuple(correlation(c_n, phi, MeasurementSetting(a, b), eta_a)
+                 for a, b in CHSH_SETTINGS)
+
+
+def chsh_combination(results) -> float:
+    """|E(0,π/4) + E(π/2,π/4) + E(π/2,3π/4) - E(0,3π/4)| of ``chsh_correlations``."""
+    return abs(results[0].value + results[1].value + results[2].value - results[3].value)
+
+
 def chsh_value(c_n: float, phi: float, eta_a: float) -> float:
-    """|E(0,π/4) + E(π/2,π/4) + E(π/2,3π/4) - E(0,3π/4)|."""
-    es = [correlation(c_n, phi, MeasurementSetting(a, b), eta_a).value
-          for a, b in CHSH_SETTINGS]
-    return abs(es[0] + es[1] + es[2] - es[3])
+    """The CHSH combination of the circuit at (c_n, phi, eta_a)."""
+    return chsh_combination(chsh_correlations(c_n, phi, eta_a))
 
 
 @dataclass(frozen=True)
@@ -205,18 +210,11 @@ def teleport(qubit: PolarizationQubit, c_n: float, eta_a: float,
     """
     if not 0.0 < eta_a <= 1.0:
         raise ValueError(f"application efficiency {eta_a} outside (0, 1]")
-    cutoff = 2
-    q_layout = fock.ModeLayout(2, cutoff)
-    q_vec = fock.pure_state(q_layout, {(1, 0): qubit.d0, (0, 1): qubit.d1},
-                            normalize=False)
-    rho = q_vec.to_density()
-    pair_layout = fock.ModeLayout(2, cutoff)
-    rho = fock.tensor(rho, eme_density(pair_layout, (0, 1), c_n, phi))
-    rho = fock.tensor(rho, eme_density(pair_layout, (0, 1), c_n, phi))
+    target = fock.pure_state(_PAIR, {(1, 0): qubit.d0, (0, 1): qubit.d1}, normalize=False)
+    link = _lossy(eme_density(_PAIR, (0, 1), c_n, phi), eta_a, (0,))   # sender half lossy
+    rho = fock.tensor(fock.tensor(_lossy(target.to_density(), eta_a, (0, 1)), link), link)
     I1, I2, L1, R1, L2, R2 = 0, 1, 2, 3, 4, 5
 
-    for mode in (I1, I2, L1, L2):
-        rho = fock.apply_loss(rho, mode, eta_a)
     rho = fock.apply_beamsplitter(rho, I1, L1)
     rho = fock.apply_beamsplitter(rho, I2, L2)
 
@@ -227,8 +225,6 @@ def teleport(qubit: PolarizationQubit, c_n: float, eta_a: float,
         ({I1: "click", L1: "no_click", I2: "no_click", L2: "click"}, True),   # D1I, D2L
         ({I1: "no_click", L1: "click", I2: "click", L2: "no_click"}, True),   # D1L, D2I
     ]
-    target = fock.pure_state(fock.ModeLayout(2, cutoff),
-                             {(1, 0): qubit.d0, (0, 1): qubit.d1}, normalize=False)
     pattern_total = 0.0
     confirmed_total = 0.0
     fidelity_acc = 0.0

@@ -150,8 +150,11 @@ def cmd_dynamics(cfg: Config, args) -> int:
     return EXIT_OK
 
 
-def chain_summary(cfg: Config) -> dict:
-    rows = chain(cfg.repeater, channel_phase=cfg.applications.phase)
+def chain_summary(cfg: Config, rows=None) -> dict:
+    """Last row of the chain table; ``rows`` is ``chain()``'s output when the
+    caller already has it."""
+    if rows is None:
+        rows = chain(cfg.repeater, channel_phase=cfg.applications.phase)
     last = rows[-1]
     return {"levels": last.level, "length": last.length,
             "vacuum_coeff": last.vacuum_coeff, "success_prob": last.success_prob,
@@ -163,7 +166,7 @@ def cmd_chain(cfg: Config, args) -> int:
     table = [(r.level, r.length, r.vacuum_coeff, r.success_prob,
               r.fidelity_deficit, r.elapsed_time) for r in rows]
     emit_table(("i", "L_i", "c_i", "p_i", "dF_i", "T_i"), table,
-               chain_summary(cfg), cfg, args)
+               chain_summary(cfg, rows), cfg, args)
     return EXIT_OK
 
 
@@ -227,24 +230,15 @@ def cmd_optimize(cfg: Config, args) -> int:
 
 
 def chsh_summary(cfg: Config) -> dict:
-    c_n = cfg.applications.vacuum_coeff
-    phi = cfg.applications.phase
-    eta_a = cfg.repeater.app_efficiency
-    e_matrix = []
-    settings = []
-    coinc = None
-    for psi_l in (0.0, math.pi / 2):
-        row = []
-        for psi_r in (math.pi / 4, 3 * math.pi / 4):
-            res = applications.correlation(
-                c_n, phi, applications.MeasurementSetting(psi_l, psi_r), eta_a)
-            row.append(res.value)
-            settings.append([psi_l, psi_r])
-            coinc = res.coincidence_prob
-        e_matrix.append(row)
-    value = abs(e_matrix[0][0] + e_matrix[1][0] + e_matrix[1][1] - e_matrix[0][1])
-    return {"settings": settings, "E_matrix": e_matrix, "chsh": value,
-            "coincidence_prob": coinc}
+    results = applications.chsh_correlations(cfg.applications.vacuum_coeff,
+                                             cfg.applications.phase,
+                                             cfg.repeater.app_efficiency)
+    by_setting = dict(zip(applications.CHSH_SETTINGS, results))
+    lefts, rights = (0.0, math.pi / 2), (math.pi / 4, 3 * math.pi / 4)
+    return {"settings": [[a, b] for a in lefts for b in rights],
+            "E_matrix": [[by_setting[a, b].value for b in rights] for a in lefts],
+            "chsh": applications.chsh_combination(results),
+            "coincidence_prob": by_setting[math.pi / 2, 3 * math.pi / 4].coincidence_prob}
 
 
 def cmd_chsh(cfg: Config, args) -> int:

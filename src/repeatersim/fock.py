@@ -24,6 +24,10 @@ class TruncationError(ValueError):
     """State support would leave the truncated Fock space."""
 
 
+class ImpossibleOutcomeError(ValueError):
+    """Conditioning on an outcome of (numerically) zero probability."""
+
+
 @dataclass(frozen=True)
 class ModeLayout:
     """Mode count and per-mode photon-number cutoff.
@@ -116,11 +120,7 @@ class DensityOperator:
 
     def mean_photon(self, mode: int) -> float:
         self.layout.check_mode(mode)
-        diag = np.real(np.diag(self.matrix)).reshape([self.layout.mode_dim] * self.layout.modes)
-        counts = np.arange(self.layout.mode_dim)
-        axes = tuple(a for a in range(self.layout.modes) if a != mode)
-        per_n = diag.sum(axis=axes) if axes else diag
-        return float(np.dot(per_n, counts))
+        return float(np.dot(_marginal(self, (mode,)), np.arange(self.layout.mode_dim)))
 
 
 def assert_physical(rho: DensityOperator, check_positivity: bool = False):
@@ -187,40 +187,33 @@ def _split_shape(layout: ModeLayout, mode: int):
     return pre, d, post
 
 
-def _sandwich_one_mode(mat: np.ndarray, op: np.ndarray, layout: ModeLayout, mode: int) -> np.ndarray:
-    """Return ``(op on mode) @ mat @ (op on mode)^dagger``."""
-    pre, d, post = _split_shape(layout, mode)
-    # op on the ket index, then conj(op) on the bra index, each a batched
-    # matmul whose result is C-contiguous, so no transposed copies are made
-    left = op @ mat.reshape(pre, d, post * layout.dim)
-    out = op.conj() @ left.reshape(pre * d * post * pre, d, post)
-    return out.reshape(layout.dim, layout.dim)
-
-
 def _sandwich_two_mode(mat: np.ndarray, op2: np.ndarray, layout: ModeLayout, i: int, j: int) -> np.ndarray:
-    """Apply a two-mode operator ``op2`` (shape (d*d, d*d), mode order (i, j))."""
+    """Apply a two-mode operator ``op2`` (shape (d*d, d*d), mode order (i, j))
+    as two batched matmuls, with the pair's axes moved last (lower mode
+    first): ``op2`` from the left on the ket, ``op2^dagger`` from the right
+    on the bra."""
+    d, n, dim = layout.mode_dim, layout.modes, layout.dim
     if i > j:
-        # reorder so i < j; swap the two tensor factors of op2
-        d = layout.mode_dim
         op2 = op2.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
         i, j = j, i
-    d = layout.mode_dim
-    pre = d ** i
-    mid = d ** (j - i - 1)
-    post = d ** (layout.modes - j - 1)
-    u = op2.reshape(d, d, d, d)  # ⟨a c| U |b d⟩ with a,b on mode i and c,d on mode j
-    t = mat.reshape(pre, d, mid, d, post, pre, d, mid, d, post)
-    out = np.einsum("acbd,pbqdrPBQDR,ACBD->paqcrPAQCR", u, t, u.conj(), optimize=True)
-    return out.reshape(layout.dim, layout.dim)
+    perm = [m for m in range(n) if m not in (i, j)] + [i, j]
+    inv = list(np.argsort(perm))
+    ket = mat.reshape([d] * n + [dim]).transpose(perm + [n])
+    ket = op2 @ ket.reshape(-1, d * d, dim)
+    # ket axes back in mode order, bra axes (i, j) last
+    bra = ket.reshape([d] * n + [d] * n).transpose(inv + [n + m for m in perm])
+    out = bra.reshape(dim, -1, d * d) @ op2.conj().T
+    out = out.reshape([d] * n + [d] * n).transpose(list(range(n)) + [n + m for m in inv])
+    return out.reshape(dim, dim)
 
 
-def _pair_populations(rho: DensityOperator, i: int, j: int) -> np.ndarray:
-    """Joint photon-number populations of modes (i, j), shape (d, d)."""
+def _marginal(rho: DensityOperator, modes) -> np.ndarray:
+    """Joint photon-number populations of ``modes``, one axis per mode in
+    the given order."""
     layout = rho.layout
     diag = np.real(np.diag(rho.matrix)).reshape([layout.mode_dim] * layout.modes)
-    axes = tuple(a for a in range(layout.modes) if a not in (i, j))
-    out = diag.sum(axis=axes) if axes else diag
-    return out if i < j else out.T
+    out = diag.sum(axis=tuple(a for a in range(layout.modes) if a not in modes))
+    return out.transpose(np.argsort(np.argsort(modes)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +253,9 @@ def beamsplitter_matrix(cutoff: int, theta: float, phase: float) -> np.ndarray:
 
 
 def _check_pair_support(rho: DensityOperator, i: int, j: int, gate: str):
-    pops = _pair_populations(rho, i, j)
     cutoff = rho.layout.cutoff
-    leak = sum(pops[n1, n2] for n1 in range(cutoff + 1) for n2 in range(cutoff + 1)
-               if n1 + n2 > cutoff)
+    n = np.arange(cutoff + 1)
+    leak = _marginal(rho, (i, j))[np.add.outer(n, n) > cutoff].sum()
     if leak > SUPPORT_LEAK_TOL:
         raise TruncationError(
             f"{gate} on modes ({i}, {j}): population {leak:.3e} has pair photon "
@@ -348,11 +340,21 @@ def apply_loss(rho: DensityOperator, i: int, eta: float) -> DensityOperator:
     layout.check_mode(i)
     if eta == 1.0:
         return DensityOperator(layout, rho.matrix.copy())
-    first, *rest = loss_kraus(layout.cutoff, eta)
-    out = _sandwich_one_mode(rho.matrix, first, layout, i)
-    for a in rest:
-        out += _sandwich_one_mode(rho.matrix, a, layout, i)
-    return DensityOperator(layout, out)
+    # Kraus k maps |n> to |n-k> with one amplitude a_k(n) per row, so
+    # out[m, m'] = sum_k a_k(m+k) rho[m+k, m'+k] conj(a_k(m'+k)): one strided
+    # multiply-add per k, ket amplitude first, then the bra amplitude
+    pre, d, post = _split_shape(layout, i)
+    t = rho.matrix.reshape(pre, d, post, pre, d, post)
+    out = np.empty_like(t)
+    for k, op in enumerate(loss_kraus(layout.cutoff, eta)):
+        a = np.diagonal(op, k)
+        term = t[:, k:, :, :, k:, :] * a[:, None, None, None, None]
+        term *= a.conj()[:, None]
+        if k == 0:
+            out[...] = term
+        else:
+            out[:, :d - k, :, :, :d - k, :] += term
+    return DensityOperator(layout, out.reshape(layout.dim, layout.dim))
 
 
 @dataclass(frozen=True)
@@ -417,10 +419,7 @@ def detector_probability(rho: DensityOperator, i: int, det: DetectorModel, outco
     layout = rho.layout
     layout.check_mode(i)
     weights = _outcome_weights(det, layout.cutoff, outcome)
-    diag = np.real(np.diag(rho.matrix)).reshape([layout.mode_dim] * layout.modes)
-    axes = tuple(a for a in range(layout.modes) if a != i)
-    per_n = diag.sum(axis=axes) if axes else diag
-    return float(np.dot(per_n, weights))
+    return float(np.dot(_marginal(rho, (i,)), weights))
 
 
 def measure_detector(rho: DensityOperator, i: int, det: DetectorModel, outcome):
@@ -438,7 +437,7 @@ def measure_detector(rho: DensityOperator, i: int, det: DetectorModel, outcome):
     weights = _outcome_weights(det, layout.cutoff, outcome)
     prob, unnorm = _measure_diagonal(rho, i, weights)
     if prob < 1e-15:
-        raise ValueError("impossible-outcome conditioning")
+        raise ImpossibleOutcomeError("impossible-outcome conditioning")
     sub_layout = ModeLayout(layout.modes - 1, layout.cutoff, layout.max_dim)
     return prob, DensityOperator(sub_layout, unnorm / prob)
 

@@ -10,6 +10,7 @@ batch in lockstep and equals the scalar ``sample_chain_time`` bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,11 +79,14 @@ def sample_generation_time(params: RepeaterParams, rng: SplitMix) -> float:
     return rng.geometric(click_probability(params)) * params.pulse_time
 
 
-def _level_probs(params: RepeaterParams, n: int) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _level_probs(params: RepeaterParams, n: int) -> tuple:
+    """``(0.0, p_1, ..., p_n)`` of the analytic chain, memoised on the frozen
+    arguments; a tuple, so no caller can change the cached value."""
     if n > MAX_LEVEL:
         raise ValueError(f"level {n} beyond supported depth {MAX_LEVEL}")
     rows = chain(params.with_(levels=n))
-    return np.array([0.0] + [row.success_prob for row in rows[1:]])
+    return (0.0,) + tuple(row.success_prob for row in rows[1:])
 
 
 def sample_chain_time(params: RepeaterParams, n: int, rng: SplitMix,
@@ -96,7 +100,7 @@ def sample_chain_time(params: RepeaterParams, n: int, rng: SplitMix,
         raise ValueError(f"policy must be one of {POLICIES}")
     probs = _level_probs(params, n)
     q = click_probability(params)
-    rng.state, t = kernels.chain_sample(n, list(probs), q, params.pulse_time,
+    rng.state, t = kernels.chain_sample(n, probs, q, params.pulse_time,
                                         policy == "parallel_max", rng.state)
     return t
 

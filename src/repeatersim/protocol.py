@@ -300,13 +300,10 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
     """
     if not 0.0 < eta_s <= 1.0:
         raise ValueError(f"swap efficiency {eta_s} outside (0, 1]")
-    layout = fock.ModeLayout(4, cutoff)       # L, I1, I2, R
+    # modes L, I1, I2, R; loss on the inner halves before the tensor product
     left = eme_density(fock.ModeLayout(2, cutoff), (0, 1), c, phase_left)
     right = eme_density(fock.ModeLayout(2, cutoff), (0, 1), c, phase_right)
-    rho = fock.tensor(left, right)
-
-    rho = fock.apply_loss(rho, 1, eta_s)
-    rho = fock.apply_loss(rho, 2, eta_s)
+    rho = fock.tensor(fock.apply_loss(left, 1, eta_s), fock.apply_loss(right, 0, eta_s))
     rho = fock.apply_beamsplitter(rho, 1, 2)
 
     det = fock.DetectorModel(efficiency=1.0, resolving=True)

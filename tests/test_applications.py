@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from repeatersim import fock
 from repeatersim.applications import (
     CHSH_SETTINGS,
     MeasurementSetting,
@@ -12,6 +13,7 @@ from repeatersim.applications import (
     ekert_simulation,
     teleport,
 )
+from repeatersim.protocol import eme_density
 
 ROOT8 = 2 * math.sqrt(2)
 
@@ -145,3 +147,34 @@ class TestTeleport:
             for eta_a in (0.4, 1.0):
                 res = teleport(q, 0.5, eta_a, phi=phi)
                 assert res.output_fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLossBeforeTensor:
+    """Loss on one factor commutes with ``fock.tensor``: the circuits' lossy
+    factors, tensored, equal the joint state with the same losses."""
+
+    @staticmethod
+    def lossy(rho, eta, modes):
+        for mode in modes:
+            rho = fock.apply_loss(rho, mode, eta)
+        return rho
+
+    @pytest.mark.parametrize("c_n,phi,eta", [(0.0, 0.0, 0.3), (0.7, 1.3, 0.85)])
+    def test_correlation_layout(self, c_n, phi, eta):
+        pair = eme_density(fock.ModeLayout(2, 2), (0, 1), c_n, phi)
+        before = fock.tensor(self.lossy(pair, eta, (0, 1)), self.lossy(pair, eta, (0, 1)))
+        after = self.lossy(fock.tensor(pair, pair), eta, (0, 1, 2, 3))
+        assert np.max(np.abs(before.matrix - after.matrix)) < 1e-15
+
+    @pytest.mark.parametrize("c_n,phi,eta", [(0.0, 0.0, 0.3), (0.7, 1.3, 0.85)])
+    def test_teleport_layout(self, c_n, phi, eta):
+        layout = fock.ModeLayout(2, 2)
+        q = PolarizationQubit.from_bloch(1.1, 0.4)
+        qubit = fock.pure_state(layout, {(1, 0): q.d0, (0, 1): q.d1},
+                                normalize=False).to_density()
+        link = eme_density(layout, (0, 1), c_n, phi)
+        lossy_link = self.lossy(link, eta, (0,))
+        before = fock.tensor(fock.tensor(self.lossy(qubit, eta, (0, 1)), lossy_link),
+                             lossy_link)
+        after = self.lossy(fock.tensor(fock.tensor(qubit, link), link), eta, (0, 1, 2, 4))
+        assert np.max(np.abs(before.matrix - after.matrix)) < 1e-15

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repeatersim import cli
+from repeatersim import applications, cli, config
 
 
 def run_cli(argv, tmp_path=None, env_extra=None):
@@ -140,6 +140,20 @@ class TestChsh:
         payload = json.loads(out)
         assert payload["chsh"] == pytest.approx(2.8284271, abs=1e-6)
         assert "E_matrix" in payload and "settings" in payload
+
+    def test_summary_matches_library_circuit(self):
+        cfg = config.from_raw(config.default_raw())
+        summary = cli.chsh_summary(cfg)
+        c_n, phi = cfg.applications.vacuum_coeff, cfg.applications.phase
+        eta_a = cfg.repeater.app_efficiency
+        assert summary["chsh"] == applications.chsh_value(c_n, phi, eta_a)
+        for (psi_l, psi_r), e in zip(summary["settings"],
+                                     sum(summary["E_matrix"], [])):
+            setting = applications.MeasurementSetting(psi_l, psi_r)
+            assert e == applications.correlation(c_n, phi, setting, eta_a).value
+        last = applications.correlation(
+            c_n, phi, applications.MeasurementSetting(math.pi / 2, 3 * math.pi / 4), eta_a)
+        assert summary["coincidence_prob"] == last.coincidence_prob
 
 
 class TestScaling:

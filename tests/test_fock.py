@@ -147,6 +147,54 @@ class TestBeamsplitter:
         assert out.purity() == pytest.approx(1.0, abs=1e-10)
 
 
+def embedded_pair_unitary(layout, op2, i, j):
+    """``op2`` (mode order (i, j)) on the full space: ``np.kron`` with the
+    identity on the other modes, rows and columns permuted to mode order."""
+    rest = [m for m in range(layout.modes) if m not in (i, j)]
+    full = np.kron(op2, np.eye(layout.mode_dim ** len(rest)))
+    idx = [layout.index((occ[i], occ[j], *(occ[m] for m in rest)))
+           for occ in layout.occupations()]
+    return full[np.ix_(idx, idx)]
+
+
+def squeeze_pair_matrix(cutoff, r):
+    d = cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+    a1, a2 = np.kron(a, np.eye(d)), np.kron(np.eye(d), a)
+    return expm(r * (a1.conj().T @ a2.conj().T - a1 @ a2))
+
+
+ORDERED_PAIRS = [(i, j) for i in range(4) for j in range(4) if i != j]
+
+
+class TestTwoModeGatesOnEveryPair:
+    """Both two-mode gates on every ordered pair of a random 4-mode state
+    against the explicit full-space U rho U^dagger."""
+
+    @pytest.mark.parametrize("i,j", ORDERED_PAIRS)
+    def test_beamsplitter(self, i, j):
+        layout = ModeLayout(4, 2)
+        rng = np.random.default_rng(10 * i + j)
+        v = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        # total photon number <= cutoff, so every pair passes the support check
+        for k, occ in enumerate(layout.occupations()):
+            if sum(occ) > layout.cutoff:
+                v[k] = 0.0
+        v /= np.linalg.norm(v)
+        rho = DensityOperator(layout, np.outer(v, v.conj()))
+        u = embedded_pair_unitary(layout, fock.beamsplitter_matrix(2, 0.7, 0.3), i, j)
+        out = apply_beamsplitter(rho, i, j, 0.7, 0.3)
+        assert np.max(np.abs(out.matrix - u @ rho.matrix @ u.conj().T)) < 1e-14
+
+    @pytest.mark.parametrize("i,j", ORDERED_PAIRS)
+    def test_two_mode_squeeze(self, i, j):
+        layout = ModeLayout(4, 2)
+        rho = random_density(layout, np.random.default_rng(10 * i + j))
+        u = embedded_pair_unitary(layout, squeeze_pair_matrix(2, 0.05), i, j)
+        out = apply_two_mode_squeeze(rho, i, j, 0.05)
+        assert np.max(np.abs(out.matrix - u @ rho.matrix @ u.conj().T)) < 1e-14
+
+
 class TestPhase:
     def test_zero_is_identity(self):
         layout = ModeLayout(2, 2)
@@ -312,6 +360,12 @@ class TestDetector:
         assert p1 == pytest.approx(2 * 0.6 * 0.4, abs=1e-14)
         p2, _ = measure_detector(rho, 0, det, 2)
         assert p2 == pytest.approx(0.36, abs=1e-14)
+
+    def test_impossible_outcome_raises_its_own_value_error(self):
+        rho = vacuum(ModeLayout(2, 2))
+        with pytest.raises(fock.ImpossibleOutcomeError):
+            measure_detector(rho, 0, DetectorModel(), "click")
+        assert issubclass(fock.ImpossibleOutcomeError, ValueError)
 
     def test_resolving_rejects_dark_counts(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from repeatersim import _mc_kernels as kernels
 from repeatersim import config
 from repeatersim import montecarlo as mc
+from repeatersim import protocol
 from repeatersim.montecarlo import (
     SplitMix,
     TrialConfig,
@@ -76,6 +77,14 @@ class TestGenerationSampling:
 
 
 class TestChainSampling:
+    def test_level_probs_are_memoised_and_immutable(self):
+        params = make_params()
+        probs = mc._level_probs(params, 3)
+        assert isinstance(probs, tuple)
+        assert mc._level_probs(params.with_(), 3) is probs
+        rows = protocol.chain(params.with_(levels=3))
+        assert probs == (0.0,) + tuple(row.success_prob for row in rows[1:])
+
     def test_level_zero_is_generation(self):
         params = make_params()
         cfg = TrialConfig(seed=9, n_trials=2000)
