@@ -38,11 +38,15 @@ class PolarizationQubit:
 
     def __post_init__(self):
         norm = abs(self.d0) ** 2 + abs(self.d1) ** 2
+        if not math.isfinite(norm):
+            raise ValueError("qubit amplitudes must be finite")
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"qubit norm {norm} deviates from 1 beyond 1e-12")
 
     @classmethod
     def from_bloch(cls, theta: float, phi: float) -> "PolarizationQubit":
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValueError("Bloch angles must be finite")
         return cls(math.cos(theta / 2.0),
                    complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0))
 

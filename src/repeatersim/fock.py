@@ -1,16 +1,18 @@
 """Exact linear algebra over truncated multimode Fock spaces.
 
-States are dense density operators on the tensor-product number basis.
-Every operation is a pure function: inputs are never mutated, outputs are
-freshly allocated.  This module is the brute-force ground truth against
-which the analytic repeater formulas are checked.
+A state on the tensor-product number basis is held as a factor V (dim x r)
+of its density operator, rho = V V^dagger, and every gate acts on V from
+the left only.  Every operation is a pure function: inputs are never
+mutated, outputs are freshly allocated.  This module is the brute-force
+ground truth against which the analytic repeater formulas are checked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,47 +96,79 @@ class PureState:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
 
     def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityOperator.from_factor(self.layout, self.amplitudes[:, None])
 
 
-@dataclass
+def _eigh_factor(m: np.ndarray) -> np.ndarray:
+    """Factor of a Hermitian positive semidefinite matrix by ``eigh``,
+    dropping eigenvalues at or below 1e-15 times the trace."""
+    lam, w = np.linalg.eigh(m)
+    if lam[0] < -1e-10:
+        raise ValueError(f"matrix has negative eigenvalue {lam[0]:.3e}")
+    keep = lam > 1e-15 * lam.sum()
+    return w[:, keep] * np.sqrt(lam[keep])
+
+
+def _compact(v: np.ndarray) -> np.ndarray:
+    """The rank rule: drop all-zero columns; with more columns than rows,
+    re-factor V V^dagger, so the rank never exceeds the dimension."""
+    v = v[:, v.any(axis=0)]
+    if v.shape[1] > v.shape[0]:
+        v = _eigh_factor(v @ v.conj().T)
+    return v
+
+
 class DensityOperator:
-    layout: ModeLayout
-    matrix: np.ndarray
+    """Density operator ``rho = V V^dagger`` held as its factor V (dim x r).
 
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        d = self.layout.dim
-        if self.matrix.shape != (d, d):
+    ``DensityOperator(layout, matrix)`` factors a Hermitian positive
+    semidefinite matrix; gates use ``from_factor``.  ``matrix`` forms
+    V V^dagger on demand for callers and tests; no gate reads it.
+    """
+
+    def __init__(self, layout: ModeLayout, matrix):
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape != (layout.dim, layout.dim):
             raise ValueError("matrix does not match layout dimension")
+        if np.max(np.abs(m - m.conj().T)) > 1e-12:
+            raise ValueError("matrix is not Hermitian")
+        self.layout, self.factor = layout, _eigh_factor(m)
+
+    @classmethod
+    def from_factor(cls, layout: ModeLayout, factor) -> "DensityOperator":
+        """The state ``factor @ factor^dagger``, under the rank rule."""
+        v = np.asarray(factor, dtype=complex)
+        if v.ndim != 2 or v.shape[0] != layout.dim:
+            raise ValueError("factor does not match layout dimension")
+        rho = cls.__new__(cls)
+        rho.layout, rho.factor = layout, _compact(v)
+        return rho
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.factor @ self.factor.conj().T
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        return float(np.vdot(self.factor, self.factor).real)
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        gram = self.factor.conj().T @ self.factor
+        return float(np.vdot(gram, gram).real)
 
     def population(self, occupations) -> float:
-        i = self.layout.index(occupations)
-        return float(np.real(self.matrix[i, i]))
+        row = self.factor[self.layout.index(occupations)]
+        return float(np.vdot(row, row).real)
 
     def mean_photon(self, mode: int) -> float:
         self.layout.check_mode(mode)
         return float(np.dot(_marginal(self, (mode,)), np.arange(self.layout.mode_dim)))
 
 
-def assert_physical(rho: DensityOperator, check_positivity: bool = False):
-    """Debug/test helper: Hermiticity, real trace, optional positivity."""
-    m = rho.matrix
-    herm = np.max(np.abs(m - m.conj().T))
-    if herm > 1e-12:
-        raise AssertionError(f"Hermiticity violated: max |rho - rho^dag| = {herm}")
-    if abs(np.imag(np.trace(m))) > 1e-12:
-        raise AssertionError("trace has imaginary part")
-    if check_positivity:
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -1e-10:
-            raise AssertionError(f"negative eigenvalue {evals.min()}")
+def assert_physical(rho: DensityOperator):
+    """Debug/test helper.  V V^dagger is Hermitian and positive with a real
+    trace by construction, so what is left to check is a finite factor."""
+    if not np.isfinite(rho.factor).all():
+        raise AssertionError("state factor has non-finite entries")
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +177,7 @@ def assert_physical(rho: DensityOperator, check_positivity: bool = False):
 
 def vacuum(layout: ModeLayout) -> DensityOperator:
     """All modes in the number ground state."""
-    m = np.zeros((layout.dim, layout.dim), dtype=complex)
-    m[0, 0] = 1.0
-    return DensityOperator(layout, m)
+    return number_state(layout, (0,) * layout.modes).to_density()
 
 
 def number_state(layout: ModeLayout, occupations) -> PureState:
@@ -173,45 +205,43 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
         raise ValueError("tensor requires matching cutoffs")
     layout = ModeLayout(a.layout.modes + b.layout.modes, a.layout.cutoff,
                         max(a.layout.max_dim, b.layout.max_dim))
-    return DensityOperator(layout, np.kron(a.matrix, b.matrix))
+    return DensityOperator.from_factor(layout, np.kron(a.factor, b.factor))
 
 
 # ---------------------------------------------------------------------------
-# internal tensor application helpers
+# internal factor helpers
 
 
-def _split_shape(layout: ModeLayout, mode: int):
-    d = layout.mode_dim
-    pre = d ** mode
-    post = d ** (layout.modes - mode - 1)
-    return pre, d, post
+def _mode_view(rho: DensityOperator, mode: int) -> np.ndarray:
+    """V as ``(pre, d, post * r)``, the axis of ``mode`` in the middle."""
+    d = rho.layout.mode_dim
+    return rho.factor.reshape(d ** mode, d, rho.factor.size // d ** (mode + 1))
 
 
-def _sandwich_two_mode(mat: np.ndarray, op2: np.ndarray, layout: ModeLayout, i: int, j: int) -> np.ndarray:
-    """Apply a two-mode operator ``op2`` (shape (d*d, d*d), mode order (i, j))
-    as two batched matmuls, with the pair's axes moved last (lower mode
-    first): ``op2`` from the left on the ket, ``op2^dagger`` from the right
-    on the bra."""
-    d, n, dim = layout.mode_dim, layout.modes, layout.dim
-    if i > j:
-        op2 = op2.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-        i, j = j, i
-    perm = [m for m in range(n) if m not in (i, j)] + [i, j]
-    inv = list(np.argsort(perm))
-    ket = mat.reshape([d] * n + [dim]).transpose(perm + [n])
-    ket = op2 @ ket.reshape(-1, d * d, dim)
-    # ket axes back in mode order, bra axes (i, j) last
-    bra = ket.reshape([d] * n + [d] * n).transpose(inv + [n + m for m in perm])
-    out = bra.reshape(dim, -1, d * d) @ op2.conj().T
-    out = out.reshape([d] * n + [d] * n).transpose(list(range(n)) + [n + m for m in inv])
-    return out.reshape(dim, dim)
+def _apply_pair(rho: DensityOperator, op2: np.ndarray, i: int, j: int) -> DensityOperator:
+    """A two-mode operator ``op2`` (shape (d*d, d*d), mode order (i, j)) on V:
+    one matmul with the axes of modes i and j moved first, in that order."""
+    layout = rho.layout
+    n, d, r = layout.modes, layout.mode_dim, rho.factor.shape[1]
+    t = np.moveaxis(rho.factor.reshape([d] * n + [r]), (i, j), (0, 1))
+    out = (op2 @ t.reshape(d * d, layout.dim // (d * d) * r)).reshape(t.shape)
+    out = np.moveaxis(out, (0, 1), (i, j))
+    return DensityOperator.from_factor(layout, out.reshape(layout.dim, r))
+
+
+def _fold(v: np.ndarray, layout: ModeLayout, modes) -> np.ndarray:
+    """Factor V with ``modes`` traced out: their axes join the rank index."""
+    n, d = layout.modes, layout.mode_dim
+    keep = [m for m in range(n) if m not in modes]
+    t = v.reshape([d] * n + [v.shape[1]]).transpose(keep + list(modes) + [n])
+    return t.reshape(d ** len(keep), d ** len(modes) * v.shape[1])
 
 
 def _marginal(rho: DensityOperator, modes) -> np.ndarray:
     """Joint photon-number populations of ``modes``, one axis per mode in
-    the given order."""
-    layout = rho.layout
-    diag = np.real(np.diag(rho.matrix)).reshape([layout.mode_dim] * layout.modes)
+    the given order (the squared row norms of V, summed over the rest)."""
+    layout, v = rho.layout, rho.factor
+    diag = (v.real ** 2 + v.imag ** 2).sum(axis=1).reshape([layout.mode_dim] * layout.modes)
     out = diag.sum(axis=tuple(a for a in range(layout.modes) if a not in modes))
     return out.transpose(np.argsort(np.argsort(modes)))
 
@@ -220,8 +250,9 @@ def _marginal(rho: DensityOperator, modes) -> np.ndarray:
 # gates
 
 
+@functools.lru_cache(maxsize=256)
 def beamsplitter_matrix(cutoff: int, theta: float, phase: float) -> np.ndarray:
-    """Two-mode beamsplitter on the truncated pair space.
+    """Two-mode beamsplitter on the truncated pair space (read-only, memoised).
 
     Heisenberg action: ``a_i† -> cos θ a_i† + e^{iφ} sin θ a_j†`` and
     ``a_j† -> cos θ a_j† - e^{-iφ} sin θ a_i†``.  Photon number is
@@ -249,6 +280,7 @@ def beamsplitter_matrix(cutoff: int, theta: float, phase: float) -> np.ndarray:
                     amp *= math.sqrt(fact[m1] * fact[m2] / (fact[n1] * fact[n2]))
                     col[m1 * d + m2] += amp
             u[:, n1 * d + n2] = col
+    u.flags.writeable = False
     return u
 
 
@@ -272,8 +304,7 @@ def apply_beamsplitter(rho: DensityOperator, i: int, j: int,
     if i == j:
         raise ValueError("beamsplitter needs two distinct modes")
     _check_pair_support(rho, i, j, "beamsplitter")
-    u = beamsplitter_matrix(layout.cutoff, theta, phase)
-    return DensityOperator(layout, _sandwich_two_mode(rho.matrix, u, layout, i, j))
+    return _apply_pair(rho, beamsplitter_matrix(layout.cutoff, theta, phase), i, j)
 
 
 def apply_phase(rho: DensityOperator, i: int, psi: float) -> DensityOperator:
@@ -281,11 +312,8 @@ def apply_phase(rho: DensityOperator, i: int, psi: float) -> DensityOperator:
     layout = rho.layout
     layout.check_mode(i)
     phases = np.exp(1j * psi * np.arange(layout.mode_dim))
-    pre, d, post = _split_shape(layout, i)
-    t = rho.matrix.reshape(pre, d, post, pre, d, post).copy()
-    t *= phases[None, :, None, None, None, None]
-    t *= phases.conj()[None, None, None, None, :, None]
-    return DensityOperator(layout, t.reshape(layout.dim, layout.dim))
+    out = _mode_view(rho, i) * phases[:, None]
+    return DensityOperator.from_factor(layout, out.reshape(rho.factor.shape))
 
 
 def apply_two_mode_squeeze(rho: DensityOperator, i: int, j: int, r: float,
@@ -295,8 +323,6 @@ def apply_two_mode_squeeze(rho: DensityOperator, i: int, j: int, r: float,
     On vacuum this produces ``Σ tanh^n r |n,n⟩ / cosh r``.  The cutoff must
     satisfy ``tanh^{2(cutoff+1)} r < trunc_tol``.
     """
-    from scipy.linalg import expm
-
     layout = rho.layout
     layout.check_mode(i)
     layout.check_mode(j)
@@ -312,24 +338,29 @@ def apply_two_mode_squeeze(rho: DensityOperator, i: int, j: int, r: float,
     a1 = np.kron(a, np.eye(d))
     a2 = np.kron(np.eye(d), a)
     gen = r * (a1.conj().T @ a2.conj().T - a1 @ a2)
-    u = expm(gen)
-    return DensityOperator(layout, _sandwich_two_mode(rho.matrix, u, layout, i, j))
+    # gen is anti-Hermitian: with i gen = W diag(lam) W^dagger,
+    # exp(gen) = W diag(e^{-i lam}) W^dagger
+    lam, w = np.linalg.eigh(1j * gen)
+    return _apply_pair(rho, (w * np.exp(-1j * lam)) @ w.conj().T, i, j)
 
 
 # ---------------------------------------------------------------------------
 # channels and measurement
 
 
-def loss_kraus(cutoff: int, eta: float) -> list:
-    """Kraus operators of the single-mode pure-loss channel."""
+@functools.lru_cache(maxsize=256)
+def loss_kraus(cutoff: int, eta: float) -> tuple:
+    """Kraus operators of the single-mode pure-loss channel (read-only,
+    memoised)."""
     d = cutoff + 1
     ops = []
     for k in range(d):
         a = np.zeros((d, d), dtype=complex)
         for n in range(k, d):
             a[n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1 - eta) ** k)
+        a.flags.writeable = False
         ops.append(a)
-    return ops
+    return tuple(ops)
 
 
 def apply_loss(rho: DensityOperator, i: int, eta: float) -> DensityOperator:
@@ -339,22 +370,16 @@ def apply_loss(rho: DensityOperator, i: int, eta: float) -> DensityOperator:
     layout = rho.layout
     layout.check_mode(i)
     if eta == 1.0:
-        return DensityOperator(layout, rho.matrix.copy())
-    # Kraus k maps |n> to |n-k> with one amplitude a_k(n) per row, so
-    # out[m, m'] = sum_k a_k(m+k) rho[m+k, m'+k] conj(a_k(m'+k)): one strided
-    # multiply-add per k, ket amplitude first, then the bra amplitude
-    pre, d, post = _split_shape(layout, i)
-    t = rho.matrix.reshape(pre, d, post, pre, d, post)
-    out = np.empty_like(t)
+        return DensityOperator.from_factor(layout, rho.factor)
+    # each Kraus image K_k V joins the factor as new columns; K_k takes k
+    # photons, so the images end where no support is left at k or more
+    t = _mode_view(rho, i)
+    images = []
     for k, op in enumerate(loss_kraus(layout.cutoff, eta)):
-        a = np.diagonal(op, k)
-        term = t[:, k:, :, :, k:, :] * a[:, None, None, None, None]
-        term *= a.conj()[:, None]
-        if k == 0:
-            out[...] = term
-        else:
-            out[:, :d - k, :, :, :d - k, :] += term
-    return DensityOperator(layout, out.reshape(layout.dim, layout.dim))
+        if k and not t[:, k:].any():
+            break
+        images.append((op @ t).reshape(rho.factor.shape))
+    return DensityOperator.from_factor(layout, np.concatenate(images, axis=1))
 
 
 @dataclass(frozen=True)
@@ -392,16 +417,6 @@ class DetectorModel:
         return w
 
 
-def _measure_diagonal(rho: DensityOperator, i: int, weights: np.ndarray):
-    """Condition on a diagonal POVM element and trace out the measured mode."""
-    layout = rho.layout
-    pre, d, post = _split_shape(layout, i)
-    t = rho.matrix.reshape(pre, d, post, pre, d, post)
-    out = np.einsum("n,pnqrns->pqrs", weights.astype(complex), t, optimize=True)
-    prob = float(np.real(np.trace(out.reshape(pre * post, pre * post))))
-    return prob, out.reshape(pre * post, pre * post)
-
-
 def _outcome_weights(det: DetectorModel, cutoff: int, outcome) -> np.ndarray:
     if det.resolving:
         if not isinstance(outcome, (int, np.integer)) or outcome < 0:
@@ -434,12 +449,16 @@ def measure_detector(rho: DensityOperator, i: int, det: DetectorModel, outcome):
     if layout.modes == 1:
         raise ValueError("measuring the last remaining mode; "
                          "use detector_probability() for the outcome weight")
-    weights = _outcome_weights(det, layout.cutoff, outcome)
-    prob, unnorm = _measure_diagonal(rho, i, weights)
+    # scaling the measured axis by the root of the POVM weights and tracing
+    # it out leaves the unnormalized post-measurement state
+    root_w = np.sqrt(_outcome_weights(det, layout.cutoff, outcome))
+    unnorm = _fold((_mode_view(rho, i) * root_w[:, None]).reshape(rho.factor.shape),
+                   layout, (i,))
+    prob = float(np.vdot(unnorm, unnorm).real)
     if prob < 1e-15:
         raise ImpossibleOutcomeError("impossible-outcome conditioning")
     sub_layout = ModeLayout(layout.modes - 1, layout.cutoff, layout.max_dim)
-    return prob, DensityOperator(sub_layout, unnorm / prob)
+    return prob, DensityOperator.from_factor(sub_layout, unnorm / math.sqrt(prob))
 
 
 def partial_trace(rho: DensityOperator, modes) -> DensityOperator:
@@ -450,27 +469,16 @@ def partial_trace(rho: DensityOperator, modes) -> DensityOperator:
         layout.check_mode(m)
     if len(drop) == layout.modes:
         raise ValueError("tracing out every mode leaves no state; use trace()")
-    d = layout.mode_dim
-    t = rho.matrix.reshape([d] * (2 * layout.modes))
-    letters = "abcdefghijklmnopqrstuvwx"
-    ket = list(letters[: layout.modes])
-    bra = list(letters[layout.modes: 2 * layout.modes])
-    for m in drop:
-        bra[m] = ket[m]
-    keep_ket = [ket[m] for m in range(layout.modes) if m not in drop]
-    keep_bra = [bra[m] for m in range(layout.modes) if m not in drop]
-    expr = "".join(ket + bra) + "->" + "".join(keep_ket + keep_bra)
-    out = np.einsum(expr, t)
-    k = layout.modes - len(drop)
-    sub_layout = ModeLayout(k, layout.cutoff, layout.max_dim)
-    return DensityOperator(sub_layout, out.reshape(d ** k, d ** k))
+    sub_layout = ModeLayout(layout.modes - len(drop), layout.cutoff, layout.max_dim)
+    return DensityOperator.from_factor(sub_layout, _fold(rho.factor, layout, drop))
 
 
 def fidelity(rho: DensityOperator, psi: PureState) -> float:
-    """``⟨ψ|ρ|ψ⟩`` for a pure target state."""
+    """``⟨ψ|ρ|ψ⟩ = ‖ψ† V‖²`` for a pure target state."""
     if rho.layout != psi.layout:
         raise ValueError("layout mismatch between state and target")
-    val = float(np.real(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes))
-    if val < -1e-12 or val > 1 + 1e-12:
+    overlap = psi.amplitudes.conj() @ rho.factor
+    val = float(np.vdot(overlap, overlap).real)
+    if val > 1 + 1e-12:
         raise ValueError(f"fidelity {val} outside [0, 1] beyond tolerance")
     return val

@@ -195,19 +195,14 @@ def chain(params: RepeaterParams, channel_phase: float = 0.0) -> list[ChainLevel
 
 def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float) -> fock.DensityOperator:
     """Link density operator embedded in ``layout`` with all other modes in
-    vacuum."""
-    occ_vac = tuple(0 for _ in range(layout.modes))
-
-    def occ_one(mode):
-        return tuple(1 if m == mode else 0 for m in range(layout.modes))
-
-    psi = fock.pure_state(layout, {
-        occ_one(pair[0]): 1.0 / math.sqrt(2.0),
-        occ_one(pair[1]): complex(math.cos(phase), math.sin(phase)) / math.sqrt(2.0),
-    }, normalize=False)
-    vac = fock.number_state(layout, occ_vac)
-    m = (c * vac.to_density().matrix + psi.to_density().matrix) / (c + 1.0)
-    return fock.DensityOperator(layout, m)
+    vacuum: rank 2, the vacuum with weight c and the shared excitation
+    (|1_a⟩ + e^{i phase} |1_b⟩)/√2, over c + 1."""
+    factor = np.zeros((layout.dim, 2), dtype=complex)
+    factor[0, 0] = math.sqrt(c)
+    for mode, amp in zip(pair, (1.0, complex(math.cos(phase), math.sin(phase)))):
+        one = tuple(1 if m == mode else 0 for m in range(layout.modes))
+        factor[layout.index(one), 1] = amp / math.sqrt(2.0)
+    return fock.DensityOperator.from_factor(layout, factor / math.sqrt(c + 1.0))
 
 
 @dataclass(frozen=True)
@@ -242,7 +237,7 @@ def generation_circuit(p_c: float, eta_p: float, p_dc: float,
             if occ[0] + occ[2] > 1:
                 joint[k] = 0.0
     joint = joint / np.linalg.norm(joint)
-    rho = fock.DensityOperator(layout4, np.outer(joint, joint.conj()))
+    rho = fock.PureState(layout4, joint).to_density()
 
     rho = fock.apply_loss(rho, 1, eta_p)
     rho = fock.apply_loss(rho, 3, eta_p)
@@ -307,18 +302,16 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
     rho = fock.apply_beamsplitter(rho, 1, 2)
 
     det = fock.DetectorModel(efficiency=1.0, resolving=True)
-    total = 0.0
-    post = []
-    summed = None
+    probs, post = [], []
     for counts in ((1, 0), (0, 1)):
         p2, cond = fock.measure_detector(rho, 2, det, counts[1])
         p1, cond = fock.measure_detector(cond, 1, det, counts[0])
-        p = p1 * p2
-        total += p
+        probs.append(p1 * p2)
         post.append(cond)
-        m = cond.matrix * p
-        summed = m if summed is None else summed + m
-    mixed = fock.DensityOperator(post[0].layout, summed / total)
+    total = sum(probs)
+    # the two herald patterns mixed by probability: their factors side by side
+    mixed = fock.DensityOperator.from_factor(post[0].layout, np.concatenate(
+        [math.sqrt(p / total) * cond.factor for p, cond in zip(probs, post)], axis=1))
     vac = mixed.population((0, 0))
     singles = mixed.population((1, 0)) + mixed.population((0, 1))
     return SwapOracleResult(success_prob=total, c_measured=vac / singles,

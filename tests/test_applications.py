@@ -103,6 +103,18 @@ class TestEkert:
 
 
 class TestTeleport:
+    @pytest.mark.parametrize("theta,phi", [(math.nan, 0.0), (1.0, math.inf),
+                                           (-math.inf, 0.0)])
+    def test_non_finite_bloch_angles_rejected(self, theta, phi):
+        with pytest.raises(ValueError, match="Bloch angles must be finite"):
+            PolarizationQubit.from_bloch(theta, phi)
+
+    @pytest.mark.parametrize("d0,d1", [(math.nan, 0.0), (1.0, complex(0.0, math.nan)),
+                                       (math.inf, 0.0)])
+    def test_non_finite_amplitudes_rejected(self, d0, d1):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            PolarizationQubit(d0, d1)
+
     @pytest.mark.parametrize("c_n", [0.0, 1.0])
     def test_basis_state_fidelity(self, c_n):
         res = teleport(PolarizationQubit(1.0, 0.0), c_n, 1.0)

@@ -209,6 +209,14 @@ class TestTeleport:
         payload = json.loads(out)
         assert payload["output_fidelity"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("flag,value", [("--bloch-theta", "nan"),
+                                            ("--bloch-phi", "inf")])
+    def test_non_finite_angle_exits_3_naming_reason(self, flag, value, capsys):
+        code, out = run_cli(["teleport", flag, value])
+        assert code == 3
+        assert out == ""
+        assert "Bloch angles must be finite" in capsys.readouterr().err
+
 
 class TestMonteCarlo:
     def test_report_and_determinism(self):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +101,24 @@ class TestSqueezedJointState:
         rates = effective_rates(make_params(interaction_time=0.08))
         rho = squeezed_joint_state(rates, cutoff=6)
         assert rho.mean_photon(1) == pytest.approx(math.sinh(rates.squeeze) ** 2, abs=1e-8)
+
+    def test_runs_with_scipy_blocked(self):
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from repeatersim import ensemble\n"
+            "rates = ensemble.effective_rates(ensemble.EnsembleParams(\n"
+            "    100, 1.0, 10.0, 1.0, 10.0, 1.0, 0.08))\n"
+            "rho = ensemble.squeezed_joint_state(rates, cutoff=6)\n"
+            "print(rho.population((1, 1)) / rho.population((0, 0)))\n")
+        src = os.path.dirname(os.path.dirname(fock.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=env, text=True)
+        assert done.returncode == 0, done.stderr
+        rates = effective_rates(EnsembleParams(100, 1.0, 10.0, 1.0, 10.0, 1.0, 0.08))
+        assert float(done.stdout) == pytest.approx(math.tanh(rates.squeeze) ** 2, rel=1e-9)
 
     def test_normalization_tail_bound(self):
         rates = effective_rates(make_params(interaction_time=0.08))

@@ -436,3 +436,293 @@ class TestUnitaryInvariants:
             assert out.trace() == pytest.approx(1.0, abs=1e-12)
             assert out.purity() == pytest.approx(1.0, abs=1e-10)
             fock.assert_physical(out)
+
+
+# ---------------------------------------------------------------------------
+# dense oracle for the factored engine: the dense density-matrix gate code
+# the library used before it held rho as V V^dagger, kept here as reference
+
+
+def dense_sandwich_two_mode(mat, op2, layout, i, j):
+    """``op2`` (mode order (i, j)) applied to a dense matrix as two batched
+    matmuls: ``op2`` on the ket axes, ``op2^dagger`` on the bra axes."""
+    d, n, dim = layout.mode_dim, layout.modes, layout.dim
+    if i > j:
+        op2 = op2.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+        i, j = j, i
+    perm = [m for m in range(n) if m not in (i, j)] + [i, j]
+    inv = list(np.argsort(perm))
+    ket = mat.reshape([d] * n + [dim]).transpose(perm + [n])
+    ket = op2 @ ket.reshape(-1, d * d, dim)
+    bra = ket.reshape([d] * n + [d] * n).transpose(inv + [n + m for m in perm])
+    out = bra.reshape(dim, -1, d * d) @ op2.conj().T
+    out = out.reshape([d] * n + [d] * n).transpose(list(range(n)) + [n + m for m in inv])
+    return out.reshape(dim, dim)
+
+
+def split_shape(layout, mode):
+    d = layout.mode_dim
+    return d ** mode, d, d ** (layout.modes - mode - 1)
+
+
+def dense_loss(mat, layout, i, eta):
+    """Pure loss as one strided multiply-add per Kraus term."""
+    pre, d, post = split_shape(layout, i)
+    t = mat.reshape(pre, d, post, pre, d, post)
+    out = np.empty_like(t)
+    for k, op in enumerate(fock.loss_kraus(layout.cutoff, eta)):
+        a = np.diagonal(op, k)
+        term = t[:, k:, :, :, k:, :] * a[:, None, None, None, None]
+        term *= a.conj()[:, None]
+        if k == 0:
+            out[...] = term
+        else:
+            out[:, :d - k, :, :, :d - k, :] += term
+    return out.reshape(layout.dim, layout.dim)
+
+
+def dense_measure(mat, layout, i, weights):
+    """``(probability, normalized post state)`` of a diagonal POVM element."""
+    pre, d, post = split_shape(layout, i)
+    t = mat.reshape(pre, d, post, pre, d, post)
+    out = np.einsum("n,pnqrns->pqrs", weights.astype(complex), t, optimize=True)
+    out = out.reshape(pre * post, pre * post)
+    prob = float(np.real(np.trace(out)))
+    return prob, out / prob
+
+
+def dense_partial_trace(mat, layout, modes):
+    d, n = layout.mode_dim, layout.modes
+    letters = "abcdefghijklmnopqrstuvwx"
+    ket, bra = list(letters[:n]), list(letters[n: 2 * n])
+    for m in modes:
+        bra[m] = ket[m]
+    keep = [m for m in range(n) if m not in modes]
+    expr = "".join(ket + bra) + "->" + "".join([ket[m] for m in keep] + [bra[m] for m in keep])
+    k = len(keep)
+    return np.einsum(expr, mat.reshape([d] * (2 * n))).reshape(d ** k, d ** k)
+
+
+def embedded_one_mode(layout, op, mode):
+    mats = [np.eye(layout.mode_dim, dtype=complex)] * layout.modes
+    mats[mode] = op
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+ORACLE_LAYOUTS = [ModeLayout(3, 2), ModeLayout(4, 2), ModeLayout(5, 1), ModeLayout(6, 1)]
+RANKS = ["pure", "rank2", "full"]
+
+
+def random_state(layout, rank, seed, pair_safe=False):
+    """Random pure, rank-2 or full-rank state; ``pair_safe`` confines it to
+    total photon number <= cutoff, so every beamsplitter passes its check
+    (full rank then means full rank on that subspace)."""
+    rng = np.random.default_rng(seed)
+    mask = np.array([sum(occ) <= layout.cutoff or not pair_safe
+                     for occ in layout.occupations()])
+    cols = {"pure": 1, "rank2": 2, "full": int(mask.sum())}[rank]
+    g = rng.normal(size=(layout.dim, cols)) + 1j * rng.normal(size=(layout.dim, cols))
+    g[~mask] = 0.0
+    if rank == "full":
+        m = g @ g.conj().T
+        return DensityOperator(layout, m / np.trace(m))
+    return DensityOperator.from_factor(layout, g / np.linalg.norm(g))
+
+
+def ordered_pairs(layout):
+    return [(i, j) for i in range(layout.modes) for j in range(layout.modes) if i != j]
+
+
+def assert_rank_bounded(rho):
+    assert rho.factor.shape[1] <= rho.layout.dim
+
+
+@pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("layout", ORACLE_LAYOUTS, ids=lambda l: f"{l.modes}x{l.cutoff}")
+class TestFactoredEngineAgainstDenseOracle:
+    """Every gate of the factored engine against the dense oracle to 1e-14,
+    on every mode or ordered mode pair of random 3-6-mode states."""
+
+    def test_beamsplitter(self, layout, rank):
+        rho = random_state(layout, rank, layout.modes, pair_safe=True)
+        u2 = fock.beamsplitter_matrix(layout.cutoff, 0.7, 0.3)
+        for i, j in ordered_pairs(layout):
+            out = apply_beamsplitter(rho, i, j, 0.7, 0.3)
+            u = embedded_pair_unitary(layout, u2, i, j)
+            assert np.max(np.abs(out.matrix - u @ rho.matrix @ u.conj().T)) < 1e-14
+            dense = dense_sandwich_two_mode(rho.matrix, u2, layout, i, j)
+            assert np.max(np.abs(out.matrix - dense)) < 1e-14
+            assert_rank_bounded(out)
+
+    def test_two_mode_squeeze(self, layout, rank):
+        rho = random_state(layout, rank, 10 + layout.modes)
+        u2 = squeeze_pair_matrix(layout.cutoff, 0.02)
+        for i, j in ordered_pairs(layout):
+            out = apply_two_mode_squeeze(rho, i, j, 0.02)
+            u = embedded_pair_unitary(layout, u2, i, j)
+            assert np.max(np.abs(out.matrix - u @ rho.matrix @ u.conj().T)) < 1e-14
+            dense = dense_sandwich_two_mode(rho.matrix, u2, layout, i, j)
+            assert np.max(np.abs(out.matrix - dense)) < 1e-14
+            assert_rank_bounded(out)
+
+    def test_phase(self, layout, rank):
+        rho = random_state(layout, rank, 20 + layout.modes)
+        phases = np.diag(np.exp(1.3j * np.arange(layout.mode_dim)))
+        for i in range(layout.modes):
+            out = apply_phase(rho, i, 1.3)
+            u = embedded_one_mode(layout, phases, i)
+            assert np.max(np.abs(out.matrix - u @ rho.matrix @ u.conj().T)) < 1e-14
+            assert_rank_bounded(out)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.37])
+    def test_loss(self, layout, rank, eta):
+        rho = random_state(layout, rank, 30 + layout.modes)
+        for i in range(layout.modes):
+            out = apply_loss(rho, i, eta)
+            oracle = sum(embedded_one_mode(layout, k, i) @ rho.matrix
+                         @ embedded_one_mode(layout, k, i).conj().T
+                         for k in fock.loss_kraus(layout.cutoff, eta))
+            assert np.max(np.abs(out.matrix - oracle)) < 1e-14
+            assert np.max(np.abs(out.matrix - dense_loss(rho.matrix, layout, i, eta))) < 1e-14
+            assert_rank_bounded(out)
+
+    @pytest.mark.parametrize("det,outcome", [
+        (DetectorModel(efficiency=0.6, dark_count_prob=0.01), "click"),
+        (DetectorModel(efficiency=0.6, dark_count_prob=0.01), "no_click"),
+        (DetectorModel(efficiency=1.0), "click"),
+        (DetectorModel(efficiency=0.8, resolving=True), 0),
+        (DetectorModel(efficiency=0.8, resolving=True), 1),
+    ])
+    def test_measure_detector(self, layout, rank, det, outcome):
+        rho = random_state(layout, rank, 40 + layout.modes)
+        for i in range(layout.modes):
+            weights = fock._outcome_weights(det, layout.cutoff, outcome)
+            want_p, want = dense_measure(rho.matrix, layout, i, weights)
+            p, out = measure_detector(rho, i, det, outcome)
+            assert p == pytest.approx(want_p, abs=1e-14)
+            assert np.max(np.abs(out.matrix - want)) < 1e-14
+            assert fock.detector_probability(rho, i, det, outcome) == pytest.approx(
+                want_p, abs=1e-14)
+            assert_rank_bounded(out)
+
+    def test_partial_trace(self, layout, rank):
+        rho = random_state(layout, rank, 50 + layout.modes)
+        drops = [[m] for m in range(layout.modes)] + [sorted(p) for p in ordered_pairs(layout)]
+        for drop in drops:
+            out = partial_trace(rho, drop)
+            want = dense_partial_trace(rho.matrix, layout, drop)
+            assert np.max(np.abs(out.matrix - want)) < 1e-14
+            assert_rank_bounded(out)
+
+    def test_fidelity_purity_populations(self, layout, rank):
+        rho = random_state(layout, rank, 60 + layout.modes)
+        rng = np.random.default_rng(layout.dim)
+        v = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+        psi = fock.PureState(layout, v / np.linalg.norm(v))
+        m = rho.matrix
+        assert fidelity(rho, psi) == pytest.approx(
+            np.real(psi.amplitudes.conj() @ m @ psi.amplitudes), abs=1e-14)
+        assert rho.purity() == pytest.approx(np.real(np.trace(m @ m)), abs=1e-14)
+        assert rho.trace() == pytest.approx(np.real(np.trace(m)), abs=1e-14)
+        for k, occ in enumerate(layout.occupations()):
+            assert rho.population(occ) == pytest.approx(np.real(m[k, k]), abs=1e-14)
+
+
+class TestRankRule:
+    def test_zero_columns_dropped(self):
+        layout = ModeLayout(2, 2)
+        v = np.zeros((layout.dim, 3), dtype=complex)
+        v[1, 0] = v[3, 2] = 2 ** -0.5
+        rho = DensityOperator.from_factor(layout, v)
+        assert rho.factor.shape == (layout.dim, 2)
+        assert np.max(np.abs(rho.matrix - v @ v.conj().T)) == 0.0
+
+    def test_refactor_beyond_dimension(self):
+        layout = ModeLayout(2, 1)
+        rng = np.random.default_rng(1)
+        v = rng.normal(size=(layout.dim, 9)) + 1j * rng.normal(size=(layout.dim, 9))
+        v /= np.linalg.norm(v)
+        rho = DensityOperator.from_factor(layout, v)
+        assert rho.factor.shape == (layout.dim, layout.dim)
+        assert np.max(np.abs(rho.matrix - v @ v.conj().T)) < 1e-15
+
+    def test_matrix_input_factored_to_its_rank(self):
+        layout = ModeLayout(2, 2)
+        psi = pure_state(layout, {(1, 0): 1, (0, 1): 1j})
+        dense = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        rho = DensityOperator(layout, 0.5 * dense + 0.5 * vacuum(layout).matrix)
+        assert rho.factor.shape == (layout.dim, 2)
+        assert np.max(np.abs(rho.matrix - (0.5 * dense + 0.5 * vacuum(layout).matrix))) < 1e-15
+
+    def test_non_hermitian_or_negative_matrix_rejected(self):
+        layout = ModeLayout(1, 1)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator(layout, [[1.0, 0.5], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityOperator(layout, np.diag([1.1, -0.1]))
+
+    def test_constructors_build_factors_directly(self):
+        layout = ModeLayout(3, 2)
+        assert vacuum(layout).factor.shape == (layout.dim, 1)
+        assert number_state(layout, (1, 0, 2)).to_density().factor.shape == (layout.dim, 1)
+
+
+@pytest.mark.parametrize("include_second_order", [False, True])
+def test_generation_circuit_matches_dense_path(include_second_order):
+    """The generation circuit, whose ``include_second_order=False`` source is
+    not a product state, against the same circuit run on dense matrices."""
+    from repeatersim.protocol import generation_circuit
+
+    p_c, eta_p, p_dc, phase, cutoff = 0.05, 0.3, 1e-3, 0.7, 4
+    prob, rho = generation_circuit(p_c, eta_p, p_dc, phase, cutoff, include_second_order)
+
+    layout4 = ModeLayout(4, cutoff)
+    side = {(0, 0): 1.0, (1, 1): math.sqrt(p_c)}
+    if include_second_order:
+        side[(2, 2)] = p_c
+    layout2 = ModeLayout(2, cutoff)
+    src = np.zeros(layout2.dim, dtype=complex)
+    for occ, amp in side.items():
+        src[layout2.index(occ)] = amp
+    joint = np.kron(src, src)
+    if not include_second_order:
+        for k, occ in enumerate(layout4.occupations()):
+            if occ[0] + occ[2] > 1:
+                joint[k] = 0.0
+    joint /= np.linalg.norm(joint)
+    m = np.outer(joint, joint.conj())
+    m = dense_loss(m, layout4, 1, eta_p)
+    m = dense_loss(m, layout4, 3, eta_p)
+    u = embedded_one_mode(layout4, np.diag(np.exp(1j * phase * np.arange(cutoff + 1))), 3)
+    m = u @ m @ u.conj().T
+    m = dense_sandwich_two_mode(m, fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0),
+                                layout4, 1, 3)
+    det = DetectorModel(efficiency=1.0, dark_count_prob=p_dc)
+    p_click, m = dense_measure(m, layout4, 3, 1.0 - det.no_click_weights(cutoff))
+    p_silent, m = dense_measure(m, ModeLayout(3, cutoff), 1, det.no_click_weights(cutoff))
+    assert prob == pytest.approx(p_click * p_silent, abs=1e-14)
+    assert np.max(np.abs(rho.matrix - m)) < 1e-14
+    assert_rank_bounded(rho)
+
+
+class TestGateTables:
+    @pytest.mark.parametrize("cutoff", range(2, 9))
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.6, 0.9])
+    def test_squeezer_matches_expm(self, cutoff, r):
+        # on the factor V = identity the gate returns its own pair matrix
+        layout = ModeLayout(2, cutoff)
+        eye = DensityOperator.from_factor(layout, np.eye(layout.dim))
+        u = apply_two_mode_squeeze(eye, 0, 1, r, trunc_tol=1.0).factor
+        assert np.max(np.abs(u - squeeze_pair_matrix(cutoff, r))) < 1e-14
+
+    def test_tables_are_memoised_and_read_only(self):
+        tables = [fock.beamsplitter_matrix(2, 0.4, 0.1), *fock.loss_kraus(2, 0.3)]
+        assert fock.beamsplitter_matrix(2, 0.4, 0.1) is tables[0]
+        assert fock.loss_kraus(2, 0.3) is fock.loss_kraus(2, 0.3)
+        assert isinstance(fock.loss_kraus(2, 0.3), tuple)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
