@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
+from .montecarlo import DRAW_BUDGET
 from .protocol import eme_density
+from .scaling import InfeasibleError
 
 
 @dataclass(frozen=True)
@@ -51,25 +53,6 @@ class PolarizationQubit:
                    complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0))
 
 
-def _pattern_probability(rho: fock.DensityOperator, outcomes: dict,
-                         dark_prob: float = 0.0):
-    """Joint probability of a click pattern, measuring the listed modes
-    destructively (descending index order keeps lower indices valid).
-    Returns ``(probability, conditional state on the remaining modes)``."""
-    det = fock.DetectorModel(efficiency=1.0, dark_count_prob=dark_prob)
-    prob, state = 1.0, rho
-    for mode in sorted(outcomes, reverse=True):
-        if state.layout.modes == 1:
-            p = fock.detector_probability(state, mode, det, outcomes[mode])
-            return (prob * p, None) if p >= 1e-15 else (0.0, None)
-        try:
-            p, state = fock.measure_detector(state, mode, det, outcomes[mode])
-        except fock.ImpossibleOutcomeError:
-            return 0.0, None
-        prob *= p
-    return prob, state
-
-
 @dataclass(frozen=True)
 class CorrelationResult:
     value: float              # E(psi_L, psi_R)
@@ -89,6 +72,39 @@ def _lossy(rho: fock.DensityOperator, eta_a: float, modes) -> fock.DensityOperat
     return rho
 
 
+def _link_pair(c_n: float, phi: float, eta_a: float) -> fock.DensityOperator:
+    """The two lossy links (L1, R1) and (L2, R2) a correlation circuit reads."""
+    if not 0.0 < eta_a <= 1.0:
+        raise ValueError(f"application efficiency {eta_a} outside (0, 1]")
+    pair = _lossy(eme_density(_PAIR, (0, 1), c_n, phi), eta_a, (0, 1))
+    return fock.tensor(pair, pair)
+
+
+def _correlation(rho: fock.DensityOperator, setting: MeasurementSetting,
+                 dark_prob: float = 0.0) -> CorrelationResult:
+    """``correlation`` on the link pair ``rho`` of ``_link_pair``."""
+    L1, R1, L2, R2 = 0, 1, 2, 3
+    rho = fock.apply_phase(rho, L1, setting.psi_left)
+    rho = fock.apply_phase(rho, R1, setting.psi_right)
+    rho = fock.apply_beamsplitter(rho, L1, L2)
+    rho = fock.apply_beamsplitter(rho, R1, R2)
+
+    # detector 1 of a site sits on the first-mode output, detector 2 on the
+    # second.  Threshold POVMs are diagonal, so a pattern's probability is the
+    # number marginal weighted by "detector i alone clicks" (no-click weight w).
+    w = fock.DetectorModel(dark_count_prob=dark_prob).no_click_weights(rho.layout.cutoff)
+    alone = np.stack((np.outer(1.0 - w, w), np.outer(w, 1.0 - w)))
+    probs = np.einsum("abcd,iab,jcd->ij", fock.marginal(rho, (L1, L2, R1, R2)), alone, alone)
+    pattern_probs = {f"{i + 1}{j + 1}": float(probs[i, j]) for i in (0, 1) for j in (0, 1)}
+    total = sum(pattern_probs.values())
+    if total <= 0.0:
+        raise ValueError("no coincidences: correlation undefined")
+    value = (pattern_probs["11"] + pattern_probs["22"]
+             - pattern_probs["12"] - pattern_probs["21"]) / total
+    return CorrelationResult(value=value, coincidence_prob=total,
+                             pattern_probs=pattern_probs)
+
+
 def correlation(c_n: float, phi: float, setting: MeasurementSetting, eta_a: float,
                 dark_prob: float = 0.0) -> CorrelationResult:
     """Coincidence correlation E between the two sites.
@@ -97,31 +113,7 @@ def correlation(c_n: float, phi: float, setting: MeasurementSetting, eta_a: floa
     ``eta_a`` per retrieved mode, so the physical coincidence probability is
     ``eta_a^2 / (2 (c_n + 1)^2)``; the loss cancels from E itself.
     """
-    if not 0.0 < eta_a <= 1.0:
-        raise ValueError(f"application efficiency {eta_a} outside (0, 1]")
-    pair = _lossy(eme_density(_PAIR, (0, 1), c_n, phi), eta_a, (0, 1))
-    rho = fock.tensor(pair, pair)
-    L1, R1, L2, R2 = 0, 1, 2, 3
-    rho = fock.apply_phase(rho, L1, setting.psi_left)
-    rho = fock.apply_phase(rho, R1, setting.psi_right)
-    rho = fock.apply_beamsplitter(rho, L1, L2)
-    rho = fock.apply_beamsplitter(rho, R1, R2)
-
-    # detector 1 of a site sits on the first-mode output, detector 2 on the second
-    left, right = {1: L1, 2: L2}, {1: R1, 2: R2}
-    pattern_probs = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            outcomes = {left[i]: "click", left[3 - i]: "no_click",
-                        right[j]: "click", right[3 - j]: "no_click"}
-            pattern_probs[f"{i}{j}"] = _pattern_probability(rho, outcomes, dark_prob)[0]
-    total = sum(pattern_probs.values())
-    if total <= 0.0:
-        raise ValueError("no coincidences: correlation undefined")
-    value = (pattern_probs["11"] + pattern_probs["22"]
-             - pattern_probs["12"] - pattern_probs["21"]) / total
-    return CorrelationResult(value=value, coincidence_prob=total,
-                             pattern_probs=pattern_probs)
+    return _correlation(_link_pair(c_n, phi, eta_a), setting, dark_prob)
 
 
 CHSH_SETTINGS = (
@@ -134,8 +126,8 @@ CHSH_SETTINGS = (
 
 def chsh_correlations(c_n: float, phi: float, eta_a: float) -> tuple:
     """``CorrelationResult`` at each of ``CHSH_SETTINGS``, in that order."""
-    return tuple(correlation(c_n, phi, MeasurementSetting(a, b), eta_a)
-                 for a, b in CHSH_SETTINGS)
+    rho = _link_pair(c_n, phi, eta_a)
+    return tuple(_correlation(rho, MeasurementSetting(a, b)) for a, b in CHSH_SETTINGS)
 
 
 def chsh_combination(results) -> float:
@@ -168,29 +160,30 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if 3 * rounds > DRAW_BUDGET:
+        raise InfeasibleError(f"{rounds} rounds need {3 * rounds:.3g} random draws, "
+                              f"over the budget of {DRAW_BUDGET:.0e}")
     settings = (0.0, math.pi / 2)
-    # outcome categories: the four coincidence patterns, then "no coincidence"
-    cats = ("11", "12", "21", "22")
-    table = np.empty((2, 2, 5))
-    for a, psi_l in enumerate(settings):
-        for b, psi_r in enumerate(settings):
-            res = correlation(c_n, phi, MeasurementSetting(psi_l, psi_r), eta_a)
-            probs = [res.pattern_probs[k] for k in cats]
-            table[a, b] = probs + [1.0 - sum(probs)]
+    rho = _link_pair(c_n, phi, eta_a)
+    # row 2i + j for settings (i, j): the four coincidence patterns, then "none"
+    table = []
+    for a in settings:
+        for b in settings:
+            probs = list(_correlation(rho, MeasurementSetting(a, b)).pattern_probs.values())
+            table.append(probs + [1.0 - sum(probs)])
     rng = np.random.default_rng(seed)
     left = rng.integers(0, 2, size=rounds)
     right = rng.integers(0, 2, size=rounds)
     u = rng.random(rounds)
-    cum = np.cumsum(table, axis=-1)[left, right]
-    outcome = (u[:, None] >= cum).sum(axis=1)   # 0..3 patterns, 4 = none
+    cell = 2 * left + right
+    # 0..3: patterns 11, 12, 21, 22; 4: no coincidence
+    outcome = sum(u >= cum[cell] for cum in np.cumsum(table, axis=1).T)
 
     coincident = outcome < 4
-    sifted = coincident & (left == right)
-    bit_l = np.where(np.isin(outcome, (0, 1)), 0, 1)   # patterns 11,12 -> D1 left
-    bit_r = np.where(np.isin(outcome, (0, 2)), 0, 1)   # patterns 11,21 -> D1 right
-    n_sifted = int(sifted.sum())
-    qber = float(np.mean(bit_l[sifted] != bit_r[sifted])) if n_sifted else 0.0
-    return KeyStats(rounds=rounds, sifted_length=n_sifted, qber=qber,
+    kept = outcome[coincident & (left == right)]
+    # bit 0 when detector 1 fires: left D1 in patterns 11, 12; right D1 in 11, 21
+    qber = float(np.mean((kept >= 2) != (kept % 2 == 1))) if kept.size else 0.0
+    return KeyStats(rounds=rounds, sifted_length=int(kept.size), qber=qber,
                     coincidence_rate=float(coincident.mean()), seed=seed)
 
 
@@ -232,9 +225,15 @@ def teleport(qubit: PolarizationQubit, c_n: float, eta_a: float,
     pattern_total = 0.0
     confirmed_total = 0.0
     fidelity_acc = 0.0
+    det = fock.DetectorModel()
     for outcomes, correct in patterns:
-        p, cond = _pattern_probability(rho, outcomes)
-        if p == 0.0 or cond is None:
+        # destructive, in descending mode order so lower indices stay valid
+        p, cond = 1.0, rho
+        try:
+            for mode in sorted(outcomes, reverse=True):
+                q, cond = fock.measure_detector(cond, mode, det, outcomes[mode])
+                p *= q
+        except fock.ImpossibleOutcomeError:
             continue
         pattern_total += p
         if correct:

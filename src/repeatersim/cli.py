@@ -36,7 +36,7 @@ EXIT_INFEASIBLE = 4
 
 
 def _fmt(value, precision: int):
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
@@ -83,9 +83,7 @@ def emit_csv(header, rows, cfg: Config, path: str):
     prec = cfg.output.precision
     lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(
-            str(_fmt(v, prec)) if isinstance(v, (int, float, np.floating)) else str(v)
-            for v in row))
+        lines.append(",".join(str(_fmt(v, prec)) for v in row))
     _write("\n".join(lines) + "\n", path)
 
 
@@ -359,7 +357,7 @@ def _run_sweep(name: str, raw: dict, args) -> int:
         cfg0 = cfg0 or cfg
         summary = SWEEP_SUMMARIES[name](cfg, args)
         summary = {k: s for k, s in summary.items()
-                   if isinstance(s, (int, float, bool, str, np.floating))}
+                   if isinstance(s, (int, float, bool, str, np.integer, np.floating))}
         if header is None:
             header = [key] + list(summary)
         rows.append([int(text) if is_int else float(text)]

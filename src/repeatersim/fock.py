@@ -161,7 +161,7 @@ class DensityOperator:
 
     def mean_photon(self, mode: int) -> float:
         self.layout.check_mode(mode)
-        return float(np.dot(_marginal(self, (mode,)), np.arange(self.layout.mode_dim)))
+        return float(np.dot(marginal(self, (mode,)), np.arange(self.layout.mode_dim)))
 
 
 def assert_physical(rho: DensityOperator):
@@ -237,15 +237,6 @@ def _fold(v: np.ndarray, layout: ModeLayout, modes) -> np.ndarray:
     return t.reshape(d ** len(keep), d ** len(modes) * v.shape[1])
 
 
-def _marginal(rho: DensityOperator, modes) -> np.ndarray:
-    """Joint photon-number populations of ``modes``, one axis per mode in
-    the given order (the squared row norms of V, summed over the rest)."""
-    layout, v = rho.layout, rho.factor
-    diag = (v.real ** 2 + v.imag ** 2).sum(axis=1).reshape([layout.mode_dim] * layout.modes)
-    out = diag.sum(axis=tuple(a for a in range(layout.modes) if a not in modes))
-    return out.transpose(np.argsort(np.argsort(modes)))
-
-
 # ---------------------------------------------------------------------------
 # gates
 
@@ -287,7 +278,7 @@ def beamsplitter_matrix(cutoff: int, theta: float, phase: float) -> np.ndarray:
 def _check_pair_support(rho: DensityOperator, i: int, j: int, gate: str):
     cutoff = rho.layout.cutoff
     n = np.arange(cutoff + 1)
-    leak = _marginal(rho, (i, j))[np.add.outer(n, n) > cutoff].sum()
+    leak = marginal(rho, (i, j))[np.add.outer(n, n) > cutoff].sum()
     if leak > SUPPORT_LEAK_TOL:
         raise TruncationError(
             f"{gate} on modes ({i}, {j}): population {leak:.3e} has pair photon "
@@ -429,12 +420,24 @@ def _outcome_weights(det: DetectorModel, cutoff: int, outcome) -> np.ndarray:
     raise ValueError(f"unknown outcome {outcome!r}")
 
 
+def marginal(rho: DensityOperator, modes) -> np.ndarray:
+    """Joint photon-number populations of ``modes``, one axis per mode in
+    the given order (the squared row norms of V, summed over the rest)."""
+    layout, v = rho.layout, rho.factor
+    if len(set(modes)) != len(modes) or not set(modes) <= set(range(layout.modes)):
+        raise ValueError(f"marginal modes {tuple(modes)} are not distinct modes "
+                         f"of a {layout.modes}-mode layout")
+    diag = (v.real ** 2 + v.imag ** 2).sum(axis=1).reshape([layout.mode_dim] * layout.modes)
+    out = diag.sum(axis=tuple(a for a in range(layout.modes) if a not in modes))
+    return out.transpose(np.argsort(np.argsort(modes)))
+
+
 def detector_probability(rho: DensityOperator, i: int, det: DetectorModel, outcome) -> float:
     """Probability of a detector outcome on mode ``i`` without conditioning."""
     layout = rho.layout
     layout.check_mode(i)
     weights = _outcome_weights(det, layout.cutoff, outcome)
-    return float(np.dot(_marginal(rho, (i,)), weights))
+    return float(np.dot(marginal(rho, (i,)), weights))
 
 
 def measure_detector(rho: DensityOperator, i: int, det: DetectorModel, outcome):

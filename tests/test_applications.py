@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from repeatersim import fock
+from repeatersim import applications, fock
 from repeatersim.applications import (
     CHSH_SETTINGS,
+    CorrelationResult,
+    KeyStats,
     MeasurementSetting,
     PolarizationQubit,
+    chsh_correlations,
     chsh_value,
     correlation,
     ekert_simulation,
@@ -16,6 +19,72 @@ from repeatersim.applications import (
 from repeatersim.protocol import eme_density
 
 ROOT8 = 2 * math.sqrt(2)
+
+
+def chain_correlation(c_n, phi, setting, eta_a, dark_prob):
+    """Reference correlation by the destructive measurement chain: per
+    pattern, ``measure_detector`` in descending mode order, then
+    ``detector_probability`` on the last remaining mode."""
+    pair = eme_density(fock.ModeLayout(2, 2), (0, 1), c_n, phi)
+    for mode in (0, 1):
+        pair = fock.apply_loss(pair, mode, eta_a)
+    rho = fock.tensor(pair, pair)
+    L1, R1, L2, R2 = 0, 1, 2, 3
+    rho = fock.apply_phase(rho, L1, setting.psi_left)
+    rho = fock.apply_phase(rho, R1, setting.psi_right)
+    rho = fock.apply_beamsplitter(rho, L1, L2)
+    rho = fock.apply_beamsplitter(rho, R1, R2)
+    det = fock.DetectorModel(dark_count_prob=dark_prob)
+    left, right = {1: L1, 2: L2}, {1: R1, 2: R2}
+    probs = {}
+    for i in (1, 2):
+        for j in (1, 2):
+            outcomes = {left[i]: "click", left[3 - i]: "no_click",
+                        right[j]: "click", right[3 - j]: "no_click"}
+            prob, state = 1.0, rho
+            for mode in sorted(outcomes, reverse=True):
+                if state.layout.modes == 1:
+                    p = fock.detector_probability(state, mode, det, outcomes[mode])
+                    prob = prob * p if p >= 1e-15 else 0.0
+                    break
+                try:
+                    p, state = fock.measure_detector(state, mode, det, outcomes[mode])
+                except fock.ImpossibleOutcomeError:
+                    prob = 0.0
+                    break
+                prob *= p
+            probs[f"{i}{j}"] = prob
+    total = sum(probs.values())
+    value = (probs["11"] + probs["22"] - probs["12"] - probs["21"]) / total
+    return CorrelationResult(value=value, coincidence_prob=total, pattern_probs=probs)
+
+
+def reference_key_stats(table, rounds, seed):
+    """Key statistics from a (2, 2, 5) outcome table by the (rounds, 5)
+    cumulative comparison and ``np.isin`` bit formula."""
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, 2, size=rounds)
+    right = rng.integers(0, 2, size=rounds)
+    u = rng.random(rounds)
+    cum = np.cumsum(table, axis=-1)[left, right]
+    outcome = (u[:, None] >= cum).sum(axis=1)
+    coincident = outcome < 4
+    sifted = coincident & (left == right)
+    bit_l = np.where(np.isin(outcome, (0, 1)), 0, 1)
+    bit_r = np.where(np.isin(outcome, (0, 2)), 0, 1)
+    n_sifted = int(sifted.sum())
+    qber = float(np.mean(bit_l[sifted] != bit_r[sifted])) if n_sifted else 0.0
+    return KeyStats(rounds=rounds, sifted_length=n_sifted, qber=qber,
+                    coincidence_rate=float(coincident.mean()), seed=seed)
+
+
+def outcome_table(pattern_probs):
+    """(2, 2, 5) table from {(a, b): four pattern probabilities}, with the
+    no-coincidence entry appended as the sampler builds it."""
+    table = np.empty((2, 2, 5))
+    for (a, b), probs in pattern_probs.items():
+        table[a, b] = list(probs) + [1.0 - sum(probs)]
+    return table
 
 
 class TestCorrelation:
@@ -47,6 +116,43 @@ class TestCorrelation:
         lossy = correlation(0.5, 0.3, s, 0.4)
         assert lossy.value == pytest.approx(full.value, abs=1e-12)
         assert lossy.coincidence_prob == pytest.approx(full.coincidence_prob * 0.16, abs=1e-12)
+
+
+class TestCoincidenceMarginal:
+    """The joint-marginal contraction against the destructive chain."""
+
+    @pytest.mark.parametrize("dark_prob", [0.0, 1e-3, 0.2])
+    def test_matches_destructive_chain(self, dark_prob):
+        rng = np.random.default_rng(1207)
+        for _ in range(12):
+            c_n, phi, eta_a = rng.uniform(0, 3), rng.uniform(0, 2 * math.pi), rng.uniform(0.05, 1)
+            setting = MeasurementSetting(*rng.uniform(-math.pi, 2 * math.pi, size=2))
+            got = correlation(c_n, phi, setting, eta_a, dark_prob)
+            want = chain_correlation(c_n, phi, setting, eta_a, dark_prob)
+            assert got.pattern_probs.keys() == want.pattern_probs.keys()
+            for k, p in want.pattern_probs.items():
+                assert abs(got.pattern_probs[k] - p) <= 1e-14
+            assert abs(got.value - want.value) <= 1e-14
+            assert abs(got.coincidence_prob - want.coincidence_prob) <= 1e-14
+
+    @pytest.mark.parametrize("c_n,phi,eta_a", [(0.0, 0.0, 1.0), (1 / 3, 0.4, 0.5),
+                                               (5.0, math.pi, 0.3)])
+    def test_chsh_correlations_equal_single_settings(self, c_n, phi, eta_a):
+        results = chsh_correlations(c_n, phi, eta_a)
+        for (a, b), res in zip(CHSH_SETTINGS, results):
+            assert res == correlation(c_n, phi, MeasurementSetting(a, b), eta_a)
+
+    @pytest.mark.parametrize("dark_prob", [-0.1, 1.5])
+    def test_dark_probability_outside_unit_interval_rejected(self, dark_prob):
+        with pytest.raises(ValueError, match="dark_count_prob"):
+            correlation(0.0, 0.0, MeasurementSetting(0.0, 0.0), 1.0, dark_prob)
+
+    def test_efficiency_outside_unit_interval_rejected(self):
+        for eta_a in (0.0, 1.5):
+            with pytest.raises(ValueError, match="application efficiency"):
+                correlation(0.0, 0.0, MeasurementSetting(0.0, 0.0), eta_a)
+            with pytest.raises(ValueError, match="application efficiency"):
+                chsh_value(0.0, 0.0, eta_a)
 
 
 class TestChsh:
@@ -100,6 +206,79 @@ class TestEkert:
     def test_qber_zero_even_with_vacuum_admixture(self):
         stats = ekert_simulation(1.0, 0.9, 0.7, rounds=50_000, seed=3)
         assert stats.qber == 0.0
+
+    @pytest.mark.parametrize("c_n,phi,eta_a", [(0.0, 0.3, 1.0), (0.5, 0.2, 0.6),
+                                               (2.0, 1.7, 0.25)])
+    def test_circuit_tables_match_reference_sampler(self, c_n, phi, eta_a):
+        settings = (0.0, math.pi / 2)
+        table = outcome_table({
+            (a, b): correlation(c_n, phi, MeasurementSetting(settings[a], settings[b]),
+                                eta_a).pattern_probs.values()
+            for a in (0, 1) for b in (0, 1)})
+        for seed in (0, 5, 99):
+            assert (ekert_simulation(c_n, phi, eta_a, rounds=20_000, seed=seed)
+                    == reference_key_stats(table, 20_000, seed))
+
+    @pytest.mark.parametrize("table_seed", [3, 4, 8])
+    def test_random_tables_match_reference_sampler(self, monkeypatch, table_seed):
+        # noisy tables give the mismatched patterns weight, so the bit
+        # assignment of every pattern shows in the QBER
+        rng = np.random.default_rng(table_seed)
+        probs = {(a, b): list(rng.dirichlet(np.ones(5))[:4]) for a in (0, 1) for b in (0, 1)}
+        # Σp rounds above 1, so the no-coincidence entry is a tiny negative number
+        probs[1, 1] = [0.5017535083586557, 0.1583447529128556,
+                       0.12389774916694181, 0.21600398956154693]
+        table = outcome_table(probs)
+        assert -1e-15 < table[1, 1, 4] < 0.0
+        self.use_table(monkeypatch, probs)
+        for seed in (1, 2, 77):
+            got = ekert_simulation(0.0, 0.0, 1.0, rounds=30_000, seed=seed)
+            assert got == reference_key_stats(table, 30_000, seed)
+            assert got.qber > 0.0
+
+    @staticmethod
+    def use_table(monkeypatch, probs):
+        """Make every setting of the sampler read its patterns from ``probs``."""
+        index = {0.0: 0, math.pi / 2: 1}
+
+        def fixed(rho, setting, dark_prob=0.0):
+            p = probs[index[setting.psi_left], index[setting.psi_right]]
+            return CorrelationResult(value=math.nan, coincidence_prob=sum(p),
+                                     pattern_probs=dict(zip(("11", "12", "21", "22"), p)))
+        monkeypatch.setattr(applications, "_correlation", fixed)
+
+
+class TestFockCallCounts:
+    """The application circuits' fock work, as call counts."""
+
+    NAMES = ("measure_detector", "detector_probability", "tensor")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            def counted(*args, _f=getattr(fock, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(fock, name, counted)
+        return counts
+
+    def test_correlation_measures_nothing(self, calls):
+        correlation(0.5, 0.3, MeasurementSetting(0.9, 0.2), 0.4, dark_prob=1e-3)
+        assert calls == {"measure_detector": 0, "detector_probability": 0, "tensor": 1}
+
+    def test_chsh_builds_one_link_pair(self, calls):
+        chsh_correlations(0.5, 0.3, 0.4)
+        assert calls == {"measure_detector": 0, "detector_probability": 0, "tensor": 1}
+
+    def test_ekert_builds_one_link_pair(self, calls):
+        ekert_simulation(0.5, 0.3, 0.4, rounds=1000, seed=1)
+        assert calls == {"measure_detector": 0, "detector_probability": 0, "tensor": 1}
+
+    def test_teleport_measures_each_pattern_destructively(self, calls):
+        # four accepted patterns, four detectors each; two tensor products
+        teleport(PolarizationQubit.from_bloch(1.1, 0.4), 0.5, 0.6)
+        assert calls == {"measure_detector": 16, "detector_probability": 0, "tensor": 2}
 
 
 class TestTeleport:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repeatersim import applications, cli, config
@@ -201,6 +202,15 @@ class TestEkert:
         assert payload["key_length"] > 0
         assert payload["qber"] == 0.0
 
+    def test_rounds_beyond_draw_budget_exits_4(self, capsys):
+        # three draws a round: 4e8 rounds need 1.2e9 draws, past the 1e9 budget;
+        # the request is refused before any array is allocated
+        code, out = run_cli(["ekert", "--rounds", "400000000", "--seed", "9"])
+        assert code == 4
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "1.2e+09 random draws" in err and "budget of 1e+09" in err
+
 
 class TestTeleport:
     def test_fidelity_one(self):
@@ -249,6 +259,24 @@ class TestMonteCarlo:
         assert code == 4
         assert out == ""
         assert "draws" in capsys.readouterr().err
+
+
+class TestFormatting:
+    def test_emit_json_serialises_numpy_integers(self, capsys):
+        cfg = config.from_raw(config.read_raw(None))
+        cli.emit_json({"count": np.int64(3), "value": np.float64(0.1234567891234)},
+                      cfg, "")
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == 3 and isinstance(payload["count"], int)
+        assert payload["value"] == 0.123456789
+
+    def test_sweep_keeps_numpy_integer_columns(self, monkeypatch):
+        monkeypatch.setitem(cli.SWEEP_SUMMARIES, "rates",
+                            lambda cfg, args: {"n": np.int64(7), "x": 0.5})
+        code, out = run_cli(["rates", "--sweep", "ensemble.detuning=5:20:2"])
+        assert code == 0
+        assert out.strip().splitlines()[1:] == ["ensemble.detuning,n,x",
+                                                "5.0,7,0.5", "20.0,7,0.5"]
 
 
 class TestSweep:

@@ -399,6 +399,25 @@ class TestPartialTrace:
         assert partial_trace(rho, [1]).trace() == pytest.approx(rho.trace(), abs=1e-12)
 
 
+class TestMarginal:
+    def test_axes_follow_the_given_mode_order(self):
+        rng = np.random.default_rng(29)
+        layout = ModeLayout(3, 2)
+        rho = random_density(layout, rng)
+        diag = np.real(np.diag(rho.matrix)).reshape(3, 3, 3)
+        expected = {(0, 1, 2): diag, (2, 0, 1): diag.transpose(2, 0, 1),
+                    (1, 2): diag.sum(axis=0), (2, 0): diag.sum(axis=1).T,
+                    (1,): diag.sum(axis=(0, 2))}
+        for modes, want in expected.items():
+            assert np.max(np.abs(fock.marginal(rho, modes) - want)) < 1e-14
+
+    @pytest.mark.parametrize("modes", [(0, 0), (3,), (-1,), (0, 1, 2, 3)])
+    def test_rejects_modes_outside_the_layout_or_repeated(self, modes):
+        rho = vacuum(ModeLayout(3, 1))
+        with pytest.raises(ValueError, match="not distinct modes"):
+            fock.marginal(rho, modes)
+
+
 class TestFidelity:
     def test_pure_state_self_fidelity(self):
         layout = ModeLayout(2, 2)
