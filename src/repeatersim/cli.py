@@ -8,6 +8,10 @@ digits).  Exit codes: 0 success, 2 configuration or output file,
 
 Units: lengths in multiples of the attenuation length, times in seconds,
 rates in 1/s.
+
+The analytic commands (``rates``, ``chain``, ``scaling``, ``optimize`` and
+their sweeps) run without NumPy: the numeric engines are imported by the
+commands that run them.
 """
 
 from __future__ import annotations
@@ -16,12 +20,11 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 
-import numpy as np
-
-from . import applications, config, ensemble, montecarlo, scaling
+from . import config, ensemble, montecarlo, scaling
 from .config import Config, ConfigError
 from .protocol import ChainStallError, chain
 from .scaling import InfeasibleError
@@ -34,11 +37,14 @@ EXIT_OUTPUT = 2
 EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
 
+MAX_SWEEP_STEPS = 10_000   # each step runs the whole command once
+
 
 def _fmt(value, precision: int):
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    # NumPy registers its scalar types with ``numbers``
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return int(value)
     return float(f"{float(value):.{precision}g}")
 
@@ -126,10 +132,31 @@ def cmd_rates(cfg: Config, args) -> int:
     return EXIT_OK
 
 
+def _linspace(lo: float, hi: float, num: int) -> list:
+    """``np.linspace(lo, hi, num)`` bit for bit, as Python floats: ``lo +
+    i*step`` with the last point set to ``hi``, and ``(i/div)*delta`` when
+    the step underflows to zero."""
+    div = num - 1
+    if div == 0:
+        return [lo + 0.0 * (hi - lo)]
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        grid = [lo + (i / div) * delta for i in range(num)]
+    else:
+        grid = [lo + i * step for i in range(num)]
+    grid[-1] = hi
+    return grid
+
+
 def cmd_dynamics(cfg: Config, args) -> int:
     rates = ensemble.effective_rates(cfg.ensemble)
     t_end = args.t_max if args.t_max is not None else 0.05 / rates.kappa_prime
-    grid = np.linspace(0.0, t_end, args.points)
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ValueError(f"time window t_max = {t_end} must be positive and finite")
+    if args.points < 2:
+        raise ValueError(f"the time grid needs at least two time points, got {args.points}")
+    grid = _linspace(0.0, t_end, args.points)
     pops = ensemble.integrate_master_equation(cfg.ensemble, args.modes,
                                               args.cutoff, grid)
     rows = []
@@ -228,6 +255,8 @@ def cmd_optimize(cfg: Config, args) -> int:
 
 
 def chsh_summary(cfg: Config) -> dict:
+    from . import applications
+
     results = applications.chsh_correlations(cfg.applications.vacuum_coeff,
                                              cfg.applications.phase,
                                              cfg.repeater.app_efficiency)
@@ -250,6 +279,8 @@ def cmd_chsh(cfg: Config, args) -> int:
 
 
 def cmd_teleport(cfg: Config, args) -> int:
+    from . import applications
+
     qubit = applications.PolarizationQubit.from_bloch(args.bloch_theta, args.bloch_phi)
     res = applications.teleport(qubit, cfg.applications.vacuum_coeff,
                                 cfg.repeater.app_efficiency,
@@ -263,6 +294,8 @@ def cmd_teleport(cfg: Config, args) -> int:
 
 
 def cmd_ekert(cfg: Config, args) -> int:
+    from . import applications
+
     seed = args.seed if args.seed is not None else cfg.trials.seed
     rounds = args.rounds if args.rounds is not None else cfg.applications.rounds
     stats = applications.ekert_simulation(cfg.applications.vacuum_coeff,
@@ -333,9 +366,11 @@ def _parse_sweep(spec: str):
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise ConfigError(f"sweep spec {spec!r}: expected key=a:b:steps") from exc
-    if steps < 1:
-        raise ConfigError("sweep needs at least one step")
-    return key, np.linspace(lo, hi, steps)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{key}: sweep bounds must be finite, got {lo}:{hi}")
+    if not 1 <= steps <= MAX_SWEEP_STEPS:
+        raise ConfigError(f"{key}: sweep needs 1 to {MAX_SWEEP_STEPS} steps, got {steps}")
+    return key, _linspace(lo, hi, steps)
 
 
 def _run_sweep(name: str, raw: dict, args) -> int:
@@ -357,7 +392,7 @@ def _run_sweep(name: str, raw: dict, args) -> int:
         cfg0 = cfg0 or cfg
         summary = SWEEP_SUMMARIES[name](cfg, args)
         summary = {k: s for k, s in summary.items()
-                   if isinstance(s, (int, float, bool, str, np.integer, np.floating))}
+                   if isinstance(s, (numbers.Real, str))}
         if header is None:
             header = [key] + list(summary)
         rows.append([int(text) if is_int else float(text)]

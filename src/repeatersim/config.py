@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from .ensemble import EnsembleParams
@@ -169,10 +170,12 @@ def _convert(raw: dict) -> dict:
         for key, (conv, _default) in keys.items():
             text = raw[section][key]
             try:
-                values[section][key] = conv(text)
+                value = values[section][key] = conv(text)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{section}.{key}: cannot parse {text!r} "
                                   f"as {conv.__name__}") from exc
+            if conv is float and not math.isfinite(value):
+                raise ConfigError(f"{section}.{key}: {text!r} is not a finite number")
     return values
 
 

@@ -5,16 +5,21 @@ The collective spin-wave mode couples coherently to the forward-scattered
 field while spontaneous emission heats every atomic Fourier mode at the
 same per-mode rate; simulating one collective mode plus a few
 representative noise modes is enough to exhibit the rate separation.
+
+The rate formulas are plain Python; the squeezer, the drift integration
+and the master equation import NumPy when they run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from . import fock
+    from . import fock
 
 ADIABATIC_RATIO_WARN = 10.0
 
@@ -95,6 +100,7 @@ def langevin_mean_ode(params: EnsembleParams, t_grid, rtol: float = 1e-11,
     SciPy is imported here, not at module level, so that no CLI command
     pays for it.
     """
+    import numpy as np
     from scipy.integrate import solve_ivp
 
     kp = effective_rates(params).kappa_prime
@@ -113,6 +119,8 @@ def squeezed_joint_state(rates: EffectiveRates, cutoff: int,
     Two-mode squeezed vacuum with parameter ``rates.squeeze``; mode 0 is the
     collective atomic mode, mode 1 the effective pulse mode.
     """
+    from . import fock
+
     layout = fock.ModeLayout(2, cutoff)
     return fock.apply_two_mode_squeeze(fock.vacuum(layout), 0, 1, rates.squeeze,
                                        trunc_tol=trunc_tol)
@@ -133,10 +141,10 @@ class ModePopulations:
         """Least-squares growth-rate ratio (through the origin) of the
         collective mode over a noise mode."""
         t = self.time_grid
-        denom = float(np.dot(self.per_noise_mode, t))
+        denom = float(self.per_noise_mode.dot(t))
         if denom == 0.0:
             return math.inf
-        return float(np.dot(self.collective, t)) / denom
+        return float(self.collective.dot(t)) / denom
 
 
 def integrate_master_equation(params: EnsembleParams, n_modes: int, cutoff: int,
@@ -152,6 +160,8 @@ def integrate_master_equation(params: EnsembleParams, n_modes: int, cutoff: int,
     diag(1, ..., c, 0)): with x = 1 - exp(-R t) its populations are
     exp(-R t) x^n for n < c and x^c at n = c.  Time runs from t_grid[0].
     """
+    import numpy as np
+
     if n_modes < 2:
         raise ValueError("need at least one collective and one noise mode")
     if cutoff < 1:

@@ -6,6 +6,9 @@ Reproducibility contract: every trial draws from its own counter-based
 substream keyed by ``(seed, trial index)``, so a sample depends only on
 the seed and its trial index.  One NumPy sampler advances all trials of a
 batch in lockstep and equals the scalar ``sample_chain_time`` bit for bit.
+The samplers import ``_mc_kernels`` (and NumPy with it) on their first
+call, so the parameter types and the analytic chain time load without
+NumPy.
 """
 
 from __future__ import annotations
@@ -13,12 +16,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _mc_kernels as kernels
 from .protocol import RepeaterParams, chain
 from .scaling import InfeasibleError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BACKEND = "numpy"
 
@@ -50,18 +54,28 @@ class TrialConfig:
             raise ValueError("threads must be >= 1")
 
 
+@functools.cache
+def _kernels():
+    """``_mc_kernels``, imported by the first sampler call.  Memoised: an
+    import statement costs about 1 us a call, as much as a ``SplitMix``
+    draw."""
+    from . import _mc_kernels
+
+    return _mc_kernels
+
+
 class SplitMix:
     """Scalar view of one trial substream; used by the single-sample API."""
 
     def __init__(self, seed: int, trial_index: int = 0):
-        self.state = kernels.stream_state(seed, trial_index)
+        self.state = _kernels().stream_state(seed, trial_index)
 
     def uniform(self) -> float:
-        self.state, u = kernels.next_uniform(self.state)
+        self.state, u = _kernels().next_uniform(self.state)
         return u
 
     def geometric(self, q: float) -> int:
-        self.state, k = kernels.geometric(self.state, q)
+        self.state, k = _kernels().geometric(self.state, q)
         return k
 
 
@@ -100,15 +114,15 @@ def sample_chain_time(params: RepeaterParams, n: int, rng: SplitMix,
         raise ValueError(f"policy must be one of {POLICIES}")
     probs = _level_probs(params, n)
     q = click_probability(params)
-    rng.state, t = kernels.chain_sample(n, probs, q, params.pulse_time,
-                                        policy == "parallel_max", rng.state)
+    rng.state, t = _kernels().chain_sample(n, probs, q, params.pulse_time,
+                                           policy == "parallel_max", rng.state)
     return t
 
 
 def generation_times(params: RepeaterParams, cfg: TrialConfig) -> np.ndarray:
     """Sampled segment-generation times, one per trial."""
-    return kernels.generation_times(cfg.seed, cfg.n_trials,
-                                    click_probability(params), params.pulse_time)
+    return _kernels().generation_times(cfg.seed, cfg.n_trials,
+                                       click_probability(params), params.pulse_time)
 
 
 def _expected_draws(probs) -> float:
@@ -132,9 +146,9 @@ def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
         raise InfeasibleError(
             f"level {n} with {cfg.n_trials} trials needs about {draws:.3g} "
             f"random draws, over the budget of {DRAW_BUDGET:.0e}")
-    return kernels.chain_times(cfg.seed, cfg.n_trials, n, probs,
-                               click_probability(params), params.pulse_time,
-                               cfg.policy == "parallel_max")
+    return _kernels().chain_times(cfg.seed, cfg.n_trials, n, probs,
+                                  click_probability(params), params.pulse_time,
+                                  cfg.policy == "parallel_max")
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,20 @@ The entangled-link descriptor mixes a vacuum component of relative weight
 ``c`` with a shared single excitation; each swap doubles the span and maps
 ``c -> 2c + 1 - eta_s`` while succeeding with probability
 ``eta_s (1 - eta_s / (2(c+1))) / (c+1)``.
+
+The analytic layer is plain Python; the oracles import NumPy and the Fock
+engine on their first call, so the analytic commands never load them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import fock
+if TYPE_CHECKING:
+    from . import fock
 
 # analytic swap inputs must have equal vacuum coefficients
 _C_MATCH_TOL = 1e-12
@@ -193,10 +197,22 @@ def chain(params: RepeaterParams, channel_phase: float = 0.0) -> list[ChainLevel
 # circuit oracles
 
 
+@functools.cache
+def _engines():
+    """``(numpy, fock)``, imported by the first oracle call.  Memoised: an
+    import statement costs about 1 us a call, a tenth of ``eme_density``."""
+    import numpy as np
+
+    from . import fock
+
+    return np, fock
+
+
 def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float) -> fock.DensityOperator:
     """Link density operator embedded in ``layout`` with all other modes in
     vacuum: rank 2, the vacuum with weight c and the shared excitation
     (|1_a⟩ + e^{i phase} |1_b⟩)/√2, over c + 1."""
+    np, fock = _engines()
     factor = np.zeros((layout.dim, 2), dtype=complex)
     factor[0, 0] = math.sqrt(c)
     for mode, amp in zip(pair, (1.0, complex(math.cos(phase), math.sin(phase)))):
@@ -221,6 +237,7 @@ def generation_circuit(p_c: float, eta_p: float, p_dc: float,
     Returns ``(joint click probability, conditional 2-mode atomic state)``
     with the click taken on the port that heralds the plus-superposition.
     """
+    np, fock = _engines()
     layout4 = fock.ModeLayout(4, cutoff)      # atom_L, phot_L, atom_R, phot_R
     side = {(0, 0): 1.0, (1, 1): math.sqrt(p_c)}
     if include_second_order:
@@ -260,6 +277,7 @@ def generate_oracle(params: RepeaterParams, cutoff: int = 4,
     support (vacuum plus the plus-superposition), the multi-excitation noise
     that survives a single click.
     """
+    _, fock = _engines()
     prob, rho = generation_circuit(params.excitation_prob, params.eta_p,
                                    params.dark_prob, channel_phase, cutoff,
                                    include_second_order)
@@ -293,6 +311,7 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
     event the analytic recursion counts (a two-photon event that loses one
     photon is indistinguishable from it and feeds the vacuum term).
     """
+    np, fock = _engines()
     if not 0.0 < eta_s <= 1.0:
         raise ValueError(f"swap efficiency {eta_s} outside (0, 1]")
     # modes L, I1, I2, R; loss on the inner halves before the tensor product

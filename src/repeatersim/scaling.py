@@ -153,8 +153,8 @@ class SegmentOptimum:
 
 def optimal_segment_power_law(m: float, l_att: float = 1.0) -> float:
     """Continuous minimizer of (L/L0)^m e^{L0/L_att}: exactly m * L_att."""
-    if m <= 0:
-        raise ValueError("power-law exponent must be positive")
+    if not (m > 0 and math.isfinite(m)):
+        raise ValueError(f"power-law exponent must be positive and finite, got {m}")
     return m * l_att
 
 

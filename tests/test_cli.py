@@ -57,6 +57,18 @@ class TestRates:
         assert code == 2
         assert "repeater.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("ensemble.detuning", "nan"),
+                                           ("ensemble.rabi", "inf"),
+                                           ("repeater.pulse_time", "-inf"),
+                                           ("scaling.total_length", "1e400")])
+    def test_non_finite_value_exits_2_naming_field(self, tmp_path, capsys, key, value):
+        section, field = key.split(".")
+        cfg = write_config(tmp_path, f"[{section}]\n{field} = {value}\n")
+        code, out = run_cli(["--config", cfg, "rates"])
+        assert code == 2
+        assert out == ""
+        assert f"{key}: {value!r} is not a finite number" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = cli.main(["--config", str(tmp_path / "absent.ini"), "rates"])
         assert code == 2
@@ -112,6 +124,21 @@ class TestDynamics:
         assert code == 3
         assert out == ""
         assert "at least two time points" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("args,reason", [
+        (["--t-max", "nan"], "time window t_max = nan must be positive and finite"),
+        (["--t-max", "inf"], "time window t_max = inf must be positive and finite"),
+        (["--t-max", "-1"], "time window t_max = -1.0 must be positive and finite"),
+        (["--t-max", "0"], "time window t_max = 0.0 must be positive and finite"),
+        (["--points", "-1"], "the time grid needs at least two time points, got -1"),
+    ])
+    def test_bad_time_grid_exits_3_with_own_reason(self, tmp_path, capsys, args, reason):
+        out_file = tmp_path / "dyn.csv"
+        code, out = run_cli(["dynamics", *args, "--out", str(out_file)])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == f"numeric failure: {reason}\n"
         assert not out_file.exists()
 
     def test_many_noise_modes_print_the_four_mode_summary(self, tmp_path):
@@ -183,6 +210,13 @@ class TestOptimize:
         assert code == 0
         payload = json.loads(out)
         assert payload["L0_star"] == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("m", ["nan", "inf", "-inf", "0"])
+    def test_power_law_exponent_not_positive_finite_exits_3(self, m, capsys):
+        code, out = run_cli(["optimize", "--objective", "power_law", f"--m={m}"])
+        assert code == 3
+        assert out == ""
+        assert "exponent must be positive and finite" in capsys.readouterr().err
 
     def test_compositional_default(self, tmp_path):
         cfg = write_config(tmp_path, "[repeater]\ndark_prob = 0\n")
@@ -295,6 +329,48 @@ class TestSweep:
         code = cli.main(["teleport", "--sweep", "applications.phase=0:1:2"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", [
+        "ensemble.detuning=1:2:1", "ensemble.detuning=1:2:2", "ensemble.detuning=20:5:7",
+        "ensemble.detuning=5:5:3", "ensemble.detuning=-5:-20:3", "ensemble.rabi=-0.0:3:4",
+        "ensemble.rabi=-2.5:0.0:1", "ensemble.rabi=-0.0:1:1", "ensemble.rabi=0.1:0.7:11",
+        # the step underflows to zero
+        "ensemble.rabi=0:5e-324:3",
+        # the two sweeps of the `cli_session` benchmark workload
+        "repeater.swap_efficiency=0.5:0.9:5", "ensemble.atom_count=50:200:4",
+    ])
+    def test_grid_equals_numpy_linspace_bit_for_bit(self, spec):
+        key, values = cli._parse_sweep(spec)
+        lo, hi, steps = spec.split("=")[1].split(":")
+        want = np.linspace(float(lo), float(hi), int(steps))
+        assert key == spec.split("=")[0]
+        assert all(isinstance(v, float) for v in values)
+        assert np.array(values).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", ["ensemble.detuning=nan:1:3",
+                                      "ensemble.detuning=1:inf:3",
+                                      "ensemble.detuning=-inf:1:2",
+                                      "ensemble.atom_count=nan:1:2"])
+    def test_non_finite_bound_exits_2_naming_key(self, spec, capsys):
+        code, out = run_cli(["rates", "--sweep", spec])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {spec.split('=')[0]}: sweep bounds must be finite")
+
+    @pytest.mark.parametrize("steps", ["0", "MAX+1", "1000000000"])
+    def test_step_count_outside_the_limit_is_refused_before_the_grid(
+            self, steps, monkeypatch, capsys):
+        def no_grid(*args):
+            raise AssertionError("grid built for a refused sweep")
+
+        monkeypatch.setattr(cli, "_linspace", no_grid)
+        steps = steps.replace("MAX+1", str(cli.MAX_SWEEP_STEPS + 1))
+        code, out = run_cli(["rates", "--sweep", f"ensemble.detuning=1:2:{steps}"])
+        assert code == 2
+        assert out == ""
+        assert f"ensemble.detuning: sweep needs 1 to {cli.MAX_SWEEP_STEPS} steps, " \
+               f"got {steps}" in capsys.readouterr().err
+
 
 class TestOutputDirEnv:
     def test_outdir_redirects_relative_paths(self, tmp_path, monkeypatch):
@@ -321,6 +397,43 @@ class TestEntryPoint:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
 
+    def test_analytic_commands_run_with_numpy_blocked(self, tmp_path):
+        ini = tmp_path / "unknown_key.ini"
+        ini.write_text("[repeater]\nno_such_key = 1\n")
+        # the analytic invocations of the `cli_session` benchmark workload
+        session = [
+            (["rates"], 0), (["chain"], 0), (["scaling"], 0), (["optimize"], 0),
+            (["optimize", "--objective", "power_law", "--m", "2"], 0),
+            (["scaling", "--sweep", "repeater.swap_efficiency=0.5:0.9:5"], 0),
+            (["rates", "--sweep", "ensemble.atom_count=50:200:4"], 0),
+            (["--config", str(ini), "rates"], 2),
+            (["optimize", "--objective", "power_law"], 3),
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import repeatersim, repeatersim.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported with the CLI'\n"
+            "sys.modules['numpy'] = None\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        code = repeatersim.cli.main(argv)\n"
+            "    results.append([code, out.getvalue()])\n"
+            "print(json.dumps(results))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([argv for argv, _ in session])],
+            capture_output=True, env=env, text=True)
+        assert done.returncode == 0, done.stderr
+        blocked = json.loads(done.stdout)
+        for (argv, want), (code, out) in zip(session, blocked):
+            assert code == want, argv
+            assert [code, out] == list(run_cli(argv)), argv
+
     def test_module_invocation_byte_identical(self):
         cmd = [sys.executable, "-m", "repeatersim.cli", "chsh"]
         env = dict(os.environ)
@@ -328,3 +441,50 @@ class TestEntryPoint:
         b = subprocess.run(cmd, capture_output=True, env=env, text=True)
         assert a.returncode == 0
         assert a.stdout == b.stdout
+
+
+class TestPackage:
+    # the names ``repeatersim`` bound when it imported every layer eagerly
+    EXPORTS = {
+        "applications": ("KeyStats", "MeasurementSetting", "PolarizationQubit",
+                         "TeleportResult", "chsh_value", "correlation",
+                         "ekert_simulation", "teleport"),
+        "ensemble": ("EffectiveRates", "EnsembleParams", "ModePopulations",
+                     "effective_rates", "free_space_snr", "integrate_master_equation",
+                     "langevin_mean_ode", "langevin_mean_solution",
+                     "squeezed_joint_state"),
+        "fock": ("DensityOperator", "DetectorModel", "ModeLayout", "PureState",
+                 "TruncationError", "apply_beamsplitter", "apply_loss", "apply_phase",
+                 "apply_two_mode_squeeze", "fidelity", "measure_detector",
+                 "number_state", "partial_trace", "pure_state", "tensor", "vacuum"),
+        "montecarlo": ("McEstimate", "SplitMix", "TrialConfig", "chain_times",
+                       "estimate", "generation_times", "sample_chain_time",
+                       "sample_generation_time"),
+        "protocol": ("ChainStallError", "EMEState", "RepeaterParams", "chain",
+                     "generate_analytic", "generate_oracle", "swap_analytic",
+                     "swap_oracle", "vacuum_coeff_closed_form"),
+        "scaling": ("FidelityBudget", "InfeasibleError", "ScalingReport",
+                    "closed_form_time", "fidelity_budget", "optimize_segment",
+                    "total_time"),
+    }
+
+    def test_every_public_name_resolves_to_its_layer(self):
+        import importlib
+
+        import repeatersim
+
+        for module, names in self.EXPORTS.items():
+            layer = importlib.import_module(f"repeatersim.{module}")
+            assert getattr(repeatersim, module) is layer
+            for name in names:
+                assert getattr(repeatersim, name) is getattr(layer, name), name
+        names = sorted(n for names in self.EXPORTS.values() for n in names)
+        assert sorted(repeatersim.__all__) == names
+        assert set(names) <= set(dir(repeatersim))
+        assert repeatersim.__version__ == "0.1.0"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import repeatersim
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repeatersim.no_such_name
