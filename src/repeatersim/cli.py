@@ -38,6 +38,7 @@ EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
 
 MAX_SWEEP_STEPS = 10_000   # each step runs the whole command once
+MAX_DYNAMICS_POINTS = 100_000   # the grid, populations and CSV rows are all held
 
 
 def _fmt(value, precision: int):
@@ -156,6 +157,9 @@ def cmd_dynamics(cfg: Config, args) -> int:
         raise ValueError(f"time window t_max = {t_end} must be positive and finite")
     if args.points < 2:
         raise ValueError(f"the time grid needs at least two time points, got {args.points}")
+    if args.points > MAX_DYNAMICS_POINTS:
+        raise InfeasibleError(f"{args.points} time points are over the limit of "
+                              f"{MAX_DYNAMICS_POINTS}")
     grid = _linspace(0.0, t_end, args.points)
     pops = ensemble.integrate_master_equation(cfg.ensemble, args.modes,
                                               args.cutoff, grid)

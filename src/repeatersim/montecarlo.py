@@ -5,7 +5,10 @@ the exact waiting-time distribution.
 Reproducibility contract: every trial draws from its own counter-based
 substream keyed by ``(seed, trial index)``, so a sample depends only on
 the seed and its trial index.  One NumPy sampler advances all trials of a
-batch in lockstep and equals the scalar ``sample_chain_time`` bit for bit.
+batch in lockstep and hands its last few live trials to a scalar
+continuation that takes the same draws and float operations; level 0 is
+sampled elementwise in cache-sized blocks.  So both equal the scalar
+``sample_chain_time`` bit for bit.
 The samplers import ``_mc_kernels`` (and NumPy with it) on their first
 call, so the parameter types and the analytic chain time load without
 NumPy.

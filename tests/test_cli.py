@@ -141,6 +141,22 @@ class TestDynamics:
         assert capsys.readouterr().err == f"numeric failure: {reason}\n"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("points", [100_001, 1_000_000_000])
+    def test_points_over_the_limit_exit_4_before_any_grid(self, tmp_path, capsys,
+                                                          monkeypatch, points):
+        def built(*args):
+            raise AssertionError("dynamics built its grid")
+
+        monkeypatch.setattr(cli, "_linspace", built)
+        monkeypatch.setattr(cli.ensemble, "integrate_master_equation", built)
+        out_file = tmp_path / "dyn.csv"
+        code, out = run_cli(["dynamics", "--points", str(points), "--out", str(out_file)])
+        assert code == 4
+        assert out == ""
+        assert capsys.readouterr().err == (
+            f"infeasible: {points} time points are over the limit of 100000\n")
+        assert not out_file.exists()
+
     def test_many_noise_modes_print_the_four_mode_summary(self, tmp_path):
         # noise modes are identical; a dense 12-mode state would need
         # 3^24 entries

@@ -66,14 +66,17 @@ class TestGenerationSampling:
                                               excitation_prob=1e-300))
 
     def test_scalar_api_matches_bulk(self):
+        # one partial block, and around the ends of the level-0 blocks
         params = make_params()
-        cfg = TrialConfig(seed=77, n_trials=50)
-        bulk = generation_times(params, cfg)
-        scalar = np.array([
-            sample_generation_time(params, SplitMix(cfg.seed, k))
-            for k in range(cfg.n_trials)
-        ])
-        assert np.array_equal(bulk, scalar)
+        block = kernels._GEN_BLOCK
+        for trials in (50, block - 1, block, block + 1, 2 * block + 3):
+            cfg = TrialConfig(seed=77, n_trials=trials)
+            bulk = generation_times(params, cfg)
+            scalar = np.array([
+                sample_generation_time(params, SplitMix(cfg.seed, k))
+                for k in range(cfg.n_trials)
+            ])
+            assert np.array_equal(bulk, scalar), trials
 
 
 class TestChainSampling:
@@ -190,6 +193,76 @@ class TestDeterminism:
             u = u[(u > 0.0) & (u < 1.0)]
             scalar = [1 + math.floor(math.log(x) / c) for x in u]
             assert np.array_equal(kernels._attempts(u, q), scalar)
+
+
+def scalar_chain(params, n, seed, trials, policy):
+    """``chain_sample`` of trials 0..trials-1, the reference of the bulk sampler."""
+    probs = mc._level_probs(params, n)
+    return [kernels.chain_sample(n, probs, mc.click_probability(params),
+                                 params.pulse_time, policy == "parallel_max",
+                                 kernels.stream_state(seed, k))[1]
+            for k in range(trials)]
+
+
+def bulk_chain(params, n, seed, trials, policy):
+    return kernels.chain_times(seed, trials, n, mc._level_probs(params, n),
+                               mc.click_probability(params), params.pulse_time,
+                               policy == "parallel_max")
+
+
+# p_c + p_dc = 1 over a negligible segment: click probability exactly 1, so
+# every leaf takes ``geometric``'s certain-click branch
+CERTAIN_CLICK = dict(excitation_prob=0.96875, dark_prob=0.03125, segment_length=1e-17)
+
+
+class TestScalarTail:
+    """The lockstep sampler finishes its last ``_SCALAR_TAIL`` live trials in
+    scalar code; the samples must stay those of ``chain_sample``."""
+
+    @pytest.mark.parametrize("overrides", [{}, CERTAIN_CLICK], ids=["q<1", "q=1"])
+    @pytest.mark.parametrize("policy", mc.POLICIES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batches_around_the_threshold(self, n, policy, overrides):
+        tail = kernels._SCALAR_TAIL
+        params = make_params(**overrides)
+        assert (mc.click_probability(params) == 1.0) == bool(overrides)
+        for trials in (1, tail, tail + 1, 2 * tail + 1):
+            seed = 500 + trials
+            assert np.array_equal(bulk_chain(params, n, seed, trials, policy),
+                                  scalar_chain(params, n, seed, trials, policy)), trials
+
+    def test_handoff_mid_refill_rewinds_the_stream(self, monkeypatch):
+        # 20 trials draw _MAX_AHEAD = 256 uniforms ahead per refill; the
+        # handoff comes at a finished-trial check, every 15 steps at level 3,
+        # so here it lands inside a refill and the handed-off streams must be
+        # rewound past the uniforms drawn ahead but not used
+        n, trials, seed = 3, 20, 31
+        params = make_params()
+        inverse = pow(kernels._GOLDEN, -1, 1 << 64)
+        handed = []
+        finish = kernels._finish
+
+        def spy(n, p, q, t_delta, parallel, state, *row):
+            handed.append(state)
+            return finish(n, p, q, t_delta, parallel, state, *row)
+
+        def draws_taken(state):
+            # (state - initial state) / GOLDEN mod 2**64 is small only for
+            # the trial's own stream
+            return min((state - kernels.stream_state(seed, k)) * inverse % (1 << 64)
+                       for k in range(trials))
+
+        monkeypatch.setattr(kernels, "_finish", spy)
+        for policy in mc.POLICIES:
+            handed.clear()
+            assert np.array_equal(bulk_chain(params, n, seed, trials, policy),
+                                  scalar_chain(params, n, seed, trials, policy))
+            assert 0 < len(handed) <= kernels._SCALAR_TAIL
+            steps = {draws_taken(state) for state in handed}
+            assert len(steps) == 1
+            (step,) = steps
+            assert step % (2 ** (n + 1) - 1) == 0
+            assert step % kernels._MAX_AHEAD, policy
 
 
 class TestConfig:
