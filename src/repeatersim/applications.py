@@ -80,29 +80,39 @@ def _link_pair(c_n: float, phi: float, eta_a: float) -> fock.DensityOperator:
     return fock.tensor(pair, pair)
 
 
-def _correlation(rho: fock.DensityOperator, setting: MeasurementSetting,
-                 dark_prob: float = 0.0) -> CorrelationResult:
-    """``correlation`` on the link pair ``rho`` of ``_link_pair``."""
+def _correlations(rho: fock.DensityOperator, settings, dark_prob: float = 0.0) -> tuple:
+    """``correlation`` at each of ``settings`` on the link pair ``rho`` of
+    ``_link_pair``, one ``CorrelationResult`` per setting in order."""
     L1, R1, L2, R2 = 0, 1, 2, 3
-    rho = fock.apply_phase(rho, L1, setting.psi_left)
-    rho = fock.apply_phase(rho, R1, setting.psi_right)
-    rho = fock.apply_beamsplitter(rho, L1, L2)
-    rho = fock.apply_beamsplitter(rho, R1, R2)
-
+    # a number-basis phase keeps every number marginal and the L splitter leaves
+    # (R1, R2) alone: the gate chain's splitters see the input pair's support
+    fock._check_pair_support(rho, L1, L2, "beamsplitter")
+    fock._check_pair_support(rho, R1, R2, "beamsplitter")
+    cutoff, d, (_, r) = rho.layout.cutoff, rho.layout.mode_dim, rho.factor.shape
+    # per setting and site (L, R), the phase e^{iψn} on the first mode and the
+    # balanced splitter fused into one unitary on the site's d² pair index
+    psi = np.array([(s.psi_left, s.psi_right) for s in settings])
+    phases = np.exp(1j * psi[..., None] * np.repeat(np.arange(d), d))
+    u = fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0) * phases[..., None, :]
+    # V with axes (L1 L2, R1 R2 rank); one batched matmul per site
+    v = rho.factor.reshape(d, d, d, d, r).transpose(L1, L2, R1, R2, 4).reshape(d * d, -1)
+    out = u[:, 1, None] @ (u[:, 0] @ v).reshape(len(settings), d * d, d * d, r)
+    pops = (out.real ** 2 + out.imag ** 2).sum(axis=-1)   # (L1 L2, R1 R2) marginals
     # detector 1 of a site sits on the first-mode output, detector 2 on the
     # second.  Threshold POVMs are diagonal, so a pattern's probability is the
     # number marginal weighted by "detector i alone clicks" (no-click weight w).
-    w = fock.DetectorModel(dark_count_prob=dark_prob).no_click_weights(rho.layout.cutoff)
-    alone = np.stack((np.outer(1.0 - w, w), np.outer(w, 1.0 - w)))
-    probs = np.einsum("abcd,iab,jcd->ij", fock.marginal(rho, (L1, L2, R1, R2)), alone, alone)
-    pattern_probs = {f"{i + 1}{j + 1}": float(probs[i, j]) for i in (0, 1) for j in (0, 1)}
-    total = sum(pattern_probs.values())
-    if total <= 0.0:
-        raise ValueError("no coincidences: correlation undefined")
-    value = (pattern_probs["11"] + pattern_probs["22"]
-             - pattern_probs["12"] - pattern_probs["21"]) / total
-    return CorrelationResult(value=value, coincidence_prob=total,
-                             pattern_probs=pattern_probs)
+    w = fock.DetectorModel(dark_count_prob=dark_prob).no_click_weights(cutoff)
+    click = np.array([1.0 - w, w])
+    alone = (click[:, :, None] * click[::-1, None, :]).reshape(2, d * d)
+    results = []
+    for probs in alone @ pops @ alone.T:
+        p = {f"{i + 1}{j + 1}": float(probs[i, j]) for i in (0, 1) for j in (0, 1)}
+        total = sum(p.values())
+        if total <= 0.0:
+            raise ValueError("no coincidences: correlation undefined")
+        results.append(CorrelationResult(value=(p["11"] + p["22"] - p["12"] - p["21"]) / total,
+                                         coincidence_prob=total, pattern_probs=p))
+    return tuple(results)
 
 
 def correlation(c_n: float, phi: float, setting: MeasurementSetting, eta_a: float,
@@ -113,7 +123,7 @@ def correlation(c_n: float, phi: float, setting: MeasurementSetting, eta_a: floa
     ``eta_a`` per retrieved mode, so the physical coincidence probability is
     ``eta_a^2 / (2 (c_n + 1)^2)``; the loss cancels from E itself.
     """
-    return _correlation(_link_pair(c_n, phi, eta_a), setting, dark_prob)
+    return _correlations(_link_pair(c_n, phi, eta_a), (setting,), dark_prob)[0]
 
 
 CHSH_SETTINGS = (
@@ -126,8 +136,8 @@ CHSH_SETTINGS = (
 
 def chsh_correlations(c_n: float, phi: float, eta_a: float) -> tuple:
     """``CorrelationResult`` at each of ``CHSH_SETTINGS``, in that order."""
-    rho = _link_pair(c_n, phi, eta_a)
-    return tuple(_correlation(rho, MeasurementSetting(a, b)) for a, b in CHSH_SETTINGS)
+    return _correlations(_link_pair(c_n, phi, eta_a),
+                         [MeasurementSetting(a, b) for a, b in CHSH_SETTINGS])
 
 
 def chsh_combination(results) -> float:
@@ -163,14 +173,10 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
     if 3 * rounds > DRAW_BUDGET:
         raise InfeasibleError(f"{rounds} rounds need {3 * rounds:.3g} random draws, "
                               f"over the budget of {DRAW_BUDGET:.0e}")
-    settings = (0.0, math.pi / 2)
-    rho = _link_pair(c_n, phi, eta_a)
+    settings = [MeasurementSetting(a, b) for a in (0.0, math.pi / 2) for b in (0.0, math.pi / 2)]
     # row 2i + j for settings (i, j): the four coincidence patterns, then "none"
-    table = []
-    for a in settings:
-        for b in settings:
-            probs = list(_correlation(rho, MeasurementSetting(a, b)).pattern_probs.values())
-            table.append(probs + [1.0 - sum(probs)])
+    table = [[*res.pattern_probs.values(), 1.0 - res.coincidence_prob]
+             for res in _correlations(_link_pair(c_n, phi, eta_a), settings)]
     rng = np.random.default_rng(seed)
     left = rng.integers(0, 2, size=rounds)
     right = rng.integers(0, 2, size=rounds)

@@ -39,6 +39,7 @@ EXIT_INFEASIBLE = 4
 
 MAX_SWEEP_STEPS = 10_000   # each step runs the whole command once
 MAX_DYNAMICS_POINTS = 100_000   # the grid, populations and CSV rows are all held
+MAX_DYNAMICS_CUTOFF = 100   # populations hold 2 x points x (cutoff + 1) numbers
 
 
 def _fmt(value, precision: int):
@@ -160,6 +161,9 @@ def cmd_dynamics(cfg: Config, args) -> int:
     if args.points > MAX_DYNAMICS_POINTS:
         raise InfeasibleError(f"{args.points} time points are over the limit of "
                               f"{MAX_DYNAMICS_POINTS}")
+    if args.cutoff > MAX_DYNAMICS_CUTOFF:
+        raise InfeasibleError(f"photon-number cutoff {args.cutoff} is over the limit of "
+                              f"{MAX_DYNAMICS_CUTOFF}")
     grid = _linspace(0.0, t_end, args.points)
     pops = ensemble.integrate_master_equation(cfg.ensemble, args.modes,
                                               args.cutoff, grid)

@@ -205,7 +205,11 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
         raise ValueError("tensor requires matching cutoffs")
     layout = ModeLayout(a.layout.modes + b.layout.modes, a.layout.cutoff,
                         max(a.layout.max_dim, b.layout.max_dim))
-    return DensityOperator.from_factor(layout, np.kron(a.factor, b.factor))
+    va, vb = a.factor, b.factor
+    # np.kron of the factors as one broadcast product, bit for bit, without
+    # np.kron's per-call bookkeeping
+    v = (va[:, None, :, None] * vb[None, :, None, :]).reshape(layout.dim, -1)
+    return DensityOperator.from_factor(layout, v)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +433,9 @@ def marginal(rho: DensityOperator, modes) -> np.ndarray:
                          f"of a {layout.modes}-mode layout")
     diag = (v.real ** 2 + v.imag ** 2).sum(axis=1).reshape([layout.mode_dim] * layout.modes)
     out = diag.sum(axis=tuple(a for a in range(layout.modes) if a not in modes))
-    return out.transpose(np.argsort(np.argsort(modes)))
+    # ``out`` holds the kept axes in ascending mode order
+    order = sorted(modes)
+    return out.transpose([order.index(m) for m in modes])
 
 
 def detector_probability(rho: DensityOperator, i: int, det: DetectorModel, outcome) -> float:

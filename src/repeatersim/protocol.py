@@ -212,6 +212,10 @@ def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float) -> fock.D
     """Link density operator embedded in ``layout`` with all other modes in
     vacuum: rank 2, the vacuum with weight c and the shared excitation
     (|1_a⟩ + e^{i phase} |1_b⟩)/√2, over c + 1."""
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(f"link vacuum coefficient c = {c} must be finite and non-negative")
+    if not math.isfinite(phase):
+        raise ValueError(f"link phase {phase} must be finite")
     np, fock = _engines()
     factor = np.zeros((layout.dim, 2), dtype=complex)
     factor[0, 0] = math.sqrt(c)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,16 @@ from repeatersim.protocol import eme_density
 ROOT8 = 2 * math.sqrt(2)
 
 
+def gate_chain(rho, setting):
+    """The coincidence circuit's gates one by one: the two phases, then the
+    L and R splitters, each checking its own pair support."""
+    L1, R1, L2, R2 = 0, 1, 2, 3
+    rho = fock.apply_phase(rho, L1, setting.psi_left)
+    rho = fock.apply_phase(rho, R1, setting.psi_right)
+    rho = fock.apply_beamsplitter(rho, L1, L2)
+    return fock.apply_beamsplitter(rho, R1, R2)
+
+
 def chain_correlation(c_n, phi, setting, eta_a, dark_prob):
     """Reference correlation by the destructive measurement chain: per
     pattern, ``measure_detector`` in descending mode order, then
@@ -28,12 +39,8 @@ def chain_correlation(c_n, phi, setting, eta_a, dark_prob):
     pair = eme_density(fock.ModeLayout(2, 2), (0, 1), c_n, phi)
     for mode in (0, 1):
         pair = fock.apply_loss(pair, mode, eta_a)
-    rho = fock.tensor(pair, pair)
+    rho = gate_chain(fock.tensor(pair, pair), setting)
     L1, R1, L2, R2 = 0, 1, 2, 3
-    rho = fock.apply_phase(rho, L1, setting.psi_left)
-    rho = fock.apply_phase(rho, R1, setting.psi_right)
-    rho = fock.apply_beamsplitter(rho, L1, L2)
-    rho = fock.apply_beamsplitter(rho, R1, R2)
     det = fock.DetectorModel(dark_count_prob=dark_prob)
     left, right = {1: L1, 2: L2}, {1: R1, 2: R2}
     probs = {}
@@ -142,6 +149,43 @@ class TestCoincidenceMarginal:
         for (a, b), res in zip(CHSH_SETTINGS, results):
             assert res == correlation(c_n, phi, MeasurementSetting(a, b), eta_a)
 
+    EKERT_SETTINGS = [(a, b) for a in (0.0, math.pi / 2) for b in (0.0, math.pi / 2)]
+
+    @pytest.mark.parametrize("dark_prob", [0.0, 1e-3])
+    @pytest.mark.parametrize("angles", ["chsh", "ekert", "random"])
+    def test_batched_settings_match_destructive_chain(self, angles, dark_prob):
+        rng = np.random.default_rng(4401)
+        for _ in range(6):
+            c_n, phi, eta_a = rng.uniform(0, 3), rng.uniform(0, 2 * math.pi), rng.uniform(0.05, 1)
+            pairs = {"chsh": CHSH_SETTINGS, "ekert": self.EKERT_SETTINGS,
+                     "random": rng.uniform(-math.pi, 2 * math.pi, size=(5, 2))}[angles]
+            settings = [MeasurementSetting(a, b) for a, b in pairs]
+            got = applications._correlations(applications._link_pair(c_n, phi, eta_a),
+                                             settings, dark_prob)
+            assert len(got) == len(settings)
+            for res, setting in zip(got, settings):
+                want = chain_correlation(c_n, phi, setting, eta_a, dark_prob)
+                assert res.pattern_probs.keys() == want.pattern_probs.keys()
+                for k, p in want.pattern_probs.items():
+                    assert abs(res.pattern_probs[k] - p) <= 1e-14
+                assert abs(res.value - want.value) <= 1e-14
+                assert abs(res.coincidence_prob - want.coincidence_prob) <= 1e-14
+
+    @pytest.mark.parametrize("links,modes", [(((2, 0), (1, 0)), "(0, 2)"),
+                                             (((0, 2), (0, 1)), "(1, 3)")])
+    def test_pair_support_above_cutoff_raises_like_the_gate_chain(self, links, modes):
+        # three photons in one site's pair (L1, L2) or (R1, R2), above cutoff 2
+        first, second = (fock.number_state(fock.ModeLayout(2, 2), occ).to_density()
+                         for occ in links)
+        rho = fock.tensor(first, second)
+        setting = MeasurementSetting(0.3, 1.1)
+        with pytest.raises(fock.TruncationError,
+                           match=re.escape(f"beamsplitter on modes {modes}:")) as batched:
+            applications._correlations(rho, [setting, setting])
+        with pytest.raises(fock.TruncationError) as chain:
+            gate_chain(rho, setting)
+        assert str(batched.value) == str(chain.value)
+
     @pytest.mark.parametrize("dark_prob", [-0.1, 1.5])
     def test_dark_probability_outside_unit_interval_rejected(self, dark_prob):
         with pytest.raises(ValueError, match="dark_count_prob"):
@@ -241,17 +285,22 @@ class TestEkert:
         """Make every setting of the sampler read its patterns from ``probs``."""
         index = {0.0: 0, math.pi / 2: 1}
 
-        def fixed(rho, setting, dark_prob=0.0):
-            p = probs[index[setting.psi_left], index[setting.psi_right]]
-            return CorrelationResult(value=math.nan, coincidence_prob=sum(p),
-                                     pattern_probs=dict(zip(("11", "12", "21", "22"), p)))
-        monkeypatch.setattr(applications, "_correlation", fixed)
+        def fixed(rho, settings, dark_prob=0.0):
+            cells = (probs[index[s.psi_left], index[s.psi_right]] for s in settings)
+            return tuple(CorrelationResult(value=math.nan, coincidence_prob=sum(p),
+                                           pattern_probs=dict(zip(("11", "12", "21", "22"), p)))
+                         for p in cells)
+        monkeypatch.setattr(applications, "_correlations", fixed)
 
 
 class TestFockCallCounts:
     """The application circuits' fock work, as call counts."""
 
-    NAMES = ("measure_detector", "detector_probability", "tensor")
+    NAMES = ("measure_detector", "detector_probability", "tensor",
+             "apply_phase", "apply_beamsplitter", "marginal")
+    # one link pair, no gate, and the two splitters' support marginals once
+    LINK_PAIR = {"measure_detector": 0, "detector_probability": 0, "tensor": 1,
+                 "apply_phase": 0, "apply_beamsplitter": 0, "marginal": 2}
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -265,20 +314,48 @@ class TestFockCallCounts:
 
     def test_correlation_measures_nothing(self, calls):
         correlation(0.5, 0.3, MeasurementSetting(0.9, 0.2), 0.4, dark_prob=1e-3)
-        assert calls == {"measure_detector": 0, "detector_probability": 0, "tensor": 1}
+        assert calls == self.LINK_PAIR
 
     def test_chsh_builds_one_link_pair(self, calls):
         chsh_correlations(0.5, 0.3, 0.4)
-        assert calls == {"measure_detector": 0, "detector_probability": 0, "tensor": 1}
+        assert calls == self.LINK_PAIR
 
     def test_ekert_builds_one_link_pair(self, calls):
         ekert_simulation(0.5, 0.3, 0.4, rounds=1000, seed=1)
-        assert calls == {"measure_detector": 0, "detector_probability": 0, "tensor": 1}
+        assert calls == self.LINK_PAIR
 
     def test_teleport_measures_each_pattern_destructively(self, calls):
-        # four accepted patterns, four detectors each; two tensor products
+        # four accepted patterns, four detectors each; two tensor products;
+        # two splitters, each reading its pair support; π on two patterns
         teleport(PolarizationQubit.from_bloch(1.1, 0.4), 0.5, 0.6)
-        assert calls == {"measure_detector": 16, "detector_probability": 0, "tensor": 2}
+        assert calls == {"measure_detector": 16, "detector_probability": 0, "tensor": 2,
+                         "apply_phase": 2, "apply_beamsplitter": 2, "marginal": 2}
+
+
+class TestLinkParameters:
+    """Bad link parameters are refused by ``eme_density`` with their reason."""
+
+    CIRCUITS = {
+        "correlation": lambda c_n, phi: correlation(c_n, phi, MeasurementSetting(0.0, 0.0), 0.5),
+        "chsh_value": lambda c_n, phi: chsh_value(c_n, phi, 0.5),
+        "ekert_simulation": lambda c_n, phi: ekert_simulation(c_n, phi, 0.5, rounds=100, seed=1),
+        "teleport": lambda c_n, phi: teleport(PolarizationQubit(1.0, 0.0), c_n, 0.5, phi=phi),
+    }
+
+    @pytest.mark.parametrize("circuit", CIRCUITS)
+    @pytest.mark.parametrize("c_n,phi,reason", [
+        (math.nan, 0.0, "link vacuum coefficient c = nan must be finite and non-negative"),
+        (math.inf, 0.0, "link vacuum coefficient c = inf must be finite and non-negative"),
+        (-0.5, 0.0, "link vacuum coefficient c = -0.5 must be finite and non-negative"),
+        (1.0, math.nan, "link phase nan must be finite"),
+        (1.0, math.inf, "link phase inf must be finite"),
+        (1.0, -math.inf, "link phase -inf must be finite"),
+    ])
+    def test_bad_link_parameters_rejected(self, circuit, c_n, phi, reason):
+        with pytest.raises(ValueError) as exc:
+            self.CIRCUITS[circuit](c_n, phi)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == reason
 
 
 class TestTeleport:

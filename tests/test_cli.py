@@ -157,6 +157,27 @@ class TestDynamics:
             f"infeasible: {points} time points are over the limit of 100000\n")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("cutoff", [101, 1_000_000_000])
+    def test_cutoff_over_the_limit_exits_4_before_any_grid(self, tmp_path, capsys,
+                                                           monkeypatch, cutoff):
+        def built(*args):
+            raise AssertionError("dynamics built its grid")
+
+        monkeypatch.setattr(cli, "_linspace", built)
+        monkeypatch.setattr(cli.ensemble, "integrate_master_equation", built)
+        out_file = tmp_path / "dyn.csv"
+        code, out = run_cli(["dynamics", "--cutoff", str(cutoff), "--out", str(out_file)])
+        assert code == 4
+        assert out == ""
+        assert capsys.readouterr().err == (
+            f"infeasible: photon-number cutoff {cutoff} is over the limit of 100\n")
+        assert not out_file.exists()
+
+    def test_cutoff_at_the_limit_runs(self, tmp_path):
+        code, out = run_cli(["dynamics", "--cutoff", "100", "--out", str(tmp_path / "d.csv")])
+        assert code == 0
+        assert "extracted rate ratio" in out
+
     def test_many_noise_modes_print_the_four_mode_summary(self, tmp_path):
         # noise modes are identical; a dense 12-mode state would need
         # 3^24 entries

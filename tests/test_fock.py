@@ -688,6 +688,22 @@ class TestRankRule:
         assert vacuum(layout).factor.shape == (layout.dim, 1)
         assert number_state(layout, (1, 0, 2)).to_density().factor.shape == (layout.dim, 1)
 
+    @pytest.mark.parametrize("modes_a,rank_a,modes_b,rank_b", [(1, 2, 2, 5), (2, 4, 1, 1),
+                                                               (2, 3, 2, 7)])
+    def test_tensor_equals_kron_bit_for_bit(self, modes_a, rank_a, modes_b, rank_b):
+        rng = np.random.default_rng(modes_a * 100 + rank_a * 10 + rank_b)
+
+        def factored(modes, rank):
+            layout = ModeLayout(modes, 2)
+            g = rng.normal(size=(layout.dim, rank)) + 1j * rng.normal(size=(layout.dim, rank))
+            return DensityOperator.from_factor(layout, g / np.linalg.norm(g))
+
+        a, b = factored(modes_a, rank_a), factored(modes_b, rank_b)
+        assert a.factor.shape[1] == rank_a and b.factor.shape[1] == rank_b
+        got = fock.tensor(a, b)
+        assert got.layout == ModeLayout(modes_a + modes_b, 2)
+        assert np.array_equal(got.factor, np.kron(a.factor, b.factor))
+
 
 @pytest.mark.parametrize("include_second_order", [False, True])
 def test_generation_circuit_matches_dense_path(include_second_order):
