@@ -80,6 +80,14 @@ def _link_pair(c_n: float, phi: float, eta_a: float) -> fock.DensityOperator:
     return fock.tensor(pair, pair)
 
 
+def _alone(cutoff: int, dark_prob: float = 0.0) -> np.ndarray:
+    """(2, d²) threshold-POVM weights on a detector pair's number index: row i
+    is "detector i alone clicks", detector 1 on the first mode, 2 on the second."""
+    w = fock.DetectorModel(dark_count_prob=dark_prob).no_click_weights(cutoff)
+    click = np.array([1.0 - w, w])
+    return (click[:, :, None] * click[::-1, None, :]).reshape(2, -1)
+
+
 def _correlations(rho: fock.DensityOperator, settings, dark_prob: float = 0.0) -> tuple:
     """``correlation`` at each of ``settings`` on the link pair ``rho`` of
     ``_link_pair``, one ``CorrelationResult`` per setting in order."""
@@ -98,12 +106,9 @@ def _correlations(rho: fock.DensityOperator, settings, dark_prob: float = 0.0) -
     v = rho.factor.reshape(d, d, d, d, r).transpose(L1, L2, R1, R2, 4).reshape(d * d, -1)
     out = u[:, 1, None] @ (u[:, 0] @ v).reshape(len(settings), d * d, d * d, r)
     pops = (out.real ** 2 + out.imag ** 2).sum(axis=-1)   # (L1 L2, R1 R2) marginals
-    # detector 1 of a site sits on the first-mode output, detector 2 on the
-    # second.  Threshold POVMs are diagonal, so a pattern's probability is the
-    # number marginal weighted by "detector i alone clicks" (no-click weight w).
-    w = fock.DetectorModel(dark_count_prob=dark_prob).no_click_weights(cutoff)
-    click = np.array([1.0 - w, w])
-    alone = (click[:, :, None] * click[::-1, None, :]).reshape(2, d * d)
+    # threshold POVMs are diagonal, so a pattern's probability is the number
+    # marginal weighted by "detector i alone clicks"
+    alone = _alone(cutoff, dark_prob)
     results = []
     for probs in alone @ pops @ alone.T:
         p = {f"{i + 1}{j + 1}": float(probs[i, j]) for i in (0, 1) for j in (0, 1)}
@@ -206,10 +211,11 @@ def teleport(qubit: PolarizationQubit, c_n: float, eta_a: float,
     """Probabilistic teleportation through two shared links.
 
     The sender interferes the input storage modes with its halves of the
-    links; the four cross two-click patterns are accepted, two of them with
-    a conditional π rotation on the second output mode.  Confirmation of an
-    excitation on the right purifies away the vacuum components, making the
-    post-selected fidelity unity.
+    links and accepts the four two-click patterns (i, j): detector i of group
+    1 and detector j of group 2 each click alone.  The crossed patterns take a
+    conditional π on the second output mode.  Confirmation of an excitation
+    on the right purifies away the vacuum components, making the post-selected
+    fidelity unity.
     """
     if not 0.0 < eta_a <= 1.0:
         raise ValueError(f"application efficiency {eta_a} outside (0, 1]")
@@ -221,41 +227,33 @@ def teleport(qubit: PolarizationQubit, c_n: float, eta_a: float,
     rho = fock.apply_beamsplitter(rho, I1, L1)
     rho = fock.apply_beamsplitter(rho, I2, L2)
 
-    # group 1 detectors on (I1, L1) outputs, group 2 on (I2, L2) outputs
-    patterns = [
-        ({I1: "click", L1: "no_click", I2: "click", L2: "no_click"}, False),  # D1I, D2I
-        ({I1: "no_click", L1: "click", I2: "no_click", L2: "click"}, False),  # D1L, D2L
-        ({I1: "click", L1: "no_click", I2: "no_click", L2: "click"}, True),   # D1I, D2L
-        ({I1: "no_click", L1: "click", I2: "click", L2: "no_click"}, True),   # D1L, D2I
-    ]
-    pattern_total = 0.0
-    confirmed_total = 0.0
-    fidelity_acc = 0.0
-    det = fock.DetectorModel()
-    for outcomes, correct in patterns:
-        # destructive, in descending mode order so lower indices stay valid
-        p, cond = 1.0, rho
-        try:
-            for mode in sorted(outcomes, reverse=True):
-                q, cond = fock.measure_detector(cond, mode, det, outcomes[mode])
-                p *= q
-        except fock.ImpossibleOutcomeError:
-            continue
-        pattern_total += p
-        if correct:
-            cond = fock.apply_phase(cond, 1, math.pi)   # π on the R2 output mode
-        w = cond.population((1, 0)) + cond.population((0, 1))
-        if w <= 0.0:
-            continue
-        # restrict to the single-excitation sector and renormalize
-        f = fock.fidelity(cond, target) / w
-        confirmed_total += p * w
-        fidelity_acc += p * w * f
-    if pattern_total <= 0.0:
+    # V with axes (I1 L1, I2 L2, R1 R2, rank): group 1 detectors on the
+    # (I1, L1) outputs, group 2 on (I2, L2).  Pattern (i, j) weighs the sender
+    # index by alone[i] ⊗ alone[j], and its p·w·f (probability, confirmation
+    # weight, fidelity) is the unnormalised overlap ‖ψ† V_ij‖², so no
+    # conditional state is formed.
+    d, r = rho.layout.mode_dim, rho.factor.shape[1]
+    v = rho.factor.reshape([d] * 6 + [r]).transpose(I1, L1, I2, L2, R1, R2, 6)
+    v = v.reshape(d * d, d * d, d * d, r)
+    alone = _alone(rho.layout.cutoff)
+    w = alone[:, None, :, None] * alone[None, :, None, :]      # (i, j, I1 L1, I2 L2)
+    # sender weights of the straight (i = j) and the crossed (i ≠ j) patterns
+    kinds = np.stack([w[0, 0] + w[1, 1], w[0, 1] + w[1, 0]], axis=-1)
+    # the crossed patterns' π on R2 negates the target's |0,1⟩ amplitude
+    psi = np.stack([target.amplitudes] * 2)
+    psi[1, _PAIR.index((0, 1))] *= -1.0
+    overlap = psi.conj() @ v                                  # (I1 L1, I2 L2, kind, rank)
+    overlap = (overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1)
+    pops = (v.real ** 2 + v.imag ** 2).sum(axis=-1)
+    # accepted weight of each (R1, R2) number state
+    right = (kinds.sum(axis=-1)[..., None] * pops).sum(axis=(0, 1))
+    pattern_prob = float(right.sum())
+    success_prob = float(right[_PAIR.index((1, 0))] + right[_PAIR.index((0, 1))])
+    # below the smallest normal float the weight has lost its digits
+    if success_prob < np.finfo(float).tiny:
         raise ValueError("no accepted click pattern has support")
-    confirm_prob = confirmed_total / pattern_total
-    output_fidelity = fidelity_acc / confirmed_total if confirmed_total > 0 else 0.0
-    return TeleportResult(success_prob=confirmed_total,
-                          output_fidelity=output_fidelity,
-                          pattern_prob=pattern_total,
-                          confirm_prob=confirm_prob)
+    fidelity_acc = float((kinds * overlap).sum())
+    return TeleportResult(success_prob=success_prob,
+                          output_fidelity=fidelity_acc / success_prob,
+                          pattern_prob=pattern_prob,
+                          confirm_prob=success_prob / pattern_prob)

@@ -95,6 +95,14 @@ def emit_csv(header, rows, cfg: Config, path: str):
     _write("\n".join(lines) + "\n", path)
 
 
+def emit_record(summary: dict, cfg: Config, args):
+    """Write one summary as a single CSV row or as a JSON object."""
+    if args.format == "csv":
+        emit_csv(list(summary), [list(summary.values())], cfg, args.out)
+    else:
+        emit_json(summary, cfg, args.out)
+
+
 def emit_table(header, rows, summary: dict, cfg: Config, args):
     """Write one logical table as CSV or as a JSON record list."""
     if args.format == "csv":
@@ -126,11 +134,7 @@ def rates_summary(cfg: Config) -> dict:
 
 
 def cmd_rates(cfg: Config, args) -> int:
-    summary = rates_summary(cfg)
-    if args.format == "csv":
-        emit_csv(list(summary), [list(summary.values())], cfg, args.out)
-    else:
-        emit_json(summary, cfg, args.out)
+    emit_record(rates_summary(cfg), cfg, args)
     return EXIT_OK
 
 
@@ -254,11 +258,7 @@ def optimize_summary(cfg: Config, args) -> dict:
 
 
 def cmd_optimize(cfg: Config, args) -> int:
-    summary = optimize_summary(cfg, args)
-    if args.format == "csv":
-        emit_csv(list(summary), [list(summary.values())], cfg, args.out)
-    else:
-        emit_json(summary, cfg, args.out)
+    emit_record(optimize_summary(cfg, args), cfg, args)
     return EXIT_OK
 
 
@@ -385,11 +385,7 @@ def _run_sweep(name: str, raw: dict, args) -> int:
     if name not in SWEEP_SUMMARIES:
         raise ConfigError(f"--sweep is not supported for {name}")
     key, values = _parse_sweep(args.sweep)
-    if "." not in key:
-        raise ConfigError(f"{key}: sweep keys use section.key form")
-    section, field = key.split(".", 1)
-    if section not in config.SCHEMA or field not in config.SCHEMA[section]:
-        raise ConfigError(f"{key}: unknown key")
+    section, field = config.schema_key(key)
     is_int = config.SCHEMA[section][field][0] is int
     header = None
     rows = []

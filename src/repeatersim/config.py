@@ -179,18 +179,14 @@ def _convert(raw: dict) -> dict:
     return values
 
 
-def _build_section(section: str, cls, values: dict, field_map=None):
-    kwargs = dict(values)
-    if field_map:
-        kwargs = {field_map.get(k, k): v for k, v in kwargs.items()}
+def _build_section(section: str, cls, values: dict):
     try:
-        return cls(**kwargs)
+        return cls(**values)
     except ValueError as exc:
         # surface the offending field with its section path
         msg = str(exc)
         for key in values:
-            target = field_map.get(key, key) if field_map else key
-            if target in msg or key in msg:
+            if key in msg:
                 raise ConfigError(f"{section}.{key}: {msg}") from exc
         raise ConfigError(f"{section}: {msg}") from exc
 
@@ -227,13 +223,19 @@ def load(path: str | None = None) -> Config:
     return from_raw(read_raw(path))
 
 
-def set_raw(raw: dict, dotted_key: str, value: str) -> dict:
-    """Return a copy of ``raw`` with ``section.key`` replaced (sweep support)."""
+def schema_key(dotted_key: str) -> tuple:
+    """``(section, key)`` of a ``section.key`` name in the schema."""
     if "." not in dotted_key:
         raise ConfigError(f"{dotted_key}: sweep keys use section.key form")
     section, key = dotted_key.split(".", 1)
     if section not in SCHEMA or key not in SCHEMA[section]:
         raise ConfigError(f"{dotted_key}: unknown key")
+    return section, key
+
+
+def set_raw(raw: dict, dotted_key: str, value: str) -> dict:
+    """Return a copy of ``raw`` with ``section.key`` replaced (sweep support)."""
+    section, key = schema_key(dotted_key)
     out = {s: dict(kv) for s, kv in raw.items()}
     out[section][key] = value
     return out

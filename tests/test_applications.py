@@ -66,6 +66,51 @@ def chain_correlation(c_n, phi, setting, eta_a, dark_prob):
     return CorrelationResult(value=value, coincidence_prob=total, pattern_probs=probs)
 
 
+def chain_teleport(qubit, c_n, eta_a, phi=0.0):
+    """Reference teleportation by the destructive measurement chain: per
+    accepted pattern, ``measure_detector`` on its four detectors in
+    descending mode order, the π on R2 for the crossed patterns, then the
+    single-excitation population and fidelity of the conditional state."""
+    layout = fock.ModeLayout(2, 2)
+    target = fock.pure_state(layout, {(1, 0): qubit.d0, (0, 1): qubit.d1}, normalize=False)
+    link = fock.apply_loss(eme_density(layout, (0, 1), c_n, phi), 0, eta_a)
+    qubit_rho = target.to_density()
+    for mode in (0, 1):
+        qubit_rho = fock.apply_loss(qubit_rho, mode, eta_a)
+    rho = fock.tensor(fock.tensor(qubit_rho, link), link)
+    I1, I2, L1, R1, L2, R2 = 0, 1, 2, 3, 4, 5
+    rho = fock.apply_beamsplitter(rho, I1, L1)
+    rho = fock.apply_beamsplitter(rho, I2, L2)
+    patterns = [
+        ({I1: "click", L1: "no_click", I2: "click", L2: "no_click"}, False),
+        ({I1: "no_click", L1: "click", I2: "no_click", L2: "click"}, False),
+        ({I1: "click", L1: "no_click", I2: "no_click", L2: "click"}, True),
+        ({I1: "no_click", L1: "click", I2: "click", L2: "no_click"}, True),
+    ]
+    pattern_total = confirmed_total = fidelity_acc = 0.0
+    det = fock.DetectorModel()
+    for outcomes, crossed in patterns:
+        p, cond = 1.0, rho
+        try:
+            for mode in sorted(outcomes, reverse=True):
+                q, cond = fock.measure_detector(cond, mode, det, outcomes[mode])
+                p *= q
+        except fock.ImpossibleOutcomeError:
+            continue
+        pattern_total += p
+        if crossed:
+            cond = fock.apply_phase(cond, 1, math.pi)
+        w = cond.population((1, 0)) + cond.population((0, 1))
+        if w <= 0.0:
+            continue
+        confirmed_total += p * w
+        fidelity_acc += p * w * (fock.fidelity(cond, target) / w)
+    return applications.TeleportResult(success_prob=confirmed_total,
+                                       output_fidelity=fidelity_acc / confirmed_total,
+                                       pattern_prob=pattern_total,
+                                       confirm_prob=confirmed_total / pattern_total)
+
+
 def reference_key_stats(table, rounds, seed):
     """Key statistics from a (2, 2, 5) outcome table by the (rounds, 5)
     cumulative comparison and ``np.isin`` bit formula."""
@@ -324,12 +369,12 @@ class TestFockCallCounts:
         ekert_simulation(0.5, 0.3, 0.4, rounds=1000, seed=1)
         assert calls == self.LINK_PAIR
 
-    def test_teleport_measures_each_pattern_destructively(self, calls):
-        # four accepted patterns, four detectors each; two tensor products;
-        # two splitters, each reading its pair support; π on two patterns
+    def test_teleport_reads_the_splitter_output_once(self, calls):
+        # two tensor products and two splitters, each reading its pair
+        # support; no detector, phase gate or conditional state
         teleport(PolarizationQubit.from_bloch(1.1, 0.4), 0.5, 0.6)
-        assert calls == {"measure_detector": 16, "detector_probability": 0, "tensor": 2,
-                         "apply_phase": 2, "apply_beamsplitter": 2, "marginal": 2}
+        assert calls == {"measure_detector": 0, "detector_probability": 0, "tensor": 2,
+                         "apply_phase": 0, "apply_beamsplitter": 2, "marginal": 2}
 
 
 class TestLinkParameters:
@@ -408,6 +453,32 @@ class TestTeleport:
         res = teleport(q, c_n, eta_a)
         expected = (eta_a ** 2 / (c_n + 1) ** 2) * ((3 - eta_a) / 4 + c_n / 2)
         assert res.pattern_prob == pytest.approx(expected, abs=1e-9)
+
+    def test_matches_destructive_chain(self):
+        rng = np.random.default_rng(2311)
+        points = [(1.0, rng.uniform(0, 3)), (rng.uniform(0.05, 1), 0.0), (1.0, 0.0)]
+        points += [(rng.uniform(0.05, 1), rng.uniform(0, 3)) for _ in range(21)]
+        for eta_a, c_n in points:
+            q = PolarizationQubit.from_bloch(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            phi = rng.uniform(0, 2 * math.pi)
+            got, want = teleport(q, c_n, eta_a, phi=phi), chain_teleport(q, c_n, eta_a, phi=phi)
+            for field in ("success_prob", "output_fidelity", "pattern_prob", "confirm_prob"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-14)
+
+    @pytest.mark.parametrize("c_n,eta_a", [(1e16, 0.5), (0.5, 1e-16)])
+    def test_tiny_weights_follow_closed_forms(self, c_n, eta_a):
+        # the destructive chain's 1e-15 per-detector floor refused these
+        res = teleport(PolarizationQubit.from_bloch(1.1, 0.4), c_n, eta_a)
+        scale = eta_a ** 2 / (c_n + 1) ** 2
+        assert res.pattern_prob == pytest.approx(scale * ((3 - eta_a) / 4 + c_n / 2), rel=1e-12)
+        assert res.success_prob == pytest.approx(scale / 4, rel=1e-12)
+        assert res.output_fidelity == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("c_n,eta_a", [(1e300, 0.5), (0.5, 1e-300), (0.0, 1e-160)])
+    def test_weight_lost_to_underflow_refused(self, c_n, eta_a):
+        # success weight eta^2 / (4 (c + 1)^2) zero or below the normal floats
+        with pytest.raises(ValueError, match="^no accepted click pattern has support$"):
+            teleport(PolarizationQubit.from_bloch(1.1, 0.4), c_n, eta_a)
 
     def test_fidelity_independent_of_phase_and_efficiency(self):
         q = PolarizationQubit.from_bloch(0.8, 2.5)
