@@ -9,6 +9,7 @@ infidelity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import fock
 from .montecarlo import DRAW_BUDGET
-from .protocol import eme_density
+from .protocol import check_link
 from .scaling import InfeasibleError
 
 
@@ -62,30 +63,51 @@ class CorrelationResult:
 
 # every circuit here holds two-mode factors at cutoff 2
 _PAIR = fock.ModeLayout(2, 2)
+# indices of the single-excitation states |1,0⟩ and |0,1⟩ of a pair
+_SINGLES = [_PAIR.index((1, 0)), _PAIR.index((0, 1))]
+# below the smallest normal float a coincidence weight has lost its digits
+_TINY = np.finfo(float).tiny
 
 
-def _lossy(rho: fock.DensityOperator, eta_a: float, modes) -> fock.DensityOperator:
-    """``rho`` after loss ``eta_a`` on ``modes``.  Loss on one factor commutes
-    with ``fock.tensor``, so circuits apply it to the 9-dim factors."""
-    for mode in modes:
-        rho = fock.apply_loss(rho, mode, eta_a)
-    return rho
+def _lossy_input(c: float, amps, etas) -> fock.DensityOperator:
+    """The two-mode state (c |00⟩⟨00| + |a⟩⟨a|)/(c + 1), |a⟩ = a_0 |10⟩ + a_1 |01⟩
+    of unit norm, after loss η_m on mode m.  Loss only moves weight into the
+    vacuum, so the factor keeps two columns: the vacuum with weight
+    (c + Σ_m (1 − η_m) |a_m|²)/(c + 1) and the excitation √η_m a_m / √(c + 1)."""
+    root = math.sqrt(c + 1.0)
+    lost = sum((1.0 - eta) * abs(a) ** 2 for a, eta in zip(amps, etas))
+    factor = np.zeros((_PAIR.dim, 2), dtype=complex)
+    factor[0, 0] = math.sqrt(c + lost) / root
+    factor[_SINGLES, 1] = [math.sqrt(eta) * a / root for a, eta in zip(amps, etas)]
+    return fock.DensityOperator.from_factor(_PAIR, factor)
+
+
+def _link(c_n: float, phi: float, etas) -> fock.DensityOperator:
+    """The link (c_n, phi) after loss ``etas`` on its two halves."""
+    for eta in etas:
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"application efficiency {eta} outside (0, 1]")
+    check_link(c_n, phi)
+    phase = complex(math.cos(phi), math.sin(phi))
+    return _lossy_input(c_n, (math.sqrt(0.5), phase * math.sqrt(0.5)), etas)
 
 
 def _link_pair(c_n: float, phi: float, eta_a: float) -> fock.DensityOperator:
     """The two lossy links (L1, R1) and (L2, R2) a correlation circuit reads."""
-    if not 0.0 < eta_a <= 1.0:
-        raise ValueError(f"application efficiency {eta_a} outside (0, 1]")
-    pair = _lossy(eme_density(_PAIR, (0, 1), c_n, phi), eta_a, (0, 1))
+    pair = _link(c_n, phi, (eta_a, eta_a))
     return fock.tensor(pair, pair)
 
 
+@functools.lru_cache(maxsize=16)
 def _alone(cutoff: int, dark_prob: float = 0.0) -> np.ndarray:
     """(2, d²) threshold-POVM weights on a detector pair's number index: row i
-    is "detector i alone clicks", detector 1 on the first mode, 2 on the second."""
+    is "detector i alone clicks", detector 1 on the first mode, 2 on the
+    second (read-only, memoised)."""
     w = fock.DetectorModel(dark_count_prob=dark_prob).no_click_weights(cutoff)
     click = np.array([1.0 - w, w])
-    return (click[:, :, None] * click[::-1, None, :]).reshape(2, -1)
+    alone = (click[:, :, None] * click[::-1, None, :]).reshape(2, -1)
+    alone.flags.writeable = False
+    return alone
 
 
 def _correlations(rho: fock.DensityOperator, settings, dark_prob: float = 0.0) -> tuple:
@@ -94,8 +116,7 @@ def _correlations(rho: fock.DensityOperator, settings, dark_prob: float = 0.0) -
     L1, R1, L2, R2 = 0, 1, 2, 3
     # a number-basis phase keeps every number marginal and the L splitter leaves
     # (R1, R2) alone: the gate chain's splitters see the input pair's support
-    fock._check_pair_support(rho, L1, L2, "beamsplitter")
-    fock._check_pair_support(rho, R1, R2, "beamsplitter")
+    fock._check_pair_support(rho, [(L1, L2), (R1, R2)], "beamsplitter")
     cutoff, d, (_, r) = rho.layout.cutoff, rho.layout.mode_dim, rho.factor.shape
     # per setting and site (L, R), the phase e^{iψn} on the first mode and the
     # balanced splitter fused into one unitary on the site's d² pair index
@@ -113,7 +134,7 @@ def _correlations(rho: fock.DensityOperator, settings, dark_prob: float = 0.0) -
     for probs in alone @ pops @ alone.T:
         p = {f"{i + 1}{j + 1}": float(probs[i, j]) for i in (0, 1) for j in (0, 1)}
         total = sum(p.values())
-        if total <= 0.0:
+        if total < _TINY:
             raise ValueError("no coincidences: correlation undefined")
         results.append(CorrelationResult(value=(p["11"] + p["22"] - p["12"] - p["21"]) / total,
                                          coincidence_prob=total, pattern_probs=p))
@@ -189,13 +210,14 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
     cell = 2 * left + right
     # 0..3: patterns 11, 12, 21, 22; 4: no coincidence
     outcome = sum(u >= cum[cell] for cum in np.cumsum(table, axis=1).T)
-
-    coincident = outcome < 4
-    kept = outcome[coincident & (left == right)]
-    # bit 0 when detector 1 fires: left D1 in patterns 11, 12; right D1 in 11, 21
-    qber = float(np.mean((kept >= 2) != (kept % 2 == 1))) if kept.size else 0.0
-    return KeyStats(rounds=rounds, sifted_length=int(kept.size), qber=qber,
-                    coincidence_rate=float(coincident.mean()), seed=seed)
+    counts = np.bincount(5 * cell + outcome, minlength=20).reshape(4, 5)
+    kept = counts[[0, 3], :4]                  # matching settings, coincident
+    sifted = int(kept.sum())
+    # bit 0 when detector 1 fires (left in 11, 12; right in 11, 21), so the
+    # two bits differ in patterns 12 and 21
+    qber = int(kept[:, 1:3].sum()) / sifted if sifted else 0.0
+    return KeyStats(rounds=rounds, sifted_length=sifted, qber=qber,
+                    coincidence_rate=int(counts[:, :4].sum()) / rounds, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -217,40 +239,37 @@ def teleport(qubit: PolarizationQubit, c_n: float, eta_a: float,
     on the right purifies away the vacuum components, making the post-selected
     fidelity unity.
     """
-    if not 0.0 < eta_a <= 1.0:
-        raise ValueError(f"application efficiency {eta_a} outside (0, 1]")
-    target = fock.pure_state(_PAIR, {(1, 0): qubit.d0, (0, 1): qubit.d1}, normalize=False)
-    link = _lossy(eme_density(_PAIR, (0, 1), c_n, phi), eta_a, (0,))   # sender half lossy
-    rho = fock.tensor(fock.tensor(_lossy(target.to_density(), eta_a, (0, 1)), link), link)
+    link = _link(c_n, phi, (eta_a, 1.0))   # sender half lossy
+    qubit_in = _lossy_input(0.0, (qubit.d0, qubit.d1), (eta_a, eta_a))
+    rho = fock.tensor(fock.tensor(qubit_in, link), link)
     I1, I2, L1, R1, L2, R2 = 0, 1, 2, 3, 4, 5
+    fock._check_pair_support(rho, [(I1, L1), (I2, L2)], "beamsplitter")
 
-    rho = fock.apply_beamsplitter(rho, I1, L1)
-    rho = fock.apply_beamsplitter(rho, I2, L2)
-
-    # V with axes (I1 L1, I2 L2, R1 R2, rank): group 1 detectors on the
-    # (I1, L1) outputs, group 2 on (I2, L2).  Pattern (i, j) weighs the sender
-    # index by alone[i] ⊗ alone[j], and its p·w·f (probability, confirmation
+    # V with axes (I1 L1, I2 L2, R1 R2, rank): the balanced splitters on the
+    # sender pairs are one matmul each.  Group 1 detectors sit on the (I1, L1)
+    # outputs, group 2 on (I2, L2).  Pattern (i, j) weighs the sender index
+    # by alone[i] ⊗ alone[j], and its p·w·f (probability, confirmation
     # weight, fidelity) is the unnormalised overlap ‖ψ† V_ij‖², so no
     # conditional state is formed.
-    d, r = rho.layout.mode_dim, rho.factor.shape[1]
+    d, r = _PAIR.mode_dim, rho.factor.shape[1]
+    u = fock.beamsplitter_matrix(_PAIR.cutoff, math.pi / 4, 0.0)
     v = rho.factor.reshape([d] * 6 + [r]).transpose(I1, L1, I2, L2, R1, R2, 6)
-    v = v.reshape(d * d, d * d, d * d, r)
-    alone = _alone(rho.layout.cutoff)
+    v = (u @ (u @ v.reshape(d * d, -1)).reshape(d * d, d * d, -1)).reshape(d * d, d * d, d * d, r)
+    alone = _alone(_PAIR.cutoff)
     w = alone[:, None, :, None] * alone[None, :, None, :]      # (i, j, I1 L1, I2 L2)
     # sender weights of the straight (i = j) and the crossed (i ≠ j) patterns
     kinds = np.stack([w[0, 0] + w[1, 1], w[0, 1] + w[1, 0]], axis=-1)
     # the crossed patterns' π on R2 negates the target's |0,1⟩ amplitude
-    psi = np.stack([target.amplitudes] * 2)
-    psi[1, _PAIR.index((0, 1))] *= -1.0
+    psi = np.zeros((2, d * d), dtype=complex)
+    psi[:, _SINGLES] = [[qubit.d0, qubit.d1], [qubit.d0, -qubit.d1]]
     overlap = psi.conj() @ v                                  # (I1 L1, I2 L2, kind, rank)
     overlap = (overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1)
     pops = (v.real ** 2 + v.imag ** 2).sum(axis=-1)
     # accepted weight of each (R1, R2) number state
     right = (kinds.sum(axis=-1)[..., None] * pops).sum(axis=(0, 1))
     pattern_prob = float(right.sum())
-    success_prob = float(right[_PAIR.index((1, 0))] + right[_PAIR.index((0, 1))])
-    # below the smallest normal float the weight has lost its digits
-    if success_prob < np.finfo(float).tiny:
+    success_prob = float(right[_SINGLES[0]] + right[_SINGLES[1]])
+    if success_prob < _TINY:
         raise ValueError("no accepted click pattern has support")
     fidelity_acc = float((kinds * overlap).sum())
     return TeleportResult(success_prob=success_prob,

@@ -279,15 +279,20 @@ def beamsplitter_matrix(cutoff: int, theta: float, phase: float) -> np.ndarray:
     return u
 
 
-def _check_pair_support(rho: DensityOperator, i: int, j: int, gate: str):
+def _check_pair_support(rho: DensityOperator, pairs, gate: str):
+    """Refuse ``gate`` on each mode pair (i, j) of ``pairs`` whose support has
+    pair photon number above the cutoff; one marginal serves every pair."""
     cutoff = rho.layout.cutoff
     n = np.arange(cutoff + 1)
-    leak = marginal(rho, (i, j))[np.add.outer(n, n) > cutoff].sum()
-    if leak > SUPPORT_LEAK_TOL:
-        raise TruncationError(
-            f"{gate} on modes ({i}, {j}): population {leak:.3e} has pair photon "
-            f"number above cutoff {cutoff}"
-        )
+    over = np.add.outer(n, n) > cutoff
+    pops = marginal(rho, [m for pair in pairs for m in pair])
+    for k, (i, j) in enumerate(pairs):
+        leak = pops.sum(axis=tuple(a for a in range(pops.ndim) if a // 2 != k))[over].sum()
+        if leak > SUPPORT_LEAK_TOL:
+            raise TruncationError(
+                f"{gate} on modes ({i}, {j}): population {leak:.3e} has pair photon "
+                f"number above cutoff {cutoff}"
+            )
 
 
 def apply_beamsplitter(rho: DensityOperator, i: int, j: int,
@@ -298,7 +303,7 @@ def apply_beamsplitter(rho: DensityOperator, i: int, j: int,
     layout.check_mode(j)
     if i == j:
         raise ValueError("beamsplitter needs two distinct modes")
-    _check_pair_support(rho, i, j, "beamsplitter")
+    _check_pair_support(rho, [(i, j)], "beamsplitter")
     return _apply_pair(rho, beamsplitter_matrix(layout.cutoff, theta, phase), i, j)
 
 
@@ -446,6 +451,29 @@ def detector_probability(rho: DensityOperator, i: int, det: DetectorModel, outco
     return float(np.dot(marginal(rho, (i,)), weights))
 
 
+def condition(rho: DensityOperator, weights: dict):
+    """Condition on diagonal POVM elements: ``weights`` maps each measured
+    mode to its element's weight on every photon number.  Returns
+    ``(probability, normalized state with those modes traced out)``."""
+    layout = rho.layout
+    for mode in weights:
+        layout.check_mode(mode)
+    if len(weights) == layout.modes:
+        raise ValueError("conditioning every remaining mode leaves no state; "
+                         "use detector_probability() for the outcome weight")
+    # scaling the measured axes by the root of the POVM weights and tracing
+    # them out leaves the unnormalized conditional state
+    root = functools.reduce(np.multiply.outer, [np.sqrt(w) for w in weights.values()])
+    folded = _fold(rho.factor, layout, tuple(weights))
+    rows = len(folded)
+    unnorm = (folded.reshape(rows, root.size, -1) * root.reshape(-1, 1)).reshape(rows, -1)
+    prob = float(np.vdot(unnorm, unnorm).real)
+    if prob < 1e-15:
+        raise ImpossibleOutcomeError("impossible-outcome conditioning")
+    sub_layout = ModeLayout(layout.modes - len(weights), layout.cutoff, layout.max_dim)
+    return prob, DensityOperator.from_factor(sub_layout, unnorm / math.sqrt(prob))
+
+
 def measure_detector(rho: DensityOperator, i: int, det: DetectorModel, outcome):
     """Destructive detector measurement on mode ``i``.
 
@@ -453,21 +481,7 @@ def measure_detector(rho: DensityOperator, i: int, det: DetectorModel, outcome):
     non-negative integer photon count for a resolving detector.  Returns
     ``(probability, normalized post state with mode i traced out)``.
     """
-    layout = rho.layout
-    layout.check_mode(i)
-    if layout.modes == 1:
-        raise ValueError("measuring the last remaining mode; "
-                         "use detector_probability() for the outcome weight")
-    # scaling the measured axis by the root of the POVM weights and tracing
-    # it out leaves the unnormalized post-measurement state
-    root_w = np.sqrt(_outcome_weights(det, layout.cutoff, outcome))
-    unnorm = _fold((_mode_view(rho, i) * root_w[:, None]).reshape(rho.factor.shape),
-                   layout, (i,))
-    prob = float(np.vdot(unnorm, unnorm).real)
-    if prob < 1e-15:
-        raise ImpossibleOutcomeError("impossible-outcome conditioning")
-    sub_layout = ModeLayout(layout.modes - 1, layout.cutoff, layout.max_dim)
-    return prob, DensityOperator.from_factor(sub_layout, unnorm / math.sqrt(prob))
+    return condition(rho, {i: _outcome_weights(det, rho.layout.cutoff, outcome)})
 
 
 def partial_trace(rho: DensityOperator, modes) -> DensityOperator:

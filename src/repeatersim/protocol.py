@@ -208,14 +208,20 @@ def _engines():
     return np, fock
 
 
-def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float) -> fock.DensityOperator:
-    """Link density operator embedded in ``layout`` with all other modes in
-    vacuum: rank 2, the vacuum with weight c and the shared excitation
-    (|1_a⟩ + e^{i phase} |1_b⟩)/√2, over c + 1."""
+def check_link(c: float, phase: float):
+    """Refuse a link vacuum coefficient that is not finite and non-negative,
+    or a link phase that is not finite."""
     if not (math.isfinite(c) and c >= 0.0):
         raise ValueError(f"link vacuum coefficient c = {c} must be finite and non-negative")
     if not math.isfinite(phase):
         raise ValueError(f"link phase {phase} must be finite")
+
+
+def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float) -> fock.DensityOperator:
+    """Link density operator embedded in ``layout`` with all other modes in
+    vacuum: rank 2, the vacuum with weight c and the shared excitation
+    (|1_a⟩ + e^{i phase} |1_b⟩)/√2, over c + 1."""
+    check_link(c, phase)
     np, fock = _engines()
     factor = np.zeros((layout.dim, 2), dtype=complex)
     factor[0, 0] = math.sqrt(c)
@@ -265,10 +271,9 @@ def generation_circuit(p_c: float, eta_p: float, p_dc: float,
     rho = fock.apply_phase(rho, 3, channel_phase)
     rho = fock.apply_beamsplitter(rho, 1, 3)
 
-    det = fock.DetectorModel(efficiency=1.0, dark_count_prob=p_dc)
-    p_click, rho = fock.measure_detector(rho, 3, det, "click")      # plus port
-    p_silent, rho = fock.measure_detector(rho, 1, det, "no_click")  # minus port
-    return p_click * p_silent, rho
+    silent = fock.DetectorModel(efficiency=1.0, dark_count_prob=p_dc).no_click_weights(cutoff)
+    # a click on the plus port, none on the minus port
+    return fock.condition(rho, {3: 1.0 - silent, 1: silent})
 
 
 def generate_oracle(params: RepeaterParams, cutoff: int = 4,
@@ -324,18 +329,12 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
     rho = fock.tensor(fock.apply_loss(left, 1, eta_s), fock.apply_loss(right, 0, eta_s))
     rho = fock.apply_beamsplitter(rho, 1, 2)
 
-    det = fock.DetectorModel(efficiency=1.0, resolving=True)
-    probs, post = [], []
-    for counts in ((1, 0), (0, 1)):
-        p2, cond = fock.measure_detector(rho, 2, det, counts[1])
-        p1, cond = fock.measure_detector(cond, 1, det, counts[0])
-        probs.append(p1 * p2)
-        post.append(cond)
-    total = sum(probs)
-    # the two herald patterns mixed by probability: their factors side by side
-    mixed = fock.DensityOperator.from_factor(post[0].layout, np.concatenate(
-        [math.sqrt(p / total) * cond.factor for p, cond in zip(probs, post)], axis=1))
-    vac = mixed.population((0, 0))
-    singles = mixed.population((1, 0)) + mixed.population((0, 1))
-    return SwapOracleResult(success_prob=total, c_measured=vac / singles,
-                            post_states=tuple(post))
+    # herald patterns: exactly one photon, on the I1 or the I2 output
+    one, none = np.eye(cutoff + 1)[[1, 0]]
+    probs, post = zip(*(fock.condition(rho, {1: a, 2: b}) for a, b in ((one, none), (none, one))))
+    # populations of the two conditional states mixed by probability
+    vac = sum(p * cond.population((0, 0)) for p, cond in zip(probs, post))
+    singles = sum(p * (cond.population((1, 0)) + cond.population((0, 1)))
+                  for p, cond in zip(probs, post))
+    return SwapOracleResult(success_prob=sum(probs), c_measured=vac / singles,
+                            post_states=post)

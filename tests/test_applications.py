@@ -231,6 +231,12 @@ class TestCoincidenceMarginal:
             gate_chain(rho, setting)
         assert str(batched.value) == str(chain.value)
 
+    def test_alone_weights_are_memoised_and_read_only(self):
+        alone = applications._alone(2, 1e-3)
+        assert applications._alone(2, 1e-3) is alone
+        with pytest.raises(ValueError, match="read-only"):
+            alone[0, 0] = 1.0
+
     @pytest.mark.parametrize("dark_prob", [-0.1, 1.5])
     def test_dark_probability_outside_unit_interval_rejected(self, dark_prob):
         with pytest.raises(ValueError, match="dark_count_prob"):
@@ -259,6 +265,24 @@ class TestChsh:
     @pytest.mark.parametrize("eta_a", [0.3, 1.0])
     def test_invariant_under_efficiency(self, eta_a):
         assert chsh_value(0.5, 0.7, eta_a) == pytest.approx(ROOT8, abs=1e-10)
+
+    def test_subnormal_coincidences_refused(self):
+        # coincidence weight 1.25e-321: its digits are gone, and reading it
+        # gave 2.83015, above the Tsirelson bound
+        with pytest.raises(ValueError, match="^no coincidences: correlation undefined$"):
+            chsh_value(1.0, 0.4, 1e-160)
+
+    def test_tsirelson_value_down_to_the_normal_floor(self):
+        for c_n in (0.0, 1.0, 5.0, 1e8):
+            for phi in (0.0, 1.0, 4.0):
+                for eta_a in np.logspace(-162, -140, 23):
+                    try:
+                        value = chsh_value(c_n, phi, eta_a)
+                    except ValueError as exc:
+                        assert str(exc) == "no coincidences: correlation undefined"
+                        assert eta_a ** 2 / (2 * (c_n + 1) ** 2) < 1e-307
+                        continue
+                    assert abs(value - ROOT8) <= 1.3e-15
 
     def test_tsirelson_consistency(self):
         rng = np.random.default_rng(21)
@@ -342,10 +366,11 @@ class TestFockCallCounts:
     """The application circuits' fock work, as call counts."""
 
     NAMES = ("measure_detector", "detector_probability", "tensor",
-             "apply_phase", "apply_beamsplitter", "marginal")
-    # one link pair, no gate, and the two splitters' support marginals once
+             "apply_phase", "apply_beamsplitter", "marginal", "apply_loss")
+    # one link pair built in closed form, no gate, and one support marginal
+    # for both splitters
     LINK_PAIR = {"measure_detector": 0, "detector_probability": 0, "tensor": 1,
-                 "apply_phase": 0, "apply_beamsplitter": 0, "marginal": 2}
+                 "apply_phase": 0, "apply_beamsplitter": 0, "marginal": 1, "apply_loss": 0}
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -370,11 +395,11 @@ class TestFockCallCounts:
         assert calls == self.LINK_PAIR
 
     def test_teleport_reads_the_splitter_output_once(self, calls):
-        # two tensor products and two splitters, each reading its pair
-        # support; no detector, phase gate or conditional state
+        # two tensor products, one support marginal for both sender splitters
+        # and the splitters fused into the read; no loss channel, detector,
+        # phase gate or conditional state
         teleport(PolarizationQubit.from_bloch(1.1, 0.4), 0.5, 0.6)
-        assert calls == {"measure_detector": 0, "detector_probability": 0, "tensor": 2,
-                         "apply_phase": 0, "apply_beamsplitter": 2, "marginal": 2}
+        assert calls == {**self.LINK_PAIR, "tensor": 2}
 
 
 class TestLinkParameters:
@@ -486,6 +511,66 @@ class TestTeleport:
             for eta_a in (0.4, 1.0):
                 res = teleport(q, 0.5, eta_a, phi=phi)
                 assert res.output_fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLossyInput:
+    """The closed-form lossy inputs against the ``fock.apply_loss`` Kraus chain."""
+
+    @pytest.mark.parametrize("c_n,phi,etas", [
+        (0.7, 1.3, (1.0, 1.0)),      # no loss: the link itself
+        (0.0, 0.4, (0.3, 0.3)),      # no vacuum term
+        (1.3, 2.2, (0.45, 1.0)),     # one-sided, as teleport's links
+        (0.0, 5.1, (1.0, 0.6)),      # one-sided on the other half
+        (2.0, 0.9, (0.2, 0.85)),     # both sides, unequal
+    ])
+    def test_link_matches_kraus_chain(self, c_n, phi, etas):
+        want = eme_density(fock.ModeLayout(2, 2), (0, 1), c_n, phi)
+        for mode, eta in enumerate(etas):
+            want = fock.apply_loss(want, mode, eta)
+        got = applications._link(c_n, phi, etas)
+        assert got.factor.shape[1] <= 2
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-15
+
+    @pytest.mark.parametrize("eta", [1.0, 0.6, 1e-3])
+    def test_qubit_matches_kraus_chain(self, eta):
+        q = PolarizationQubit.from_bloch(1.1, 0.4)
+        want = fock.pure_state(fock.ModeLayout(2, 2), {(1, 0): q.d0, (0, 1): q.d1},
+                               normalize=False).to_density()
+        for mode in (0, 1):
+            want = fock.apply_loss(want, mode, eta)
+        got = applications._lossy_input(0.0, (q.d0, q.d1), (eta, eta))
+        assert got.factor.shape[1] <= 2
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-15
+
+
+class TestRefusalGrid:
+    """Each circuit over vacuum coefficients and efficiencies down to the
+    smallest subnormal: it returns, or refuses with its own reason, never a
+    bad parameter it did not get.  A weight (about eta_a^2 / (c_n + 1)^2)
+    below the smallest normal float is refused."""
+
+    REASONS = {"correlation": "no coincidences: correlation undefined",
+               "chsh_value": "no coincidences: correlation undefined",
+               "teleport": "no accepted click pattern has support"}
+    CIRCUITS = {
+        "correlation": lambda c_n, eta_a: correlation(c_n, 0.4, MeasurementSetting(0.3, 1.1),
+                                                      eta_a),
+        "chsh_value": lambda c_n, eta_a: chsh_value(c_n, 0.4, eta_a),
+        "teleport": lambda c_n, eta_a: teleport(PolarizationQubit.from_bloch(1.1, 0.4), c_n,
+                                                eta_a, phi=0.4),
+    }
+
+    @pytest.mark.parametrize("circuit", CIRCUITS)
+    @pytest.mark.parametrize("c_n", [0.0, 1.0, 1e16, 1e300])
+    @pytest.mark.parametrize("eta_a", [1.0, 0.5, 1e-16, 1e-160, 1e-300, 5e-324])
+    def test_runs_or_refuses_with_its_reason(self, circuit, c_n, eta_a):
+        if c_n == 1e300 or eta_a <= 1e-160:
+            with pytest.raises(ValueError) as exc:
+                self.CIRCUITS[circuit](c_n, eta_a)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == self.REASONS[circuit]
+        else:
+            self.CIRCUITS[circuit](c_n, eta_a)
 
 
 class TestLossBeforeTensor:

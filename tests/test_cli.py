@@ -221,6 +221,17 @@ class TestChsh:
         assert summary["coincidence_prob"] == last.coincidence_prob
 
 
+    @pytest.mark.parametrize("command", ["chsh", "ekert"])
+    def test_subnormal_coincidence_weight_exits_3(self, command, tmp_path, capsys):
+        # eta_a^2 / (2 (c_n + 1)^2) = 1.25e-321, below the normal floats
+        cfg = write_config(tmp_path, "[applications]\nvacuum_coeff = 1\n"
+                                     "[repeater]\napp_efficiency = 1e-160\n")
+        code, out = run_cli(["--config", cfg, command])
+        assert code == 3
+        assert out == ""
+        assert "no coincidences: correlation undefined" in capsys.readouterr().err
+
+
 class TestScaling:
     def test_direct_baseline_column(self, tmp_path):
         cfg = write_config(tmp_path, "[repeater]\ndark_prob = 0\n")

@@ -367,6 +367,27 @@ class TestDetector:
             measure_detector(rho, 0, DetectorModel(), "click")
         assert issubclass(fock.ImpossibleOutcomeError, ValueError)
 
+    def test_condition_floor_applies_to_the_joint_probability(self):
+        # two modes each click with probability about 1e-8: every step of the
+        # chain passes the 1e-15 floor, the joint outcome does not
+        layout = ModeLayout(3, 1)
+        amps = {occ: 1e-4 ** (occ[0] + occ[1]) for occ in layout.occupations() if occ[2] == 0}
+        rho = pure_state(layout, amps).to_density()
+        click = 1.0 - DetectorModel().no_click_weights(1)
+        p1, cond = measure_detector(rho, 1, DetectorModel(), "click")
+        p0, _ = measure_detector(cond, 0, DetectorModel(), "click")
+        assert p0 * p1 == pytest.approx(1e-16, rel=1e-7)
+        with pytest.raises(fock.ImpossibleOutcomeError, match="impossible-outcome"):
+            fock.condition(rho, {0: click, 1: click})
+
+    def test_condition_on_every_mode_refused(self):
+        rho = vacuum(ModeLayout(2, 2))
+        no_click = DetectorModel().no_click_weights(2)
+        with pytest.raises(ValueError, match="conditioning every remaining mode"):
+            fock.condition(rho, {0: no_click, 1: no_click})
+        with pytest.raises(ValueError, match="conditioning every remaining mode"):
+            measure_detector(vacuum(ModeLayout(1, 2)), 0, DetectorModel(), "no_click")
+
     def test_resolving_rejects_dark_counts(self):
         with pytest.raises(ValueError):
             DetectorModel(efficiency=1.0, dark_count_prob=0.1, resolving=True)
@@ -531,6 +552,8 @@ def embedded_one_mode(layout, op, mode):
     return out
 
 
+THRESHOLD = DetectorModel(efficiency=0.6, dark_count_prob=0.01)
+RESOLVING = DetectorModel(efficiency=0.8, resolving=True)
 ORACLE_LAYOUTS = [ModeLayout(3, 2), ModeLayout(4, 2), ModeLayout(5, 1), ModeLayout(6, 1)]
 RANKS = ["pure", "rank2", "full"]
 
@@ -626,6 +649,34 @@ class TestFactoredEngineAgainstDenseOracle:
             assert fock.detector_probability(rho, i, det, outcome) == pytest.approx(
                 want_p, abs=1e-14)
             assert_rank_bounded(out)
+
+    @pytest.mark.parametrize("outcomes", [
+        {1: (THRESHOLD, "click")},
+        {2: (RESOLVING, 1)},
+        {0: (THRESHOLD, "no_click"), 2: (THRESHOLD, "click")},
+        {2: (RESOLVING, 0), 0: (THRESHOLD, "click")},
+        {1: (RESOLVING, 1), 0: (RESOLVING, 1)},
+    ])
+    def test_condition(self, layout, rank, outcomes):
+        rho = random_state(layout, rank, 45 + layout.modes)
+        weights = {m: fock._outcome_weights(det, layout.cutoff, outcome)
+                   for m, (det, outcome) in outcomes.items()}
+        p, out = fock.condition(rho, weights)
+        # chained single-mode measurements, in descending mode order so the
+        # lower mode indices stay put
+        chain_p, chain = 1.0, rho
+        dense_p, dense, sub = 1.0, rho.matrix, layout
+        for m in sorted(outcomes, reverse=True):
+            q, chain = measure_detector(chain, m, *outcomes[m])
+            dq, dense = dense_measure(dense, sub, m, weights[m])
+            sub = ModeLayout(sub.modes - 1, sub.cutoff)
+            chain_p, dense_p = chain_p * q, dense_p * dq
+        assert out.layout == chain.layout == sub
+        assert p == pytest.approx(chain_p, abs=1e-14)
+        assert p == pytest.approx(dense_p, abs=1e-14)
+        assert np.max(np.abs(out.matrix - chain.matrix)) < 1e-14
+        assert np.max(np.abs(out.matrix - dense)) < 1e-14
+        assert_rank_bounded(out)
 
     def test_partial_trace(self, layout, rank):
         rho = random_state(layout, rank, 50 + layout.modes)

@@ -159,7 +159,42 @@ class TestGenerateOracle:
         assert res.infidelity == pytest.approx(0.0, abs=1e-9)
 
 
+def chain_swap(c, eta_s, cutoff=2, phase_left=0.0, phase_right=0.0):
+    """Reference swap by the destructive chain: per herald pattern, resolving
+    ``measure_detector`` on I2 then I1, and the two conditional states mixed
+    by probability as one factor with their columns side by side."""
+    layout = fock.ModeLayout(2, cutoff)
+    left = fock.apply_loss(eme_density(layout, (0, 1), c, phase_left), 1, eta_s)
+    right = fock.apply_loss(eme_density(layout, (0, 1), c, phase_right), 0, eta_s)
+    rho = fock.apply_beamsplitter(fock.tensor(left, right), 1, 2)
+    det = fock.DetectorModel(efficiency=1.0, resolving=True)
+    probs, post = [], []
+    for counts in ((1, 0), (0, 1)):
+        p2, cond = fock.measure_detector(rho, 2, det, counts[1])
+        p1, cond = fock.measure_detector(cond, 1, det, counts[0])
+        probs.append(p1 * p2)
+        post.append(cond)
+    total = sum(probs)
+    mixed = fock.DensityOperator.from_factor(layout, np.concatenate(
+        [math.sqrt(p / total) * cond.factor for p, cond in zip(probs, post)], axis=1))
+    vac = mixed.population((0, 0))
+    singles = mixed.population((1, 0)) + mixed.population((0, 1))
+    return total, vac / singles, post
+
+
 class TestSwapOracle:
+    def test_matches_destructive_chain(self):
+        rng = np.random.default_rng(5150)
+        for _ in range(16):
+            c, eta = rng.choice([0.0, rng.uniform(0, 4)]), rng.choice([1.0, rng.uniform(0.05, 1)])
+            phases = dict(phase_left=rng.uniform(0, 7), phase_right=rng.uniform(0, 7))
+            got = swap_oracle(c, eta, **phases)
+            total, c_measured, post = chain_swap(c, eta, **phases)
+            assert got.success_prob == pytest.approx(total, rel=1e-14)
+            assert got.c_measured == pytest.approx(c_measured, rel=1e-14, abs=1e-15)
+            for cond, want in zip(got.post_states, post):
+                assert np.max(np.abs(cond.matrix - want.matrix)) < 1e-14
+
     def test_ideal_swap(self):
         res = swap_oracle(0.0, 1.0)
         assert res.success_prob == pytest.approx(0.5, abs=1e-9)
