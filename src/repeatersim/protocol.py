@@ -284,22 +284,25 @@ def generate_oracle(params: RepeaterParams, cutoff: int = 4,
     ``c_measured`` is the conditional vacuum-to-single-excitation population
     ratio; ``infidelity`` is the conditional weight outside the ideal link
     support (vacuum plus the plus-superposition), the multi-excitation noise
-    that survives a single click.
+    that survives a single click.  It is summed from non-negative terms, the
+    population above one excitation plus the minus-superposition weight, so
+    no O(1) terms cancel.
     """
-    _, fock = _engines()
+    np, fock = _engines()
     prob, rho = generation_circuit(params.excitation_prob, params.eta_p,
                                    params.dark_prob, channel_phase, cutoff,
                                    include_second_order)
     vac = rho.population((0, 0))
     singles = rho.population((1, 0)) + rho.population((0, 1))
-    psi_plus = fock.pure_state(rho.layout, {
+    n = np.arange(rho.layout.mode_dim)
+    multi = float(fock.marginal(rho, (0, 1))[np.add.outer(n, n) > 1].sum())
+    psi_minus = fock.pure_state(rho.layout, {
         (1, 0): 1.0 / math.sqrt(2.0),
-        (0, 1): complex(math.cos(channel_phase), math.sin(channel_phase)) / math.sqrt(2.0),
+        (0, 1): -complex(math.cos(channel_phase), math.sin(channel_phase)) / math.sqrt(2.0),
     }, normalize=False)
-    f_plus = fock.fidelity(rho, psi_plus)
     return GenerationOracleResult(
         c_measured=vac / singles,
-        infidelity=max(0.0, 1.0 - vac - f_plus),
+        infidelity=multi + fock.fidelity(rho, psi_minus),
         click_prob=prob,
     )
 

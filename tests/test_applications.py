@@ -367,10 +367,10 @@ class TestFockCallCounts:
 
     NAMES = ("measure_detector", "detector_probability", "tensor",
              "apply_phase", "apply_beamsplitter", "marginal", "apply_loss")
-    # one link pair built in closed form, no gate, and one support marginal
-    # for both splitters
+    # one link pair built in closed form, no gate, and one support read
+    # (row norms, no marginal) for both splitters
     LINK_PAIR = {"measure_detector": 0, "detector_probability": 0, "tensor": 1,
-                 "apply_phase": 0, "apply_beamsplitter": 0, "marginal": 1, "apply_loss": 0}
+                 "apply_phase": 0, "apply_beamsplitter": 0, "marginal": 0, "apply_loss": 0}
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -395,7 +395,7 @@ class TestFockCallCounts:
         assert calls == self.LINK_PAIR
 
     def test_teleport_reads_the_splitter_output_once(self, calls):
-        # two tensor products, one support marginal for both sender splitters
+        # two tensor products, one support read for both sender splitters
         # and the splitters fused into the read; no loss channel, detector,
         # phase gate or conditional state
         teleport(PolarizationQubit.from_bloch(1.1, 0.4), 0.5, 0.6)

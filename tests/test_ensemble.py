@@ -1,14 +1,17 @@
+import ast
+import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from repeatersim import fock
+from repeatersim import ensemble, fock
 from repeatersim.ensemble import (
     EnsembleParams,
     effective_rates,
@@ -84,6 +87,107 @@ class TestLangevinGain:
         assert np.max(np.abs(numeric - closed) / closed) < 1e-8
 
 
+def dop853_gain(kappa_prime, t_grid, rtol=1e-11, atol=1e-13):
+    """Oracle for ``langevin_mean_ode``: SciPy's adaptive DOP853 from S(0) = 1
+    at t = 0, read off at the distinct points of ``t_grid``."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    distinct, where = np.unique(t_grid, return_inverse=True)
+    sol = solve_ivp(lambda _t, y: 0.5 * kappa_prime * y, (0.0, float(distinct[-1])), [1.0],
+                    t_eval=distinct, method="DOP853", rtol=rtol, atol=atol)
+    assert sol.success, sol.message
+    return sol.y[0][where]
+
+
+# the criterion-8 parameters (kappa' = 0.4)
+CRITERION8 = make_params(interaction_time=0.08)
+
+
+class TestLangevinIntegrator:
+    """The fixed-step RK4 drift integration against DOP853 and the closed form."""
+
+    CASES = {
+        "criterion 8": (CRITERION8, np.linspace(0.0, 3.0 / 0.4, 80)),
+        "late start": (make_params(atom_count=250), np.linspace(2.0, 9.0, 33)),
+        "repeated points": (make_params(atom_count=30),
+                            [0.0, 0.0, 1.5, 1.5, 1.5, 4.0, 10.0, 10.0, 25.0]),
+        "long drift": (make_params(atom_count=1000), np.linspace(0.0, 12.0, 7)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dop853_and_closed_form(self, case):
+        params, grid = self.CASES[case]
+        kappa_prime = effective_rates(params).kappa_prime
+        closed = np.exp(kappa_prime * np.asarray(grid) / 2.0)
+        rk4 = langevin_mean_ode(params, grid)
+        oracle = dop853_gain(kappa_prime, grid)
+        assert rk4.shape == closed.shape
+        assert np.max(np.abs(rk4 - closed) / closed) <= 1e-10
+        assert np.max(np.abs(oracle - closed) / closed) <= 1e-10
+        assert np.max(np.abs(rk4 - oracle) / oracle) <= 2e-10
+
+    def test_truncation_bound_holds_at_loose_rtol(self):
+        # lam T (lam h)^4 / 120 <= rtol bounds the deficit, which is >= 0
+        grid = np.linspace(0.0, 3.0 / 0.4, 80)
+        closed = np.exp(0.2 * grid)
+        for rtol in (1e-3, 1e-6, 1e-9):
+            deficit = 1.0 - langevin_mean_ode(CRITERION8, grid, rtol=rtol) / closed
+            assert deficit.min() >= -1e-14
+            assert deficit.max() <= rtol
+
+    def test_zero_rate_is_flat(self):
+        params = make_params(coupling=0.0)
+        assert np.array_equal(langevin_mean_ode(params, [0.0, 1.0, 5.0]), np.ones(3))
+
+    def test_no_slower_than_dop853(self):
+        grid = np.linspace(0.0, 3.0 / 0.4, 80)
+
+        def best(call):
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        dop853 = best(lambda: dop853_gain(0.4, grid))
+        assert best(lambda: langevin_mean_ode(CRITERION8, grid)) <= dop853
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rtol": 0.0}, "rtol must be finite and positive, got 0.0"),
+        ({"rtol": -1e-9}, "rtol must be finite and positive, got -1e-09"),
+        ({"rtol": math.nan}, "rtol must be finite and positive, got nan"),
+        ({"atol": math.inf}, "atol must be finite and positive, got inf"),
+        ({"atol": 0.0}, "atol must be finite and positive, got 0.0"),
+        ({"t_grid": []}, "t_grid must be a non-empty 1-D grid, got shape (0,)"),
+        ({"t_grid": [[0.0, 1.0]]}, "t_grid must be a non-empty 1-D grid, got shape (1, 2)"),
+        ({"t_grid": 1.0}, "t_grid must be a non-empty 1-D grid, got shape ()"),
+        ({"t_grid": [0.0, math.nan]}, "t_grid must be finite"),
+        ({"t_grid": [0.0, math.inf]}, "t_grid must be finite"),
+        ({"t_grid": [-1.0, 0.0]},
+         "t_grid must be non-negative (the drift starts at t = 0), got -1.0"),
+        ({"t_grid": [0.0, 2.0, 1.0]}, "t_grid must be non-decreasing"),
+        ({"rtol": 1e-40},
+         "rtol 1e-40 needs 5.01555e+09 RK4 substeps, above the cap of 1000000"),
+        ({"t_grid": [0.0, 3600.0]},
+         "gain exp(kappa' T / 2) = exp(720) overflows a float"),
+    ])
+    def test_bad_requests_refused(self, kwargs, message):
+        args = {"t_grid": np.linspace(0.0, 3.0 / 0.4, 80), **kwargs}
+        with pytest.raises(ValueError) as info:
+            langevin_mean_ode(CRITERION8, **args)
+        assert str(info.value) == message
+
+    def test_grid_size_counts_against_the_cap(self):
+        grid = np.linspace(0.0, 1.0, ensemble.MAX_RK4_SUBSTEPS + 2)
+        with pytest.raises(ValueError, match="above the cap of 1000000"):
+            langevin_mean_ode(CRITERION8, grid)
+
+    def test_infinite_rate_refused(self):
+        params = make_params(atom_count=10 ** 308)
+        with pytest.raises(ValueError, match="kappa' = inf is not finite"):
+            langevin_mean_ode(params, [0.0])
+
+
 class TestSqueezedJointState:
     def test_zero_squeeze_is_vacuum(self):
         rates = effective_rates(make_params(interaction_time=0.0))
@@ -102,30 +206,80 @@ class TestSqueezedJointState:
         rho = squeezed_joint_state(rates, cutoff=6)
         assert rho.mean_photon(1) == pytest.approx(math.sinh(rates.squeeze) ** 2, abs=1e-8)
 
-    def test_runs_with_scipy_blocked(self):
-        script = (
-            "import sys\n"
-            "sys.modules['scipy'] = None\n"
-            "from repeatersim import ensemble\n"
-            "rates = ensemble.effective_rates(ensemble.EnsembleParams(\n"
-            "    100, 1.0, 10.0, 1.0, 10.0, 1.0, 0.08))\n"
-            "rho = ensemble.squeezed_joint_state(rates, cutoff=6)\n"
-            "print(rho.population((1, 1)) / rho.population((0, 0)))\n")
-        src = os.path.dirname(os.path.dirname(fock.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              env=env, text=True)
-        assert done.returncode == 0, done.stderr
-        rates = effective_rates(EnsembleParams(100, 1.0, 10.0, 1.0, 10.0, 1.0, 0.08))
-        assert float(done.stdout) == pytest.approx(math.tanh(rates.squeeze) ** 2, rel=1e-9)
-
     def test_normalization_tail_bound(self):
         rates = effective_rates(make_params(interaction_time=0.08))
         cutoff = 5
         rho = squeezed_joint_state(rates, cutoff=cutoff)
         diag_sum = sum(rho.population((n, n)) for n in range(cutoff + 1))
         assert diag_sum >= 1.0 - math.tanh(rates.squeeze) ** (2 * (cutoff + 1))
+
+
+# one call of each kind in the ``exact_engines`` benchmark mix; binds ``results``
+EXACT_ENGINES_MIX = """
+import numpy as np
+from repeatersim import applications, ensemble, protocol
+
+criterion8 = ensemble.EnsembleParams(100, 1.0, 10.0, 1.0, 10.0, 1.0, 0.08)
+rates = ensemble.effective_rates(criterion8)
+generation = protocol.RepeaterParams(
+    excitation_prob=0.005, pulse_time=1e-6, local_efficiency=0.2, swap_efficiency=2 / 3,
+    app_efficiency=0.5, dark_prob=1e-5, segment_length=1e-12)
+qubit = applications.PolarizationQubit.from_bloch(1.1, 0.4)
+setting = applications.MeasurementSetting(0.3, 1.2)
+results = {
+    "swap_oracle": protocol.swap_oracle(1 / 3, 0.9, phase_left=0.7, phase_right=2.1).c_measured,
+    "generate_oracle": protocol.generate_oracle(generation, channel_phase=0.4).infidelity,
+    "chsh_value": applications.chsh_value(1.0, 1.0, 0.3),
+    "correlation": applications.correlation(1 / 3, 0.4, setting, 0.5).value,
+    "teleport": applications.teleport(qubit, 1.0, 0.5).output_fidelity,
+    "ekert_simulation": applications.ekert_simulation(0.0, 0.3, 0.5, 10_000, 7).qber,
+    "integrate_master_equation": float(ensemble.integrate_master_equation(
+        criterion8, 5, 2, np.linspace(0.0, 0.125, 120)).collective[-1]),
+    "squeezed_joint_state": ensemble.squeezed_joint_state(rates, cutoff=6).population((1, 1)),
+    "langevin_mean_ode": float(ensemble.langevin_mean_ode(
+        criterion8, np.linspace(0.0, 7.5, 80))[-1]),
+}
+"""
+
+
+class TestScipyFreeRuntime:
+    def test_runs_with_scipy_blocked(self):
+        script = ("import json, sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  + EXACT_ENGINES_MIX
+                  + "print(json.dumps(results))\n")
+        src = os.path.dirname(os.path.dirname(fock.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=env, text=True)
+        assert done.returncode == 0, done.stderr
+        blocked = json.loads(done.stdout)
+        namespace = {}
+        exec(EXACT_ENGINES_MIX, namespace)
+        assert blocked.keys() == namespace["results"].keys()
+        for name, value in namespace["results"].items():
+            assert blocked[name] == pytest.approx(value, rel=1e-12, abs=1e-300), name
+
+    def test_no_module_imports_scipy(self):
+        # any depth: an import inside a function counts as much as one at the top
+        package = os.path.dirname(fock.__file__)
+        offenders = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), filename=name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module or ""]
+                else:
+                    continue
+                offenders += [f"{name}:{node.lineno} {m}" for m in modules
+                              if m.split(".")[0] == "scipy"]
+        assert offenders == []
 
 
 def dense_gain_populations(kappa_prime, gamma_s_prime, n_modes, cutoff, t_grid,

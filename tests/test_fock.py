@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from repeatersim import fock
@@ -794,6 +796,51 @@ def test_generation_circuit_matches_dense_path(include_second_order):
     assert_rank_bounded(rho)
 
 
+def marginal_pair_support(rho, pairs, gate):
+    """Oracle for ``fock._check_pair_support``: one joint marginal of every
+    paired mode, summed down to each pair's photon-number table."""
+    cutoff = rho.layout.cutoff
+    n = np.arange(cutoff + 1)
+    over = np.add.outer(n, n) > cutoff
+    pops = fock.marginal(rho, [m for pair in pairs for m in pair])
+    for k, (i, j) in enumerate(pairs):
+        leak = pops.sum(axis=tuple(a for a in range(pops.ndim) if a // 2 != k))[over].sum()
+        if leak > fock.SUPPORT_LEAK_TOL:
+            raise TruncationError(
+                f"{gate} on modes ({i}, {j}): population {leak:.3e} has pair photon "
+                f"number above cutoff {cutoff}"
+            )
+
+
+def support_outcome(check, rho, pairs):
+    try:
+        check(rho, pairs, "beamsplitter")
+    except TruncationError as err:
+        return str(err)
+    return None
+
+
+class TestPairSupportCheck:
+    @given(modes=st.integers(2, 5), cutoff=st.integers(1, 3), rank=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), damping=st.floats(0.0, 10.0),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_marginal_oracle(self, modes, cutoff, rank, seed, damping, data):
+        # support above every pair cutoff scaled by 10^-damping, so leaks fall
+        # on both sides of the tolerance
+        layout = ModeLayout(modes, cutoff)
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(layout.dim, rank)) + 1j * rng.normal(size=(layout.dim, rank))
+        heavy = np.array([sum(occ) > cutoff for occ in layout.occupations()])
+        v[heavy] *= 10.0 ** -damping
+        rho = DensityOperator.from_factor(layout, v / np.linalg.norm(v))
+        order = data.draw(st.permutations(range(modes)))
+        count = data.draw(st.integers(1, modes // 2))
+        pairs = [(order[2 * k], order[2 * k + 1]) for k in range(count)]
+        assert (support_outcome(fock._check_pair_support, rho, pairs)
+                == support_outcome(marginal_pair_support, rho, pairs))
+
+
 class TestGateTables:
     @pytest.mark.parametrize("cutoff", range(2, 9))
     @pytest.mark.parametrize("r", [0.05, 0.3, 0.6, 0.9])
@@ -805,8 +852,10 @@ class TestGateTables:
         assert np.max(np.abs(u - squeeze_pair_matrix(cutoff, r))) < 1e-14
 
     def test_tables_are_memoised_and_read_only(self):
-        tables = [fock.beamsplitter_matrix(2, 0.4, 0.1), *fock.loss_kraus(2, 0.3)]
+        tables = [fock.beamsplitter_matrix(2, 0.4, 0.1), *fock.loss_kraus(2, 0.3),
+                  fock._above_cutoff(4, 2, ((0, 2), (1, 3)))]
         assert fock.beamsplitter_matrix(2, 0.4, 0.1) is tables[0]
+        assert fock._above_cutoff(4, 2, ((0, 2), (1, 3))) is tables[-1]
         assert fock.loss_kraus(2, 0.3) is fock.loss_kraus(2, 0.3)
         assert isinstance(fock.loss_kraus(2, 0.3), tuple)
         for table in tables:

@@ -14,6 +14,7 @@ from repeatersim.protocol import (
     eme_density,
     generate_analytic,
     generate_oracle,
+    generation_circuit,
     swap_analytic,
     swap_oracle,
     vacuum_coeff_closed_form,
@@ -157,6 +158,30 @@ class TestGenerateOracle:
         params = make_params(local_efficiency=1.0, segment_length=1e-12, dark_prob=0.0)
         res = generate_oracle(params, channel_phase=1.3, include_second_order=False)
         assert res.infidelity == pytest.approx(0.0, abs=1e-9)
+
+    @staticmethod
+    def complement(params, channel_phase, include_second_order):
+        """The infidelity as ``1 - vac - F+``, unclamped: the old expression."""
+        _, rho = generation_circuit(params.excitation_prob, params.eta_p, params.dark_prob,
+                                    channel_phase, 4, include_second_order)
+        e_phi = complex(math.cos(channel_phase), math.sin(channel_phase))
+        psi_plus = fock.pure_state(rho.layout, {(1, 0): 1.0, (0, 1): e_phi})
+        return 1.0 - rho.population((0, 0)) - fock.fidelity(rho, psi_plus)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("include_second_order", [True, False])
+    def test_infidelity_is_a_sum_of_nonnegative_terms(self, seed, include_second_order):
+        rng = np.random.default_rng(seed)
+        params = make_params(excitation_prob=rng.uniform(1e-4, 0.05),
+                             local_efficiency=rng.uniform(0.1, 1.0),
+                             dark_prob=rng.choice([0.0, rng.uniform(0.0, 1e-4)]),
+                             segment_length=1e-12)
+        phase = rng.uniform(0.0, 2 * math.pi)
+        res = generate_oracle(params, channel_phase=phase,
+                              include_second_order=include_second_order)
+        assert res.infidelity >= 0.0
+        old = self.complement(params, phase, include_second_order)
+        assert abs(res.infidelity - old) <= 1e-15
 
 
 def chain_swap(c, eta_s, cutoff=2, phase_left=0.0, phase_right=0.0):
