@@ -3,9 +3,9 @@
 Every trial draws from its own counter-based stream: splitmix64 keyed by
 ``(seed, trial index)``.  The scalar functions are the single-sample API
 and the reference.  The bulk samplers advance every live trial of a batch
-in the same NumPy calls, the last few of a chain batch in scalar code,
-and reproduce the scalar samples bit for bit, so a sample depends only on
-its seed and trial index.
+in the same NumPy calls, a chain batch one level-1 link per trial and
+step and its last few trials in scalar code, and reproduce the scalar
+samples bit for bit, so a sample depends only on its seed and trial index.
 """
 
 from __future__ import annotations
@@ -98,13 +98,13 @@ def chain_sample(n: int, p_levels, q: float, t_delta: float, parallel: bool,
 
 
 # ---------------------------------------------------------------------------
-# bulk samplers (NumPy, one row per trial)
+# bulk samplers (NumPy, one column per trial)
 
 _U = np.uint64
-_BLOCK = 1 << 14      # uniforms drawn ahead per refill, summed over live trials
-_MAX_AHEAD = 256      # draws ahead per trial once few trials are left
-_SCALAR_TAIL = 8      # live trials finished in scalar code: a step costs ~10 draws
-_GEN_BLOCK = 2 * _BLOCK   # level-0 trials per block; its temporaries stay in cache
+_BLOCK = 1 << 13      # uniforms per lockstep step, summed over live trials
+_WINDOW = 5           # level-1 attempts per step once few trials are live
+_SCALAR_TAIL = 8      # live trials finished in scalar code
+_GEN_BLOCK = 1 << 15  # level-0 trials per block; its temporaries stay in cache
 
 
 def _mix(z: np.ndarray):
@@ -126,8 +126,8 @@ def _stream_states(seed: int, count: int, start: int = 0) -> np.ndarray:
 
 
 def _uniforms(state: np.ndarray, draws: int) -> np.ndarray:
-    """The next ``draws`` uniforms of each stream, one row per stream."""
-    z = state[:, None] + _U(_GOLDEN) * np.arange(1, draws + 1, dtype=np.uint64)
+    """The next ``draws`` uniforms of each stream, one column per stream."""
+    z = _U(_GOLDEN) * np.arange(1, draws + 1, dtype=np.uint64)[:, None] + state
     _mix(z)
     z >>= _U(11)
     u = z.astype(np.float64)
@@ -173,14 +173,15 @@ def generation_times(seed: int, count: int, q: float, t_delta: float) -> np.ndar
 
 
 def _finish(n: int, p, q: float, t_delta: float, parallel: bool, state: int,
-            lvl: int, tot: list, first: list) -> float:
+            tot: list, first: list) -> float:
     """One trial of ``chain_times`` run from its lockstep state to its link.
 
-    ``state`` is the trial's stream state before its next draw, ``lvl``,
-    ``tot`` and ``first`` its lockstep row; the same draws and the same
-    float operations as a lockstep step, one trial at a time.  ``mix64``
+    ``state`` is the trial's stream state and ``tot`` and ``first`` its
+    lockstep columns at the start of a step; the same draws and the same
+    float operations as the lockstep steps, one trial at a time.  ``mix64``
     and ``geometric`` are inlined: about 30% less time per draw.
     """
+    lvl = 0
     c = math.log1p(-q) if q < 1.0 else None
     while True:
         state = (state + _GOLDEN) & _MASK
@@ -212,78 +213,88 @@ def chain_times(seed: int, count: int, n: int, p_levels, q: float,
                 t_delta: float, parallel: bool) -> np.ndarray:
     """Level-``n`` times of trials 0..count-1, ``chain_sample`` bit for bit.
 
-    Lockstep: in each step every live trial takes exactly one draw.  With
-    ``lvl`` 0 it is a leaf geometric, whose pair is put in column 0 of
-    ``tot``; with ``lvl`` l >= 1 it is the swap test of a level-l attempt,
-    and ``tot[:, l]`` is that level's time so far.  A leaf, or a level whose
-    test succeeds, hands its pair up: the pair waits in ``first`` at the
-    next level (0 where none waits), or it joins the waiting pair into an
-    attempt whose swap test is the trial's next draw.  Every other next draw
-    is a leaf.  Column n + 1 receives the finished link.  A level's total is
-    cleared when its pair is handed up, so every level below the one at
-    work is empty and a descent is just ``lvl = 0``.  Uniforms are drawn in
-    blocks ahead of the steps; finished trials are compacted out.
+    Lockstep: in each step every live trial makes one level-1 link and
+    runs the cascade of swap tests it triggers.  A step starts with no
+    level-0 pair waiting; ``tot[l]`` is the level-l time so far and
+    ``first[l]`` the level-(l-1) link waiting for its pair at level l (0
+    where none waits).  The step reads the trial's next ``3w + n - 1``
+    uniforms, for a window of ``w`` level-1 attempts: attempt m joins the
+    leaves drawn at 3m and 3m + 1 and is tested at 3m + 2.  The level-1
+    total adds the attempts in order up to the first passed test; a trial
+    that passes none keeps the running total and has used 3w draws.  A
+    level-1 link goes up level by level: it waits in ``first``, ending the
+    step, or joins the link waiting there into an attempt whose test is
+    the trial's next uniform.  A passed test hands the level's total up
+    and clears it, and a failed one ends the step.  A link handed up from
+    level n is the sample, and finished trials are compacted out.  Each
+    stream then advances by exactly the draws its trial used.  The window
+    narrows as more trials are live, so a step's arrays stay near
+    ``_BLOCK`` elements: a wider one takes fewer steps, but computes more
+    draws that no trial uses.
 
-    A step costs the same NumPy calls however few trials are live, and the
-    step count is set by the longest trial.  So once at most
-    ``_SCALAR_TAIL`` trials are live, each is finished by ``_finish``: it
-    starts from the trial's row and from its stream state rewound past the
-    uniforms drawn ahead but not used, and takes the same draws with the
-    same float operations, so its samples are those of the lockstep.
+    A step costs about the same NumPy calls however few trials are live,
+    and the step count is set by the longest trial.  So once at most
+    ``_SCALAR_TAIL`` trials are live, each is finished by ``_finish`` from
+    its stream state and its columns, with the same draws and the same
+    float operations, so its samples are those of the lockstep.
     """
     if n == 0:
         return generation_times(seed, count, q, t_delta)
     join = np.maximum if parallel else np.add
-    p = np.array(p_levels, dtype=np.float64)
-    p[0] = 2.0                   # a leaf draw always hands its pair up
-    width = n + 2
-    # the fewest draws from one finished link to the next: checking for
-    # finished trials this often records each before it could finish again
-    check = 2 ** (n + 1) - 1
     out = np.empty(count)
     trial = np.arange(count)
     state = _stream_states(seed, count)
-    lvl = np.zeros(count, dtype=np.intp)
-    tot = np.zeros((count, width))
-    first = np.zeros((count, width))
-    steps = rewind = 0
+    tot = np.zeros((n + 1, count))     # row l: level l, one column per trial
+    first = np.zeros((n + 1, count))
     while trial.size > _SCALAR_TAIL:
-        draws = max(1, min(_MAX_AHEAD, _BLOCK // trial.size))
-        u_ahead = _uniforms(state, draws)
-        leaf_ahead = _attempts(u_ahead, q)
-        leaf_ahead *= t_delta
-        state += _U(_GOLDEN * draws & _MASK)
-        rows = np.arange(trial.size) * width
-        tot_, first_ = tot.ravel(), first.ravel()   # views, flat (row, level)
-        for j in range(draws):
-            tot[:, 0] = leaf_ahead[:, j]
-            at = rows + lvl
-            up = tot_[at]
-            ok = u_ahead[:, j] < p[lvl]
-            tot_[at] = np.where(ok, 0.0, up)
-            at += 1
-            f = first_[at]
-            pair = ok & (f > 0.0)
-            first_[at] = np.where(pair, 0.0, np.where(ok, up, f))
-            tot_[at] += np.where(pair, join(f, up), 0.0)
-            lvl = np.where(pair, lvl + 1, 0)
-            steps += 1
-            if steps % check:
-                continue
-            done = first[:, n + 1] > 0.0
-            if done.any():
-                out[trial[done]] = first[done, n + 1]
-                keep = ~done
-                trial, state, lvl = trial[keep], state[keep], lvl[keep]
-                tot, first = tot[keep], first[keep]
-                u_ahead, leaf_ahead = u_ahead[keep], leaf_ahead[keep]
-                rows = np.arange(trial.size) * width
-                tot_, first_ = tot.ravel(), first.ravel()
-            if trial.size <= _SCALAR_TAIL:
-                rewind = draws - j - 1      # draws taken ahead but not used
+        live = trial.size
+        w = min(_WINDOW, max(1, _BLOCK // (3 * live)))
+        u = _uniforms(state, 3 * w + n - 1)
+        window = u[:3 * w].reshape(w, 3, live)   # attempt m: leaves, then test
+        leaf = _attempts(window[:, :2], q)
+        leaf *= t_delta
+        acc = np.empty((w + 1, live))      # the level-1 total after each attempt
+        acc[0] = tot[1]
+        join(leaf[:, 0], leaf[:, 1], out=acc[1:])
+        np.add.accumulate(acc, out=acc)
+        # the first attempt whose test passed, w where none did
+        m = np.where(window[:, 2] < p_levels[1], np.arange(w)[:, None], w).min(axis=0)
+        at = (m < w).nonzero()[0]          # trials carrying a link up
+        m = m[at] + 1
+        up = acc[m, at]
+        tot[1] = acc[w]
+        tot[1][at] = 0.0
+        used = np.full(live, 3 * w, dtype=np.uint64)
+        draw = 3 * m                       # draws used, the index of the next
+        used[at] = draw
+        for lvl in range(2, n + 1):
+            row = first[lvl]
+            f = row[at]
+            row[at] = up
+            k = f.nonzero()[0]             # a link waits here: pair the two
+            at, draw = at[k], draw[k]
+            if not at.size:
                 break
+            row[at] = 0.0
+            row = tot[lvl]
+            up = join(f[k], up[k])
+            up += row[at]
+            row[at] = up
+            k = (u[draw, at] < p_levels[lvl]).nonzero()[0]
+            draw += 1
+            used[at] = draw
+            at, up, draw = at[k], up[k], draw[k]
+            row[at] = 0.0
+        used *= _U(_GOLDEN)
+        state += used
+        if at.size:
+            out[trial[at]] = up
+            keep = np.ones(live, dtype=bool)
+            keep[at] = False
+            keep = keep.nonzero()[0]
+            trial, state = trial[keep], state[keep]
+            tot, first = tot.take(keep, axis=1), first.take(keep, axis=1)
     for i, s in enumerate(state.tolist()):
-        out[trial[i]] = _finish(n, p_levels, q, t_delta, parallel,
-                                (s - _GOLDEN * rewind) & _MASK, int(lvl[i]),
-                                tot[i].tolist(), first[i].tolist())
+        out[trial[i]] = _finish(n, p_levels, q, t_delta, parallel, s,
+                                tot[:, i].tolist(), first[:, i].tolist())
     return out

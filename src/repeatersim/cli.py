@@ -324,6 +324,10 @@ def cmd_montecarlo(cfg: Config, args) -> int:
     trials = dataclasses.replace(
         cfg.trials, **{k: v for k, v in overrides.items() if v is not None})
     level = args.level if args.level is not None else cfg.repeater.levels
+    if args.trace_csv:
+        # one formatted row and its tuple per trial (tracemalloc: 210 bytes)
+        montecarlo.check_memory(256 * trials.n_trials,
+                                f"a trace of {trials.n_trials} trials")
     times = montecarlo.chain_times(cfg.repeater, level, trials)
     est = montecarlo.estimate(cfg.repeater, level, trials, times)
     if args.trace_csv:

@@ -5,9 +5,10 @@ the exact waiting-time distribution.
 Reproducibility contract: every trial draws from its own counter-based
 substream keyed by ``(seed, trial index)``, so a sample depends only on
 the seed and its trial index.  One NumPy sampler advances all trials of a
-batch in lockstep and hands its last few live trials to a scalar
-continuation that takes the same draws and float operations; level 0 is
-sampled elementwise in cache-sized blocks.  So both equal the scalar
+batch in lockstep, one level-1 link and the swap tests it triggers per
+step, and hands its last few live trials to a scalar continuation that
+takes the same draws and float operations; level 0 is sampled
+elementwise in cache-sized blocks.  So both equal the scalar
 ``sample_chain_time`` bit for bit.
 The samplers import ``_mc_kernels`` (and NumPy with it) on their first
 call, so the parameter types and the analytic chain time load without
@@ -33,6 +34,7 @@ POLICIES = ("serial_redo", "parallel_max")
 
 MAX_LEVEL = 30   # recursion depth guard; expected work grows like prod(1/p_i)
 DRAW_BUDGET = 1e9   # expected draws per chain_times call: minutes of sampling, not years
+MEMORY_BUDGET = 2 ** 30   # bytes one batch, trace or key run may hold
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,29 @@ def sample_chain_time(params: RepeaterParams, n: int, rng: SplitMix,
     return t
 
 
+def check_memory(nbytes: float, what: str) -> None:
+    """Raise ``InfeasibleError`` when ``what`` would hold more than
+    ``MEMORY_BUDGET`` bytes."""
+    if nbytes > MEMORY_BUDGET:
+        raise InfeasibleError(f"{what} would hold about {nbytes / 2 ** 20:.0f} MiB, "
+                              f"over the memory cap of {MEMORY_BUDGET / 2 ** 20:.0f} MiB")
+
+
+def _trial_bytes(n: int) -> int:
+    """Bytes a level-``n`` batch holds per trial, an upper bound: the sample
+    and its statistics' temporaries, and at n >= 1 the sampler's per-trial
+    state and step arrays (tracemalloc peaks: 16 at level 0, then 149,
+    240 and 292 at levels 1-3)."""
+    return 24 if n == 0 else 64 * (n + 2)
+
+
 def generation_times(params: RepeaterParams, cfg: TrialConfig) -> np.ndarray:
-    """Sampled segment-generation times, one per trial."""
+    """Sampled segment-generation times, one per trial.
+
+    Raises ``InfeasibleError`` before sampling when the batch would hold
+    more than ``MEMORY_BUDGET`` bytes.
+    """
+    check_memory(cfg.n_trials * _trial_bytes(0), f"level 0 with {cfg.n_trials} trials")
     return _kernels().generation_times(cfg.seed, cfg.n_trials,
                                        click_probability(params), params.pulse_time)
 
@@ -141,14 +164,16 @@ def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
     """Sampled level-``n`` waiting times, one per trial.
 
     Raises ``InfeasibleError`` before sampling when the expected number of
-    draws exceeds ``DRAW_BUDGET``.
+    draws exceeds ``DRAW_BUDGET`` or the batch would hold more than
+    ``MEMORY_BUDGET`` bytes.
     """
     probs = _level_probs(params, n)
+    what = f"level {n} with {cfg.n_trials} trials"
     draws = cfg.n_trials * _expected_draws(probs)
     if draws > DRAW_BUDGET:
-        raise InfeasibleError(
-            f"level {n} with {cfg.n_trials} trials needs about {draws:.3g} "
-            f"random draws, over the budget of {DRAW_BUDGET:.0e}")
+        raise InfeasibleError(f"{what} needs about {draws:.3g} random draws, "
+                              f"over the budget of {DRAW_BUDGET:.0e}")
+    check_memory(cfg.n_trials * _trial_bytes(n), what)
     return _kernels().chain_times(cfg.seed, cfg.n_trials, n, probs,
                                   click_probability(params), params.pulse_time,
                                   cfg.policy == "parallel_max")

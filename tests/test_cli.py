@@ -293,6 +293,14 @@ class TestEkert:
         err = capsys.readouterr().err
         assert "1.2e+09 random draws" in err and "budget of 1e+09" in err
 
+    def test_rounds_beyond_memory_cap_exits_4(self, capsys):
+        # 3e8 rounds are within the draw budget but would hold about 16 GiB
+        code, out = run_cli(["ekert", "--rounds", "300000000", "--seed", "9"])
+        assert code == 4
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "300000000 rounds would hold about" in err and "memory cap of 1024 MiB" in err
+
 
 class TestTeleport:
     def test_fidelity_one(self):
@@ -341,6 +349,23 @@ class TestMonteCarlo:
         assert code == 4
         assert out == ""
         assert "draws" in capsys.readouterr().err
+
+    def test_trials_beyond_memory_cap_exit_4(self, capsys):
+        # 1e9 level-0 trials are 1e9 draws, within the budget, but their
+        # samples alone would take 8 GB
+        code, out = run_cli(["montecarlo", "--level", "0", "--trials", "1000000000"])
+        assert code == 4
+        assert out == ""
+        assert "MiB, over the memory cap of 1024 MiB" in capsys.readouterr().err
+
+    def test_trace_beyond_memory_cap_exits_4(self, tmp_path, capsys):
+        # 1e7 level-0 samples fit, their formatted trace rows do not
+        trace = tmp_path / "trials.csv"
+        code, out = run_cli(["montecarlo", "--level", "0", "--trials", "10000000",
+                             "--trace-csv", str(trace)])
+        assert code == 4
+        assert out == "" and not trace.exists()
+        assert "a trace of 10000000 trials would hold" in capsys.readouterr().err
 
 
 class TestFormatting:

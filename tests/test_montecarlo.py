@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repeatersim import _mc_kernels as kernels
 from repeatersim import config
@@ -18,6 +21,7 @@ from repeatersim.montecarlo import (
     sample_generation_time,
 )
 from repeatersim.protocol import RepeaterParams
+from repeatersim.scaling import InfeasibleError
 
 
 def make_params(**overrides):
@@ -231,38 +235,139 @@ class TestScalarTail:
             assert np.array_equal(bulk_chain(params, n, seed, trials, policy),
                                   scalar_chain(params, n, seed, trials, policy)), trials
 
-    def test_handoff_mid_refill_rewinds_the_stream(self, monkeypatch):
-        # 20 trials draw _MAX_AHEAD = 256 uniforms ahead per refill; the
-        # handoff comes at a finished-trial check, every 15 steps at level 3,
-        # so here it lands inside a refill and the handed-off streams must be
-        # rewound past the uniforms drawn ahead but not used
+    def test_handoff_states_are_advanced_by_the_draws_used(self, monkeypatch):
+        # each stream advances by exactly the draws its trial used, so the
+        # state handed to _finish is the trial's own stream at the start of
+        # a step, with the trial's columns there
         n, trials, seed = 3, 20, 31
         params = make_params()
+        probs, q = mc._level_probs(params, n), mc.click_probability(params)
         inverse = pow(kernels._GOLDEN, -1, 1 << 64)
         handed = []
         finish = kernels._finish
 
-        def spy(n, p, q, t_delta, parallel, state, *row):
-            handed.append(state)
-            return finish(n, p, q, t_delta, parallel, state, *row)
-
-        def draws_taken(state):
-            # (state - initial state) / GOLDEN mod 2**64 is small only for
-            # the trial's own stream
-            return min((state - kernels.stream_state(seed, k)) * inverse % (1 << 64)
-                       for k in range(trials))
+        def spy(n, p, q, t_delta, parallel, state, tot, first):
+            handed.append((state, tot[:], first[:]))
+            return finish(n, p, q, t_delta, parallel, state, tot, first)
 
         monkeypatch.setattr(kernels, "_finish", spy)
         for policy in mc.POLICIES:
+            parallel = policy == "parallel_max"
             handed.clear()
             assert np.array_equal(bulk_chain(params, n, seed, trials, policy),
                                   scalar_chain(params, n, seed, trials, policy))
             assert 0 < len(handed) <= kernels._SCALAR_TAIL
-            steps = {draws_taken(state) for state in handed}
-            assert len(steps) == 1
-            (step,) = steps
-            assert step % (2 ** (n + 1) - 1) == 0
-            assert step % kernels._MAX_AHEAD, policy
+            used = []
+            for state, tot, first in handed:
+                # (state - initial state) / GOLDEN mod 2**64 is small only
+                # for the trial's own stream
+                k, draws = min(
+                    ((k, (state - kernels.stream_state(seed, k)) * inverse % (1 << 64))
+                     for k in range(trials)), key=lambda kd: kd[1])
+                starts = step_starts(n, probs, q, params.pulse_time, parallel,
+                                     kernels.stream_state(seed, k))
+                assert (state, tot, first) in list(starts), (policy, k)
+                used.append(draws)
+            # a level-1 attempt takes three draws; a cascade test moved one
+            assert any(d % 3 for d in used), policy
+
+
+def step_starts(n, probs, q, t_delta, parallel, state):
+    """``chain_sample``'s trial replayed from ``state``: its stream state and
+    its level columns ``(state, tot, first)`` each time the next draw is a
+    leaf with none waiting at level 1, where a lockstep step may start."""
+    tot, first = [0.0] * (n + 1), [0.0] * (n + 1)
+    lvl = 0
+    while True:
+        if lvl == 0 and first[1] == 0.0:
+            yield state, tot[:], first[:]
+        if lvl == 0:
+            state, k = kernels.geometric(state, q)
+            up = k * t_delta
+        else:
+            state, u = kernels.next_uniform(state)
+            if u >= probs[lvl]:
+                lvl = 0
+                continue
+            up, tot[lvl] = tot[lvl], 0.0
+        lvl += 1
+        if lvl > n:
+            return
+        if first[lvl] > 0.0:
+            tot[lvl] += max(first[lvl], up) if parallel else first[lvl] + up
+            first[lvl] = 0.0
+        else:
+            first[lvl] = up
+            lvl = 0
+
+
+@st.composite
+def hand_made_chains(draw):
+    """``(n, p_levels, q)`` with a cheap enough scalar reference: p_1 down to
+    0.01, so windows pass without a link; levels certain to swap; q = 1."""
+    n = draw(st.integers(1, 3))
+    p1 = draw(st.sampled_from([0.01, 0.05, 1.0]) | st.floats(0.2, 1.0))
+    higher = st.just(1.0) | st.floats(0.3, 1.0)
+    probs = (0.0, p1, *(draw(higher) for _ in range(n - 1)))
+    q = draw(st.just(1.0) | st.floats(0.001, 1.0))
+    return n, probs, q
+
+
+class TestLockstepProperties:
+    """``kernels.chain_times`` against ``chain_sample`` on hand-made levels."""
+
+    @settings(max_examples=60, deadline=None)
+    # windows that pass no test at q = 1; two certain swaps over 24 trials
+    @example(chain=(1, (0.0, 0.01), 1.0), parallel=True, count=300, seed=5, t_delta=1e-6)
+    @example(chain=(3, (0.0, 0.05, 1.0, 1.0), 0.3), parallel=False, count=24, seed=6,
+             t_delta=0.25)
+    @given(chain=hand_made_chains(), parallel=st.booleans(),
+           count=st.integers(1, 3 * kernels._SCALAR_TAIL) | st.just(300),
+           seed=st.integers(0, 2 ** 64 - 1), t_delta=st.floats(1e-9, 1.0))
+    def test_bulk_matches_scalar(self, chain, parallel, count, seed, t_delta):
+        n, probs, q = chain
+        assume(count * mc._expected_draws(probs) <= 1e5)
+        scalar = [kernels.chain_sample(n, probs, q, t_delta, parallel,
+                                       kernels.stream_state(seed, k))[1]
+                  for k in range(count)]
+        assert np.array_equal(
+            kernels.chain_times(seed, count, n, probs, q, t_delta, parallel), scalar)
+
+    @pytest.mark.parametrize("policy", mc.POLICIES)
+    @pytest.mark.parametrize("n, trials", [(4, 120), (5, 40)])
+    def test_deep_levels_match_scalar(self, n, trials, policy):
+        assert trials > 2 * kernels._SCALAR_TAIL
+        params = make_params(swap_efficiency=0.9, dark_prob=1e-4)
+        assert np.array_equal(bulk_chain(params, n, 77, trials, policy),
+                              scalar_chain(params, n, 77, trials, policy))
+
+
+class TestMemoryGuard:
+    def test_batches_over_the_cap_are_refused_before_sampling(self):
+        params = make_params()
+        with pytest.raises(InfeasibleError, match="over the memory cap"):
+            chain_times(params, 1, TrialConfig(seed=1, n_trials=10 ** 7))
+        with pytest.raises(InfeasibleError, match="level 0 with 1000000000 trials"):
+            generation_times(params, TrialConfig(seed=1, n_trials=10 ** 9))
+
+    def test_benchmark_and_default_sizes_fit(self):
+        assert 10 ** 6 * mc._trial_bytes(0) <= mc.MEMORY_BUDGET
+        defaults = config.from_raw(config.default_raw())
+        cfg = defaults.trials
+        assert cfg.n_trials * mc._trial_bytes(defaults.repeater.levels) <= mc.MEMORY_BUDGET
+
+    @pytest.mark.parametrize("n, trials", [(0, 400_000), (1, 100_000), (2, 40_000)])
+    def test_trial_bytes_bound_the_peak(self, n, trials):
+        params = make_params()
+        cfg = TrialConfig(seed=3, n_trials=trials)
+        estimate(params, n, TrialConfig(seed=3, n_trials=100))   # imports and caches
+        tracemalloc.start()
+        try:
+            estimate(params, n, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= trials * mc._trial_bytes(n)
 
 
 class TestConfig:
