@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fock
 from .montecarlo import DRAW_BUDGET, check_memory
-from .protocol import check_link
+from .protocol import lossy_input, lossy_link
 from .scaling import InfeasibleError
 
 
@@ -69,27 +69,12 @@ _SINGLES = [_PAIR.index((1, 0)), _PAIR.index((0, 1))]
 _TINY = np.finfo(float).tiny
 
 
-def _lossy_input(c: float, amps, etas) -> fock.DensityOperator:
-    """The two-mode state (c |00⟩⟨00| + |a⟩⟨a|)/(c + 1), |a⟩ = a_0 |10⟩ + a_1 |01⟩
-    of unit norm, after loss η_m on mode m.  Loss only moves weight into the
-    vacuum, so the factor keeps two columns: the vacuum with weight
-    (c + Σ_m (1 − η_m) |a_m|²)/(c + 1) and the excitation √η_m a_m / √(c + 1)."""
-    root = math.sqrt(c + 1.0)
-    lost = sum((1.0 - eta) * abs(a) ** 2 for a, eta in zip(amps, etas))
-    factor = np.zeros((_PAIR.dim, 2), dtype=complex)
-    factor[0, 0] = math.sqrt(c + lost) / root
-    factor[_SINGLES, 1] = [math.sqrt(eta) * a / root for a, eta in zip(amps, etas)]
-    return fock.DensityOperator.from_factor(_PAIR, factor)
-
-
 def _link(c_n: float, phi: float, etas) -> fock.DensityOperator:
     """The link (c_n, phi) after loss ``etas`` on its two halves."""
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"application efficiency {eta} outside (0, 1]")
-    check_link(c_n, phi)
-    phase = complex(math.cos(phi), math.sin(phi))
-    return _lossy_input(c_n, (math.sqrt(0.5), phase * math.sqrt(0.5)), etas)
+    return lossy_link(_PAIR, c_n, phi, etas)
 
 
 def _link_pair(c_n: float, phi: float, eta_a: float) -> fock.DensityOperator:
@@ -243,7 +228,7 @@ def teleport(qubit: PolarizationQubit, c_n: float, eta_a: float,
     fidelity unity.
     """
     link = _link(c_n, phi, (eta_a, 1.0))   # sender half lossy
-    qubit_in = _lossy_input(0.0, (qubit.d0, qubit.d1), (eta_a, eta_a))
+    qubit_in = lossy_input(_PAIR, 0.0, (qubit.d0, qubit.d1), (eta_a, eta_a))
     rho = fock.tensor(fock.tensor(qubit_in, link), link)
     I1, I2, L1, R1, L2, R2 = 0, 1, 2, 3, 4, 5
     fock._check_pair_support(rho, [(I1, L1), (I2, L2)], "beamsplitter")

@@ -325,6 +325,21 @@ def apply_phase(rho: DensityOperator, i: int, psi: float) -> DensityOperator:
     return DensityOperator.from_factor(layout, out.reshape(rho.factor.shape))
 
 
+@functools.lru_cache(maxsize=16)
+def squeeze_eigenbasis(cutoff: int) -> tuple:
+    """``(lam, W)`` with ``i G = W diag(lam) W^dagger`` for the squeezer's
+    anti-Hermitian generator ``G = a_1† a_2† - a_1 a_2`` on the truncated
+    pair space (read-only, memoised)."""
+    d = cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+    a1 = np.kron(a, np.eye(d))
+    a2 = np.kron(np.eye(d), a)
+    lam, w = np.linalg.eigh(1j * (a1.conj().T @ a2.conj().T - a1 @ a2))
+    lam.flags.writeable = False
+    w.flags.writeable = False
+    return lam, w
+
+
 def apply_two_mode_squeeze(rho: DensityOperator, i: int, j: int, r: float,
                            trunc_tol: float = 1e-6) -> DensityOperator:
     """Two-mode squeezer ``exp(r (a_i† a_j† - a_i a_j))``.
@@ -337,20 +352,16 @@ def apply_two_mode_squeeze(rho: DensityOperator, i: int, j: int, r: float,
     layout.check_mode(j)
     if i == j:
         raise ValueError("squeezer needs two distinct modes")
+    if not math.isfinite(r):
+        raise ValueError(f"squeeze parameter r = {r} must be finite")
     tail = math.tanh(abs(r)) ** (2 * (layout.cutoff + 1))
     if tail >= trunc_tol:
         raise TruncationError(
             f"tanh^(2(cutoff+1)) r = {tail:.3e} exceeds truncation tolerance {trunc_tol}"
         )
-    d = layout.mode_dim
-    a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
-    a1 = np.kron(a, np.eye(d))
-    a2 = np.kron(np.eye(d), a)
-    gen = r * (a1.conj().T @ a2.conj().T - a1 @ a2)
-    # gen is anti-Hermitian: with i gen = W diag(lam) W^dagger,
-    # exp(gen) = W diag(e^{-i lam}) W^dagger
-    lam, w = np.linalg.eigh(1j * gen)
-    return _apply_pair(rho, (w * np.exp(-1j * lam)) @ w.conj().T, i, j)
+    # with i G = W diag(lam) W^dagger, exp(r G) = W diag(e^{-i r lam}) W^dagger
+    lam, w = squeeze_eigenbasis(layout.cutoff)
+    return _apply_pair(rho, (w * np.exp(-1j * r * lam)) @ w.conj().T, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +487,18 @@ def condition(rho: DensityOperator, weights: dict):
     folded = _fold(rho.factor, layout, tuple(weights))
     rows = len(folded)
     unnorm = (folded.reshape(rows, root.size, -1) * root.reshape(-1, 1)).reshape(rows, -1)
+    sub_layout = ModeLayout(layout.modes - len(weights), layout.cutoff, layout.max_dim)
+    return normalize_outcome(sub_layout, unnorm)
+
+
+def normalize_outcome(layout: ModeLayout, unnorm: np.ndarray):
+    """``(probability, normalized state)`` of the unnormalized conditional
+    factor ``unnorm``; an outcome of (numerically) zero probability is
+    refused."""
     prob = float(np.vdot(unnorm, unnorm).real)
     if prob < 1e-15:
         raise ImpossibleOutcomeError("impossible-outcome conditioning")
-    sub_layout = ModeLayout(layout.modes - len(weights), layout.cutoff, layout.max_dim)
-    return prob, DensityOperator.from_factor(sub_layout, unnorm / math.sqrt(prob))
+    return prob, DensityOperator.from_factor(layout, unnorm / math.sqrt(prob))
 
 
 def measure_detector(rho: DensityOperator, i: int, det: DetectorModel, outcome):

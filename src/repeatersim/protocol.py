@@ -231,11 +231,61 @@ def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float) -> fock.D
     return fock.DensityOperator.from_factor(layout, factor / math.sqrt(c + 1.0))
 
 
+def lossy_input(layout: fock.ModeLayout, c: float, amps, etas) -> fock.DensityOperator:
+    """The state (c |00⟩⟨00| + |a⟩⟨a|)/(c + 1) on the two-mode ``layout``,
+    |a⟩ = a_0 |10⟩ + a_1 |01⟩ of unit norm, after loss η_m on mode m.  Loss
+    only moves weight into the vacuum, so the factor keeps two columns: the
+    vacuum with weight (c + Σ_m (1 − η_m) |a_m|²)/(c + 1) and the excitation
+    √η_m a_m / √(c + 1)."""
+    np, fock = _engines()
+    root = math.sqrt(c + 1.0)
+    lost = sum((1.0 - eta) * abs(a) ** 2 for a, eta in zip(amps, etas))
+    factor = np.zeros((layout.dim, 2), dtype=complex)
+    factor[0, 0] = math.sqrt(c + lost) / root
+    factor[[layout.mode_dim, 1], 1] = [math.sqrt(eta) * a / root for a, eta in zip(amps, etas)]
+    return fock.DensityOperator.from_factor(layout, factor)
+
+
+def lossy_link(layout: fock.ModeLayout, c: float, phase: float, etas) -> fock.DensityOperator:
+    """``eme_density(layout, (0, 1), c, phase)`` after loss η_m on mode m,
+    built in closed form by ``lossy_input``."""
+    check_link(c, phase)
+    e_phi = complex(math.cos(phase), math.sin(phase))
+    return lossy_input(layout, c, (math.sqrt(0.5), e_phi * math.sqrt(0.5)), etas)
+
+
 @dataclass(frozen=True)
 class GenerationOracleResult:
     c_measured: float
     infidelity: float
     click_prob: float
+
+
+@functools.lru_cache(maxsize=16)
+def _atom_rows(cutoff: int, max_atoms: int):
+    """0/1 mask of the generation circuit's basis states (atom_L, phot_L,
+    atom_R, phot_R) with at most ``max_atoms`` atomic excitations in all
+    (read-only, memoised)."""
+    np, _ = _engines()
+    occ = np.indices([cutoff + 1] * 4).reshape(4, -1)
+    mask = (occ[0] + occ[2] <= max_atoms).astype(float)
+    mask.flags.writeable = False
+    return mask
+
+
+@functools.lru_cache(maxsize=16)
+def _herald(cutoff: int, p_dc: float):
+    """The balanced splitter on the (phot_L, phot_R) pair index, its output
+    rows weighed by the herald's √POVM: a click on the plus port phot_R and
+    none on the minus port phot_L.  Rows of zero weight are dropped
+    (read-only, memoised)."""
+    np, fock = _engines()
+    silent = fock.DetectorModel(efficiency=1.0, dark_count_prob=p_dc).no_click_weights(cutoff)
+    root = np.sqrt(np.multiply.outer(silent, 1.0 - silent)).reshape(-1)
+    seen = np.flatnonzero(root)
+    rows = root[seen, None] * fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0)[seen]
+    rows.flags.writeable = False
+    return rows
 
 
 def generation_circuit(p_c: float, eta_p: float, p_dc: float,
@@ -247,33 +297,47 @@ def generation_circuit(p_c: float, eta_p: float, p_dc: float,
     Returns ``(joint click probability, conditional 2-mode atomic state)``
     with the click taken on the port that heralds the plus-superposition.
     """
+    if not (math.isfinite(p_c) and 0.0 <= p_c <= 1.0):
+        raise ValueError(f"excitation probability p_c = {p_c} outside [0, 1]")
+    if not 0.0 <= eta_p <= 1.0:
+        raise ValueError(f"generation efficiency eta_p = {eta_p} outside [0, 1]")
+    if not math.isfinite(channel_phase):
+        raise ValueError(f"channel phase {channel_phase} must be finite")
+    if cutoff < 2 and include_second_order:
+        raise ValueError(f"the second-order source term |2,2⟩ needs cutoff >= 2, got {cutoff}")
     np, fock = _engines()
     layout4 = fock.ModeLayout(4, cutoff)      # atom_L, phot_L, atom_R, phot_R
-    side = {(0, 0): 1.0, (1, 1): math.sqrt(p_c)}
-    if include_second_order:
-        side[(2, 2)] = p_c                    # squeezed-expansion amplitude tanh^2 r
-    layout2 = fock.ModeLayout(2, cutoff)
-    src = np.zeros(layout2.dim, dtype=complex)
-    for occ, amp in side.items():
-        src[layout2.index(occ)] = amp
-    joint = np.kron(src, src)
-    if not include_second_order:
-        # ideal case: drop every probability-p_c^2 term, including the
-        # one-excitation-per-side cross product
-        for k, occ in enumerate(layout4.occupations()):
-            if occ[0] + occ[2] > 1:
-                joint[k] = 0.0
-    joint = joint / np.linalg.norm(joint)
-    rho = fock.PureState(layout4, joint).to_density()
+    d = layout4.mode_dim
+    # each side's source has amplitudes (1, √p_c, p_c) on |n, n⟩, the last the
+    # squeezed-expansion amplitude tanh^2 r.  Loss keeps the atom number, so
+    # its Kraus image k of |n, n⟩ is |n, n - k⟩ with weight
+    # √(C(n, k) η^{n-k} (1 - η)^k), and the right side's rows carry the
+    # channel phase e^{iφ(n-k)}.  Side factors are held rank index first.
+    sides = np.zeros((2, 3, d, d), dtype=complex)
+    e_phi = complex(math.cos(channel_phase), math.sin(channel_phase))
+    for n, amp in enumerate((1.0, math.sqrt(p_c), p_c)[:d]):
+        for k in range(n + 1):
+            w = amp * math.sqrt(math.comb(n, k) * eta_p ** (n - k) * (1.0 - eta_p) ** k)
+            sides[:, k, n, n - k] = w, w * e_phi ** (n - k)
+    left, right = sides.reshape(2, 3, d * d)
+    # V^T: the products of fock.tensor's broadcast, rank index first, so each
+    # pass below runs along the d^4 rows
+    vt = (left[:, None, :, None] * right[None, :, None, :]).reshape(9, layout4.dim)
+    # the ideal case drops every probability-p_c^2 term, including the
+    # one-excitation-per-side cross product; the loss keeps the atom number,
+    # so the cut commutes with it (each side holds at most two atoms)
+    vt *= _atom_rows(cutoff, 4 if include_second_order else 1)
+    vt *= 1.0 / math.sqrt(np.vdot(vt, vt).real)
+    rho = fock.DensityOperator.from_factor(layout4, vt.T)
+    fock._check_pair_support(rho, [(1, 3)], "beamsplitter")
 
-    rho = fock.apply_loss(rho, 1, eta_p)
-    rho = fock.apply_loss(rho, 3, eta_p)
-    rho = fock.apply_phase(rho, 3, channel_phase)
-    rho = fock.apply_beamsplitter(rho, 1, 3)
-
-    silent = fock.DetectorModel(efficiency=1.0, dark_count_prob=p_dc).no_click_weights(cutoff)
-    # a click on the plus port, none on the minus port
-    return fock.condition(rho, {3: 1.0 - silent, 1: silent})
+    # V with axes (phot_L phot_R, atom_L atom_R rank): the splitter and the
+    # herald weights are one matmul on the pair index, which then joins the rank
+    r = rho.factor.shape[1]
+    t = rho.factor.reshape(d, d, d, d, r).transpose(1, 3, 0, 2, 4).reshape(d * d, -1)
+    out = _herald(cutoff, p_dc) @ t
+    unnorm = out.reshape(len(out), d * d, r).transpose(1, 0, 2).reshape(d * d, len(out) * r)
+    return fock.normalize_outcome(fock.ModeLayout(2, cutoff), unnorm)
 
 
 def generate_oracle(params: RepeaterParams, cutoff: int = 4,
@@ -327,9 +391,9 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
     if not 0.0 < eta_s <= 1.0:
         raise ValueError(f"swap efficiency {eta_s} outside (0, 1]")
     # modes L, I1, I2, R; loss on the inner halves before the tensor product
-    left = eme_density(fock.ModeLayout(2, cutoff), (0, 1), c, phase_left)
-    right = eme_density(fock.ModeLayout(2, cutoff), (0, 1), c, phase_right)
-    rho = fock.tensor(fock.apply_loss(left, 1, eta_s), fock.apply_loss(right, 0, eta_s))
+    layout = fock.ModeLayout(2, cutoff)
+    rho = fock.tensor(lossy_link(layout, c, phase_left, (1.0, eta_s)),
+                      lossy_link(layout, c, phase_right, (eta_s, 1.0)))
     rho = fock.apply_beamsplitter(rho, 1, 2)
 
     # herald patterns: exactly one photon, on the I1 or the I2 output

@@ -17,7 +17,7 @@ from repeatersim.applications import (
     ekert_simulation,
     teleport,
 )
-from repeatersim.protocol import eme_density
+from repeatersim.protocol import eme_density, lossy_input, lossy_link
 
 ROOT8 = 2 * math.sqrt(2)
 
@@ -538,9 +538,21 @@ class TestLossyInput:
                                normalize=False).to_density()
         for mode in (0, 1):
             want = fock.apply_loss(want, mode, eta)
-        got = applications._lossy_input(0.0, (q.d0, q.d1), (eta, eta))
+        got = lossy_input(fock.ModeLayout(2, 2), 0.0, (q.d0, q.d1), (eta, eta))
         assert got.factor.shape[1] <= 2
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-15
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 4])
+    def test_link_at_any_cutoff_matches_kraus_chain(self, cutoff):
+        # the swap oracle's links, at the oracle's own cutoff
+        layout = fock.ModeLayout(2, cutoff)
+        for c, phi, etas in ((0.0, 0.3, (1.0, 0.4)), (1.7, 2.9, (0.8, 1.0))):
+            want = eme_density(layout, (0, 1), c, phi)
+            for mode, eta in enumerate(etas):
+                want = fock.apply_loss(want, mode, eta)
+            got = lossy_link(layout, c, phi, etas)
+            assert got.factor.shape[1] <= 2
+            assert np.max(np.abs(got.matrix - want.matrix)) < 1e-15
 
 
 class TestRefusalGrid:

@@ -253,6 +253,12 @@ class TestTwoModeSqueeze:
         with pytest.raises(TruncationError):
             apply_two_mode_squeeze(vacuum(layout), 0, 1, 1.5, trunc_tol=1e-6)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_is_refused(self, r):
+        # a loose tolerance, so only the finiteness guard can refuse
+        with pytest.raises(ValueError, match=f"squeeze parameter r = {r} must be finite"):
+            apply_two_mode_squeeze(vacuum(ModeLayout(2, 2)), 0, 1, r, trunc_tol=2.0)
+
 
 class TestLoss:
     def test_identity_at_unit_transmission(self):
@@ -759,12 +765,15 @@ class TestRankRule:
 
 
 @pytest.mark.parametrize("include_second_order", [False, True])
-def test_generation_circuit_matches_dense_path(include_second_order):
+@pytest.mark.parametrize("p_c,eta_p,p_dc,phase", [(0.05, 0.3, 1e-3, 0.7),
+                                                  (0.002, 0.2, 0.0, 0.0),
+                                                  (0.005, 1.0, 1e-5, 2.9)])
+def test_generation_circuit_matches_dense_path(include_second_order, p_c, eta_p, p_dc, phase):
     """The generation circuit, whose ``include_second_order=False`` source is
     not a product state, against the same circuit run on dense matrices."""
     from repeatersim.protocol import generation_circuit
 
-    p_c, eta_p, p_dc, phase, cutoff = 0.05, 0.3, 1e-3, 0.7, 4
+    cutoff = 4
     prob, rho = generation_circuit(p_c, eta_p, p_dc, phase, cutoff, include_second_order)
 
     layout4 = ModeLayout(4, cutoff)
@@ -850,6 +859,23 @@ class TestGateTables:
         eye = DensityOperator.from_factor(layout, np.eye(layout.dim))
         u = apply_two_mode_squeeze(eye, 0, 1, r, trunc_tol=1.0).factor
         assert np.max(np.abs(u - squeeze_pair_matrix(cutoff, r))) < 1e-14
+
+    def test_squeezer_eigenbasis_is_computed_once_per_cutoff(self):
+        fock.squeeze_eigenbasis.cache_clear()
+        layout = ModeLayout(2, 5)
+        for r in (0.1, -0.2, 0.3):
+            apply_two_mode_squeeze(vacuum(layout), 0, 1, r)
+        apply_two_mode_squeeze(vacuum(ModeLayout(3, 4)), 2, 0, 0.1)
+        info = fock.squeeze_eigenbasis.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        lam, w = fock.squeeze_eigenbasis(5)
+        assert fock.squeeze_eigenbasis(5)[1] is w
+        # i G = W diag(lam) W^dagger for the generator G = a_1† a_2† - a_1 a_2
+        u = squeeze_pair_matrix(5, 1.0)
+        assert np.max(np.abs((w * np.exp(-1j * lam)) @ w.conj().T - u)) < 1e-14
+        for table in (lam, w):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
 
     def test_tables_are_memoised_and_read_only(self):
         tables = [fock.beamsplitter_matrix(2, 0.4, 0.1), *fock.loss_kraus(2, 0.3),

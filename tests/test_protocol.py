@@ -184,6 +184,56 @@ class TestGenerateOracle:
         assert abs(res.infidelity - old) <= 1e-15
 
 
+class TestGenerationCircuit:
+    @pytest.mark.parametrize("p_c", [-0.1, 1.5, math.nan, math.inf])
+    def test_refuses_excitation_probability(self, p_c):
+        with pytest.raises(ValueError, match=f"excitation probability p_c = {p_c} "
+                                             r"outside \[0, 1\]"):
+            generation_circuit(p_c, 0.3, 1e-5)
+
+    @pytest.mark.parametrize("eta_p", [-0.1, 1.2, math.nan])
+    def test_refuses_generation_efficiency(self, eta_p):
+        with pytest.raises(ValueError, match=f"generation efficiency eta_p = {eta_p} "
+                                             r"outside \[0, 1\]"):
+            generation_circuit(0.01, eta_p, 1e-5)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_refuses_channel_phase(self, phase):
+        with pytest.raises(ValueError, match=f"channel phase {phase} must be finite"):
+            generation_circuit(0.01, 0.3, 1e-5, channel_phase=phase)
+
+    def test_refuses_second_order_term_above_the_cutoff(self):
+        with pytest.raises(ValueError, match=r"needs cutoff >= 2, got 1"):
+            generation_circuit(0.01, 0.3, 1e-5, cutoff=1)
+        # without it, cutoff 1 holds the whole ideal source
+        prob, _ = generation_circuit(0.01, 0.3, 1e-5, cutoff=1, include_second_order=False)
+        assert prob > 0.0
+
+    def test_all_dark_herald_is_impossible(self):
+        # p_dc = 1: the minus port always clicks
+        with pytest.raises(fock.ImpossibleOutcomeError):
+            generation_circuit(0.05, 0.3, 1.0)
+
+    @pytest.fixture
+    def no_loss_gates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracles build their lossy states in closed form")
+        for name in ("apply_loss", "apply_phase"):
+            monkeypatch.setattr(fock, name, refuse)
+
+    @pytest.mark.parametrize("include_second_order", [True, False])
+    def test_oracles_run_without_loss_or_phase_gates(self, no_loss_gates,
+                                                     include_second_order):
+        params = make_params(excitation_prob=0.05, local_efficiency=0.3)
+        prob, rho = generation_circuit(0.05, 0.3, 1e-5, 0.7, 4, include_second_order)
+        assert 0.0 < prob < 1.0 and rho.trace() == pytest.approx(1.0, abs=1e-14)
+        res = generate_oracle(params, channel_phase=0.7,
+                              include_second_order=include_second_order)
+        assert res.c_measured > 0.0
+        swap = swap_oracle(1 / 3, 0.9, cutoff=3, phase_left=0.7, phase_right=2.1)
+        assert swap.success_prob > 0.0
+
+
 def chain_swap(c, eta_s, cutoff=2, phase_left=0.0, phase_right=0.0):
     """Reference swap by the destructive chain: per herald pattern, resolving
     ``measure_detector`` on I2 then I1, and the two conditional states mixed
