@@ -35,12 +35,11 @@ class ModeLayout:
     """Mode count and per-mode photon-number cutoff.
 
     Dimension per mode is ``cutoff + 1``; total dimension is
-    ``(cutoff + 1) ** modes`` and must stay below ``max_dim``.
+    ``(cutoff + 1) ** modes`` and must stay below ``DEFAULT_DIM_BOUND``.
     """
 
     modes: int
     cutoff: int
-    max_dim: int = DEFAULT_DIM_BOUND
 
     def __post_init__(self):
         if self.modes < 1:
@@ -48,10 +47,10 @@ class ModeLayout:
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
         # integer power cannot overflow in Python; just enforce the bound
-        if self.dim > self.max_dim:
+        if self.dim > DEFAULT_DIM_BOUND:
             raise ValueError(
                 f"layout dimension {(self.cutoff + 1)}**{self.modes} = "
-                f"{self.dim} exceeds bound {self.max_dim}"
+                f"{self.dim} exceeds bound {DEFAULT_DIM_BOUND}"
             )
 
     @property
@@ -91,7 +90,10 @@ class PureState:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (self.layout.dim,):
             raise ValueError("amplitude vector does not match layout dimension")
+        # a NaN or infinite amplitude makes the norm NaN or infinite
         norm = np.linalg.norm(self.amplitudes)
+        if not math.isfinite(norm):
+            raise ValueError(f"state norm {norm} is not finite")
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
 
@@ -99,40 +101,24 @@ class PureState:
         return DensityOperator.from_factor(self.layout, self.amplitudes[:, None])
 
 
-def _eigh_factor(m: np.ndarray) -> np.ndarray:
-    """Factor of a Hermitian positive semidefinite matrix by ``eigh``,
-    dropping eigenvalues at or below 1e-15 times the trace."""
-    lam, w = np.linalg.eigh(m)
-    if lam[0] < -1e-10:
-        raise ValueError(f"matrix has negative eigenvalue {lam[0]:.3e}")
-    keep = lam > 1e-15 * lam.sum()
-    return w[:, keep] * np.sqrt(lam[keep])
-
-
 def _compact(v: np.ndarray) -> np.ndarray:
     """The rank rule: drop all-zero columns; with more columns than rows,
-    re-factor V V^dagger, so the rank never exceeds the dimension."""
+    re-factor V V^dagger by ``eigh``, dropping eigenvalues at or below
+    1e-15 times the trace, so the rank never exceeds the dimension."""
     v = v[:, v.any(axis=0)]
     if v.shape[1] > v.shape[0]:
-        v = _eigh_factor(v @ v.conj().T)
+        lam, w = np.linalg.eigh(v @ v.conj().T)
+        keep = lam > 1e-15 * lam.sum()
+        v = w[:, keep] * np.sqrt(lam[keep])
     return v
 
 
 class DensityOperator:
     """Density operator ``rho = V V^dagger`` held as its factor V (dim x r).
 
-    ``DensityOperator(layout, matrix)`` factors a Hermitian positive
-    semidefinite matrix; gates use ``from_factor``.  ``matrix`` forms
-    V V^dagger on demand for callers and tests; no gate reads it.
+    ``from_factor`` is the only constructor.  ``matrix`` forms V V^dagger on
+    demand for callers and tests; no gate reads it.
     """
-
-    def __init__(self, layout: ModeLayout, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (layout.dim, layout.dim):
-            raise ValueError("matrix does not match layout dimension")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("matrix is not Hermitian")
-        self.layout, self.factor = layout, _eigh_factor(m)
 
     @classmethod
     def from_factor(cls, layout: ModeLayout, factor) -> "DensityOperator":
@@ -140,7 +126,7 @@ class DensityOperator:
         v = np.asarray(factor, dtype=complex)
         if v.ndim != 2 or v.shape[0] != layout.dim:
             raise ValueError("factor does not match layout dimension")
-        rho = cls.__new__(cls)
+        rho = cls()
         rho.layout, rho.factor = layout, _compact(v)
         return rho
 
@@ -162,13 +148,6 @@ class DensityOperator:
     def mean_photon(self, mode: int) -> float:
         self.layout.check_mode(mode)
         return float(np.dot(marginal(self, (mode,)), np.arange(self.layout.mode_dim)))
-
-
-def assert_physical(rho: DensityOperator):
-    """Debug/test helper.  V V^dagger is Hermitian and positive with a real
-    trace by construction, so what is left to check is a finite factor."""
-    if not np.isfinite(rho.factor).all():
-        raise AssertionError("state factor has non-finite entries")
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +172,8 @@ def pure_state(layout: ModeLayout, components: dict, normalize: bool = True) -> 
         v[layout.index(occ)] = amp
     if normalize:
         norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValueError("zero state")
+        if not 0 < norm < math.inf:
+            raise ValueError(f"state norm {norm} must be positive and finite")
         v = v / norm
     return PureState(layout, v)
 
@@ -203,8 +182,7 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Tensor product; mode indices of ``b`` follow those of ``a``."""
     if a.layout.cutoff != b.layout.cutoff:
         raise ValueError("tensor requires matching cutoffs")
-    layout = ModeLayout(a.layout.modes + b.layout.modes, a.layout.cutoff,
-                        max(a.layout.max_dim, b.layout.max_dim))
+    layout = ModeLayout(a.layout.modes + b.layout.modes, a.layout.cutoff)
     va, vb = a.factor, b.factor
     # np.kron of the factors as one broadcast product, bit for bit, without
     # np.kron's per-call bookkeeping
@@ -312,6 +290,9 @@ def apply_beamsplitter(rho: DensityOperator, i: int, j: int,
     layout.check_mode(j)
     if i == j:
         raise ValueError("beamsplitter needs two distinct modes")
+    if not (math.isfinite(theta) and math.isfinite(phase)):
+        raise ValueError(f"beamsplitter angles theta = {theta}, phase = {phase} "
+                         "must be finite")
     _check_pair_support(rho, [(i, j)], "beamsplitter")
     return _apply_pair(rho, beamsplitter_matrix(layout.cutoff, theta, phase), i, j)
 
@@ -320,6 +301,8 @@ def apply_phase(rho: DensityOperator, i: int, psi: float) -> DensityOperator:
     """Number-basis phase ``e^{i psi n}`` on mode ``i``."""
     layout = rho.layout
     layout.check_mode(i)
+    if not math.isfinite(psi):
+        raise ValueError(f"phase psi = {psi} must be finite")
     phases = np.exp(1j * psi * np.arange(layout.mode_dim))
     out = _mode_view(rho, i) * phases[:, None]
     return DensityOperator.from_factor(layout, out.reshape(rho.factor.shape))
@@ -476,8 +459,13 @@ def condition(rho: DensityOperator, weights: dict):
     mode to its element's weight on every photon number.  Returns
     ``(probability, normalized state with those modes traced out)``."""
     layout = rho.layout
-    for mode in weights:
+    for mode, w in weights.items():
         layout.check_mode(mode)
+        w = np.asarray(w)
+        # NaN fails both comparisons; a loop over a few floats beats ufuncs
+        if w.shape != (layout.mode_dim,) or not all(0 <= x < math.inf for x in w.tolist()):
+            raise ValueError(f"weights for mode {mode} must be {layout.mode_dim} finite "
+                             f"non-negative numbers, got {w.tolist()}")
     if len(weights) == layout.modes:
         raise ValueError("conditioning every remaining mode leaves no state; "
                          "use detector_probability() for the outcome weight")
@@ -487,7 +475,7 @@ def condition(rho: DensityOperator, weights: dict):
     folded = _fold(rho.factor, layout, tuple(weights))
     rows = len(folded)
     unnorm = (folded.reshape(rows, root.size, -1) * root.reshape(-1, 1)).reshape(rows, -1)
-    sub_layout = ModeLayout(layout.modes - len(weights), layout.cutoff, layout.max_dim)
+    sub_layout = ModeLayout(layout.modes - len(weights), layout.cutoff)
     return normalize_outcome(sub_layout, unnorm)
 
 
@@ -519,7 +507,7 @@ def partial_trace(rho: DensityOperator, modes) -> DensityOperator:
         layout.check_mode(m)
     if len(drop) == layout.modes:
         raise ValueError("tracing out every mode leaves no state; use trace()")
-    sub_layout = ModeLayout(layout.modes - len(drop), layout.cutoff, layout.max_dim)
+    sub_layout = ModeLayout(layout.modes - len(drop), layout.cutoff)
     return DensityOperator.from_factor(sub_layout, _fold(rho.factor, layout, drop))
 
 

@@ -47,10 +47,6 @@ class EMEState:
         if self.span_length < 0:
             raise ValueError("span_length must be >= 0")
 
-    @property
-    def entangled_fraction(self) -> float:
-        return 1.0 / (self.vacuum_coeff + 1.0)
-
 
 @dataclass(frozen=True)
 class RepeaterParams:

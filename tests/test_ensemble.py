@@ -263,13 +263,8 @@ class TestScipyFreeRuntime:
 
     def test_no_module_imports_scipy(self):
         # any depth: an import inside a function counts as much as one at the top
-        package = os.path.dirname(fock.__file__)
         offenders = []
-        for name in sorted(os.listdir(package)):
-            if not name.endswith(".py"):
-                continue
-            with open(os.path.join(package, name), encoding="utf-8") as f:
-                tree = ast.parse(f.read(), filename=name)
+        for name, tree in package_trees():
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     modules = [alias.name for alias in node.names]
@@ -280,6 +275,35 @@ class TestScipyFreeRuntime:
                 offenders += [f"{name}:{node.lineno} {m}" for m in modules
                               if m.split(".")[0] == "scipy"]
         assert offenders == []
+
+    def test_one_eigh_rank_rule_and_no_dimension_knob(self):
+        # eigh only in the rank rule and the squeezer table; no `max_dim` anywhere
+        eigh, max_dim = [], []
+
+        def visit(node, name, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            idents = {getattr(node, key, None) for key in ("id", "attr", "arg", "name")}
+            if "eigh" in idents:
+                eigh.append(f"{name}:{func}")
+            if "max_dim" in idents:
+                max_dim.append(f"{name}:{node.lineno}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, name, func)
+
+        for name, tree in package_trees():
+            visit(tree, name, None)
+        assert sorted(eigh) == ["fock.py:_compact", "fock.py:squeeze_eigenbasis"]
+        assert max_dim == []
+
+
+def package_trees():
+    """``(file name, AST)`` of every module in the package."""
+    package = os.path.dirname(fock.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                yield name, ast.parse(f.read(), filename=name)
 
 
 def dense_gain_populations(kappa_prime, gamma_s_prime, n_modes, cutoff, t_grid,
