@@ -77,10 +77,27 @@ def _link(c_n: float, phi: float, etas) -> fock.DensityOperator:
     return lossy_link(_PAIR, c_n, phi, etas)
 
 
-def _link_pair(c_n: float, phi: float, eta_a: float) -> fock.DensityOperator:
-    """The two lossy links (L1, R1) and (L2, R2) a correlation circuit reads."""
+def _site_view(rho: fock.DensityOperator) -> np.ndarray:
+    """The factor of the link pair ``rho`` (modes L1, R1, L2, R2 of ``_PAIR``)
+    with axes (L1 L2, R1 R2 rank), read-only, once neither site's splitter
+    pair has support above the cutoff."""
+    L1, R1, L2, R2 = 0, 1, 2, 3
+    # a number-basis phase keeps every number marginal and the L splitter leaves
+    # (R1, R2) alone: the gate chain's splitters see the input pair's support
+    fock._check_pair_support(rho, [(L1, L2), (R1, R2)], "beamsplitter")
+    d = _PAIR.mode_dim
+    v = rho.factor.reshape(d, d, d, d, -1).transpose(L1, L2, R1, R2, 4).reshape(d * d, -1)
+    v.flags.writeable = False
+    return v
+
+
+@functools.lru_cache(maxsize=64)
+def _link_pair(c_n: float, phi: float, eta_a: float) -> np.ndarray:
+    """``_site_view`` of the two lossy links (L1, R1) and (L2, R2) a
+    correlation circuit reads, memoised per distinct link: a correlation
+    surface, the CHSH settings and a key run on one link build it once."""
     pair = _link(c_n, phi, (eta_a, eta_a))
-    return fock.tensor(pair, pair)
+    return _site_view(fock.tensor(pair, pair))
 
 
 @functools.lru_cache(maxsize=16)
@@ -95,22 +112,18 @@ def _alone(cutoff: int, dark_prob: float = 0.0) -> np.ndarray:
     return alone
 
 
-def _correlations(rho: fock.DensityOperator, settings, dark_prob: float = 0.0) -> tuple:
-    """``correlation`` at each of ``settings`` on the link pair ``rho`` of
-    ``_link_pair``, one ``CorrelationResult`` per setting in order."""
-    L1, R1, L2, R2 = 0, 1, 2, 3
-    # a number-basis phase keeps every number marginal and the L splitter leaves
-    # (R1, R2) alone: the gate chain's splitters see the input pair's support
-    fock._check_pair_support(rho, [(L1, L2), (R1, R2)], "beamsplitter")
-    cutoff, d, (_, r) = rho.layout.cutoff, rho.layout.mode_dim, rho.factor.shape
+def _correlations(v: np.ndarray, settings, dark_prob: float = 0.0) -> tuple:
+    """``correlation`` at each of ``settings`` on the site view ``v`` of
+    ``_link_pair``, one ``CorrelationResult`` per setting in order; nothing
+    here is cached."""
+    cutoff, d = _PAIR.cutoff, _PAIR.mode_dim
     # per setting and site (L, R), the phase e^{iψn} on the first mode and the
     # balanced splitter fused into one unitary on the site's d² pair index
     psi = np.array([(s.psi_left, s.psi_right) for s in settings])
     phases = np.exp(1j * psi[..., None] * np.repeat(np.arange(d), d))
     u = fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0) * phases[..., None, :]
-    # V with axes (L1 L2, R1 R2 rank); one batched matmul per site
-    v = rho.factor.reshape(d, d, d, d, r).transpose(L1, L2, R1, R2, 4).reshape(d * d, -1)
-    out = u[:, 1, None] @ (u[:, 0] @ v).reshape(len(settings), d * d, d * d, r)
+    # one batched matmul per site
+    out = u[:, 1, None] @ (u[:, 0] @ v).reshape(len(settings), d * d, d * d, -1)
     pops = (out.real ** 2 + out.imag ** 2).sum(axis=-1)   # (L1 L2, R1 R2) marginals
     # threshold POVMs are diagonal, so a pattern's probability is the number
     # marginal weighted by "detector i alone clicks"

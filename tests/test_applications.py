@@ -226,7 +226,7 @@ class TestCoincidenceMarginal:
         setting = MeasurementSetting(0.3, 1.1)
         with pytest.raises(fock.TruncationError,
                            match=re.escape(f"beamsplitter on modes {modes}:")) as batched:
-            applications._correlations(rho, [setting, setting])
+            applications._site_view(rho)
         with pytest.raises(fock.TruncationError) as chain:
             gate_chain(rho, setting)
         assert str(batched.value) == str(chain.value)
@@ -236,6 +236,14 @@ class TestCoincidenceMarginal:
         assert applications._alone(2, 1e-3) is alone
         with pytest.raises(ValueError, match="read-only"):
             alone[0, 0] = 1.0
+
+    def test_link_pair_is_memoised_and_read_only(self):
+        view = applications._link_pair(0.5, 0.3, 0.4)
+        assert applications._link_pair(0.5, 0.3, 0.4) is view
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 1.0
+        maxsize = applications._link_pair.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < math.inf
 
     @pytest.mark.parametrize("dark_prob", [-0.1, 1.5])
     def test_dark_probability_outside_unit_interval_rejected(self, dark_prob):
@@ -374,6 +382,8 @@ class TestFockCallCounts:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # a cold memo, so each test sees its link pair built
+        applications._link_pair.cache_clear()
         counts = dict.fromkeys(self.NAMES, 0)
         for name in self.NAMES:
             def counted(*args, _f=getattr(fock, name), _name=name, **kwargs):
@@ -394,12 +404,85 @@ class TestFockCallCounts:
         ekert_simulation(0.5, 0.3, 0.4, rounds=1000, seed=1)
         assert calls == self.LINK_PAIR
 
+    def test_repeated_link_builds_no_second_pair(self, calls):
+        correlation(0.5, 0.3, MeasurementSetting(0.9, 0.2), 0.4)
+        chsh_correlations(0.5, 0.3, 0.4)
+        ekert_simulation(0.5, 0.3, 0.4, rounds=1000, seed=1)
+        assert calls == self.LINK_PAIR
+
+    def test_correlation_surface_builds_one_link_pair(self, calls):
+        for psi_l in np.linspace(0.0, 2 * math.pi, 8):
+            for psi_r in np.linspace(0.0, 2 * math.pi, 8):
+                correlation(1 / 3, 0.4, MeasurementSetting(psi_l, psi_r), 0.5)
+        assert calls == self.LINK_PAIR
+
     def test_teleport_reads_the_splitter_output_once(self, calls):
         # two tensor products, one support read for both sender splitters
         # and the splitters fused into the read; no loss channel, detector,
         # phase gate or conditional state
         teleport(PolarizationQubit.from_bloch(1.1, 0.4), 0.5, 0.6)
         assert calls == {**self.LINK_PAIR, "tensor": 2}
+
+
+def circuit_outputs(c_n, phi, eta_a, cold=False):
+    """``repr`` of every coincidence circuit's results on the link
+    (c_n, phi, eta_a), each on a cleared memo if ``cold``: exact digits, and
+    -0.0 tells from 0.0."""
+    out = []
+    for circuit in (lambda: correlation(c_n, phi, MeasurementSetting(0.3, 1.2), eta_a, 1e-3),
+                    lambda: chsh_correlations(c_n, phi, eta_a),
+                    lambda: ekert_simulation(c_n, phi, eta_a, rounds=20_000, seed=5)):
+        if cold:
+            applications._link_pair.cache_clear()
+        out.append(circuit())
+    return repr(out)
+
+
+class TestLinkPairMemo:
+    """The memoised site view changes no result and caches no refusal."""
+
+    @pytest.mark.parametrize("link", [(0.0, 0.0, 1.0), (1 / 3, 0.4, 0.5), (2.0, 1.7, 0.25)])
+    def test_warm_results_equal_cold_bit_for_bit(self, link):
+        cold = circuit_outputs(*link, cold=True)
+        applications._link_pair(*link)
+        assert circuit_outputs(*link) == cold
+
+    # lru_cache takes each pair for one key
+    @pytest.mark.parametrize("first,second", [
+        ((0.5, 0.0, 0.6), (0.5, -0.0, 0.6)),
+        ((0.0, 0.4, 0.6), (-0.0, 0.4, 0.6)),
+        ((1.0, 0.4, 0.6), (1, 0.4, 0.6)),
+        ((0.5, 0.4, 1.0), (0.5, 0.4, 1)),
+        ((0.5, 0.0, 0.6), (0.5, 0, 0.6)),
+        ((0.3, 0.2, 0.7), (np.float64(0.3), np.float64(0.2), np.float64(0.7))),
+    ])
+    def test_equal_keys_give_cold_results(self, first, second):
+        for a, b in ((first, second), (second, first)):
+            want = circuit_outputs(*b, cold=True)
+            applications._link_pair.cache_clear()
+            applications._link_pair(*a)
+            assert circuit_outputs(*b) == want
+
+    @pytest.mark.parametrize("bad,neighbour,reason", [
+        ((1.0, math.nan, 0.5), (1.0, 0.4, 0.5), "link phase nan must be finite"),
+        ((-0.5, 0.4, 0.5), (0.0, 0.4, 0.5),
+         "link vacuum coefficient c = -0.5 must be finite and non-negative"),
+        ((0.5, 0.4, 0.0), (0.5, 0.4, 1e-3), "application efficiency 0.0 outside (0, 1]"),
+        ((0.5, 0.4, 1.5), (0.5, 0.4, 1.0), "application efficiency 1.5 outside (0, 1]"),
+        ((0.5, 0.4, math.nan), (0.5, 0.4, 0.5), "application efficiency nan outside (0, 1]"),
+    ])
+    def test_refusals_are_not_cached(self, bad, neighbour, reason):
+        c_n, phi, eta_a = bad
+        circuit_outputs(*neighbour)
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                applications._link_pair(*bad)
+            assert str(exc.value) == reason
+            for circuit in (lambda: correlation(c_n, phi, MeasurementSetting(0.0, 0.0), eta_a),
+                            lambda: chsh_correlations(c_n, phi, eta_a),
+                            lambda: ekert_simulation(c_n, phi, eta_a, rounds=100, seed=1)):
+                with pytest.raises(ValueError, match=re.escape(reason)):
+                    circuit()
 
 
 class TestLinkParameters:

@@ -276,6 +276,33 @@ class TestScipyFreeRuntime:
                               if m.split(".")[0] == "scipy"]
         assert offenders == []
 
+    def test_every_memo_is_bounded(self):
+        # functools.cache only on a function without parameters; lru_cache
+        # always with a finite integer maxsize, so a float-keyed memo cannot
+        # grow without bound
+        memos, offenders = [], []
+        for name, tree in package_trees():
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for deco in func.decorator_list:
+                    call = deco if isinstance(deco, ast.Call) else None
+                    kind = ast.unparse(call.func if call else deco).rpartition(".")[2]
+                    where = f"{name}:{func.name}"
+                    if kind == "cache":
+                        memos.append(where)
+                        if call or ast.unparse(func.args):
+                            offenders.append(f"{where} caches on parameters")
+                    elif kind == "lru_cache":
+                        memos.append(where)
+                        bound = call.args + [k.value for k in call.keywords] if call else []
+                        if not (len(bound) == 1 and isinstance(bound[0], ast.Constant)
+                                and type(bound[0].value) is int and bound[0].value > 0):
+                            offenders.append(f"{where} has no finite integer maxsize")
+        assert offenders == []
+        assert {"protocol.py:_engines", "montecarlo.py:_kernels",
+                "applications.py:_link_pair"} <= set(memos)
+
     def test_one_eigh_rank_rule_and_no_dimension_knob(self):
         # eigh only in the rank rule and the squeezer table; no `max_dim` anywhere
         eigh, max_dim = [], []
