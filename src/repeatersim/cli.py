@@ -95,28 +95,27 @@ def emit_csv(header, rows, cfg: Config, path: str):
     _write("\n".join(lines) + "\n", path)
 
 
-def emit_record(summary: dict, cfg: Config, args):
-    """Write one summary as a single CSV row or as a JSON object."""
-    if args.format == "csv":
-        emit_csv(list(summary), [list(summary.values())], cfg, args.out)
+def emit_report(summary: dict, table, cfg: Config, fmt: str, path: str):
+    """Write a report.  CSV holds the table, or without one the summary's
+    scalar fields as a single row; JSON holds the summary and the table's
+    rows as records."""
+    if fmt == "json":
+        rows = {} if table is None else {"rows": [dict(zip(table[0], row))
+                                                  for row in table[1]]}
+        emit_json({**rows, **summary}, cfg, path)
+    elif table is None:
+        record = {k: v for k, v in summary.items() if not isinstance(v, list)}
+        emit_csv(list(record), [list(record.values())], cfg, path)
     else:
-        emit_json(summary, cfg, args.out)
-
-
-def emit_table(header, rows, summary: dict, cfg: Config, args):
-    """Write one logical table as CSV or as a JSON record list."""
-    if args.format == "csv":
-        emit_csv(header, rows, cfg, args.out)
-    else:
-        payload = {"rows": [dict(zip(header, row)) for row in rows], **summary}
-        emit_json(payload, cfg, args.out)
+        emit_csv(*table, cfg, path)
 
 
 # ---------------------------------------------------------------------------
-# per-command summaries (also the sweep row source)
+# reports: (cfg, args) -> (summary, (header, rows) or None); a sweep row is
+# the summary's scalar fields
 
 
-def rates_summary(cfg: Config) -> dict:
+def rates_report(cfg: Config, args):
     rates = ensemble.effective_rates(cfg.ensemble)
     fs = ensemble.free_space_snr(cfg.free_space.density, cfg.free_space.sample_length,
                                  cfg.free_space.wavenumber)
@@ -130,12 +129,71 @@ def rates_summary(cfg: Config) -> dict:
         "adiabatic_marginal": rates.adiabatic_marginal,
         "optical_depth": fs.optical_depth,
         "superradiance_risk": fs.superradiance_risk,
-    }
+    }, None
 
 
-def cmd_rates(cfg: Config, args) -> int:
-    emit_record(rates_summary(cfg), cfg, args)
-    return EXIT_OK
+def chain_report(cfg: Config, args):
+    # ChainLevel's fields in order: level, length, c, p, dF, elapsed time
+    table = [dataclasses.astuple(r)
+             for r in chain(cfg.repeater, channel_phase=cfg.applications.phase)]
+    summary = dict(zip(("levels", "length", "vacuum_coeff", "success_prob",
+                        "fidelity_deficit", "time_s"), table[-1]))
+    return summary, (("i", "L_i", "c_i", "p_i", "dF_i", "T_i"), table)
+
+
+def _closed_form(params) -> float:
+    try:
+        return scaling.closed_form_time(params)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
+def scaling_report(cfg: Config, args):
+    """The optimizer's scan beside the closed forms, which a generator
+    evaluates only when the table is written (a sweep reads the summary)."""
+    best = scaling.optimize_segment(cfg.repeater, cfg.scaling.total_length,
+                                    objective="compositional",
+                                    df_target=cfg.scaling.target_infidelity,
+                                    n_max=cfg.scaling.n_max)
+    total, latt = cfg.scaling.total_length, cfg.repeater.attenuation_length
+    direct = math.exp(total / latt)
+    rows = ((total / latt, l0 / latt, n, ratio,
+             _closed_form(cfg.repeater.with_(segment_length=l0, levels=n)), direct)
+            for n, l0, ratio in best.scanned)
+    summary = {"L_over_Latt": total,
+               "best_n": best.n_star, "best_L0_over_Latt": best.l0_star,
+               "best_ratio": best.value, "ratio_direct": direct,
+               "advantage": direct / best.value}
+    return summary, (("L_over_Latt", "L0_over_Latt", "n", "ratio_compositional",
+                      "ratio_closed_form", "ratio_direct"), rows)
+
+
+def optimize_report(cfg: Config, args):
+    best = scaling.optimize_segment(cfg.repeater, cfg.scaling.total_length,
+                                    objective=args.objective, m=args.m,
+                                    df_target=cfg.scaling.target_infidelity,
+                                    n_max=cfg.scaling.n_max)
+    return {"objective": args.objective, "L0_star": best.l0_star,
+            "n_star": best.n_star, "value": best.value}, None
+
+
+def chsh_report(cfg: Config, args):
+    from . import applications
+
+    results = applications.chsh_correlations(cfg.applications.vacuum_coeff,
+                                             cfg.applications.phase,
+                                             cfg.repeater.app_efficiency)
+    by_setting = dict(zip(applications.CHSH_SETTINGS, results))
+    lefts, rights = (0.0, math.pi / 2), (math.pi / 4, 3 * math.pi / 4)
+    summary = {"settings": [[a, b] for a in lefts for b in rights],
+               "E_matrix": [[by_setting[a, b].value for b in rights] for a in lefts],
+               "chsh": applications.chsh_combination(results),
+               "coincidence_prob": by_setting[math.pi / 2, 3 * math.pi / 4].coincidence_prob}
+    return summary, None
+
+
+REPORTS = {"rates": rates_report, "chain": chain_report, "scaling": scaling_report,
+           "optimize": optimize_report, "chsh": chsh_report}
 
 
 def _linspace(lo: float, hi: float, num: int) -> list:
@@ -184,105 +242,6 @@ def cmd_dynamics(cfg: Config, args) -> int:
     deviation = abs(extracted / analytic - 1.0) if math.isfinite(analytic) else 0.0
     print(f"extracted rate ratio {extracted:.6g} vs analytic {analytic:.6g} "
           f"(deviation {100 * deviation:.2f}%)")
-    return EXIT_OK
-
-
-def chain_summary(cfg: Config, rows=None) -> dict:
-    """Last row of the chain table; ``rows`` is ``chain()``'s output when the
-    caller already has it."""
-    if rows is None:
-        rows = chain(cfg.repeater, channel_phase=cfg.applications.phase)
-    last = rows[-1]
-    return {"levels": last.level, "length": last.length,
-            "vacuum_coeff": last.vacuum_coeff, "success_prob": last.success_prob,
-            "fidelity_deficit": last.fidelity_deficit, "time_s": last.elapsed_time}
-
-
-def cmd_chain(cfg: Config, args) -> int:
-    rows = chain(cfg.repeater, channel_phase=cfg.applications.phase)
-    table = [(r.level, r.length, r.vacuum_coeff, r.success_prob,
-              r.fidelity_deficit, r.elapsed_time) for r in rows]
-    emit_table(("i", "L_i", "c_i", "p_i", "dF_i", "T_i"), table,
-               chain_summary(cfg, rows), cfg, args)
-    return EXIT_OK
-
-
-def scaling_summary(cfg: Config) -> dict:
-    best = scaling.optimize_segment(cfg.repeater, cfg.scaling.total_length,
-                                    objective="compositional",
-                                    df_target=cfg.scaling.target_infidelity,
-                                    n_max=cfg.scaling.n_max)
-    direct = math.exp(cfg.scaling.total_length / cfg.repeater.attenuation_length)
-    return {"L_over_Latt": cfg.scaling.total_length,
-            "best_n": best.n_star, "best_L0_over_Latt": best.l0_star,
-            "best_ratio": best.value, "ratio_direct": direct,
-            "advantage": direct / best.value}
-
-
-def cmd_scaling(cfg: Config, args) -> int:
-    total = cfg.scaling.total_length
-    latt = cfg.repeater.attenuation_length
-    direct = math.exp(total / latt)
-    eta_s = cfg.repeater.swap_efficiency
-    rows = []
-    for n in range(1, cfg.scaling.n_max + 1):
-        l0 = total / 2 ** n
-        trial = cfg.repeater.with_(segment_length=l0, levels=n)
-        try:
-            comp = scaling.total_time(trial, cfg.scaling.target_infidelity,
-                                      cfg.scaling.per_connection_dark,
-                                      cfg.scaling.asym).ratio
-        except (InfeasibleError, ChainStallError, OverflowError):
-            continue
-        case = "high_eta" if eta_s >= 1.0 else "general"
-        try:
-            closed = scaling.closed_form_time(trial, case)
-        except (ValueError, OverflowError):
-            closed = math.nan
-        rows.append((total / latt, l0 / latt, n, comp, closed, direct))
-    if not rows:
-        raise InfeasibleError("no feasible segmentation for the scaling table")
-    emit_table(("L_over_Latt", "L0_over_Latt", "n", "ratio_compositional",
-                "ratio_closed_form", "ratio_direct"), rows,
-               scaling_summary(cfg), cfg, args)
-    return EXIT_OK
-
-
-def optimize_summary(cfg: Config, args) -> dict:
-    best = scaling.optimize_segment(cfg.repeater, cfg.scaling.total_length,
-                                    objective=args.objective, m=args.m,
-                                    df_target=cfg.scaling.target_infidelity,
-                                    n_max=cfg.scaling.n_max)
-    return {"objective": args.objective, "L0_star": best.l0_star,
-            "n_star": best.n_star, "value": best.value}
-
-
-def cmd_optimize(cfg: Config, args) -> int:
-    emit_record(optimize_summary(cfg, args), cfg, args)
-    return EXIT_OK
-
-
-def chsh_summary(cfg: Config) -> dict:
-    from . import applications
-
-    results = applications.chsh_correlations(cfg.applications.vacuum_coeff,
-                                             cfg.applications.phase,
-                                             cfg.repeater.app_efficiency)
-    by_setting = dict(zip(applications.CHSH_SETTINGS, results))
-    lefts, rights = (0.0, math.pi / 2), (math.pi / 4, 3 * math.pi / 4)
-    return {"settings": [[a, b] for a in lefts for b in rights],
-            "E_matrix": [[by_setting[a, b].value for b in rights] for a in lefts],
-            "chsh": applications.chsh_combination(results),
-            "coincidence_prob": by_setting[math.pi / 2, 3 * math.pi / 4].coincidence_prob}
-
-
-def cmd_chsh(cfg: Config, args) -> int:
-    summary = chsh_summary(cfg)
-    if args.format == "csv":
-        emit_csv(("chsh", "coincidence_prob"),
-                 [(summary["chsh"], summary["coincidence_prob"])], cfg, args.out)
-    else:
-        emit_json(summary, cfg, args.out)
     return EXIT_OK
 
 
@@ -350,25 +309,8 @@ def cmd_montecarlo(cfg: Config, args) -> int:
     return EXIT_OK
 
 
-SWEEP_SUMMARIES = {
-    "rates": lambda cfg, args: rates_summary(cfg),
-    "chain": lambda cfg, args: chain_summary(cfg),
-    "scaling": lambda cfg, args: scaling_summary(cfg),
-    "optimize": optimize_summary,
-    "chsh": lambda cfg, args: chsh_summary(cfg),
-}
-
-COMMANDS = {
-    "rates": cmd_rates,
-    "dynamics": cmd_dynamics,
-    "chain": cmd_chain,
-    "scaling": cmd_scaling,
-    "optimize": cmd_optimize,
-    "chsh": cmd_chsh,
-    "teleport": cmd_teleport,
-    "ekert": cmd_ekert,
-    "montecarlo": cmd_montecarlo,
-}
+COMMANDS = {"dynamics": cmd_dynamics, "teleport": cmd_teleport, "ekert": cmd_ekert,
+            "montecarlo": cmd_montecarlo}
 
 
 def _parse_sweep(spec: str):
@@ -386,26 +328,22 @@ def _parse_sweep(spec: str):
 
 
 def _run_sweep(name: str, raw: dict, args) -> int:
-    if name not in SWEEP_SUMMARIES:
+    if name not in REPORTS:
         raise ConfigError(f"--sweep is not supported for {name}")
     key, values = _parse_sweep(args.sweep)
     section, field = config.schema_key(key)
     is_int = config.SCHEMA[section][field][0] is int
-    header = None
-    rows = []
-    cfg0 = None
+    header, rows, cfg0 = None, [], None
     for v in values:
         text = str(int(round(v))) if is_int else repr(float(v))
         cfg = config.from_raw(config.set_raw(raw, key, text))
         cfg0 = cfg0 or cfg
-        summary = SWEEP_SUMMARIES[name](cfg, args)
-        summary = {k: s for k, s in summary.items()
+        summary = {k: s for k, s in REPORTS[name](cfg, args)[0].items()
                    if isinstance(s, (numbers.Real, str))}
-        if header is None:
-            header = [key] + list(summary)
+        header = header or [key, *summary]
         rows.append([int(text) if is_int else float(text)]
                     + [summary[k] for k in header[1:]])
-    emit_csv(header, rows, cfg0, args.out)
+    emit_report({}, (header, rows), cfg0, "csv", args.out)
     return EXIT_OK
 
 
@@ -464,9 +402,12 @@ def main(argv=None) -> int:
             args.format = cfg.output.format
         if not args.out and cfg.output.path:
             args.out = cfg.output.path
-        if getattr(args, "sweep", None):
+        if args.sweep:
             return _run_sweep(args.command, raw, args)
-        return COMMANDS[args.command](cfg, args)
+        if args.command in COMMANDS:
+            return COMMANDS[args.command](cfg, args)
+        emit_report(*REPORTS[args.command](cfg, args), cfg, args.format, args.out)
+        return EXIT_OK
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT

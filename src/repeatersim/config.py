@@ -50,6 +50,9 @@ class ScalingOptions:
             raise ValueError("budget terms must be non-negative")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if self.n_max > 1023:
+            raise ValueError(f"n_max must be <= 1023, got {self.n_max}: the segment "
+                             "length L/2^n must be a float")
 
 
 @dataclass(frozen=True)

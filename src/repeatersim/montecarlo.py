@@ -202,12 +202,19 @@ def estimate(params: RepeaterParams, n: int, cfg: TrialConfig,
     """Sampled waiting-time statistics against the analytic chain time.
 
     ``times`` are the samples of ``chain_times(params, n, cfg)``; they are
-    drawn here when not given.
+    drawn here when not given.  Raises ``OverflowError`` when a statistic
+    overflows a float.
     """
+    import numpy as np
+
     if times is None:
         times = chain_times(params, n, cfg)
-    mean = float(times.mean())
-    stddev = float(times.std(ddof=1)) if cfg.n_trials > 1 else 0.0
+    with np.errstate(over="ignore"):   # refused below, with the reason
+        mean = float(times.mean())
+        stddev = float(times.std(ddof=1)) if cfg.n_trials > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(stddev)):
+        raise OverflowError(f"waiting-time statistics of {cfg.n_trials} trials overflow "
+                            f"a float: mean {mean} s, stddev {stddev} s")
     t_n = analytic_chain_time(params, n)
     return McEstimate(
         mean=mean,

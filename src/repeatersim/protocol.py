@@ -173,6 +173,7 @@ def chain(params: RepeaterParams, channel_phase: float = 0.0) -> list[ChainLevel
     """Per-level state of the doubling chain, levels 0..n.
 
     Cumulative time follows the multiplicative rule T_i = T_{i-1} / p_i.
+    Raises ``OverflowError`` naming the first level whose T_i is not finite.
     """
     gen = generate_analytic(params, channel_phase)
     state = gen.state
@@ -186,6 +187,10 @@ def chain(params: RepeaterParams, channel_phase: float = 0.0) -> list[ChainLevel
         t /= p
         rows.append(ChainLevel(i, state.span_length, state.vacuum_coeff, p,
                                state.fidelity_deficit, t))
+    for row in rows:
+        if not math.isfinite(row.elapsed_time):
+            raise OverflowError(f"time T_{row.level} = {row.elapsed_time} s at level "
+                                f"{row.level} overflows a float")
     return rows
 
 

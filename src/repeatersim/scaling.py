@@ -94,6 +94,8 @@ def total_time(params: RepeaterParams, df_target: float,
     c_n = rows[-1].vacuum_coeff
     p_app = params.app_efficiency / (2.0 * (c_n + 1.0) ** 2)
     t_tot = t_n / p_app
+    if not math.isfinite(t_tot):
+        raise OverflowError(f"total time T_tot = {t_tot} s at level {n} overflows a float")
     t_con = 2.0 * params.pulse_time / (params.local_efficiency * params.app_efficiency * df_target)
     seg_ratio = params.total_length / params.segment_length   # = 2^n
     prod = 1.0
@@ -136,9 +138,11 @@ def closed_form_ratio(length_ratio: float, l0_over_latt: float, eta_s: float,
     return length_ratio ** exponent * math.exp(l0_over_latt)
 
 
-def closed_form_time(params: RepeaterParams, case: str) -> float:
-    """Closed-form T_tot / T_con for the configured segment layout."""
+def closed_form_time(params: RepeaterParams) -> float:
+    """Closed-form T_tot / T_con for the configured segment layout: the
+    ``high_eta`` case at unit swap efficiency, ``general`` below it."""
     ratio = params.total_length / params.segment_length
+    case = "high_eta" if params.swap_efficiency >= 1.0 else "general"
     return closed_form_ratio(ratio, params.segment_length / params.attenuation_length,
                              params.swap_efficiency, case)
 
@@ -184,8 +188,7 @@ def optimize_segment(params_base: RepeaterParams, total_length: float,
             if objective == "compositional":
                 value = total_time(trial, df_target).ratio
             elif objective == "closed_form":
-                case = "high_eta" if params_base.swap_efficiency >= 1.0 else "general"
-                value = closed_form_time(trial, case)
+                value = closed_form_time(trial)
             else:
                 raise ValueError(f"unknown objective {objective!r}")
         except (InfeasibleError, ChainStallError, OverflowError):

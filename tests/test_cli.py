@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from repeatersim import applications, cli, config
+from repeatersim import applications, cli, config, scaling
 
 
 def run_cli(argv, tmp_path=None, env_extra=None):
@@ -208,7 +208,8 @@ class TestChsh:
 
     def test_summary_matches_library_circuit(self):
         cfg = config.from_raw(config.default_raw())
-        summary = cli.chsh_summary(cfg)
+        summary, table = cli.chsh_report(cfg, None)
+        assert table is None
         c_n, phi = cfg.applications.vacuum_coeff, cfg.applications.phase
         eta_a = cfg.repeater.app_efficiency
         assert summary["chsh"] == applications.chsh_value(c_n, phi, eta_a)
@@ -250,6 +251,63 @@ class TestScaling:
         assert code in (2, 4) or code == 3
         # total_length below L_att cannot be segmented
         assert code != 0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_table_is_the_optimizers_single_scan(self, monkeypatch, fmt):
+        calls = []
+        total_time = scaling.total_time
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].levels)
+            return total_time(*args, **kwargs)
+
+        monkeypatch.setattr(scaling, "total_time", counted)
+        code, out = run_cli(["scaling", "--format", fmt])
+        assert code == 0
+        n_max = config.from_raw(config.default_raw()).scaling.n_max
+        assert calls == list(range(1, n_max + 1))
+
+    def test_n_max_beyond_a_float_segment_length_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[scaling]\nn_max = 1024\n")
+        code, out = run_cli(["--config", cfg, "scaling"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "config error: scaling.n_max: n_max must be <= 1023, got 1024: the segment "
+            "length L/2^n must be a float\n")
+
+    def test_n_max_at_the_bound_runs(self, tmp_path):
+        cfg = write_config(tmp_path, "[scaling]\nn_max = 1023\n")
+        code, _ = run_cli(["--config", cfg, "optimize"])
+        assert code == 0
+
+
+class TestOverflowRefusals:
+    @pytest.mark.parametrize("command", ["scaling", "optimize"])
+    def test_overflowed_total_time_exits_4(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "[repeater]\npulse_time = 1e300\n")
+        code, out = run_cli(["--config", cfg, command])
+        assert code == 4
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "infeasible: no feasible segmentation in the scanned range\n")
+
+    def test_overflowed_chain_time_exits_3_naming_the_level(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[repeater]\npulse_time = 1e300\nlevels = 8\n")
+        code, out = run_cli(["--config", cfg, "chain"])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "numeric failure: time T_7 = inf s at level 7 overflows a float\n")
+
+    def test_overflowed_montecarlo_statistics_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[repeater]\npulse_time = 1e300\n")
+        code, out = run_cli(["--config", cfg, "montecarlo"])
+        assert code == 3
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: waiting-time statistics of 10000 trials "
+                              "overflow a float: ")
 
 
 class TestOptimize:
@@ -378,8 +436,8 @@ class TestFormatting:
         assert payload["value"] == 0.123456789
 
     def test_sweep_keeps_numpy_integer_columns(self, monkeypatch):
-        monkeypatch.setitem(cli.SWEEP_SUMMARIES, "rates",
-                            lambda cfg, args: {"n": np.int64(7), "x": 0.5})
+        monkeypatch.setitem(cli.REPORTS, "rates",
+                            lambda cfg, args: ({"n": np.int64(7), "x": 0.5}, None))
         code, out = run_cli(["rates", "--sweep", "ensemble.detuning=5:20:2"])
         assert code == 0
         assert out.strip().splitlines()[1:] == ["ensemble.detuning,n,x",
@@ -443,6 +501,40 @@ class TestSweep:
         assert out == ""
         assert f"ensemble.detuning: sweep needs 1 to {cli.MAX_SWEEP_STEPS} steps, " \
                f"got {steps}" in capsys.readouterr().err
+
+
+class TestContract:
+    COMMANDS = ("rates", "dynamics", "chain", "scaling", "optimize", "chsh", "teleport",
+                "ekert", "montecarlo")
+    EXTREMES = {float: ("0", "-1", "1e300", "1e-300"), int: ("0", "-1", "1000000000"),
+                str: ("",)}
+
+    def test_every_single_key_extreme_exits_with_a_code_and_a_reason(self, tmp_path,
+                                                                    monkeypatch):
+        # each schema key alone at each extreme, against every subcommand at the
+        # default seeds; files go to tmp_path
+        import contextlib
+        import io
+
+        monkeypatch.setenv("REPEATERSIM_OUTDIR", str(tmp_path))
+        broken = []
+        for section, keys in config.SCHEMA.items():
+            for key, (conv, _) in keys.items():
+                for value in self.EXTREMES[conv]:
+                    ini = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+                    for command in self.COMMANDS:
+                        out, err = io.StringIO(), io.StringIO()
+                        try:
+                            with contextlib.redirect_stdout(out), \
+                                    contextlib.redirect_stderr(err):
+                                code = cli.main(["--config", ini, command])
+                        except Exception as exc:   # reported with its setting
+                            code = repr(exc)
+                        if code not in (0, 2, 3, 4) or (
+                                code != 0 and (out.getvalue() or not err.getvalue().strip())):
+                            broken.append((f"{section}.{key}={value}", command, code,
+                                           err.getvalue()))
+        assert broken == []
 
 
 class TestOutputDirEnv:

@@ -370,6 +370,17 @@ class TestMemoryGuard:
         assert peak <= trials * mc._trial_bytes(n)
 
 
+class TestStatisticsOverflow:
+    @pytest.mark.parametrize("times", [[1e300, 1e306, 1e305], [1.7e308] * 4])
+    def test_overflowed_statistics_are_refused_without_a_warning(self, times):
+        # the squares of the first overflow, the sum of the second;
+        # RuntimeWarning is an error under the test settings
+        cfg = TrialConfig(seed=1, n_trials=len(times))
+        with pytest.raises(OverflowError, match=f"statistics of {len(times)} trials "
+                                                "overflow a float"):
+            estimate(make_params(), 1, cfg, np.array(times))
+
+
 class TestConfig:
     def test_policy_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from repeatersim.protocol import RepeaterParams
+from repeatersim.protocol import RepeaterParams, chain
 from repeatersim.scaling import (
     InfeasibleError,
     closed_form_ratio,
@@ -37,7 +37,7 @@ class TestTotalTime:
             params = make_params(swap_efficiency=1.0, levels=n,
                                  segment_length=100.0 / 2 ** n)
             report = total_time(params, df_target=0.05)
-            closed = closed_form_time(params, "high_eta")
+            closed = closed_form_time(params)
             assert report.ratio == pytest.approx(closed, rel=1e-9)
             # all p_i = 1/2, T_n = T0 2^n
             assert report.t_n == pytest.approx(report.t0 * 2 ** n, rel=1e-12)
@@ -48,12 +48,20 @@ class TestTotalTime:
         for k in (3, 4, 5):
             params = make_params(swap_efficiency=1.0, levels=k, segment_length=1.0)
             report = total_time(params, df_target=0.05)
-            ratios.append(report.ratio / closed_form_time(params, "high_eta"))
+            ratios.append(report.ratio / closed_form_time(params))
         assert max(ratios) - min(ratios) < 1e-9
 
     def test_direct_baseline(self):
         report = total_time(make_params(), df_target=0.05)
         assert report.baseline_direct_ratio == pytest.approx(math.exp(100.0), rel=1e-9)
+
+    def test_overflowed_total_time_is_refused(self):
+        # the chain total_time builds (p_c = 0.05 / 2) ends at a finite T_n;
+        # T_tot = T_n / p_app overflows
+        params = make_params(pulse_time=1e305, levels=1, segment_length=1.0)
+        assert math.isfinite(chain(params.with_(excitation_prob=0.025))[-1].elapsed_time)
+        with pytest.raises(OverflowError, match="total time T_tot = inf s at level 1 "):
+            total_time(params, df_target=0.05)
 
     def test_budget_infeasible(self):
         with pytest.raises(InfeasibleError):
@@ -108,6 +116,12 @@ class TestClosedForm:
     def test_needs_meaningful_ratio(self):
         with pytest.raises(ValueError):
             closed_form_ratio(0.5, 1.0, 0.9, "high_eta")
+
+    @pytest.mark.parametrize("eta_s,case", [(1.0, "high_eta"), (0.999, "general"),
+                                            (2 / 3, "general"), (0.1, "general")])
+    def test_time_picks_the_case_from_the_swap_efficiency(self, eta_s, case):
+        params = make_params(swap_efficiency=eta_s, levels=4, segment_length=6.25)
+        assert closed_form_time(params) == closed_form_ratio(16.0, 6.25, eta_s, case)
 
 
 class TestOptimizeSegment:
