@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fock
 from .montecarlo import DRAW_BUDGET, check_memory
-from .protocol import lossy_input, lossy_link
+from .protocol import lossy_link
 from .scaling import InfeasibleError
 
 
@@ -197,21 +197,28 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
     if 3 * rounds > DRAW_BUDGET:
         raise InfeasibleError(f"{rounds} rounds need {3 * rounds:.3g} random draws, "
                               f"over the budget of {DRAW_BUDGET:.0e}")
-    # per round: the settings, the uniform, the cell, its thresholds and the
-    # outcome (tracemalloc peak: 49 bytes)
+    # per round: the cell and the uniform, and for a candidate round its
+    # index, cell, uniform and outcome (tracemalloc peak: 21 bytes at
+    # eta_a = 0.5, 37 at the largest coincidence weight of a link, 1/2)
     check_memory(56 * rounds, f"{rounds} rounds")
     settings = [MeasurementSetting(a, b) for a in (0.0, math.pi / 2) for b in (0.0, math.pi / 2)]
     # row 2i + j for settings (i, j): the four coincidence patterns
     table = [list(res.pattern_probs.values())
              for res in _correlations(_link_pair(c_n, phi, eta_a), settings)]
     rng = np.random.default_rng(seed)
-    left = rng.integers(0, 2, size=rounds)
-    right = rng.integers(0, 2, size=rounds)
+    # cell 2 left + right of the two sites' settings, drawn left then right
+    cell = 2 * rng.integers(0, 2, size=rounds)
+    cell += rng.integers(0, 2, size=rounds)
     u = rng.random(rounds)
-    cell = 2 * left + right
-    # 0..3: patterns 11, 12, 21, 22; 4: no coincidence
-    outcome = sum(u >= cum[cell] for cum in np.cumsum(table, axis=1).T)
-    counts = np.bincount(5 * cell + outcome, minlength=20).reshape(4, 5)
+    # 0..3: patterns 11, 12, 21, 22; 4: no coincidence.  The weights are
+    # non-negative, so a round with u at or above every cell's total is no
+    # coincidence in any cell: only the other rounds are compared, and the
+    # no-coincidence counts, which nothing reads, miss the rest.
+    cum = np.cumsum(table, axis=1)
+    cand = np.flatnonzero(u < cum[:, 3].max())
+    cand_cell = cell.take(cand)
+    outcome = sum(u.take(cand) >= col.take(cand_cell) for col in cum.T)
+    counts = np.bincount(5 * cand_cell + outcome, minlength=20).reshape(4, 5)
     kept = counts[[0, 3], :4]                  # matching settings, coincident
     sifted = int(kept.sum())
     # bit 0 when detector 1 fires (left in 11, 12; right in 11, 21), so the
@@ -229,6 +236,63 @@ class TeleportResult:
     confirm_prob: float       # excitation found on the right given the pattern
 
 
+# the lossy qubit's (I1, I2) number states: its vacuum |00⟩ and its single
+# excitations |10⟩, |01⟩
+_QUBIT_STATES = [_PAIR.index((0, 0)), *_SINGLES]
+
+
+@functools.lru_cache(maxsize=64)
+def _teleport_response(c_n: float, phi: float, eta_a: float) -> tuple:
+    """The teleport circuit on the link (c_n, phi, eta_a) as two read-only
+    tables over pairs (b, c) of the qubit's ``_QUBIT_STATES``, memoised per
+    distinct link.  With S_b the output of the sender splitters on
+    |b⟩ ⊗ link ⊗ link, summed over the sender index and the rank:
+
+    - R[right, b c] = Σ (w_straight + w_crossed) S_b S̄_c, the accepted
+      weight of each (R1, R2) number state;
+    - F[kind, t, u, b c] = Σ w_kind S_b[t] S̄_c[u] on the target's single
+      excitations t, u (``_SINGLES``), for the straight (i = j) and the
+      crossed (i ≠ j) patterns.
+
+    A qubit with factor Q on those states enters through its Gram M = Q Q†,
+    contracted with R and F by ``teleport``."""
+    pair = fock.tensor(*[_link(c_n, phi, (eta_a, 1.0))] * 2)   # sender halves lossy
+    d, r = _PAIR.mode_dim, pair.factor.shape[1]
+    # the inputs |b⟩ ⊗ pair fill disjoint rows, so their sum has the support
+    # of each: one read checks both sender splitters for all three
+    joint = np.zeros((d * d, d ** 4, r), dtype=complex)
+    joint[_QUBIT_STATES] = pair.factor
+    # modes I1, I2, L1, R1, L2, R2; the splitters act on (I1, L1) and (I2, L2)
+    fock._check_pair_support(fock.DensityOperator.from_factor(
+        fock.ModeLayout(6, _PAIR.cutoff), joint.reshape(d ** 6, r)), [(0, 2), (1, 4)],
+        "beamsplitter")
+
+    # Group 1 detectors sit on the (I1, L1) splitter outputs x, group 2 on the
+    # (I2, L2) outputs y.  Pattern (i, j) weighs them by alone[i] ⊗ alone[j],
+    # so only the outputs where some detector clicks alone are formed.
+    alone = _alone(_PAIR.cutoff)
+    read = np.flatnonzero(alone.any(axis=0))
+    n = len(read)
+    # the splitter rows x on the inputs with i = 0, 1 photons in I: (i x, L)
+    u = fock.beamsplitter_matrix(_PAIR.cutoff, math.pi / 4, 0.0).reshape(d * d, d, d)
+    u = u[read, :2].transpose(1, 0, 2).reshape(2 * n, d)
+    # S[i2 y, i1 x, R1 R2, rank] = Σ u[i1 x, L1] u[i2 y, L2] pair[L1 R1 L2 R2, rank]
+    s = (u @ pair.factor.reshape(d, -1)).reshape(2 * n, d, d, d * r)
+    s = (u @ s.transpose(2, 0, 1, 3).reshape(d, -1)).reshape(2, n, 2, n, d * d, r)
+    # rows (R1 R2, b) for the inputs b, columns (x, y, rank)
+    i1, i2 = zip(*(divmod(b, d) for b in _QUBIT_STATES))
+    s = s[i2, :, i1].transpose(3, 0, 2, 1, 4).reshape(d * d, 3, n * n * r)
+    # sender weights of the straight and the crossed patterns on (x, y, rank)
+    a = alone[:, read]
+    kinds = np.repeat(np.stack([a.T @ a, a.T @ a[::-1]]).reshape(2, -1), r, axis=1)
+    right = (s * kinds.sum(axis=0)) @ s.conj().transpose(0, 2, 1)
+    single = s[_SINGLES].reshape(2 * 3, -1)
+    fid = ((single * kinds[:, None]) @ single.conj().T).reshape(2, 2, 3, 2, 3)
+    right, fid = right.reshape(d * d, 9), fid.transpose(0, 1, 3, 2, 4).reshape(2, 2, 2, 9)
+    right.flags.writeable = fid.flags.writeable = False
+    return right, fid
+
+
 def teleport(qubit: PolarizationQubit, c_n: float, eta_a: float,
              phi: float = 0.0) -> TeleportResult:
     """Probabilistic teleportation through two shared links.
@@ -239,40 +303,28 @@ def teleport(qubit: PolarizationQubit, c_n: float, eta_a: float,
     conditional π on the second output mode.  Confirmation of an excitation
     on the right purifies away the vacuum components, making the post-selected
     fidelity unity.
-    """
-    link = _link(c_n, phi, (eta_a, 1.0))   # sender half lossy
-    qubit_in = lossy_input(_PAIR, 0.0, (qubit.d0, qubit.d1), (eta_a, eta_a))
-    rho = fock.tensor(fock.tensor(qubit_in, link), link)
-    I1, I2, L1, R1, L2, R2 = 0, 1, 2, 3, 4, 5
-    fock._check_pair_support(rho, [(I1, L1), (I2, L2)], "beamsplitter")
 
-    # V with axes (I1 L1, I2 L2, R1 R2, rank): the balanced splitters on the
-    # sender pairs are one matmul each.  Group 1 detectors sit on the (I1, L1)
-    # outputs, group 2 on (I2, L2).  Pattern (i, j) weighs the sender index
-    # by alone[i] ⊗ alone[j], and its p·w·f (probability, confirmation
-    # weight, fidelity) is the unnormalised overlap ‖ψ† V_ij‖², so no
-    # conditional state is formed.
-    d, r = _PAIR.mode_dim, rho.factor.shape[1]
-    u = fock.beamsplitter_matrix(_PAIR.cutoff, math.pi / 4, 0.0)
-    v = rho.factor.reshape([d] * 6 + [r]).transpose(I1, L1, I2, L2, R1, R2, 6)
-    v = (u @ (u @ v.reshape(d * d, -1)).reshape(d * d, d * d, -1)).reshape(d * d, d * d, d * d, r)
-    alone = _alone(_PAIR.cutoff)
-    w = alone[:, None, :, None] * alone[None, :, None, :]      # (i, j, I1 L1, I2 L2)
-    # sender weights of the straight (i = j) and the crossed (i ≠ j) patterns
-    kinds = np.stack([w[0, 0] + w[1, 1], w[0, 1] + w[1, 0]], axis=-1)
-    # the crossed patterns' π on R2 negates the target's |0,1⟩ amplitude
-    psi = np.zeros((2, d * d), dtype=complex)
-    psi[:, _SINGLES] = [[qubit.d0, qubit.d1], [qubit.d0, -qubit.d1]]
-    overlap = psi.conj() @ v                                  # (I1 L1, I2 L2, kind, rank)
-    overlap = (overlap.real ** 2 + overlap.imag ** 2).sum(axis=-1)
-    pops = (v.real ** 2 + v.imag ** 2).sum(axis=-1)
-    # accepted weight of each (R1, R2) number state
-    right = (kinds.sum(axis=-1)[..., None] * pops).sum(axis=(0, 1))
+    The link's part is ``_teleport_response``, built once per link; a call on
+    a built link forms the qubit's 3 × 3 Gram and two small contractions.  Each
+    pattern's p·w·f (probability, confirmation weight, fidelity) is the
+    unnormalised overlap ‖ψ† V_ij‖², so no conditional state is formed.
+    """
+    right, fid = _teleport_response(c_n, phi, eta_a)
+    # the qubit's factor Q on ``_QUBIT_STATES`` after loss eta_a on both
+    # modes, as ``protocol.lossy_input`` builds it: a vacuum and an excitation column
+    amps = (qubit.d0, qubit.d1)
+    vac = math.sqrt(sum((1.0 - eta_a) * abs(a) ** 2 for a in amps))
+    q = np.array([[vac, 0.0], [0.0, math.sqrt(eta_a) * amps[0]],
+                  [0.0, math.sqrt(eta_a) * amps[1]]])
+    gram = (q @ q.conj().T).ravel()
+    right = (right @ gram).real
     pattern_prob = float(right.sum())
     success_prob = float(right[_SINGLES[0]] + right[_SINGLES[1]])
     if success_prob < _TINY:
         raise ValueError("no accepted click pattern has support")
-    fidelity_acc = float((kinds * overlap).sum())
+    # the crossed patterns' π on R2 negates the target's |0,1⟩ amplitude
+    psi = np.array([[qubit.d0, qubit.d1], [qubit.d0, -qubit.d1]])[:, :, None]
+    fidelity_acc = float((psi.conj().transpose(0, 2, 1) @ (fid @ gram) @ psi).real.sum())
     return TeleportResult(success_prob=success_prob,
                           output_fidelity=fidelity_acc / success_prob,
                           pattern_prob=pattern_prob,

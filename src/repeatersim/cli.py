@@ -115,10 +115,20 @@ def emit_report(summary: dict, table, cfg: Config, fmt: str, path: str):
 # the summary's scalar fields
 
 
+# the rates fields that are infinite where one of their ensemble keys is 0
+_INFINITE_AT_ZERO = {"snr": ("spont_rate",), "bad_cavity_ratio": ("rabi", "coupling")}
+
+
 def rates_report(cfg: Config, args):
     rates = ensemble.effective_rates(cfg.ensemble)
     fs = ensemble.free_space_snr(cfg.free_space.density, cfg.free_space.sample_length,
                                  cfg.free_space.wavenumber)
+    for field, keys in _INFINITE_AT_ZERO.items():
+        if math.isinf(getattr(rates, field)):
+            # the zero keys, or all of them where their product underflowed
+            keys = [k for k in keys if getattr(cfg.ensemble, k) == 0] or keys
+            at = ", ".join(f"ensemble.{k} = {getattr(cfg.ensemble, k)!r}" for k in keys)
+            raise ValueError(f"{field} is infinite at {at}")
     return {
         "kappa_prime": rates.kappa_prime,
         "gamma_s_prime": rates.gamma_s_prime,
@@ -156,7 +166,10 @@ def scaling_report(cfg: Config, args):
                                     df_target=cfg.scaling.target_infidelity,
                                     n_max=cfg.scaling.n_max)
     total, latt = cfg.scaling.total_length, cfg.repeater.attenuation_length
-    direct = math.exp(total / latt)
+    direct = scaling.direct_ratio(total / latt)
+    if math.isinf(direct):
+        raise OverflowError(f"direct baseline exp(L/L_att) = exp({total / latt!r}) "
+                            "overflows a float")
     rows = ((total / latt, l0 / latt, n, ratio,
              _closed_form(cfg.repeater.with_(segment_length=l0, levels=n)), direct)
             for n, l0, ratio in best.scanned)

@@ -116,7 +116,8 @@ def generate_analytic(params: RepeaterParams, channel_phase: float = 0.0) -> Gen
     """
     signal = params.eta_p * params.excitation_prob
     if signal <= 0.0:
-        raise ValueError("degenerate all-dark generation: eta_p * p_c vanished")
+        # level 0 never heralds a link: the chain stalls at its first level
+        raise ChainStallError("degenerate all-dark generation: eta_p * p_c vanished")
     state = EMEState(
         vacuum_coeff=params.dark_prob / signal,
         phase=channel_phase,

@@ -56,7 +56,7 @@ class ScalingReport:
     t_con: float                  # seconds
     ratio: float                  # t_tot / t_con
     chain: list
-    baseline_direct_ratio: float  # exp(L / L_att)
+    baseline_direct_ratio: float  # exp(L / L_att); inf past the largest float
     budget: FidelityBudget
     # companions
     eq_display_ratio: float       # printed one-line scaling expression / t_con-free
@@ -71,6 +71,16 @@ class ScalingReport:
             raise ValueError("all times must be positive")
         if abs(self.ratio - self.t_tot / self.t_con) > 1e-12 * self.ratio:
             raise ValueError("ratio inconsistent with its factors")
+
+
+def direct_ratio(length_ratio: float) -> float:
+    """exp(L / L_att), the direct-transmission baseline over a channel of
+    ``length_ratio`` attenuation lengths; inf where it exceeds a float, so a
+    scan row's repeater times never fail on it."""
+    try:
+        return math.exp(length_ratio)
+    except OverflowError:
+        return math.inf
 
 
 def total_time(params: RepeaterParams, df_target: float,
@@ -105,7 +115,7 @@ def total_time(params: RepeaterParams, df_target: float,
     return ScalingReport(
         t0=t0, t_n=t_n, t_tot=t_tot, t_con=t_con, ratio=t_tot / t_con,
         chain=rows,
-        baseline_direct_ratio=math.exp(params.total_length / params.attenuation_length),
+        baseline_direct_ratio=direct_ratio(params.total_length / params.attenuation_length),
         budget=fidelity_budget(seg_ratio, per_connection_dark, asym, df_target),
         eq_display_ratio=eq_display,
         p_app=p_app,

@@ -357,6 +357,19 @@ class TestEkert:
             assert got == reference_key_stats(table, 30_000, seed)
             assert got.qber > 0.0
 
+    @pytest.mark.parametrize("scale", [1e-3, 0.05, 0.5])
+    def test_small_unequal_tables_match_reference_sampler(self, monkeypatch, scale):
+        # cells with unequal totals well below 1: most rounds are no
+        # coincidence in every cell, and the others straddle the cell totals
+        rng = np.random.default_rng(11)
+        probs = {(a, b): list(rng.dirichlet(np.ones(4)) * scale * (1 + a + 2 * b) / 4)
+                 for a in (0, 1) for b in (0, 1)}
+        table = outcome_table(probs)
+        self.use_table(monkeypatch, probs)
+        for seed in (1, 2, 77):
+            got = ekert_simulation(0.0, 0.0, 1.0, rounds=30_000, seed=seed)
+            assert got == reference_key_stats(table, 30_000, seed)
+
     @staticmethod
     def use_table(monkeypatch, probs):
         """Make every setting of the sampler read its patterns from ``probs``."""
@@ -382,8 +395,9 @@ class TestFockCallCounts:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # a cold memo, so each test sees its link pair built
+        # cold memos, so each test sees its link pair built
         applications._link_pair.cache_clear()
+        applications._teleport_response.cache_clear()
         counts = dict.fromkeys(self.NAMES, 0)
         for name in self.NAMES:
             def counted(*args, _f=getattr(fock, name), _name=name, **kwargs):
@@ -417,11 +431,11 @@ class TestFockCallCounts:
         assert calls == self.LINK_PAIR
 
     def test_teleport_reads_the_splitter_output_once(self, calls):
-        # two tensor products, one support read for both sender splitters
-        # and the splitters fused into the read; no loss channel, detector,
-        # phase gate or conditional state
+        # one tensor product for the link pair, one support read for both
+        # sender splitters and the splitters fused into the read; no loss
+        # channel, detector, phase gate or conditional state
         teleport(PolarizationQubit.from_bloch(1.1, 0.4), 0.5, 0.6)
-        assert calls == {**self.LINK_PAIR, "tensor": 2}
+        assert calls == self.LINK_PAIR
 
 
 def circuit_outputs(c_n, phi, eta_a, cold=False):
@@ -483,6 +497,105 @@ class TestLinkPairMemo:
                             lambda: ekert_simulation(c_n, phi, eta_a, rounds=100, seed=1)):
                 with pytest.raises(ValueError, match=re.escape(reason)):
                     circuit()
+
+
+# Bloch points (theta, phi) of the qubits the teleport memo tests send
+BLOCH_POINTS = ((1.1, 0.4), (0.0, 0.0), (math.pi, 2.0), (2.3, 5.1))
+
+
+def teleport_outputs(c_n, phi, eta_a, cold=False):
+    """``repr`` of ``teleport`` at each of ``BLOCH_POINTS`` on the link
+    (c_n, phi, eta_a), each on a cleared memo if ``cold``."""
+    out = []
+    for theta, phi_b in BLOCH_POINTS:
+        if cold:
+            applications._teleport_response.cache_clear()
+        out.append(teleport(PolarizationQubit.from_bloch(theta, phi_b), c_n, eta_a, phi=phi))
+    return repr(out)
+
+
+class TestTeleportMemo:
+    """The memoised teleport response builds each link once, changes no
+    result and caches no refusal."""
+
+    @pytest.fixture
+    def fock_calls(self, monkeypatch):
+        """Count every call into ``fock``: its functions, its memoised tables
+        and the state constructor."""
+        applications._teleport_response.cache_clear()
+        counts = {}
+
+        def counting(name, f):
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return f(*args, **kwargs)
+            return counted
+        for name, f in vars(fock).items():
+            if (callable(f) and not isinstance(f, type)
+                    and getattr(f, "__module__", None) == fock.__name__):
+                monkeypatch.setattr(fock, name, counting(name, f))
+        monkeypatch.setattr(fock.DensityOperator, "from_factor",
+                            counting("from_factor", fock.DensityOperator.from_factor))
+        return counts
+
+    def test_cold_build_makes_one_tensor_per_link(self, fock_calls):
+        for link in ((0.5, 0.3, 0.6), (1.0, 0.0, 1.0), (0.5, 0.3, 0.6)):
+            teleport_outputs(*link)
+        assert fock_calls["tensor"] == 2
+        assert applications._teleport_response.cache_info().currsize == 2
+
+    def test_warm_call_makes_no_fock_call(self, fock_calls):
+        applications._teleport_response(0.5, 0.3, 0.6)
+        fock_calls.clear()
+        teleport_outputs(0.5, 0.3, 0.6)
+        assert fock_calls == {}
+
+    def test_tables_are_read_only(self):
+        for table in applications._teleport_response(0.5, 0.3, 0.6):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+
+    @pytest.mark.parametrize("link", [(0.0, 0.0, 1.0), (1 / 3, 0.4, 0.5), (2.0, 1.7, 0.25)])
+    def test_warm_results_equal_cold_bit_for_bit(self, link):
+        cold = teleport_outputs(*link, cold=True)
+        applications._teleport_response(*link)
+        assert teleport_outputs(*link) == cold
+
+    # lru_cache takes each pair for one key
+    @pytest.mark.parametrize("first,second", [
+        ((0.5, 0.0, 0.6), (0.5, -0.0, 0.6)),
+        ((0.0, 0.4, 0.6), (-0.0, 0.4, 0.6)),
+        ((1.0, 0.4, 0.6), (1, 0.4, 0.6)),
+        ((0.5, 0.4, 1.0), (0.5, 0.4, 1)),
+        ((0.5, 0.0, 0.6), (0.5, 0, 0.6)),
+        ((0.3, 0.2, 0.7), (np.float64(0.3), np.float64(0.2), np.float64(0.7))),
+    ])
+    def test_equal_keys_give_cold_results(self, first, second):
+        for a, b in ((first, second), (second, first)):
+            want = teleport_outputs(*b, cold=True)
+            applications._teleport_response.cache_clear()
+            applications._teleport_response(*a)
+            assert teleport_outputs(*b) == want
+
+    @pytest.mark.parametrize("bad,neighbour,reason", [
+        ((0.5, 0.4, 0.0), (0.5, 0.4, 1e-3), "application efficiency 0.0 outside (0, 1]"),
+        ((0.5, 0.4, 1.5), (0.5, 0.4, 1.0), "application efficiency 1.5 outside (0, 1]"),
+        ((0.5, 0.4, math.nan), (0.5, 0.4, 0.5), "application efficiency nan outside (0, 1]"),
+        ((1.0, math.nan, 0.5), (1.0, 0.4, 0.5), "link phase nan must be finite"),
+        ((-0.5, 0.4, 0.5), (0.0, 0.4, 0.5),
+         "link vacuum coefficient c = -0.5 must be finite and non-negative"),
+        # the link builds; its success weight underflows on every call
+        ((0.0, 0.4, 1e-160), (0.0, 0.4, 1e-150), "no accepted click pattern has support"),
+    ])
+    def test_refusals_are_not_cached(self, bad, neighbour, reason):
+        c_n, phi, eta_a = bad
+        for _ in range(2):
+            teleport_outputs(*neighbour)
+            with pytest.raises(ValueError) as exc:
+                teleport(PolarizationQubit.from_bloch(1.1, 0.4), c_n, eta_a, phi=phi)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == reason
 
 
 class TestLinkParameters:

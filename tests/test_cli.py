@@ -81,6 +81,23 @@ class TestRates:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: cannot read config")
 
+    @pytest.mark.parametrize("ini,reason", [
+        ("[ensemble]\nspont_rate = 0\n", "snr is infinite at ensemble.spont_rate = 0.0"),
+        ("[ensemble]\nrabi = 0\n", "bad_cavity_ratio is infinite at ensemble.rabi = 0.0"),
+        ("[ensemble]\ncoupling = 0\n",
+         "bad_cavity_ratio is infinite at ensemble.coupling = 0.0"),
+        # neither key is 0, their product underflows
+        ("[ensemble]\nrabi = 1e-200\ncoupling = 1e-200\n",
+         "bad_cavity_ratio is infinite at ensemble.rabi = 1e-200, "
+         "ensemble.coupling = 1e-200"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_infinite_field_exits_3_naming_its_keys(self, tmp_path, capsys, ini, reason, fmt):
+        code, out = run_cli(["--config", write_config(tmp_path, ini), "rates", "--format", fmt])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == f"numeric failure: {reason}\n"
+
     def test_unwritable_output_is_an_output_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -300,6 +317,28 @@ class TestOverflowRefusals:
         assert capsys.readouterr().err == (
             "numeric failure: time T_7 = inf s at level 7 overflows a float\n")
 
+    @pytest.mark.parametrize("length,n_star,value", [(1000, 9, 3.76168325e24),
+                                                     (4000, 11, 4.26791645e39)])
+    def test_long_channel_optimizes_past_the_direct_baseline(self, tmp_path, length,
+                                                               n_star, value):
+        # exp(L/L_att) overflows above L = 709.8 and the short-segmentation
+        # rows have no signal (n = 1, 2 at 4000) or overflow; the rest are feasible
+        cfg = write_config(tmp_path, f"[scaling]\ntotal_length = {length}\n")
+        code, out = run_cli(["--config", cfg, "optimize"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["n_star"], payload["value"]) == (n_star, value)
+
+    @pytest.mark.parametrize("length", [1000, 4000])
+    def test_overflowed_direct_baseline_exits_3_naming_it(self, tmp_path, capsys, length):
+        cfg = write_config(tmp_path, f"[scaling]\ntotal_length = {length}\n")
+        code, out = run_cli(["--config", cfg, "scaling"])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == (
+            f"numeric failure: direct baseline exp(L/L_att) = exp({float(length)!r}) "
+            "overflows a float\n")
+
     def test_overflowed_montecarlo_statistics_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[repeater]\npulse_time = 1e300\n")
         code, out = run_cli(["--config", cfg, "montecarlo"])
@@ -509,10 +548,16 @@ class TestContract:
     EXTREMES = {float: ("0", "-1", "1e300", "1e-300"), int: ("0", "-1", "1000000000"),
                 str: ("",)}
 
+    @staticmethod
+    def refuse_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
     def test_every_single_key_extreme_exits_with_a_code_and_a_reason(self, tmp_path,
                                                                     monkeypatch):
         # each schema key alone at each extreme, against every subcommand at the
-        # default seeds; files go to tmp_path
+        # default seeds; files go to tmp_path.  An exit-0 JSON stdout (every
+        # command's but dynamics', which writes its CSV to a file) must parse
+        # without NaN or Infinity.
         import contextlib
         import io
 
@@ -530,6 +575,11 @@ class TestContract:
                                 code = cli.main(["--config", ini, command])
                         except Exception as exc:   # reported with its setting
                             code = repr(exc)
+                        if code == 0 and command != "dynamics":
+                            try:
+                                json.loads(out.getvalue(), parse_constant=self.refuse_constant)
+                            except ValueError as exc:
+                                code = f"stdout: {exc}"
                         if code not in (0, 2, 3, 4) or (
                                 code != 0 and (out.getvalue() or not err.getvalue().strip())):
                             broken.append((f"{section}.{key}={value}", command, code,

@@ -52,6 +52,14 @@ class TestGenerateAnalytic:
         res = generate_analytic(make_params())
         assert res.state.fidelity_deficit == 0.01
 
+    def test_vanished_signal_stalls_the_chain(self):
+        # eta_p = exp(-2000) is 0: level 0 never heralds a link
+        params = make_params(segment_length=2000.0)
+        for run in (generate_analytic, chain):
+            with pytest.raises(ChainStallError,
+                               match="^degenerate all-dark generation: eta_p \\* p_c vanished$"):
+                run(params)
+
     def test_phase_carried(self):
         res = generate_analytic(make_params(), channel_phase=0.7)
         assert res.state.phase == 0.7

@@ -55,6 +55,12 @@ class TestTotalTime:
         report = total_time(make_params(), df_target=0.05)
         assert report.baseline_direct_ratio == pytest.approx(math.exp(100.0), rel=1e-9)
 
+    def test_direct_baseline_past_a_float_is_inf(self):
+        # exp(1024) overflows; the repeater times of the row stay finite
+        report = total_time(make_params(levels=9, segment_length=2.0), df_target=0.05)
+        assert report.baseline_direct_ratio == math.inf
+        assert math.isfinite(report.ratio)
+
     def test_overflowed_total_time_is_refused(self):
         # the chain total_time builds (p_c = 0.05 / 2) ends at a finite T_n;
         # T_tot = T_n / p_app overflows
@@ -148,6 +154,13 @@ class TestOptimizeSegment:
         assert 4.0 <= opt.l0_star <= 8.0
         assert opt.value > 0
         assert len(opt.scanned) >= 5
+
+    def test_rows_without_signal_or_finite_times_are_skipped(self):
+        # at L = 4000 L_att the n = 1, 2 segments transmit nothing (eta_p
+        # underflows to 0), and exp(L / L_att) overflows on every row
+        opt = optimize_segment(make_params(), 4000.0, objective="compositional")
+        assert [row[0] for row in opt.scanned] == list(range(3, 21))
+        assert opt.n_star == 9
 
     def test_power_law_requires_m(self):
         with pytest.raises(ValueError):
