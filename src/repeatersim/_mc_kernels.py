@@ -4,8 +4,9 @@ Every trial draws from its own counter-based stream: splitmix64 keyed by
 ``(seed, trial index)``.  The scalar functions are the single-sample API
 and the reference.  The bulk samplers advance every live trial of a batch
 in the same NumPy calls, a chain batch one level-1 link per trial and
-step and its last few trials in scalar code, and reproduce the scalar
-samples bit for bit, so a sample depends only on its seed and trial index.
+step, its last few trials resumed in ``chain_sample`` from their step
+start, and reproduce the scalar samples bit for bit, so a sample depends
+only on its seed and trial index.
 """
 
 from __future__ import annotations
@@ -53,20 +54,24 @@ def geometric(state: int, q: float):
 
 
 def chain_sample(n: int, p_levels, q: float, t_delta: float, parallel: bool,
-                 state: int):
+                 state: int, tot=None, first=None):
     """One hierarchical generate-and-swap trial; returns (state, seconds).
 
     Iterative form of the recursion: a level-l attempt consumes two fresh
     level-(l-1) pairs, costs their max (parallel) or sum (serial), and
     succeeds with probability p_levels[l]; failure regenerates both pairs.
+    ``tot[l]`` is the level-l time so far and ``first[l]`` the link waiting
+    for its pair at level l, 0 where none waits: all zeros for a fresh
+    trial, or a trial's ``chain_times`` columns at the start of a step,
+    which it resumes from there.
     """
     if n == 0:
         state, k = geometric(state, q)
         return state, k * t_delta
-    tot = [0.0] * (n + 1)
-    first = [0.0] * (n + 1)
-    phase = [0] * (n + 1)
-    lvl = n
+    tot = [0.0] * (n + 1) if tot is None else tot
+    first = [0.0] * (n + 1) if first is None else first
+    phase = [f > 0.0 for f in first]
+    lvl = 1
     while True:
         if lvl - 1 == 0:
             state, k = geometric(state, q)
@@ -103,7 +108,7 @@ def chain_sample(n: int, p_levels, q: float, t_delta: float, parallel: bool,
 _U = np.uint64
 _BLOCK = 1 << 13      # uniforms per lockstep step, summed over live trials
 _WINDOW = 5           # level-1 attempts per step once few trials are live
-_SCALAR_TAIL = 8      # live trials finished in scalar code
+_SCALAR_TAIL = 8      # live trials finished by chain_sample
 _GEN_BLOCK = 1 << 15  # level-0 trials per block; its temporaries stay in cache
 
 
@@ -172,43 +177,6 @@ def generation_times(seed: int, count: int, q: float, t_delta: float) -> np.ndar
     return out
 
 
-def _finish(n: int, p, q: float, t_delta: float, parallel: bool, state: int,
-            tot: list, first: list) -> float:
-    """One trial of ``chain_times`` run from its lockstep state to its link.
-
-    ``state`` is the trial's stream state and ``tot`` and ``first`` its
-    lockstep columns at the start of a step; the same draws and the same
-    float operations as the lockstep steps, one trial at a time.  ``mix64``
-    and ``geometric`` are inlined: about 30% less time per draw.
-    """
-    lvl = 0
-    c = math.log1p(-q) if q < 1.0 else None
-    while True:
-        state = (state + _GOLDEN) & _MASK
-        z = state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        u = (((z ^ (z >> 31)) >> 11) + 0.5) * _INV_2_53
-        if lvl == 0:
-            up = (1 if q >= 1.0 else 1 + math.floor(math.log(u) / c)) * t_delta
-        elif u < p[lvl]:
-            up = tot[lvl]
-            tot[lvl] = 0.0
-        else:
-            lvl = 0
-            continue
-        lvl += 1
-        if lvl > n:
-            return up
-        f = first[lvl]
-        if f > 0.0:
-            first[lvl] = 0.0
-            tot[lvl] += max(f, up) if parallel else f + up
-        else:
-            first[lvl] = up
-            lvl = 0
-
-
 def chain_times(seed: int, count: int, n: int, p_levels, q: float,
                 t_delta: float, parallel: bool) -> np.ndarray:
     """Level-``n`` times of trials 0..count-1, ``chain_sample`` bit for bit.
@@ -234,9 +202,9 @@ def chain_times(seed: int, count: int, n: int, p_levels, q: float,
 
     A step costs about the same NumPy calls however few trials are live,
     and the step count is set by the longest trial.  So once at most
-    ``_SCALAR_TAIL`` trials are live, each is finished by ``_finish`` from
-    its stream state and its columns, with the same draws and the same
-    float operations, so its samples are those of the lockstep.
+    ``_SCALAR_TAIL`` trials are live, each is finished by ``chain_sample``
+    resumed from its stream state and its columns: that is one of the
+    reference trial's own step starts, so the sample is the reference's.
     """
     if n == 0:
         return generation_times(seed, count, q, t_delta)
@@ -295,6 +263,6 @@ def chain_times(seed: int, count: int, n: int, p_levels, q: float,
             trial, state = trial[keep], state[keep]
             tot, first = tot.take(keep, axis=1), first.take(keep, axis=1)
     for i, s in enumerate(state.tolist()):
-        out[trial[i]] = _finish(n, p_levels, q, t_delta, parallel, s,
-                                tot[:, i].tolist(), first[:, i].tolist())
+        out[trial[i]] = chain_sample(n, p_levels, q, t_delta, parallel, s,
+                                     tot[:, i].tolist(), first[:, i].tolist())[1]
     return out

@@ -100,18 +100,6 @@ def _link_pair(c_n: float, phi: float, eta_a: float) -> np.ndarray:
     return _site_view(fock.tensor(pair, pair))
 
 
-@functools.lru_cache(maxsize=16)
-def _alone(cutoff: int, dark_prob: float = 0.0) -> np.ndarray:
-    """(2, d²) threshold-POVM weights on a detector pair's number index: row i
-    is "detector i alone clicks", detector 1 on the first mode, 2 on the
-    second (read-only, memoised)."""
-    w = fock.DetectorModel(dark_count_prob=dark_prob).no_click_weights(cutoff)
-    click = np.array([1.0 - w, w])
-    alone = (click[:, :, None] * click[::-1, None, :]).reshape(2, -1)
-    alone.flags.writeable = False
-    return alone
-
-
 def _correlations(v: np.ndarray, settings, dark_prob: float = 0.0) -> tuple:
     """``correlation`` at each of ``settings`` on the site view ``v`` of
     ``_link_pair``, one ``CorrelationResult`` per setting in order; nothing
@@ -127,7 +115,7 @@ def _correlations(v: np.ndarray, settings, dark_prob: float = 0.0) -> tuple:
     pops = (out.real ** 2 + out.imag ** 2).sum(axis=-1)   # (L1 L2, R1 R2) marginals
     # threshold POVMs are diagonal, so a pattern's probability is the number
     # marginal weighted by "detector i alone clicks"
-    alone = _alone(cutoff, dark_prob)
+    alone = fock.alone_weights(cutoff, dark_prob)
     results = []
     for probs in alone @ pops @ alone.T:
         p = {f"{i + 1}{j + 1}": float(probs[i, j]) for i in (0, 1) for j in (0, 1)}
@@ -270,7 +258,7 @@ def _teleport_response(c_n: float, phi: float, eta_a: float) -> tuple:
     # Group 1 detectors sit on the (I1, L1) splitter outputs x, group 2 on the
     # (I2, L2) outputs y.  Pattern (i, j) weighs them by alone[i] ⊗ alone[j],
     # so only the outputs where some detector clicks alone are formed.
-    alone = _alone(_PAIR.cutoff)
+    alone = fock.alone_weights(_PAIR.cutoff)
     read = np.flatnonzero(alone.any(axis=0))
     n = len(read)
     # the splitter rows x on the inputs with i = 0, 1 photons in I: (i x, L)

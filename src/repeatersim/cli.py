@@ -104,7 +104,7 @@ def emit_report(summary: dict, table, cfg: Config, fmt: str, path: str):
                                                   for row in table[1]]}
         emit_json({**rows, **summary}, cfg, path)
     elif table is None:
-        record = {k: v for k, v in summary.items() if not isinstance(v, list)}
+        record = {k: v for k, v in summary.items() if not isinstance(v, (list, dict))}
         emit_csv(list(record), [list(record.values())], cfg, path)
     else:
         emit_csv(*table, cfg, path)
@@ -265,11 +265,11 @@ def cmd_teleport(cfg: Config, args) -> int:
     res = applications.teleport(qubit, cfg.applications.vacuum_coeff,
                                 cfg.repeater.app_efficiency,
                                 phi=cfg.applications.phase)
-    emit_json({
+    emit_report({
         "bloch_theta": args.bloch_theta, "bloch_phi": args.bloch_phi,
         "success_prob": res.success_prob, "output_fidelity": res.output_fidelity,
         "pattern_prob": res.pattern_prob, "confirm_prob": res.confirm_prob,
-    }, cfg, args.out)
+    }, None, cfg, args.format, args.out)
     return EXIT_OK
 
 
@@ -282,11 +282,11 @@ def cmd_ekert(cfg: Config, args) -> int:
                                           cfg.applications.phase,
                                           cfg.repeater.app_efficiency,
                                           rounds, seed)
-    emit_json({
+    emit_report({
         "rounds": stats.rounds, "key_length": stats.sifted_length,
         "qber": stats.qber, "coincidence_rate": stats.coincidence_rate,
         "seed": stats.seed,
-    }, cfg, args.out)
+    }, None, cfg, args.format, args.out)
     return EXIT_OK
 
 
@@ -304,7 +304,7 @@ def cmd_montecarlo(cfg: Config, args) -> int:
     est = montecarlo.estimate(cfg.repeater, level, trials, times)
     if args.trace_csv:
         emit_csv(("trial", "time_s"), list(enumerate(times)), cfg, args.trace_csv)
-    emit_json({
+    emit_report({
         "params_echo": {
             "excitation_prob": cfg.repeater.excitation_prob,
             "pulse_time": cfg.repeater.pulse_time,
@@ -318,7 +318,7 @@ def cmd_montecarlo(cfg: Config, args) -> int:
         "backend": est.backend, "threads": trials.threads,
         "mean_s": est.mean, "stddev_s": est.stddev, "ci95_s": est.ci95,
         "analytic_Tn_s": est.analytic_t_n, "ratio": est.vs_analytic_ratio,
-    }, cfg, args.out)
+    }, None, cfg, args.format, args.out)
     return EXIT_OK
 
 

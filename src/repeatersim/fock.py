@@ -420,6 +420,18 @@ class DetectorModel:
         return w
 
 
+@functools.lru_cache(maxsize=16)
+def alone_weights(cutoff: int, dark_prob: float = 0.0) -> np.ndarray:
+    """(2, d²) unit-efficiency threshold-POVM weights on a detector pair's
+    number index: row i is "detector i alone clicks", detector 1 on the
+    first mode, 2 on the second (read-only, memoised)."""
+    w = DetectorModel(dark_count_prob=dark_prob).no_click_weights(cutoff)
+    click = np.array([1.0 - w, w])
+    alone = (click[:, :, None] * click[::-1, None, :]).reshape(2, -1)
+    alone.flags.writeable = False
+    return alone
+
+
 def _outcome_weights(det: DetectorModel, cutoff: int, outcome) -> np.ndarray:
     if det.resolving:
         if not isinstance(outcome, (int, np.integer)) or outcome < 0:

@@ -6,8 +6,8 @@ Reproducibility contract: every trial draws from its own counter-based
 substream keyed by ``(seed, trial index)``, so a sample depends only on
 the seed and its trial index.  One NumPy sampler advances all trials of a
 batch in lockstep, one level-1 link and the swap tests it triggers per
-step, and hands its last few live trials to a scalar continuation that
-takes the same draws and float operations; level 0 is sampled
+step, and finishes its last few live trials in the scalar reference
+``chain_sample``, resumed from their step start; level 0 is sampled
 elementwise in cache-sized blocks.  So both equal the scalar
 ``sample_chain_time`` bit for bit.
 The samplers import ``_mc_kernels`` (and NumPy with it) on their first
@@ -74,10 +74,6 @@ class SplitMix:
 
     def __init__(self, seed: int, trial_index: int = 0):
         self.state = _kernels().stream_state(seed, trial_index)
-
-    def uniform(self) -> float:
-        self.state, u = _kernels().next_uniform(self.state)
-        return u
 
     def geometric(self, q: float) -> int:
         self.state, k = _kernels().geometric(self.state, q)

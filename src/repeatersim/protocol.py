@@ -279,11 +279,10 @@ def _atom_rows(cutoff: int, max_atoms: int):
 def _herald(cutoff: int, p_dc: float):
     """The balanced splitter on the (phot_L, phot_R) pair index, its output
     rows weighed by the herald's √POVM: a click on the plus port phot_R and
-    none on the minus port phot_L.  Rows of zero weight are dropped
-    (read-only, memoised)."""
+    none on the minus port phot_L, detector 2 alone.  Rows of zero weight
+    are dropped (read-only, memoised)."""
     np, fock = _engines()
-    silent = fock.DetectorModel(efficiency=1.0, dark_count_prob=p_dc).no_click_weights(cutoff)
-    root = np.sqrt(np.multiply.outer(silent, 1.0 - silent)).reshape(-1)
+    root = np.sqrt(fock.alone_weights(cutoff, p_dc)[1])
     seen = np.flatnonzero(root)
     rows = root[seen, None] * fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0)[seen]
     rows.flags.writeable = False

@@ -59,7 +59,6 @@ class ScalingReport:
     baseline_direct_ratio: float  # exp(L / L_att); inf past the largest float
     budget: FidelityBudget
     # companions
-    eq_display_ratio: float       # printed one-line scaling expression / t_con-free
     p_app: float
     excitation_prob: float
     segment_length: float
@@ -108,16 +107,11 @@ def total_time(params: RepeaterParams, df_target: float,
         raise OverflowError(f"total time T_tot = {t_tot} s at level {n} overflows a float")
     t_con = 2.0 * params.pulse_time / (params.local_efficiency * params.app_efficiency * df_target)
     seg_ratio = params.total_length / params.segment_length   # = 2^n
-    prod = 1.0
-    for row in rows[1:]:
-        prod *= row.success_prob
-    eq_display = 2.0 * seg_ratio ** 2 / (params.eta_p * p_app * df_target * prod)
     return ScalingReport(
         t0=t0, t_n=t_n, t_tot=t_tot, t_con=t_con, ratio=t_tot / t_con,
         chain=rows,
         baseline_direct_ratio=direct_ratio(params.total_length / params.attenuation_length),
         budget=fidelity_budget(seg_ratio, per_connection_dark, asym, df_target),
-        eq_display_ratio=eq_display,
         p_app=p_app,
         excitation_prob=p_c,
         segment_length=params.segment_length,

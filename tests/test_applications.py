@@ -232,8 +232,8 @@ class TestCoincidenceMarginal:
         assert str(batched.value) == str(chain.value)
 
     def test_alone_weights_are_memoised_and_read_only(self):
-        alone = applications._alone(2, 1e-3)
-        assert applications._alone(2, 1e-3) is alone
+        alone = fock.alone_weights(2, 1e-3)
+        assert fock.alone_weights(2, 1e-3) is alone
         with pytest.raises(ValueError, match="read-only"):
             alone[0, 0] = 1.0
 

@@ -474,6 +474,23 @@ class TestFormatting:
         assert payload["count"] == 3 and isinstance(payload["count"], int)
         assert payload["value"] == 0.123456789
 
+    @pytest.mark.parametrize("argv, first", [
+        (["teleport"], "bloch_theta,"),
+        (["ekert", "--rounds", "1000"], "rounds,"),
+        (["montecarlo", "--trials", "100"], "n_trials,"),
+    ])
+    def test_sampled_reports_follow_csv_format(self, argv, first, tmp_path):
+        # the flag and the config key select CSV alike; a nested field, the
+        # Monte Carlo parameter echo, stays out of the row
+        by_config = ["--config", write_config(tmp_path, "[output]\nformat = csv\n")]
+        for args in (argv + ["--format", "csv"], by_config + argv):
+            code, out = run_cli(args)
+            assert code == 0
+            lines = out.strip().splitlines()
+            assert len(lines) == 3 and lines[0] == "# schema_version=1"
+            assert lines[1].startswith(first) and "params_echo" not in lines[1]
+            assert len(lines[2].split(",")) == len(lines[1].split(","))
+
     def test_sweep_keeps_numpy_integer_columns(self, monkeypatch):
         monkeypatch.setitem(cli.REPORTS, "rates",
                             lambda cfg, args: ({"n": np.int64(7), "x": 0.5}, None))

@@ -235,22 +235,44 @@ class TestScalarTail:
             assert np.array_equal(bulk_chain(params, n, seed, trials, policy),
                                   scalar_chain(params, n, seed, trials, policy)), trials
 
+    @pytest.mark.parametrize("overrides", [{}, CERTAIN_CLICK], ids=["q<1", "q=1"])
+    @pytest.mark.parametrize("policy", mc.POLICIES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_resume_from_step_starts(self, n, policy, overrides):
+        # chain_sample resumed from any of its own step starts ends in the
+        # fresh trial's final state with the fresh trial's time.  A resume
+        # costs the rest of the trial, so a trial with more than 160 step
+        # starts (here only at level 4) is resumed from 160 of them, evenly
+        # spaced
+        params = make_params(**overrides)
+        probs, q = mc._level_probs(params, n), mc.click_probability(params)
+        parallel = policy == "parallel_max"
+        for seed in range(5):
+            fresh = kernels.chain_sample(n, probs, q, params.pulse_time, parallel,
+                                         kernels.stream_state(seed, 0))
+            starts = list(step_starts(n, probs, q, params.pulse_time, parallel,
+                                      kernels.stream_state(seed, 0)))
+            for state, tot, first in starts[::-(-len(starts) // 160)]:
+                assert kernels.chain_sample(n, probs, q, params.pulse_time, parallel,
+                                            state, tot, first) == fresh, seed
+
     def test_handoff_states_are_advanced_by_the_draws_used(self, monkeypatch):
         # each stream advances by exactly the draws its trial used, so the
-        # state handed to _finish is the trial's own stream at the start of
-        # a step, with the trial's columns there
+        # state chain_sample resumes is the trial's own stream at the start
+        # of a step, with the trial's columns there
         n, trials, seed = 3, 20, 31
         params = make_params()
         probs, q = mc._level_probs(params, n), mc.click_probability(params)
         inverse = pow(kernels._GOLDEN, -1, 1 << 64)
         handed = []
-        finish = kernels._finish
+        chain_sample = kernels.chain_sample
 
-        def spy(n, p, q, t_delta, parallel, state, tot, first):
-            handed.append((state, tot[:], first[:]))
-            return finish(n, p, q, t_delta, parallel, state, tot, first)
+        def spy(n, p, q, t_delta, parallel, state, tot=None, first=None):
+            if tot is not None:
+                handed.append((state, tot[:], first[:]))
+            return chain_sample(n, p, q, t_delta, parallel, state, tot, first)
 
-        monkeypatch.setattr(kernels, "_finish", spy)
+        monkeypatch.setattr(kernels, "chain_sample", spy)
         for policy in mc.POLICIES:
             parallel = policy == "parallel_max"
             handed.clear()
