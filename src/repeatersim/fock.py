@@ -104,8 +104,11 @@ class PureState:
 def _compact(v: np.ndarray) -> np.ndarray:
     """The rank rule: drop all-zero columns; with more columns than rows,
     re-factor V V^dagger by ``eigh``, dropping eigenvalues at or below
-    1e-15 times the trace, so the rank never exceeds the dimension."""
-    v = v[:, v.any(axis=0)]
+    1e-15 times the trace, so the rank never exceeds the dimension.  A factor
+    without a zero column is returned as it is, not copied."""
+    keep = v.any(axis=0)
+    if not keep.all():
+        v = v[:, keep]
     if v.shape[1] > v.shape[0]:
         lam, w = np.linalg.eigh(v @ v.conj().T)
         keep = lam > 1e-15 * lam.sum()
@@ -122,7 +125,9 @@ class DensityOperator:
 
     @classmethod
     def from_factor(cls, layout: ModeLayout, factor) -> "DensityOperator":
-        """The state ``factor @ factor^dagger``, under the rank rule."""
+        """The state ``factor @ factor^dagger``, under the rank rule.  The
+        state may share ``factor``'s memory, so a caller does not write into
+        it afterwards; no gate writes into a state's factor."""
         v = np.asarray(factor, dtype=complex)
         if v.ndim != 2 or v.shape[0] != layout.dim:
             raise ValueError("factor does not match layout dimension")

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 
@@ -111,6 +112,149 @@ def chain_teleport(qubit, c_n, eta_a, phi=0.0):
                                        confirm_prob=confirmed_total / pattern_total)
 
 
+# The application circuits on the Fock engine: the oracles of the closed
+# forms in ``applications``.  Every input holds two-mode factors at cutoff 2.
+PAIR = fock.ModeLayout(2, 2)
+# indices of the single-excitation states |1,0⟩ and |0,1⟩ of a pair
+SINGLES = [PAIR.index((1, 0)), PAIR.index((0, 1))]
+# the lossy qubit's (I1, I2) number states: its vacuum |00⟩ and its single
+# excitations |10⟩, |01⟩
+QUBIT_STATES = [PAIR.index((0, 0)), *SINGLES]
+
+
+def link(c_n, phi, etas):
+    """The link (c_n, phi) after loss ``etas`` on its two halves."""
+    for eta in etas:
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"application efficiency {eta} outside (0, 1]")
+    return lossy_link(PAIR, c_n, phi, etas)
+
+
+def site_view(rho):
+    """The factor of the link pair ``rho`` (modes L1, R1, L2, R2 of ``PAIR``)
+    with axes (L1 L2, R1 R2 rank), once neither site's splitter pair has
+    support above the cutoff."""
+    L1, R1, L2, R2 = 0, 1, 2, 3
+    # a number-basis phase keeps every number marginal and the L splitter leaves
+    # (R1, R2) alone: the gate chain's splitters see the input pair's support
+    fock._check_pair_support(rho, [(L1, L2), (R1, R2)], "beamsplitter")
+    d = PAIR.mode_dim
+    return rho.factor.reshape(d, d, d, d, -1).transpose(L1, L2, R1, R2, 4).reshape(d * d, -1)
+
+
+def link_pair(c_n, phi, eta_a):
+    """``site_view`` of the two lossy links (L1, R1) and (L2, R2) a
+    correlation circuit reads."""
+    pair = link(c_n, phi, (eta_a, eta_a))
+    return site_view(fock.tensor(pair, pair))
+
+
+def circuit_correlations(v, settings, dark_prob=0.0):
+    """``correlation`` at each of ``settings`` on the site view ``v`` of
+    ``link_pair``, one ``CorrelationResult`` per setting in order."""
+    cutoff, d = PAIR.cutoff, PAIR.mode_dim
+    # per setting and site (L, R), the phase e^{iψn} on the first mode and the
+    # balanced splitter fused into one unitary on the site's d² pair index
+    psi = np.array([(s.psi_left, s.psi_right) for s in settings])
+    phases = np.exp(1j * psi[..., None] * np.repeat(np.arange(d), d))
+    u = fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0) * phases[..., None, :]
+    # one batched matmul per site
+    out = u[:, 1, None] @ (u[:, 0] @ v).reshape(len(settings), d * d, d * d, -1)
+    pops = (out.real ** 2 + out.imag ** 2).sum(axis=-1)   # (L1 L2, R1 R2) marginals
+    # threshold POVMs are diagonal, so a pattern's probability is the number
+    # marginal weighted by "detector i alone clicks"
+    alone = fock.alone_weights(cutoff, dark_prob)
+    results = []
+    for probs in alone @ pops @ alone.T:
+        p = {f"{i + 1}{j + 1}": float(probs[i, j]) for i in (0, 1) for j in (0, 1)}
+        total = sum(p.values())
+        if total < np.finfo(float).tiny:
+            raise ValueError("no coincidences: correlation undefined")
+        results.append(CorrelationResult(value=(p["11"] + p["22"] - p["12"] - p["21"]) / total,
+                                         coincidence_prob=total, pattern_probs=p))
+    return tuple(results)
+
+
+def circuit_correlation(c_n, phi, setting, eta_a, dark_prob=0.0):
+    return circuit_correlations(link_pair(c_n, phi, eta_a), (setting,), dark_prob)[0]
+
+
+def teleport_response(c_n, phi, eta_a):
+    """The teleport circuit on the link (c_n, phi, eta_a) as two tables over
+    pairs (b, c) of the qubit's ``QUBIT_STATES``.  With S_b the output of the
+    sender splitters on |b⟩ ⊗ link ⊗ link, summed over the sender index and
+    the rank:
+
+    - R[right, b c] = Σ (w_straight + w_crossed) S_b S̄_c, the accepted
+      weight of each (R1, R2) number state;
+    - F[kind, t, u, b c] = Σ w_kind S_b[t] S̄_c[u] on the target's single
+      excitations t, u (``SINGLES``), for the straight (i = j) and the
+      crossed (i ≠ j) patterns.
+
+    A qubit with factor Q on those states enters through its Gram M = Q Q†,
+    contracted with R and F by ``circuit_teleport``."""
+    pair = fock.tensor(*[link(c_n, phi, (eta_a, 1.0))] * 2)   # sender halves lossy
+    d, r = PAIR.mode_dim, pair.factor.shape[1]
+    # the inputs |b⟩ ⊗ pair fill disjoint rows, so their sum has the support
+    # of each: one read checks both sender splitters for all three
+    joint = np.zeros((d * d, d ** 4, r), dtype=complex)
+    joint[QUBIT_STATES] = pair.factor
+    # modes I1, I2, L1, R1, L2, R2; the splitters act on (I1, L1) and (I2, L2)
+    fock._check_pair_support(fock.DensityOperator.from_factor(
+        fock.ModeLayout(6, PAIR.cutoff), joint.reshape(d ** 6, r)), [(0, 2), (1, 4)],
+        "beamsplitter")
+
+    # Group 1 detectors sit on the (I1, L1) splitter outputs x, group 2 on the
+    # (I2, L2) outputs y.  Pattern (i, j) weighs them by alone[i] ⊗ alone[j],
+    # so only the outputs where some detector clicks alone are formed.
+    alone = fock.alone_weights(PAIR.cutoff)
+    read = np.flatnonzero(alone.any(axis=0))
+    n = len(read)
+    # the splitter rows x on the inputs with i = 0, 1 photons in I: (i x, L)
+    u = fock.beamsplitter_matrix(PAIR.cutoff, math.pi / 4, 0.0).reshape(d * d, d, d)
+    u = u[read, :2].transpose(1, 0, 2).reshape(2 * n, d)
+    # S[i2 y, i1 x, R1 R2, rank] = Σ u[i1 x, L1] u[i2 y, L2] pair[L1 R1 L2 R2, rank]
+    s = (u @ pair.factor.reshape(d, -1)).reshape(2 * n, d, d, d * r)
+    s = (u @ s.transpose(2, 0, 1, 3).reshape(d, -1)).reshape(2, n, 2, n, d * d, r)
+    # rows (R1 R2, b) for the inputs b, columns (x, y, rank)
+    i1, i2 = zip(*(divmod(b, d) for b in QUBIT_STATES))
+    s = s[i2, :, i1].transpose(3, 0, 2, 1, 4).reshape(d * d, 3, n * n * r)
+    # sender weights of the straight and the crossed patterns on (x, y, rank)
+    a = alone[:, read]
+    kinds = np.repeat(np.stack([a.T @ a, a.T @ a[::-1]]).reshape(2, -1), r, axis=1)
+    right = (s * kinds.sum(axis=0)) @ s.conj().transpose(0, 2, 1)
+    single = s[SINGLES].reshape(2 * 3, -1)
+    fid = ((single * kinds[:, None]) @ single.conj().T).reshape(2, 2, 3, 2, 3)
+    return right.reshape(d * d, 9), fid.transpose(0, 1, 3, 2, 4).reshape(2, 2, 2, 9)
+
+
+def circuit_teleport(qubit, c_n, eta_a, phi=0.0):
+    """``teleport`` on the Fock circuit: ``teleport_response`` contracted
+    with the lossy qubit's Gram.  Each pattern's p·w·f (probability,
+    confirmation weight, fidelity) is the unnormalised overlap ‖ψ† V_ij‖²,
+    so no conditional state is formed."""
+    right, fid = teleport_response(c_n, phi, eta_a)
+    # the qubit's factor Q on ``QUBIT_STATES`` after loss eta_a on both
+    # modes, as ``protocol.lossy_input`` builds it: a vacuum and an excitation column
+    amps = (qubit.d0, qubit.d1)
+    vac = math.sqrt(sum((1.0 - eta_a) * abs(a) ** 2 for a in amps))
+    q = np.array([[vac, 0.0], [0.0, math.sqrt(eta_a) * amps[0]],
+                  [0.0, math.sqrt(eta_a) * amps[1]]])
+    gram = (q @ q.conj().T).ravel()
+    right = (right @ gram).real
+    pattern_prob = float(right.sum())
+    success_prob = float(right[SINGLES[0]] + right[SINGLES[1]])
+    if success_prob < np.finfo(float).tiny:
+        raise ValueError("no accepted click pattern has support")
+    # the crossed patterns' π on R2 negates the target's |0,1⟩ amplitude
+    psi = np.array([[qubit.d0, qubit.d1], [qubit.d0, -qubit.d1]])[:, :, None]
+    fidelity_acc = float((psi.conj().transpose(0, 2, 1) @ (fid @ gram) @ psi).real.sum())
+    return applications.TeleportResult(success_prob=success_prob,
+                                       output_fidelity=fidelity_acc / success_prob,
+                                       pattern_prob=pattern_prob,
+                                       confirm_prob=success_prob / pattern_prob)
+
+
 def reference_key_stats(table, rounds, seed):
     """Key statistics from a (2, 2, 5) outcome table by the (rounds, 5)
     cumulative comparison and ``np.isin`` bit formula."""
@@ -205,8 +349,7 @@ class TestCoincidenceMarginal:
             pairs = {"chsh": CHSH_SETTINGS, "ekert": self.EKERT_SETTINGS,
                      "random": rng.uniform(-math.pi, 2 * math.pi, size=(5, 2))}[angles]
             settings = [MeasurementSetting(a, b) for a, b in pairs]
-            got = applications._correlations(applications._link_pair(c_n, phi, eta_a),
-                                             settings, dark_prob)
+            got = circuit_correlations(link_pair(c_n, phi, eta_a), settings, dark_prob)
             assert len(got) == len(settings)
             for res, setting in zip(got, settings):
                 want = chain_correlation(c_n, phi, setting, eta_a, dark_prob)
@@ -226,7 +369,7 @@ class TestCoincidenceMarginal:
         setting = MeasurementSetting(0.3, 1.1)
         with pytest.raises(fock.TruncationError,
                            match=re.escape(f"beamsplitter on modes {modes}:")) as batched:
-            applications._site_view(rho)
+            site_view(rho)
         with pytest.raises(fock.TruncationError) as chain:
             gate_chain(rho, setting)
         assert str(batched.value) == str(chain.value)
@@ -237,25 +380,21 @@ class TestCoincidenceMarginal:
         with pytest.raises(ValueError, match="read-only"):
             alone[0, 0] = 1.0
 
-    def test_link_pair_is_memoised_and_read_only(self):
-        view = applications._link_pair(0.5, 0.3, 0.4)
-        assert applications._link_pair(0.5, 0.3, 0.4) is view
-        with pytest.raises(ValueError, match="read-only"):
-            view[0, 0] = 1.0
-        maxsize = applications._link_pair.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < math.inf
-
     @pytest.mark.parametrize("dark_prob", [-0.1, 1.5])
     def test_dark_probability_outside_unit_interval_rejected(self, dark_prob):
         with pytest.raises(ValueError, match="dark_count_prob"):
             correlation(0.0, 0.0, MeasurementSetting(0.0, 0.0), 1.0, dark_prob)
 
     def test_efficiency_outside_unit_interval_rejected(self):
-        for eta_a in (0.0, 1.5):
-            with pytest.raises(ValueError, match="application efficiency"):
-                correlation(0.0, 0.0, MeasurementSetting(0.0, 0.0), eta_a)
-            with pytest.raises(ValueError, match="application efficiency"):
-                chsh_value(0.0, 0.0, eta_a)
+        for eta_a in (0.0, 1.5, math.nan):
+            for circuit in (
+                    lambda: correlation(0.0, 0.0, MeasurementSetting(0.0, 0.0), eta_a),
+                    lambda: chsh_value(0.0, 0.0, eta_a),
+                    lambda: ekert_simulation(0.0, 0.0, eta_a, rounds=100, seed=1),
+                    lambda: teleport(PolarizationQubit(1.0, 0.0), 0.0, eta_a)):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"application efficiency {eta_a} outside")):
+                    circuit()
 
 
 class TestChsh:
@@ -373,229 +512,8 @@ class TestEkert:
     @staticmethod
     def use_table(monkeypatch, probs):
         """Make every setting of the sampler read its patterns from ``probs``."""
-        index = {0.0: 0, math.pi / 2: 1}
-
-        def fixed(rho, settings, dark_prob=0.0):
-            cells = (probs[index[s.psi_left], index[s.psi_right]] for s in settings)
-            return tuple(CorrelationResult(value=math.nan, coincidence_prob=sum(p),
-                                           pattern_probs=dict(zip(("11", "12", "21", "22"), p)))
-                         for p in cells)
-        monkeypatch.setattr(applications, "_correlations", fixed)
-
-
-class TestFockCallCounts:
-    """The application circuits' fock work, as call counts."""
-
-    NAMES = ("measure_detector", "detector_probability", "tensor",
-             "apply_phase", "apply_beamsplitter", "marginal", "apply_loss")
-    # one link pair built in closed form, no gate, and one support read
-    # (row norms, no marginal) for both splitters
-    LINK_PAIR = {"measure_detector": 0, "detector_probability": 0, "tensor": 1,
-                 "apply_phase": 0, "apply_beamsplitter": 0, "marginal": 0, "apply_loss": 0}
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        # cold memos, so each test sees its link pair built
-        applications._link_pair.cache_clear()
-        applications._teleport_response.cache_clear()
-        counts = dict.fromkeys(self.NAMES, 0)
-        for name in self.NAMES:
-            def counted(*args, _f=getattr(fock, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(fock, name, counted)
-        return counts
-
-    def test_correlation_measures_nothing(self, calls):
-        correlation(0.5, 0.3, MeasurementSetting(0.9, 0.2), 0.4, dark_prob=1e-3)
-        assert calls == self.LINK_PAIR
-
-    def test_chsh_builds_one_link_pair(self, calls):
-        chsh_correlations(0.5, 0.3, 0.4)
-        assert calls == self.LINK_PAIR
-
-    def test_ekert_builds_one_link_pair(self, calls):
-        ekert_simulation(0.5, 0.3, 0.4, rounds=1000, seed=1)
-        assert calls == self.LINK_PAIR
-
-    def test_repeated_link_builds_no_second_pair(self, calls):
-        correlation(0.5, 0.3, MeasurementSetting(0.9, 0.2), 0.4)
-        chsh_correlations(0.5, 0.3, 0.4)
-        ekert_simulation(0.5, 0.3, 0.4, rounds=1000, seed=1)
-        assert calls == self.LINK_PAIR
-
-    def test_correlation_surface_builds_one_link_pair(self, calls):
-        for psi_l in np.linspace(0.0, 2 * math.pi, 8):
-            for psi_r in np.linspace(0.0, 2 * math.pi, 8):
-                correlation(1 / 3, 0.4, MeasurementSetting(psi_l, psi_r), 0.5)
-        assert calls == self.LINK_PAIR
-
-    def test_teleport_reads_the_splitter_output_once(self, calls):
-        # one tensor product for the link pair, one support read for both
-        # sender splitters and the splitters fused into the read; no loss
-        # channel, detector, phase gate or conditional state
-        teleport(PolarizationQubit.from_bloch(1.1, 0.4), 0.5, 0.6)
-        assert calls == self.LINK_PAIR
-
-
-def circuit_outputs(c_n, phi, eta_a, cold=False):
-    """``repr`` of every coincidence circuit's results on the link
-    (c_n, phi, eta_a), each on a cleared memo if ``cold``: exact digits, and
-    -0.0 tells from 0.0."""
-    out = []
-    for circuit in (lambda: correlation(c_n, phi, MeasurementSetting(0.3, 1.2), eta_a, 1e-3),
-                    lambda: chsh_correlations(c_n, phi, eta_a),
-                    lambda: ekert_simulation(c_n, phi, eta_a, rounds=20_000, seed=5)):
-        if cold:
-            applications._link_pair.cache_clear()
-        out.append(circuit())
-    return repr(out)
-
-
-class TestLinkPairMemo:
-    """The memoised site view changes no result and caches no refusal."""
-
-    @pytest.mark.parametrize("link", [(0.0, 0.0, 1.0), (1 / 3, 0.4, 0.5), (2.0, 1.7, 0.25)])
-    def test_warm_results_equal_cold_bit_for_bit(self, link):
-        cold = circuit_outputs(*link, cold=True)
-        applications._link_pair(*link)
-        assert circuit_outputs(*link) == cold
-
-    # lru_cache takes each pair for one key
-    @pytest.mark.parametrize("first,second", [
-        ((0.5, 0.0, 0.6), (0.5, -0.0, 0.6)),
-        ((0.0, 0.4, 0.6), (-0.0, 0.4, 0.6)),
-        ((1.0, 0.4, 0.6), (1, 0.4, 0.6)),
-        ((0.5, 0.4, 1.0), (0.5, 0.4, 1)),
-        ((0.5, 0.0, 0.6), (0.5, 0, 0.6)),
-        ((0.3, 0.2, 0.7), (np.float64(0.3), np.float64(0.2), np.float64(0.7))),
-    ])
-    def test_equal_keys_give_cold_results(self, first, second):
-        for a, b in ((first, second), (second, first)):
-            want = circuit_outputs(*b, cold=True)
-            applications._link_pair.cache_clear()
-            applications._link_pair(*a)
-            assert circuit_outputs(*b) == want
-
-    @pytest.mark.parametrize("bad,neighbour,reason", [
-        ((1.0, math.nan, 0.5), (1.0, 0.4, 0.5), "link phase nan must be finite"),
-        ((-0.5, 0.4, 0.5), (0.0, 0.4, 0.5),
-         "link vacuum coefficient c = -0.5 must be finite and non-negative"),
-        ((0.5, 0.4, 0.0), (0.5, 0.4, 1e-3), "application efficiency 0.0 outside (0, 1]"),
-        ((0.5, 0.4, 1.5), (0.5, 0.4, 1.0), "application efficiency 1.5 outside (0, 1]"),
-        ((0.5, 0.4, math.nan), (0.5, 0.4, 0.5), "application efficiency nan outside (0, 1]"),
-    ])
-    def test_refusals_are_not_cached(self, bad, neighbour, reason):
-        c_n, phi, eta_a = bad
-        circuit_outputs(*neighbour)
-        for _ in range(2):
-            with pytest.raises(ValueError) as exc:
-                applications._link_pair(*bad)
-            assert str(exc.value) == reason
-            for circuit in (lambda: correlation(c_n, phi, MeasurementSetting(0.0, 0.0), eta_a),
-                            lambda: chsh_correlations(c_n, phi, eta_a),
-                            lambda: ekert_simulation(c_n, phi, eta_a, rounds=100, seed=1)):
-                with pytest.raises(ValueError, match=re.escape(reason)):
-                    circuit()
-
-
-# Bloch points (theta, phi) of the qubits the teleport memo tests send
-BLOCH_POINTS = ((1.1, 0.4), (0.0, 0.0), (math.pi, 2.0), (2.3, 5.1))
-
-
-def teleport_outputs(c_n, phi, eta_a, cold=False):
-    """``repr`` of ``teleport`` at each of ``BLOCH_POINTS`` on the link
-    (c_n, phi, eta_a), each on a cleared memo if ``cold``."""
-    out = []
-    for theta, phi_b in BLOCH_POINTS:
-        if cold:
-            applications._teleport_response.cache_clear()
-        out.append(teleport(PolarizationQubit.from_bloch(theta, phi_b), c_n, eta_a, phi=phi))
-    return repr(out)
-
-
-class TestTeleportMemo:
-    """The memoised teleport response builds each link once, changes no
-    result and caches no refusal."""
-
-    @pytest.fixture
-    def fock_calls(self, monkeypatch):
-        """Count every call into ``fock``: its functions, its memoised tables
-        and the state constructor."""
-        applications._teleport_response.cache_clear()
-        counts = {}
-
-        def counting(name, f):
-            def counted(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-                return f(*args, **kwargs)
-            return counted
-        for name, f in vars(fock).items():
-            if (callable(f) and not isinstance(f, type)
-                    and getattr(f, "__module__", None) == fock.__name__):
-                monkeypatch.setattr(fock, name, counting(name, f))
-        monkeypatch.setattr(fock.DensityOperator, "from_factor",
-                            counting("from_factor", fock.DensityOperator.from_factor))
-        return counts
-
-    def test_cold_build_makes_one_tensor_per_link(self, fock_calls):
-        for link in ((0.5, 0.3, 0.6), (1.0, 0.0, 1.0), (0.5, 0.3, 0.6)):
-            teleport_outputs(*link)
-        assert fock_calls["tensor"] == 2
-        assert applications._teleport_response.cache_info().currsize == 2
-
-    def test_warm_call_makes_no_fock_call(self, fock_calls):
-        applications._teleport_response(0.5, 0.3, 0.6)
-        fock_calls.clear()
-        teleport_outputs(0.5, 0.3, 0.6)
-        assert fock_calls == {}
-
-    def test_tables_are_read_only(self):
-        for table in applications._teleport_response(0.5, 0.3, 0.6):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 0.0
-
-    @pytest.mark.parametrize("link", [(0.0, 0.0, 1.0), (1 / 3, 0.4, 0.5), (2.0, 1.7, 0.25)])
-    def test_warm_results_equal_cold_bit_for_bit(self, link):
-        cold = teleport_outputs(*link, cold=True)
-        applications._teleport_response(*link)
-        assert teleport_outputs(*link) == cold
-
-    # lru_cache takes each pair for one key
-    @pytest.mark.parametrize("first,second", [
-        ((0.5, 0.0, 0.6), (0.5, -0.0, 0.6)),
-        ((0.0, 0.4, 0.6), (-0.0, 0.4, 0.6)),
-        ((1.0, 0.4, 0.6), (1, 0.4, 0.6)),
-        ((0.5, 0.4, 1.0), (0.5, 0.4, 1)),
-        ((0.5, 0.0, 0.6), (0.5, 0, 0.6)),
-        ((0.3, 0.2, 0.7), (np.float64(0.3), np.float64(0.2), np.float64(0.7))),
-    ])
-    def test_equal_keys_give_cold_results(self, first, second):
-        for a, b in ((first, second), (second, first)):
-            want = teleport_outputs(*b, cold=True)
-            applications._teleport_response.cache_clear()
-            applications._teleport_response(*a)
-            assert teleport_outputs(*b) == want
-
-    @pytest.mark.parametrize("bad,neighbour,reason", [
-        ((0.5, 0.4, 0.0), (0.5, 0.4, 1e-3), "application efficiency 0.0 outside (0, 1]"),
-        ((0.5, 0.4, 1.5), (0.5, 0.4, 1.0), "application efficiency 1.5 outside (0, 1]"),
-        ((0.5, 0.4, math.nan), (0.5, 0.4, 0.5), "application efficiency nan outside (0, 1]"),
-        ((1.0, math.nan, 0.5), (1.0, 0.4, 0.5), "link phase nan must be finite"),
-        ((-0.5, 0.4, 0.5), (0.0, 0.4, 0.5),
-         "link vacuum coefficient c = -0.5 must be finite and non-negative"),
-        # the link builds; its success weight underflows on every call
-        ((0.0, 0.4, 1e-160), (0.0, 0.4, 1e-150), "no accepted click pattern has support"),
-    ])
-    def test_refusals_are_not_cached(self, bad, neighbour, reason):
-        c_n, phi, eta_a = bad
-        for _ in range(2):
-            teleport_outputs(*neighbour)
-            with pytest.raises(ValueError) as exc:
-                teleport(PolarizationQubit.from_bloch(1.1, 0.4), c_n, eta_a, phi=phi)
-            assert type(exc.value) is ValueError
-            assert str(exc.value) == reason
+        monkeypatch.setattr(applications, "_key_table", lambda c_n, phi, eta_a: [
+            list(probs[a, b]) for a in (0, 1) for b in (0, 1)])
 
 
 class TestLinkParameters:
@@ -723,7 +641,7 @@ class TestLossyInput:
         want = eme_density(fock.ModeLayout(2, 2), (0, 1), c_n, phi)
         for mode, eta in enumerate(etas):
             want = fock.apply_loss(want, mode, eta)
-        got = applications._link(c_n, phi, etas)
+        got = link(c_n, phi, etas)
         assert got.factor.shape[1] <= 2
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-15
 
@@ -810,3 +728,144 @@ class TestLossBeforeTensor:
                              lossy_link)
         after = self.lossy(fock.tensor(fock.tensor(qubit, link), link), eta, (0, 1, 2, 4))
         assert np.max(np.abs(before.matrix - after.matrix)) < 1e-15
+
+
+class TestClosedFormsMatchCircuits:
+    """Each closed form against its Fock circuit, to 1e-12 relative: the
+    coincidence patterns with dark counts, independent of the link phase,
+    and the teleport figures, independent of the qubit."""
+
+    DARK = (0.0, 1e-5, 1e-3, 0.2, 0.9)
+    KEY_SETTINGS = [MeasurementSetting(a, b) for a in (0.0, math.pi / 2)
+                    for b in (0.0, math.pi / 2)]
+    # the links of ``TestRefusalGrid``, at its link phase 0.4
+    GRID = [(c_n, eta_a) for c_n in (0.0, 1.0, 1e16, 1e300)
+            for eta_a in (1.0, 0.5, 1e-16, 1e-160, 1e-300, 5e-324)]
+
+    @staticmethod
+    def random_link(rng):
+        return rng.uniform(0, 20), rng.uniform(0, 2 * math.pi), rng.uniform(0.01, 1)
+
+    @staticmethod
+    def assert_same_patterns(got, want):
+        total = want.coincidence_prob
+        assert abs(got.coincidence_prob - total) <= 1e-12 * total
+        assert got.pattern_probs.keys() == want.pattern_probs.keys()
+        for k, p in want.pattern_probs.items():
+            assert abs(got.pattern_probs[k] - p) <= 1e-12 * total
+        assert abs(got.value - want.value) <= 1e-12
+
+    @pytest.mark.parametrize("dark_prob", DARK)
+    def test_correlation(self, dark_prob):
+        rng = np.random.default_rng(5113)
+        for _ in range(40):
+            c_n, phi, eta_a = self.random_link(rng)
+            setting = MeasurementSetting(*rng.uniform(-math.pi, 2 * math.pi, size=2))
+            got = correlation(c_n, phi, setting, eta_a, dark_prob)
+            # the link phase cancels between the two links
+            for phase in (phi, rng.uniform(0, 2 * math.pi)):
+                self.assert_same_patterns(
+                    got, circuit_correlation(c_n, phase, setting, eta_a, dark_prob))
+
+    def test_chsh_correlations_and_key_table(self):
+        rng = np.random.default_rng(5114)
+        chsh = [MeasurementSetting(a, b) for a, b in CHSH_SETTINGS]
+        for c_n, phi, eta_a in [(0.0, 0.0, 1.0)] + [self.random_link(rng) for _ in range(20)]:
+            view = link_pair(c_n, phi, eta_a)
+            for got, want in zip(chsh_correlations(c_n, phi, eta_a),
+                                 circuit_correlations(view, chsh), strict=True):
+                self.assert_same_patterns(got, want)
+            for row, want in zip(applications._key_table(c_n, phi, eta_a),
+                                 circuit_correlations(view, self.KEY_SETTINGS), strict=True):
+                total = want.coincidence_prob
+                for p, q in zip(row, want.pattern_probs.values(), strict=True):
+                    assert abs(p - q) <= 1e-12 * total
+
+    def test_teleport(self):
+        rng = np.random.default_rng(5115)
+        links = [(0.0, 0.0, 1.0), (1.0, 0.3, 1.0)] + [self.random_link(rng) for _ in range(40)]
+        for c_n, phi, eta_a in links:
+            qubits = [PolarizationQubit.from_bloch(*rng.uniform(0, 2 * math.pi, size=2))
+                      for _ in range(2)]
+            got = teleport(qubits[0], c_n, eta_a, phi=phi)
+            # neither the qubit nor the link phase changes a figure
+            for qubit, phase in zip(qubits, (phi, rng.uniform(0, 2 * math.pi))):
+                want = circuit_teleport(qubit, c_n, eta_a, phi=phase)
+                for field in ("success_prob", "output_fidelity", "pattern_prob",
+                              "confirm_prob"):
+                    assert getattr(got, field) == pytest.approx(getattr(want, field),
+                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("c_n,eta_a", GRID)
+    def test_key_stats_equal_circuit_table(self, monkeypatch, c_n, eta_a):
+        def runs():
+            try:
+                return [repr(ekert_simulation(c_n, 0.4, eta_a, rounds=20_000, seed=seed))
+                        for seed in range(20)]
+            except ValueError as exc:
+                return str(exc)
+
+        got = runs()
+        monkeypatch.setattr(applications, "_key_table", lambda *link: [
+            list(res.pattern_probs.values())
+            for res in circuit_correlations(link_pair(*link), self.KEY_SETTINGS)])
+        assert got == runs()
+
+
+class TestRefusalOrder:
+    """Given several bad inputs, the closed forms and the circuits refuse
+    the first of: the efficiency, the link, the dark-count probability, a
+    weight below the smallest normal float."""
+
+    @pytest.mark.parametrize("c_n,phi,eta_a,dark_prob,reason", [
+        (-1.0, math.nan, 0.0, math.nan, "application efficiency 0.0 outside (0, 1]"),
+        (-1.0, 0.4, 1.5, 2.0, "application efficiency 1.5 outside (0, 1]"),
+        (math.nan, 0.4, math.nan, 0.0, "application efficiency nan outside (0, 1]"),
+        (-0.5, math.nan, 0.5, -1.0,
+         "link vacuum coefficient c = -0.5 must be finite and non-negative"),
+        (1.0, math.inf, 0.5, math.nan, "link phase inf must be finite"),
+        (1.0, 0.4, 1e-160, math.nan, "dark_count_prob nan outside [0, 1]"),
+        (1.0, 0.4, 1e-160, 1.5, "dark_count_prob 1.5 outside [0, 1]"),
+        (1.0, 0.4, 1e-160, 0.0, "no coincidences: correlation undefined"),
+        (1.0, 0.4, 0.5, 1.0, "no coincidences: correlation undefined"),
+    ])
+    def test_correlation(self, c_n, phi, eta_a, dark_prob, reason):
+        setting = MeasurementSetting(0.3, 1.1)
+        for circuit in (correlation, circuit_correlation):
+            with pytest.raises(ValueError) as exc:
+                circuit(c_n, phi, setting, eta_a, dark_prob)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == reason
+
+    @pytest.mark.parametrize("c_n,phi,eta_a,reason", [
+        (-1.0, math.nan, 0.0, "application efficiency 0.0 outside (0, 1]"),
+        (-0.5, math.nan, 0.5, "link vacuum coefficient c = -0.5 must be finite and non-negative"),
+        (0.5, math.nan, 1e-160, "link phase nan must be finite"),
+        (0.0, 0.4, 1e-160, "no accepted click pattern has support"),
+        (1e300, 0.4, 0.5, "no accepted click pattern has support"),
+    ])
+    def test_teleport(self, c_n, phi, eta_a, reason):
+        qubit = PolarizationQubit.from_bloch(1.1, 0.4)
+        for circuit in (teleport, circuit_teleport):
+            with pytest.raises(ValueError) as exc:
+                circuit(qubit, c_n, eta_a, phi=phi)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == reason
+
+
+def test_module_imports_neither_fock_nor_numpy():
+    # outside a function body an import runs with the module: the closed
+    # forms need neither, and the key run imports NumPy when it samples
+    with open(applications.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        todo.extend(ast.iter_child_nodes(node))
+    assert imported and not {"fock", "numpy"} & {name.split(".")[0] for name in imported}

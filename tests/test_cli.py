@@ -638,6 +638,7 @@ class TestEntryPoint:
             (["optimize", "--objective", "power_law", "--m", "2"], 0),
             (["scaling", "--sweep", "repeater.swap_efficiency=0.5:0.9:5"], 0),
             (["rates", "--sweep", "ensemble.atom_count=50:200:4"], 0),
+            (["chsh"], 0), (["teleport", "--bloch-theta", "1.0", "--bloch-phi", "2.0"], 0),
             (["--config", str(ini), "rates"], 2),
             (["optimize", "--objective", "power_law"], 3),
         ]

@@ -298,8 +298,7 @@ class TestScipyFreeRuntime:
                                 and type(bound[0].value) is int and bound[0].value > 0):
                             offenders.append(f"{where} has no finite integer maxsize")
         assert offenders == []
-        assert {"protocol.py:_engines", "montecarlo.py:_kernels",
-                "applications.py:_link_pair"} <= set(memos)
+        assert {"protocol.py:_engines", "montecarlo.py:_kernels"} <= set(memos)
 
     def test_one_eigh_rank_rule_and_no_dimension_knob(self):
         # eigh only in the rank rule and the squeezer table; no `max_dim` anywhere
