@@ -61,45 +61,31 @@ def chain_sample(n: int, p_levels, q: float, t_delta: float, parallel: bool,
     level-(l-1) pairs, costs their max (parallel) or sum (serial), and
     succeeds with probability p_levels[l]; failure regenerates both pairs.
     ``tot[l]`` is the level-l time so far and ``first[l]`` the link waiting
-    for its pair at level l, 0 where none waits: all zeros for a fresh
-    trial, or a trial's ``chain_times`` columns at the start of a step,
-    which it resumes from there.
+    for its pair at level l: ``first[l] > 0`` exactly where a link waits,
+    and a passed test hands the level's total up and clears it.  Both are
+    all zeros for a fresh trial, or a trial's ``chain_times`` columns at
+    the start of a step, which it resumes from there.
     """
     if n == 0:
         state, k = geometric(state, q)
         return state, k * t_delta
     tot = [0.0] * (n + 1) if tot is None else tot
     first = [0.0] * (n + 1) if first is None else first
-    phase = [f > 0.0 for f in first]
-    lvl = 1
     while True:
-        if lvl - 1 == 0:
-            state, k = geometric(state, q)
-            child = k * t_delta
-            have = True
+        state, k = geometric(state, q)
+        link, lvl = k * t_delta, 1
+        while first[lvl] > 0.0:
+            tot[lvl] += max(first[lvl], link) if parallel else first[lvl] + link
+            first[lvl] = 0.0
+            state, u = next_uniform(state)
+            if not u < p_levels[lvl]:
+                break                      # failed: the next leaf starts at level 1
+            if lvl == n:
+                return state, tot[n]
+            link, tot[lvl] = tot[lvl], 0.0
+            lvl += 1
         else:
-            lvl -= 1
-            tot[lvl] = 0.0
-            phase[lvl] = 0
-            continue
-        while have:
-            if phase[lvl] == 0:
-                first[lvl] = child
-                phase[lvl] = 1
-                have = False
-            else:
-                attempt = max(first[lvl], child) if parallel else first[lvl] + child
-                tot[lvl] += attempt
-                phase[lvl] = 0
-                state, u = next_uniform(state)
-                if u < p_levels[lvl]:
-                    if lvl == n:
-                        return state, tot[n]
-                    child = tot[lvl]
-                    lvl += 1
-                    have = True
-                else:
-                    have = False
+            first[lvl] = link
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,8 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
     if 3 * rounds > DRAW_BUDGET:
         raise InfeasibleError(f"{rounds} rounds need {3 * rounds:.3g} random draws, "
                               f"over the budget of {DRAW_BUDGET:.0e}")

@@ -9,6 +9,10 @@ digits).  Exit codes: 0 success, 2 configuration or output file,
 Units: lengths in multiples of the attenuation length, times in seconds,
 rates in 1/s.
 
+``REPORTS`` is the one dispatch table; ``dynamics``, which writes its CSV
+to a file and prints a line of text, alone runs outside it.  A ``--sweep``
+step re-runs the whole command, so only the ``ANALYTIC`` reports sweep.
+
 The analytic commands (``rates``, ``chain``, ``scaling``, ``optimize`` and
 their sweeps) run without NumPy: the numeric engines are imported by the
 commands that run them.
@@ -129,17 +133,8 @@ def rates_report(cfg: Config, args):
             keys = [k for k in keys if getattr(cfg.ensemble, k) == 0] or keys
             at = ", ".join(f"ensemble.{k} = {getattr(cfg.ensemble, k)!r}" for k in keys)
             raise ValueError(f"{field} is infinite at {at}")
-    return {
-        "kappa_prime": rates.kappa_prime,
-        "gamma_s_prime": rates.gamma_s_prime,
-        "snr": rates.snr,
-        "squeeze": rates.squeeze,
-        "excitation_prob": rates.excitation_prob,
-        "bad_cavity_ratio": rates.bad_cavity_ratio,
-        "adiabatic_marginal": rates.adiabatic_marginal,
-        "optical_depth": fs.optical_depth,
-        "superradiance_risk": fs.superradiance_risk,
-    }, None
+    return {**dataclasses.asdict(rates), "optical_depth": fs.optical_depth,
+            "superradiance_risk": fs.superradiance_risk}, None
 
 
 def chain_report(cfg: Config, args):
@@ -205,8 +200,66 @@ def chsh_report(cfg: Config, args):
     return summary, None
 
 
+def teleport_report(cfg: Config, args):
+    from . import applications
+
+    qubit = applications.PolarizationQubit.from_bloch(args.bloch_theta, args.bloch_phi)
+    res = applications.teleport(qubit, cfg.applications.vacuum_coeff,
+                                cfg.repeater.app_efficiency,
+                                phi=cfg.applications.phase)
+    return {"bloch_theta": args.bloch_theta, "bloch_phi": args.bloch_phi,
+            **dataclasses.asdict(res)}, None
+
+
+def ekert_report(cfg: Config, args):
+    from . import applications
+
+    seed = args.seed if args.seed is not None else cfg.trials.seed
+    rounds = args.rounds if args.rounds is not None else cfg.applications.rounds
+    stats = applications.ekert_simulation(cfg.applications.vacuum_coeff,
+                                          cfg.applications.phase,
+                                          cfg.repeater.app_efficiency,
+                                          rounds, seed)
+    return {"rounds": stats.rounds, "key_length": stats.sifted_length,
+            "qber": stats.qber, "coincidence_rate": stats.coincidence_rate,
+            "seed": stats.seed}, None
+
+
+def montecarlo_report(cfg: Config, args):
+    overrides = {"seed": args.seed, "n_trials": args.trials,
+                 "policy": args.policy, "threads": args.threads}
+    trials = dataclasses.replace(
+        cfg.trials, **{k: v for k, v in overrides.items() if v is not None})
+    level = args.level if args.level is not None else cfg.repeater.levels
+    if args.trace_csv:
+        # one formatted row and its tuple per trial (tracemalloc: 210 bytes)
+        montecarlo.check_memory(256 * trials.n_trials,
+                                f"a trace of {trials.n_trials} trials")
+    times = montecarlo.chain_times(cfg.repeater, level, trials)
+    est = montecarlo.estimate(cfg.repeater, level, trials, times)
+    if args.trace_csv:
+        emit_csv(("trial", "time_s"), list(enumerate(times)), cfg, args.trace_csv)
+    return {
+        "params_echo": {
+            "excitation_prob": cfg.repeater.excitation_prob,
+            "pulse_time": cfg.repeater.pulse_time,
+            "local_efficiency": cfg.repeater.local_efficiency,
+            "swap_efficiency": cfg.repeater.swap_efficiency,
+            "dark_prob": cfg.repeater.dark_prob,
+            "segment_length": cfg.repeater.segment_length,
+            "levels": level,
+        },
+        "n_trials": est.n_trials, "seed": est.seed, "policy": est.policy,
+        "backend": est.backend, "threads": trials.threads,
+        "mean_s": est.mean, "stddev_s": est.stddev, "ci95_s": est.ci95,
+        "analytic_Tn_s": est.analytic_t_n, "ratio": est.vs_analytic_ratio,
+    }, None
+
+
 REPORTS = {"rates": rates_report, "chain": chain_report, "scaling": scaling_report,
-           "optimize": optimize_report, "chsh": chsh_report}
+           "optimize": optimize_report, "chsh": chsh_report, "teleport": teleport_report,
+           "ekert": ekert_report, "montecarlo": montecarlo_report}
+ANALYTIC = ("rates", "chain", "scaling", "optimize", "chsh")
 
 
 def _linspace(lo: float, hi: float, num: int) -> list:
@@ -258,74 +311,6 @@ def cmd_dynamics(cfg: Config, args) -> int:
     return EXIT_OK
 
 
-def cmd_teleport(cfg: Config, args) -> int:
-    from . import applications
-
-    qubit = applications.PolarizationQubit.from_bloch(args.bloch_theta, args.bloch_phi)
-    res = applications.teleport(qubit, cfg.applications.vacuum_coeff,
-                                cfg.repeater.app_efficiency,
-                                phi=cfg.applications.phase)
-    emit_report({
-        "bloch_theta": args.bloch_theta, "bloch_phi": args.bloch_phi,
-        "success_prob": res.success_prob, "output_fidelity": res.output_fidelity,
-        "pattern_prob": res.pattern_prob, "confirm_prob": res.confirm_prob,
-    }, None, cfg, args.format, args.out)
-    return EXIT_OK
-
-
-def cmd_ekert(cfg: Config, args) -> int:
-    from . import applications
-
-    seed = args.seed if args.seed is not None else cfg.trials.seed
-    rounds = args.rounds if args.rounds is not None else cfg.applications.rounds
-    stats = applications.ekert_simulation(cfg.applications.vacuum_coeff,
-                                          cfg.applications.phase,
-                                          cfg.repeater.app_efficiency,
-                                          rounds, seed)
-    emit_report({
-        "rounds": stats.rounds, "key_length": stats.sifted_length,
-        "qber": stats.qber, "coincidence_rate": stats.coincidence_rate,
-        "seed": stats.seed,
-    }, None, cfg, args.format, args.out)
-    return EXIT_OK
-
-
-def cmd_montecarlo(cfg: Config, args) -> int:
-    overrides = {"seed": args.seed, "n_trials": args.trials,
-                 "policy": args.policy, "threads": args.threads}
-    trials = dataclasses.replace(
-        cfg.trials, **{k: v for k, v in overrides.items() if v is not None})
-    level = args.level if args.level is not None else cfg.repeater.levels
-    if args.trace_csv:
-        # one formatted row and its tuple per trial (tracemalloc: 210 bytes)
-        montecarlo.check_memory(256 * trials.n_trials,
-                                f"a trace of {trials.n_trials} trials")
-    times = montecarlo.chain_times(cfg.repeater, level, trials)
-    est = montecarlo.estimate(cfg.repeater, level, trials, times)
-    if args.trace_csv:
-        emit_csv(("trial", "time_s"), list(enumerate(times)), cfg, args.trace_csv)
-    emit_report({
-        "params_echo": {
-            "excitation_prob": cfg.repeater.excitation_prob,
-            "pulse_time": cfg.repeater.pulse_time,
-            "local_efficiency": cfg.repeater.local_efficiency,
-            "swap_efficiency": cfg.repeater.swap_efficiency,
-            "dark_prob": cfg.repeater.dark_prob,
-            "segment_length": cfg.repeater.segment_length,
-            "levels": level,
-        },
-        "n_trials": est.n_trials, "seed": est.seed, "policy": est.policy,
-        "backend": est.backend, "threads": trials.threads,
-        "mean_s": est.mean, "stddev_s": est.stddev, "ci95_s": est.ci95,
-        "analytic_Tn_s": est.analytic_t_n, "ratio": est.vs_analytic_ratio,
-    }, None, cfg, args.format, args.out)
-    return EXIT_OK
-
-
-COMMANDS = {"dynamics": cmd_dynamics, "teleport": cmd_teleport, "ekert": cmd_ekert,
-            "montecarlo": cmd_montecarlo}
-
-
 def _parse_sweep(spec: str):
     try:
         key, rng = spec.split("=", 1)
@@ -341,7 +326,7 @@ def _parse_sweep(spec: str):
 
 
 def _run_sweep(name: str, raw: dict, args) -> int:
-    if name not in REPORTS:
+    if name not in ANALYTIC:
         raise ConfigError(f"--sweep is not supported for {name}")
     key, values = _parse_sweep(args.sweep)
     section, field = config.schema_key(key)
@@ -417,8 +402,8 @@ def main(argv=None) -> int:
             args.out = cfg.output.path
         if args.sweep:
             return _run_sweep(args.command, raw, args)
-        if args.command in COMMANDS:
-            return COMMANDS[args.command](cfg, args)
+        if args.command == "dynamics":
+            return cmd_dynamics(cfg, args)
         emit_report(*REPORTS[args.command](cfg, args), cfg, args.format, args.out)
         return EXIT_OK
     except OSError as exc:

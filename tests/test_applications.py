@@ -458,6 +458,19 @@ class TestEkert:
         sigma = math.sqrt(expected * (1 - expected) / stats.rounds)
         assert abs(stats.coincidence_rate - expected) < 3 * sigma
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 99999999999999999999999999])
+    def test_seed_outside_64_bits_refused_before_any_draw(self, seed, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("generator built for a refused seed")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=re.escape(f"seed must fit in 64 bits, got {seed}")):
+            ekert_simulation(0.2, 0.1, 0.8, rounds=1000, seed=seed)
+
+    def test_largest_64_bit_seed_accepted(self):
+        stats = ekert_simulation(0.2, 0.1, 0.8, rounds=1000, seed=2 ** 64 - 1)
+        assert stats.seed == 2 ** 64 - 1
+
     def test_deterministic_given_seed(self):
         a = ekert_simulation(0.2, 0.1, 0.8, rounds=20_000, seed=123)
         b = ekert_simulation(0.2, 0.1, 0.8, rounds=20_000, seed=123)

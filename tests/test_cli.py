@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -381,6 +382,14 @@ class TestEkert:
         assert payload["key_length"] > 0
         assert payload["qber"] == 0.0
 
+    @pytest.mark.parametrize("seed", ["-1", "99999999999999999999999999"])
+    def test_seed_outside_64_bits_exits_3_naming_the_seed(self, seed, capsys):
+        code, out = run_cli(["ekert", "--rounds", "1000", "--seed", seed])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == \
+            f"numeric failure: seed must fit in 64 bits, got {seed}\n"
+
     def test_rounds_beyond_draw_budget_exits_4(self, capsys):
         # three draws a round: 4e8 rounds need 1.2e9 draws, past the 1e9 budget;
         # the request is refused before any array is allocated
@@ -512,9 +521,12 @@ class TestSweep:
         code = cli.main(["rates", "--sweep", "ensemble.nope=1:2:2"])
         assert code == 2
 
-    def test_unsupported_command(self, capsys):
-        code = cli.main(["teleport", "--sweep", "applications.phase=0:1:2"])
+    @pytest.mark.parametrize("command", ["dynamics", "teleport", "ekert", "montecarlo"])
+    def test_unsupported_command(self, command, capsys):
+        code, out = run_cli([command, "--sweep", "applications.phase=0:1:2"])
         assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"config error: --sweep is not supported for {command}\n"
 
     @pytest.mark.parametrize("spec", [
         "ensemble.detuning=1:2:1", "ensemble.detuning=1:2:2", "ensemble.detuning=20:5:7",
@@ -560,14 +572,20 @@ class TestSweep:
 
 
 class TestContract:
-    COMMANDS = ("rates", "dynamics", "chain", "scaling", "optimize", "chsh", "teleport",
-                "ekert", "montecarlo")
+    COMMANDS = (*cli.REPORTS, "dynamics")
     EXTREMES = {float: ("0", "-1", "1e300", "1e-300"), int: ("0", "-1", "1000000000"),
                 str: ("",)}
 
     @staticmethod
     def refuse_constant(name):
         raise ValueError(f"{name} is not JSON")
+
+    def test_the_parser_declares_exactly_the_table_and_dynamics(self):
+        # a new subcommand must join REPORTS (or be dynamics), so the fuzz
+        # below and the sweep refusal cover it
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(self.COMMANDS)
 
     def test_every_single_key_extreme_exits_with_a_code_and_a_reason(self, tmp_path,
                                                                     monkeypatch):
