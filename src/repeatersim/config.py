@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ensemble import EnsembleParams
 from .montecarlo import TrialConfig
@@ -21,78 +21,15 @@ class ConfigError(ValueError):
     """Configuration failed validation; message names the field path."""
 
 
-@dataclass(frozen=True)
-class FreeSpaceGeometry:
-    density: float
-    sample_length: float
-    wavenumber: float
+# a range check: (predicate, reason); the reason is formatted with the key
+# and its value
+_POSITIVE = (lambda v: v > 0, "{key} must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "{key} must be >= 0")
+_AT_LEAST_ONE = (lambda n: n >= 1, "{key} must be >= 1")
 
-    def __post_init__(self):
-        for name in ("density", "sample_length", "wavenumber"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class ScalingOptions:
-    total_length: float          # in attenuation lengths
-    target_infidelity: float
-    per_connection_dark: float
-    asym: float
-    n_max: int
-
-    def __post_init__(self):
-        if self.total_length <= 0:
-            raise ValueError("total_length must be positive")
-        if not 0 < self.target_infidelity < 1:
-            raise ValueError("target_infidelity must be in (0, 1)")
-        if self.per_connection_dark < 0 or self.asym < 0:
-            raise ValueError("budget terms must be non-negative")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if self.n_max > 1023:
-            raise ValueError(f"n_max must be <= 1023, got {self.n_max}: the segment "
-                             "length L/2^n must be a float")
-
-
-@dataclass(frozen=True)
-class ApplicationOptions:
-    vacuum_coeff: float
-    phase: float
-    rounds: int
-
-    def __post_init__(self):
-        if self.vacuum_coeff < 0:
-            raise ValueError("vacuum_coeff must be >= 0")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-
-
-@dataclass(frozen=True)
-class OutputOptions:
-    format: str
-    path: str
-    precision: int
-
-    def __post_init__(self):
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
-        if not 1 <= self.precision <= 17:
-            raise ValueError("precision must be in [1, 17]")
-
-
-@dataclass(frozen=True)
-class Config:
-    ensemble: EnsembleParams
-    free_space: FreeSpaceGeometry
-    repeater: RepeaterParams
-    scaling: ScalingOptions
-    applications: ApplicationOptions
-    trials: TrialConfig
-    output: OutputOptions
-
-
-# section -> key -> (converter, default-as-string)
+# section -> key -> (converter, default-as-string, *range checks).  A key
+# that EnsembleParams, RepeaterParams or TrialConfig takes is checked by
+# that record; every other key carries its checks here.
 SCHEMA = {
     "ensemble": {
         "atom_count": (int, "100"),
@@ -102,9 +39,9 @@ SCHEMA = {
         "cavity_decay": (float, "10.0"),
         "spont_rate": (float, "1.0"),
         "interaction_time": (float, "0.0502"),
-        "density": (float, "100.0"),
-        "sample_length": (float, "1.0"),
-        "wavenumber": (float, "10.0"),
+        "density": (float, "100.0", _POSITIVE),
+        "sample_length": (float, "1.0", _POSITIVE),
+        "wavenumber": (float, "10.0", _POSITIVE),
     },
     "repeater": {
         "excitation_prob": (float, "0.01"),
@@ -118,16 +55,19 @@ SCHEMA = {
         "levels": (int, "2"),
     },
     "scaling": {
-        "total_length": (float, "100.0"),
-        "target_infidelity": (float, "0.05"),
-        "per_connection_dark": (float, "1e-5"),
-        "asym": (float, "1e-4"),
-        "n_max": (int, "12"),
+        "total_length": (float, "100.0", _POSITIVE),   # in attenuation lengths
+        "target_infidelity": (float, "0.05",
+                              (lambda v: 0 < v < 1, "{key} must be in (0, 1)")),
+        "per_connection_dark": (float, "1e-5", _NON_NEGATIVE),
+        "asym": (float, "1e-4", _NON_NEGATIVE),
+        "n_max": (int, "12", _AT_LEAST_ONE,
+                  (lambda n: n <= 1023, "{key} must be <= 1023, got {value}: the "
+                                        "segment length L/2^n must be a float")),
     },
     "applications": {
-        "vacuum_coeff": (float, "0.0"),
+        "vacuum_coeff": (float, "0.0", _NON_NEGATIVE),
         "phase": (float, "0.0"),
-        "rounds": (int, "100000"),
+        "rounds": (int, "100000", _AT_LEAST_ONE),
     },
     "trials": {
         "seed": (int, "42"),
@@ -136,11 +76,21 @@ SCHEMA = {
         "threads": (int, "1"),
     },
     "output": {
-        "format": (str, "json"),
+        "format": (str, "json",
+                   (lambda v: v in ("json", "csv"), "{key} must be json or csv")),
         "path": (str, ""),
-        "precision": (int, "9"),
+        "precision": (int, "9", (lambda n: 1 <= n <= 17, "{key} must be in [1, 17]")),
     },
 }
+
+# the sections that no library record owns, and Config; FreeSpace holds the
+# ensemble keys that EnsembleParams does not take
+FreeSpace = namedtuple("FreeSpace", ("density", "sample_length", "wavenumber"))
+Scaling = namedtuple("Scaling", SCHEMA["scaling"])
+Applications = namedtuple("Applications", SCHEMA["applications"])
+Output = namedtuple("Output", SCHEMA["output"])
+Config = namedtuple("Config", ("ensemble", "free_space", "repeater", "scaling",
+                               "applications", "trials", "output"))
 
 
 def default_raw() -> dict:
@@ -169,11 +119,12 @@ def parse_raw(text: str) -> dict:
 def _convert(raw: dict) -> dict:
     values = {}
     for section, keys in SCHEMA.items():
-        values[section] = {}
-        for key, (conv, _default) in keys.items():
-            text = raw[section][key]
+        texts, converted = raw[section], {}
+        values[section] = converted
+        for key, spec in keys.items():
+            conv, text = spec[0], texts[key]
             try:
-                value = values[section][key] = conv(text)
+                value = converted[key] = conv(text)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{section}.{key}: cannot parse {text!r} "
                                   f"as {conv.__name__}") from exc
@@ -183,6 +134,7 @@ def _convert(raw: dict) -> dict:
 
 
 def _build_section(section: str, cls, values: dict):
+    """The library record ``cls`` of ``values``; it checks them itself."""
     try:
         return cls(**values)
     except ValueError as exc:
@@ -194,19 +146,30 @@ def _build_section(section: str, cls, values: dict):
         raise ConfigError(f"{section}: {msg}") from exc
 
 
+def _option_section(section: str, record, values: dict):
+    """``record`` of ``values``, each checked against its schema entry."""
+    schema = SCHEMA[section]
+    for key, value in values.items():
+        for ok, reason in schema[key][2:]:
+            if not ok(value):
+                raise ConfigError(f"{section}.{key}: "
+                                  + reason.format(key=key, value=value))
+    return record(**values)
+
+
 def from_raw(raw: dict) -> Config:
     values = _convert(raw)
-    ens = dict(values["ensemble"])
-    geometry = {k: ens.pop(k) for k in ("density", "sample_length", "wavenumber")}
+    ens = values["ensemble"]
+    geometry = {k: ens.pop(k) for k in FreeSpace._fields}
     return Config(
         ensemble=_build_section("ensemble", EnsembleParams, ens),
-        free_space=_build_section("ensemble", FreeSpaceGeometry, geometry),
+        free_space=_option_section("ensemble", FreeSpace, geometry),
         repeater=_build_section("repeater", RepeaterParams, values["repeater"]),
-        scaling=_build_section("scaling", ScalingOptions, values["scaling"]),
-        applications=_build_section("applications", ApplicationOptions,
-                                    values["applications"]),
+        scaling=_option_section("scaling", Scaling, values["scaling"]),
+        applications=_option_section("applications", Applications,
+                                     values["applications"]),
         trials=_build_section("trials", TrialConfig, values["trials"]),
-        output=_build_section("output", OutputOptions, values["output"]),
+        output=_option_section("output", Output, values["output"]),
     )
 
 

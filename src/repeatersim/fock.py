@@ -131,6 +131,9 @@ class DensityOperator:
         v = np.asarray(factor, dtype=complex)
         if v.ndim != 2 or v.shape[0] != layout.dim:
             raise ValueError("factor does not match layout dimension")
+        norm2 = np.vdot(v, v).real
+        if not math.isfinite(norm2):
+            raise ValueError(f"factor's squared norm {norm2} is not finite")
         rho = cls()
         rho.layout, rho.factor = layout, _compact(v)
         return rho
@@ -342,6 +345,8 @@ def apply_two_mode_squeeze(rho: DensityOperator, i: int, j: int, r: float,
         raise ValueError("squeezer needs two distinct modes")
     if not math.isfinite(r):
         raise ValueError(f"squeeze parameter r = {r} must be finite")
+    if not 0 < trunc_tol < math.inf:
+        raise ValueError(f"trunc_tol = {trunc_tol} must be positive and finite")
     tail = math.tanh(abs(r)) ** (2 * (layout.cutoff + 1))
     if tail >= trunc_tol:
         raise TruncationError(

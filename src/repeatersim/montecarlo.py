@@ -54,7 +54,7 @@ class TrialConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 

@@ -285,14 +285,31 @@ class TestScaling:
         n_max = config.from_raw(config.default_raw()).scaling.n_max
         assert calls == list(range(1, n_max + 1))
 
-    def test_n_max_beyond_a_float_segment_length_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[scaling]\nn_max = 1024\n")
+    @pytest.mark.parametrize("section,key,value,reason", [
+        ("ensemble", "density", "0", "density must be positive"),
+        ("ensemble", "sample_length", "0", "sample_length must be positive"),
+        ("ensemble", "wavenumber", "0", "wavenumber must be positive"),
+        ("scaling", "total_length", "0", "total_length must be positive"),
+        ("scaling", "target_infidelity", "0", "target_infidelity must be in (0, 1)"),
+        ("scaling", "target_infidelity", "1", "target_infidelity must be in (0, 1)"),
+        ("scaling", "per_connection_dark", "-1e-300", "per_connection_dark must be >= 0"),
+        ("scaling", "asym", "-1e-300", "asym must be >= 0"),
+        ("scaling", "n_max", "0", "n_max must be >= 1"),
+        ("scaling", "n_max", "1024",
+         "n_max must be <= 1023, got 1024: the segment length L/2^n must be a float"),
+        ("applications", "vacuum_coeff", "-1e-300", "vacuum_coeff must be >= 0"),
+        ("applications", "rounds", "0", "rounds must be >= 1"),
+        ("output", "format", "xml", "format must be json or csv"),
+        ("output", "precision", "0", "precision must be in [1, 17]"),
+        ("output", "precision", "18", "precision must be in [1, 17]"),
+    ])
+    def test_option_key_just_outside_its_range_exits_2_naming_it(
+            self, tmp_path, capsys, section, key, value, reason):
+        cfg = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
         code, out = run_cli(["--config", cfg, "scaling"])
         assert code == 2
         assert out == ""
-        assert capsys.readouterr().err == (
-            "config error: scaling.n_max: n_max must be <= 1023, got 1024: the segment "
-            "length L/2^n must be a float\n")
+        assert capsys.readouterr().err == f"config error: {section}.{key}: {reason}\n"
 
     def test_n_max_at_the_bound_runs(self, tmp_path):
         cfg = write_config(tmp_path, "[scaling]\nn_max = 1023\n")
@@ -440,6 +457,22 @@ class TestMonteCarlo:
         _, out_a = run_cli(["montecarlo", "--trials", "2000", "--seed", "1"])
         _, out_b = run_cli(["montecarlo", "--trials", "2000", "--seed", "2"])
         assert json.loads(out_a)["mean_s"] != json.loads(out_b)["mean_s"]
+
+    @pytest.mark.parametrize("seed", ["-1", "99999999999999999999999999"])
+    def test_seed_outside_64_bits_exits_3_naming_the_seed(self, seed, capsys):
+        code, out = run_cli(["montecarlo", "--trials", "100", "--seed", seed])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == \
+            f"numeric failure: seed must fit in 64 bits, got {seed}\n"
+
+    def test_config_seed_outside_64_bits_exits_2_naming_the_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[trials]\nseed = 18446744073709551616\n")
+        code, out = run_cli(["--config", cfg, "montecarlo"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == ("config error: trials.seed: seed must fit in "
+                                           "64 bits, got 18446744073709551616\n")
 
     def test_trace_csv(self, tmp_path):
         trace = tmp_path / "trials.csv"
@@ -599,7 +632,7 @@ class TestContract:
         monkeypatch.setenv("REPEATERSIM_OUTDIR", str(tmp_path))
         broken = []
         for section, keys in config.SCHEMA.items():
-            for key, (conv, _) in keys.items():
+            for key, (conv, *_) in keys.items():
                 for value in self.EXTREMES[conv]:
                     ini = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
                     for command in self.COMMANDS:
@@ -620,6 +653,22 @@ class TestContract:
                             broken.append((f"{section}.{key}={value}", command, code,
                                            err.getvalue()))
         assert broken == []
+
+
+class TestConfigModule:
+    def test_schema_is_the_only_declaration_of_the_option_keys(self):
+        # each key's converter, default and range check sit in its SCHEMA
+        # entry; config.py declares no record class of its own
+        import ast
+        import inspect
+
+        tree = ast.parse(inspect.getsource(config))
+        assert [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == \
+            ["ConfigError"]
+        modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                   for a in n.names}
+        modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert "dataclasses" not in modules
 
 
 class TestOutputDirEnv:

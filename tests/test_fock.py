@@ -262,6 +262,13 @@ class TestTwoModeSqueeze:
         with pytest.raises(TruncationError):
             apply_two_mode_squeeze(vacuum(layout), 0, 1, 1.5, trunc_tol=1e-6)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_trunc_tol_not_positive_finite_is_refused(self, tol):
+        # tanh^6(1.5) = 0.6 exceeds the default tolerance, so a tolerance that
+        # compares False (NaN) or passes any tail (inf) must not let it through
+        with pytest.raises(ValueError, match=f"trunc_tol = {tol} must be positive and finite"):
+            apply_two_mode_squeeze(vacuum(ModeLayout(2, 2)), 0, 1, 1.5, trunc_tol=tol)
+
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
     def test_non_finite_r_is_refused(self, r):
         # a loose tolerance, so only the finiteness guard can refuse
@@ -779,6 +786,17 @@ class TestRankRule:
         rho = DensityOperator.from_factor(layout, v)
         assert rho.factor.shape == (layout.dim, 3)
         assert np.max(np.abs(rho.matrix - v @ v.conj().T)) < 1e-15 * rho.trace()
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rank", [1, 5])
+    def test_non_finite_factor_is_refused(self, entry, rank):
+        # a rank above the dimension used to fail in eigh, a rank-1 factor
+        # to give a state with a NaN trace
+        layout = ModeLayout(2, 1)
+        v = np.full((layout.dim, rank), 0.1, dtype=complex)
+        v[2, 0] = entry
+        with pytest.raises(ValueError, match="factor's squared norm .* is not finite"):
+            DensityOperator.from_factor(layout, v)
 
     def test_from_factor_is_the_only_constructor(self):
         layout = ModeLayout(1, 1)
