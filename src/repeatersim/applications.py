@@ -16,8 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .montecarlo import DRAW_BUDGET, check_memory
-from .protocol import check_link
-from .scaling import InfeasibleError
+from .protocol import InfeasibleError, check_link
 
 
 @dataclass(frozen=True)

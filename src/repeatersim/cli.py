@@ -13,9 +13,10 @@ rates in 1/s.
 to a file and prints a line of text, alone runs outside it.  A ``--sweep``
 step re-runs the whole command, so only the ``ANALYTIC`` reports sweep.
 
-The analytic commands (``rates``, ``chain``, ``scaling``, ``optimize`` and
-their sweeps) run without NumPy: the numeric engines are imported by the
-commands that run them.
+The analytic commands (``rates``, ``chain``, ``scaling``, ``optimize``,
+``chsh``, ``teleport`` and the sweeps) run without NumPy: the numeric
+engines are imported by the commands that run them.  Only ``scaling`` and
+``optimize`` load the ``scaling`` module.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ import numbers
 import os
 import sys
 
-from . import config, ensemble, montecarlo, scaling
+from . import config, ensemble, montecarlo
 from .config import Config, ConfigError
-from .protocol import ChainStallError, chain
-from .scaling import InfeasibleError
+from .protocol import ChainStallError, InfeasibleError, chain
 
 SCHEMA_VERSION = 1
 
@@ -146,16 +146,17 @@ def chain_report(cfg: Config, args):
     return summary, (("i", "L_i", "c_i", "p_i", "dF_i", "T_i"), table)
 
 
-def _closed_form(params) -> float:
-    try:
-        return scaling.closed_form_time(params)
-    except (ValueError, OverflowError):
-        return math.nan
-
-
 def scaling_report(cfg: Config, args):
     """The optimizer's scan beside the closed forms, which a generator
     evaluates only when the table is written (a sweep reads the summary)."""
+    from . import scaling
+
+    def closed_form(params) -> float:
+        try:
+            return scaling.closed_form_time(params)
+        except (ValueError, OverflowError):
+            return math.nan
+
     best = scaling.optimize_segment(cfg.repeater, cfg.scaling.total_length,
                                     objective="compositional",
                                     df_target=cfg.scaling.target_infidelity,
@@ -166,7 +167,7 @@ def scaling_report(cfg: Config, args):
         raise OverflowError(f"direct baseline exp(L/L_att) = exp({total / latt!r}) "
                             "overflows a float")
     rows = ((total / latt, l0 / latt, n, ratio,
-             _closed_form(cfg.repeater.with_(segment_length=l0, levels=n)), direct)
+             closed_form(cfg.repeater.with_(segment_length=l0, levels=n)), direct)
             for n, l0, ratio in best.scanned)
     summary = {"L_over_Latt": total,
                "best_n": best.n_star, "best_L0_over_Latt": best.l0_star,
@@ -177,6 +178,8 @@ def scaling_report(cfg: Config, args):
 
 
 def optimize_report(cfg: Config, args):
+    from . import scaling
+
     best = scaling.optimize_segment(cfg.repeater, cfg.scaling.total_length,
                                     objective=args.objective, m=args.m,
                                     df_target=cfg.scaling.target_infidelity,

@@ -80,6 +80,12 @@ class ModeLayout:
         if not 0 <= i < self.modes:
             raise ValueError(f"mode index {i} outside [0, {self.modes})")
 
+    def check_pair(self, i: int, j: int, gate: str):
+        self.check_mode(i)
+        self.check_mode(j)
+        if i == j:
+            raise ValueError(f"{gate} needs two distinct modes")
+
 
 @dataclass
 class PureState:
@@ -131,7 +137,8 @@ class DensityOperator:
         v = np.asarray(factor, dtype=complex)
         if v.ndim != 2 or v.shape[0] != layout.dim:
             raise ValueError("factor does not match layout dimension")
-        norm2 = np.vdot(v, v).real
+        w = v if v.flags.c_contiguous else v.T   # vdot copies an F-ordered v
+        norm2 = np.vdot(w, w).real
         if not math.isfinite(norm2):
             raise ValueError(f"factor's squared norm {norm2} is not finite")
         rho = cls()
@@ -294,15 +301,27 @@ def apply_beamsplitter(rho: DensityOperator, i: int, j: int,
                        theta: float = math.pi / 4, phase: float = 0.0) -> DensityOperator:
     """Two-mode beamsplitter; ``theta = π/4`` is the balanced splitter."""
     layout = rho.layout
-    layout.check_mode(i)
-    layout.check_mode(j)
-    if i == j:
-        raise ValueError("beamsplitter needs two distinct modes")
+    layout.check_pair(i, j, "beamsplitter")
     if not (math.isfinite(theta) and math.isfinite(phase)):
         raise ValueError(f"beamsplitter angles theta = {theta}, phase = {phase} "
                          "must be finite")
     _check_pair_support(rho, [(i, j)], "beamsplitter")
     return _apply_pair(rho, beamsplitter_matrix(layout.cutoff, theta, phase), i, j)
+
+
+def herald(rho: DensityOperator, pair, rows: np.ndarray) -> np.ndarray:
+    """A splitter on mode ``pair`` (i, j) and its detectors as one matmul:
+    ``rows`` (k, d²) are its output rows on the pair index (i major), each
+    times the detectors' √POVM.  Refuses support above the cutoff on the
+    pair, then returns the k unnormalized factors on the other modes, in
+    mode order, as one (k, dim / d², r) array."""
+    layout, (i, j) = rho.layout, pair
+    layout.check_pair(i, j, "beamsplitter")
+    _check_pair_support(rho, [pair], "beamsplitter")
+    n, d, r = layout.modes, layout.mode_dim, rho.factor.shape[1]
+    order = [i, j] + [m for m in range(n + 1) if m not in pair]
+    t = rho.factor.reshape([d] * n + [r]).transpose(order).reshape(d * d, -1)
+    return (rows @ t).reshape(len(rows), layout.dim // (d * d), r)
 
 
 def apply_phase(rho: DensityOperator, i: int, psi: float) -> DensityOperator:
@@ -339,10 +358,7 @@ def apply_two_mode_squeeze(rho: DensityOperator, i: int, j: int, r: float,
     satisfy ``tanh^{2(cutoff+1)} r < trunc_tol``.
     """
     layout = rho.layout
-    layout.check_mode(i)
-    layout.check_mode(j)
-    if i == j:
-        raise ValueError("squeezer needs two distinct modes")
+    layout.check_pair(i, j, "squeezer")
     if not math.isfinite(r):
         raise ValueError(f"squeeze parameter r = {r} must be finite")
     if not 0 < trunc_tol < math.inf:

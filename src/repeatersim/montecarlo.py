@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .protocol import RepeaterParams, chain
-from .scaling import InfeasibleError
+from .protocol import InfeasibleError, RepeaterParams, chain
 
 if TYPE_CHECKING:
     import numpy as np

@@ -28,6 +28,11 @@ class ChainStallError(RuntimeError):
     """A per-level success probability collapsed to (numerically) zero."""
 
 
+class InfeasibleError(ValueError):
+    """A request that cannot be met: a fidelity budget no excitation level
+    reaches, or a Monte Carlo run over its draw budget."""
+
+
 @dataclass(frozen=True)
 class EMEState:
     """Effective maximally entangled link: vacuum weight c/(c+1), shared
@@ -330,14 +335,8 @@ def generation_circuit(p_c: float, eta_p: float, p_dc: float,
     vt *= _atom_rows(cutoff, 4 if include_second_order else 1)
     vt *= 1.0 / math.sqrt(np.vdot(vt, vt).real)
     rho = fock.DensityOperator.from_factor(layout4, vt.T)
-    fock._check_pair_support(rho, [(1, 3)], "beamsplitter")
-
-    # V with axes (phot_L phot_R, atom_L atom_R rank): the splitter and the
-    # herald weights are one matmul on the pair index, which then joins the rank
-    r = rho.factor.shape[1]
-    t = rho.factor.reshape(d, d, d, d, r).transpose(1, 3, 0, 2, 4).reshape(d * d, -1)
-    out = _herald(cutoff, p_dc) @ t
-    unnorm = out.reshape(len(out), d * d, r).transpose(1, 0, 2).reshape(d * d, len(out) * r)
+    # the herald's weighted splitter rows on (phot_L, phot_R) join the rank
+    unnorm = fock.herald(rho, (1, 3), _herald(cutoff, p_dc)).swapaxes(0, 1).reshape(d * d, -1)
     return fock.normalize_outcome(fock.ModeLayout(2, cutoff), unnorm)
 
 
@@ -388,18 +387,17 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
     event the analytic recursion counts (a two-photon event that loses one
     photon is indistinguishable from it and feeds the vacuum term).
     """
-    np, fock = _engines()
+    _, fock = _engines()
     if not 0.0 < eta_s <= 1.0:
         raise ValueError(f"swap efficiency {eta_s} outside (0, 1]")
     # modes L, I1, I2, R; loss on the inner halves before the tensor product
     layout = fock.ModeLayout(2, cutoff)
     rho = fock.tensor(lossy_link(layout, c, phase_left, (1.0, eta_s)),
                       lossy_link(layout, c, phase_right, (eta_s, 1.0)))
-    rho = fock.apply_beamsplitter(rho, 1, 2)
-
-    # herald patterns: exactly one photon, on the I1 or the I2 output
-    one, none = np.eye(cutoff + 1)[[1, 0]]
-    probs, post = zip(*(fock.condition(rho, {1: a, 2: b}) for a, b in ((one, none), (none, one))))
+    # herald patterns: exactly one photon on I1 or I2, splitter rows |1, 0⟩, |0, 1⟩
+    rows = fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0)[[cutoff + 1, 1]]
+    probs, post = zip(*(fock.normalize_outcome(layout, unnorm)
+                        for unnorm in fock.herald(rho, (1, 2), rows)))
     # populations of the two conditional states mixed by probability
     vac = sum(p * cond.population((0, 0)) for p, cond in zip(probs, post))
     singles = sum(p * (cond.population((1, 0)) + cond.population((0, 1)))

@@ -12,12 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .protocol import ChainStallError, RepeaterParams, chain
-
-
-class InfeasibleError(ValueError):
-    """A request that cannot be met: a fidelity budget no excitation level
-    reaches, or a Monte Carlo run over its draw budget."""
+from .protocol import ChainStallError, InfeasibleError, RepeaterParams, chain
 
 
 @dataclass(frozen=True)

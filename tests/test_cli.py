@@ -734,6 +734,34 @@ class TestEntryPoint:
             assert code == want, argv
             assert [code, out] == list(run_cli(argv)), argv
 
+    def test_only_scaling_and_optimize_load_the_scaling_module(self, tmp_path):
+        ini = tmp_path / "unknown_key.ini"
+        ini.write_text("[repeater]\nno_such_key = 1\n")
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import repeatersim.cli\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        code = repeatersim.cli.main(argv)\n"
+            "    loaded.append([code, 'repeatersim.scaling' in sys.modules])\n"
+            "print(json.dumps(loaded))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def cold(*argvs):
+            done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                                  capture_output=True, env=env, text=True)
+            assert done.returncode == 0, done.stderr
+            return json.loads(done.stdout)
+
+        assert cold(["rates"], ["chain"], ["chsh"], ["teleport"],
+                    ["--config", str(ini), "rates"]) == [[0, False]] * 4 + [[2, False]]
+        assert cold(["scaling"]) == [[0, True]]
+        assert cold(["optimize"]) == [[0, True]]
+
     def test_module_invocation_byte_identical(self):
         cmd = [sys.executable, "-m", "repeatersim.cli", "chsh"]
         env = dict(os.environ)

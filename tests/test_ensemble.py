@@ -320,6 +320,15 @@ class TestScipyFreeRuntime:
         assert sorted(eigh) == ["fock.py:_compact", "fock.py:squeeze_eigenbasis"]
         assert max_dim == []
 
+    def test_one_herald_path_outside_fock(self):
+        # the oracles herald through fock.herald; the gate-chain splitter and
+        # conditioning are called inside fock alone
+        calls = [f"{name}:{node.lineno}" for name, tree in package_trees() if name != "fock.py"
+                 for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+                 & {"apply_beamsplitter", "condition"}]
+        assert calls == []
+
 
 def package_trees():
     """``(file name, AST)`` of every module in the package."""

@@ -755,6 +755,64 @@ class TestFactoredEngineAgainstDenseOracle:
             assert rho.population(occ) == pytest.approx(np.real(m[k, k]), abs=1e-14)
 
 
+@pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("layout", [ModeLayout(3, 2), ModeLayout(4, 2)],
+                         ids=lambda l: f"{l.modes}x{l.cutoff}")
+class TestHeraldAgainstGateChain:
+    """``herald`` against ``apply_beamsplitter`` then ``condition`` to 1e-14,
+    on every ordered pair of random 3-4-mode states."""
+
+    @staticmethod
+    def assert_matches(rho, i, j, unnorm, weights):
+        p, want = fock.condition(apply_beamsplitter(rho, i, j, 0.7, 0.3), weights)
+        prob = np.vdot(unnorm, unnorm).real
+        assert prob == pytest.approx(p, abs=1e-14)
+        assert np.max(np.abs(unnorm @ unnorm.conj().T / prob - want.matrix)) < 1e-14
+
+    def test_number_projector_rows(self, layout, rank):
+        rho = random_state(layout, rank, 60 + layout.modes, pair_safe=True)
+        d = layout.mode_dim
+        outcomes = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+        rows = fock.beamsplitter_matrix(layout.cutoff, 0.7, 0.3)[[a * d + b for a, b in outcomes]]
+        for i, j in ordered_pairs(layout):
+            out = fock.herald(rho, (i, j), rows)
+            assert out.shape == (len(outcomes), layout.dim // d ** 2, rho.factor.shape[1])
+            for (a, b), unnorm in zip(outcomes, out, strict=True):
+                self.assert_matches(rho, i, j, unnorm, {i: np.eye(d)[a], j: np.eye(d)[b]})
+
+    def test_root_povm_rows_join_the_rank(self, layout, rank):
+        rho = random_state(layout, rank, 70 + layout.modes, pair_safe=True)
+        w_i = fock._outcome_weights(THRESHOLD, layout.cutoff, "click")
+        w_j = fock._outcome_weights(RESOLVING, layout.cutoff, 0)
+        root = np.sqrt(np.multiply.outer(w_i, w_j)).ravel()
+        seen = np.flatnonzero(root)
+        rows = root[seen, None] * fock.beamsplitter_matrix(layout.cutoff, 0.7, 0.3)[seen]
+        for i, j in ordered_pairs(layout):
+            unnorm = np.concatenate(fock.herald(rho, (i, j), rows), axis=1)
+            self.assert_matches(rho, i, j, unnorm, {i: w_i, j: w_j})
+
+
+class TestHeraldRefusals:
+    def test_pair_above_the_cutoff(self):
+        rho = number_state(ModeLayout(3, 2), (0, 2, 1)).to_density()
+        rows = fock.beamsplitter_matrix(2, math.pi / 4, 0.0)[:2]
+        with pytest.raises(TruncationError, match=r"^beamsplitter on modes \(2, 1\): population "
+                                                  r"1\.000e\+00 has pair photon number above "
+                                                  r"cutoff 2$"):
+            fock.herald(rho, (2, 1), rows)
+        assert fock.herald(rho, (0, 2), rows).shape == (2, 3, 1)
+
+    @pytest.mark.parametrize("pair,message", [
+        ((0, 3), r"mode index 3 outside \[0, 3\)"),
+        ((-1, 0), r"mode index -1 outside \[0, 3\)"),
+        ((1, 1), "beamsplitter needs two distinct modes"),
+    ])
+    def test_bad_pair(self, pair, message):
+        rho = vacuum(ModeLayout(3, 2))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fock.herald(rho, pair, np.eye(9)[:1])
+
+
 class TestRankRule:
     def test_zero_columns_dropped(self):
         layout = ModeLayout(2, 2)
@@ -797,6 +855,17 @@ class TestRankRule:
         v[2, 0] = entry
         with pytest.raises(ValueError, match="factor's squared norm .* is not finite"):
             DensityOperator.from_factor(layout, v)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_f_ordered_factor_is_refused(self, entry):
+        # the generation circuit's shape: the norm is read from the C-ordered
+        # transpose, without a copy
+        layout = ModeLayout(4, 4)
+        v = np.full((9, layout.dim), 0.01, dtype=complex)
+        v[4, 300] = entry
+        assert v.T.flags.f_contiguous and not v.T.flags.c_contiguous
+        with pytest.raises(ValueError, match="^factor's squared norm (nan|inf) is not finite$"):
+            DensityOperator.from_factor(layout, v.T)
 
     def test_from_factor_is_the_only_constructor(self):
         layout = ModeLayout(1, 1)

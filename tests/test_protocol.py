@@ -15,6 +15,7 @@ from repeatersim.protocol import (
     generate_analytic,
     generate_oracle,
     generation_circuit,
+    lossy_link,
     swap_analytic,
     swap_oracle,
     vacuum_coeff_closed_form,
@@ -222,11 +223,37 @@ class TestGenerationCircuit:
         with pytest.raises(fock.ImpossibleOutcomeError):
             generation_circuit(0.05, 0.3, 1.0)
 
+    @pytest.mark.parametrize("cutoff", range(2, 7))
+    @pytest.mark.parametrize("p_dc", [0.0, 1e-5, 0.3])
+    @pytest.mark.parametrize("include_second_order", [True, False])
+    def test_herald_is_the_former_transpose_bit_for_bit(self, monkeypatch, cutoff, p_dc,
+                                                         include_second_order):
+        params = make_params(excitation_prob=0.01, local_efficiency=0.3, dark_prob=p_dc)
+        args = (0.01, params.eta_p, p_dc, 0.7, cutoff, include_second_order)
+
+        def run():
+            try:
+                return generation_circuit(*args), generate_oracle(params, cutoff, 0.7,
+                                                                  include_second_order)
+            except fock.TruncationError as exc:   # the pair above cutoffs 2 and 3
+                return str(exc)
+
+        got = run()
+        monkeypatch.setattr(fock, "herald", transpose_herald)
+        want = run()
+        if isinstance(want, str):
+            assert got == want
+            return
+        ((prob, rho), res), ((want_prob, want_rho), want_res) = got, want
+        assert prob == want_prob and np.array_equal(rho.factor, want_rho.factor)
+        assert res == want_res
+
     @pytest.fixture
     def no_loss_gates(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the oracles build their lossy states in closed form")
-        for name in ("apply_loss", "apply_phase"):
+            raise AssertionError("the oracles build their lossy states in closed form "
+                                 "and herald through fock.herald")
+        for name in ("apply_loss", "apply_phase", "apply_beamsplitter", "condition"):
             monkeypatch.setattr(fock, name, refuse)
 
     @pytest.mark.parametrize("include_second_order", [True, False])
@@ -240,6 +267,17 @@ class TestGenerationCircuit:
         assert res.c_measured > 0.0
         swap = swap_oracle(1 / 3, 0.9, cutoff=3, phase_left=0.7, phase_right=2.1)
         assert swap.success_prob > 0.0
+
+
+def transpose_herald(rho, pair, rows):
+    """``fock.herald`` on (phot_L, phot_R) of the generation circuit as the
+    circuit once wrote it: one transpose moves the pair's axes first, one
+    matmul applies the rows."""
+    assert pair == (1, 3) and rho.layout.modes == 4
+    fock._check_pair_support(rho, [pair], "beamsplitter")
+    d, r = rho.layout.mode_dim, rho.factor.shape[1]
+    t = rho.factor.reshape(d, d, d, d, r).transpose(1, 3, 0, 2, 4).reshape(d * d, -1)
+    return (rows @ t).reshape(len(rows), d * d, r)
 
 
 def chain_swap(c, eta_s, cutoff=2, phase_left=0.0, phase_right=0.0):
@@ -265,6 +303,21 @@ def chain_swap(c, eta_s, cutoff=2, phase_left=0.0, phase_right=0.0):
     return total, vac / singles, post
 
 
+def gate_swap(c, eta_s, cutoff=2, phase_left=0.0, phase_right=0.0):
+    """Reference swap by the gate chain: ``apply_beamsplitter`` on the whole
+    (L, I1, I2, R) factor, then one ``condition`` per herald pattern."""
+    layout = fock.ModeLayout(2, cutoff)
+    rho = fock.tensor(lossy_link(layout, c, phase_left, (1.0, eta_s)),
+                      lossy_link(layout, c, phase_right, (eta_s, 1.0)))
+    rho = fock.apply_beamsplitter(rho, 1, 2)
+    one, none = np.eye(cutoff + 1)[[1, 0]]
+    probs, post = zip(*(fock.condition(rho, {1: a, 2: b}) for a, b in ((one, none), (none, one))))
+    vac = sum(p * cond.population((0, 0)) for p, cond in zip(probs, post))
+    singles = sum(p * (cond.population((1, 0)) + cond.population((0, 1)))
+                  for p, cond in zip(probs, post))
+    return sum(probs), vac / singles, post
+
+
 class TestSwapOracle:
     def test_matches_destructive_chain(self):
         rng = np.random.default_rng(5150)
@@ -277,6 +330,63 @@ class TestSwapOracle:
             assert got.c_measured == pytest.approx(c_measured, rel=1e-14, abs=1e-15)
             for cond, want in zip(got.post_states, post):
                 assert np.max(np.abs(cond.matrix - want.matrix)) < 1e-14
+
+    @staticmethod
+    def against_gate_chain(c, eta, cutoff):
+        rng = np.random.default_rng([cutoff, int(3 * c), int(30 * eta)])
+        phases = dict(phase_left=rng.uniform(0, 7), phase_right=rng.uniform(0, 7))
+        return swap_oracle(c, eta, cutoff, **phases), gate_swap(c, eta, cutoff, **phases)
+
+    @pytest.mark.parametrize("c", [0.0, 1 / 3, 1.0, 3.0])
+    @pytest.mark.parametrize("eta", [0.4, 2 / 3, 0.9])
+    def test_gate_chain_bit_for_bit_at_cutoff_2(self, c, eta):
+        got, (total, c_measured, post) = self.against_gate_chain(c, eta, 2)
+        assert got.success_prob == total and got.c_measured == c_measured
+        for cond, want in zip(got.post_states, post, strict=True):
+            assert np.array_equal(cond.factor, want.factor)
+
+    @pytest.mark.parametrize("c", [0.0, 1 / 3, 1.0, 3.0])
+    @pytest.mark.parametrize("eta", [0.4, 2 / 3, 0.9])
+    def test_gate_chain_to_the_last_bits_at_cutoff_3(self, c, eta):
+        # the heralded factors are the same floats, but the gate chain reads
+        # each probability from a padded factor whose zeros shift vdot's
+        # summation lanes: some points differ in the last bit
+        got, (total, c_measured, post) = self.against_gate_chain(c, eta, 3)
+        assert got.success_prob == pytest.approx(total, rel=1e-15, abs=0)
+        assert got.c_measured == pytest.approx(c_measured, rel=1e-15, abs=0)
+        for cond, want in zip(got.post_states, post, strict=True):
+            assert cond.factor.shape == want.factor.shape
+            assert np.max(np.abs(cond.factor - want.factor)) <= 1e-15
+
+    def test_pair_above_the_cutoff_is_refused(self):
+        with pytest.raises(fock.TruncationError,
+                           match=r"^beamsplitter on modes \(1, 2\): population 5\.444e-02 "
+                                 r"has pair photon number above cutoff 1$"):
+            swap_oracle(0.5, 0.7, cutoff=1)
+
+    @pytest.mark.parametrize("args,kwargs,message", [
+        ((0.5, 0.0), {}, r"swap efficiency 0.0 outside \(0, 1\]"),
+        ((0.5, 1.5), {}, r"swap efficiency 1.5 outside \(0, 1\]"),
+        ((0.5, math.nan), {}, r"swap efficiency nan outside \(0, 1\]"),
+        ((-0.5, 0.7), {}, "link vacuum coefficient c = -0.5 must be finite and non-negative"),
+        ((0.5, 0.7), {"phase_left": math.nan}, "link phase nan must be finite"),
+        ((0.5, 0.7), {"phase_right": math.nan}, "link phase nan must be finite"),
+        # the order: swap efficiency, then the left link, the right link, the cutoff
+        ((-0.5, math.nan), {}, r"swap efficiency nan outside \(0, 1\]"),
+        ((-0.5, 0.7), {"phase_left": math.nan},
+         "link vacuum coefficient c = -0.5 must be finite and non-negative"),
+        ((0.5, 0.7), {"phase_left": math.inf, "phase_right": math.nan},
+         "link phase inf must be finite"),
+        ((-0.5, 0.7), {"cutoff": 1},
+         "link vacuum coefficient c = -0.5 must be finite and non-negative"),
+        ((0.5, 0.7), {"cutoff": 1, "phase_right": math.nan}, "link phase nan must be finite"),
+        ((0.5, math.nan), {"cutoff": 0}, r"swap efficiency nan outside \(0, 1\]"),
+        ((0.5, 0.7), {"cutoff": 0}, "cutoff must be positive, got 0"),
+    ])
+    def test_refusals_and_their_order(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            swap_oracle(*args, **kwargs)
+        assert not isinstance(info.value, fock.TruncationError)
 
     def test_ideal_swap(self):
         res = swap_oracle(0.0, 1.0)
