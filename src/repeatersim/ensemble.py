@@ -28,6 +28,13 @@ ADIABATIC_RATIO_WARN = 10.0
 MAX_RK4_SUBSTEPS = 1_000_000
 
 
+def _check_finite(**values):
+    """Refuse a NaN (which passes every range check) or infinite value by name."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Microscopic parameters of a driven Lambda-level ensemble."""
@@ -51,6 +58,7 @@ class EnsembleParams:
             raise ValueError(f"spont_rate must be non-negative, got {self.spont_rate}")
         if self.interaction_time < 0.0:
             raise ValueError(f"interaction_time must be non-negative, got {self.interaction_time}")
+        _check_finite(**{k: v for k, v in vars(self).items() if k != "atom_count"})
 
     @property
     def bad_cavity_ratio(self) -> float:
@@ -92,6 +100,7 @@ def langevin_mean_solution(params: EnsembleParams, t: float) -> float:
     """Deterministic amplitude gain exp(kappa' t / 2) of the collective mode."""
     if t < 0:
         raise ValueError("t must be non-negative")
+    _check_finite(t=t)
     kp = effective_rates(params).kappa_prime
     return math.exp(kp * t / 2.0)
 
@@ -240,6 +249,7 @@ def free_space_snr(density: float, length: float, wavenumber: float) -> FreeSpac
     """
     if density <= 0 or length <= 0 or wavenumber <= 0:
         raise ValueError("density, length and wavenumber must all be positive")
+    _check_finite(density=density, length=length, wavenumber=wavenumber)
     value = 3.0 * density * length / wavenumber ** 2
     dilute = wavenumber / density ** (1.0 / 3.0)
     return FreeSpaceSnr(snr=value, optical_depth=value, superradiance_risk=dilute < 1.0)

@@ -1,10 +1,11 @@
 """Exact linear algebra over truncated multimode Fock spaces.
 
 A state on the tensor-product number basis is held as a factor V (dim x r)
-of its density operator, rho = V V^dagger, and every gate acts on V from
-the left only.  Every operation is a pure function: inputs are never
-mutated, outputs are freshly allocated.  This module is the brute-force
-ground truth against which the analytic repeater formulas are checked.
+of its density operator, rho = V V^dagger.  Every gate, loss channel,
+herald and trace acts on V from the left only, through one kernel, ``_act``.
+Every operation is a pure function: inputs are never mutated, outputs are
+freshly allocated.  This module is the brute-force ground truth against
+which the analytic repeater formulas are checked.
 """
 
 from __future__ import annotations
@@ -206,32 +207,25 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# internal factor helpers
+# the gate kernel
 
 
-def _mode_view(rho: DensityOperator, mode: int) -> np.ndarray:
-    """V as ``(pre, d, post * r)``, the axis of ``mode`` in the middle."""
-    d = rho.layout.mode_dim
-    return rho.factor.reshape(d ** mode, d, rho.factor.size // d ** (mode + 1))
-
-
-def _apply_pair(rho: DensityOperator, op2: np.ndarray, i: int, j: int) -> DensityOperator:
-    """A two-mode operator ``op2`` (shape (d*d, d*d), mode order (i, j)) on V:
-    one matmul with the axes of modes i and j moved first, in that order."""
+def _act(rho: DensityOperator, modes, ops: np.ndarray) -> np.ndarray:
+    """The stack ``ops`` (k, out, d^m) on ``modes`` of V (the first most
+    significant), in one matmul with those modes' axes moved first by one
+    transpose.  With out = d^m the modes go back in place and the k images
+    return as (k, dim, r); with out = 1 the modes are traced out and the
+    images return as (k, dim / d^m, r), the other modes in order."""
     layout = rho.layout
     n, d, r = layout.modes, layout.mode_dim, rho.factor.shape[1]
-    t = np.moveaxis(rho.factor.reshape([d] * n + [r]), (i, j), (0, 1))
-    out = (op2 @ t.reshape(d * d, layout.dim // (d * d) * r)).reshape(t.shape)
-    out = np.moveaxis(out, (0, 1), (i, j))
-    return DensityOperator.from_factor(layout, out.reshape(layout.dim, r))
-
-
-def _fold(v: np.ndarray, layout: ModeLayout, modes) -> np.ndarray:
-    """Factor V with ``modes`` traced out: their axes join the rank index."""
-    n, d = layout.modes, layout.mode_dim
-    keep = [m for m in range(n) if m not in modes]
-    t = v.reshape([d] * n + [v.shape[1]]).transpose(keep + list(modes) + [n])
-    return t.reshape(d ** len(keep), d ** len(modes) * v.shape[1])
+    k, out, size = ops.shape   # k may be 0: every reshape below has explicit sizes
+    order = [*modes, *(m for m in range(n + 1) if m not in modes)]   # axis n: rank
+    t = rho.factor.reshape([d] * n + [r]).transpose(order)
+    images = ops.reshape(k * out, size) @ t.reshape(size, layout.dim // size * r)
+    if out == 1:
+        return images.reshape(k, layout.dim // size, r)
+    back = [0, *(np.argsort(order) + 1)]
+    return images.reshape([k] + [d] * n + [r]).transpose(back).reshape(k, layout.dim, r)
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +300,20 @@ def apply_beamsplitter(rho: DensityOperator, i: int, j: int,
         raise ValueError(f"beamsplitter angles theta = {theta}, phase = {phase} "
                          "must be finite")
     _check_pair_support(rho, [(i, j)], "beamsplitter")
-    return _apply_pair(rho, beamsplitter_matrix(layout.cutoff, theta, phase), i, j)
+    u = beamsplitter_matrix(layout.cutoff, theta, phase)
+    return DensityOperator.from_factor(layout, _act(rho, (i, j), u[None])[0])
 
 
 def herald(rho: DensityOperator, pair, rows: np.ndarray) -> np.ndarray:
-    """A splitter on mode ``pair`` (i, j) and its detectors as one matmul:
-    ``rows`` (k, d²) are its output rows on the pair index (i major), each
-    times the detectors' √POVM.  Refuses support above the cutoff on the
-    pair, then returns the k unnormalized factors on the other modes, in
-    mode order, as one (k, dim / d², r) array."""
-    layout, (i, j) = rho.layout, pair
-    layout.check_pair(i, j, "beamsplitter")
+    """A splitter on mode ``pair`` (i, j) and its detectors as the gate
+    kernel's trace: ``rows`` (k, d²) are its output rows on the pair index
+    (i major), each times the detectors' √POVM.  Refuses support above the
+    cutoff on the pair, then returns the k unnormalized factors on the other
+    modes, in mode order, as one (k, dim / d², r) array."""
+    i, j = pair
+    rho.layout.check_pair(i, j, "beamsplitter")
     _check_pair_support(rho, [pair], "beamsplitter")
-    n, d, r = layout.modes, layout.mode_dim, rho.factor.shape[1]
-    order = [i, j] + [m for m in range(n + 1) if m not in pair]
-    t = rho.factor.reshape([d] * n + [r]).transpose(order).reshape(d * d, -1)
-    return (rows @ t).reshape(len(rows), layout.dim // (d * d), r)
+    return _act(rho, pair, rows[:, None])
 
 
 def apply_phase(rho: DensityOperator, i: int, psi: float) -> DensityOperator:
@@ -330,9 +322,8 @@ def apply_phase(rho: DensityOperator, i: int, psi: float) -> DensityOperator:
     layout.check_mode(i)
     if not math.isfinite(psi):
         raise ValueError(f"phase psi = {psi} must be finite")
-    phases = np.exp(1j * psi * np.arange(layout.mode_dim))
-    out = _mode_view(rho, i) * phases[:, None]
-    return DensityOperator.from_factor(layout, out.reshape(rho.factor.shape))
+    phases = np.diag(np.exp(1j * psi * np.arange(layout.mode_dim)))
+    return DensityOperator.from_factor(layout, _act(rho, (i,), phases[None])[0])
 
 
 @functools.lru_cache(maxsize=16)
@@ -370,7 +361,8 @@ def apply_two_mode_squeeze(rho: DensityOperator, i: int, j: int, r: float,
         )
     # with i G = W diag(lam) W^dagger, exp(r G) = W diag(e^{-i r lam}) W^dagger
     lam, w = squeeze_eigenbasis(layout.cutoff)
-    return _apply_pair(rho, (w * np.exp(-1j * r * lam)) @ w.conj().T, i, j)
+    u = (w * np.exp(-1j * r * lam)) @ w.conj().T
+    return DensityOperator.from_factor(layout, _act(rho, (i, j), u[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +390,11 @@ def apply_loss(rho: DensityOperator, i: int, eta: float) -> DensityOperator:
         raise ValueError(f"loss transmission {eta} outside [0, 1]")
     layout = rho.layout
     layout.check_mode(i)
-    if eta == 1.0:
+    if eta == 1.0:   # K_0 = 1 alone; the kernel's matmul would turn -0.0 into 0.0
         return DensityOperator.from_factor(layout, rho.factor)
-    # each Kraus image K_k V joins the factor as new columns; K_k takes k
-    # photons, so the images end where no support is left at k or more
-    t = _mode_view(rho, i)
-    images = []
-    for k, op in enumerate(loss_kraus(layout.cutoff, eta)):
-        if k and not t[:, k:].any():
-            break
-        images.append((op @ t).reshape(rho.factor.shape))
+    # the Kraus images K_k V join the factor as new columns, k-major; one without
+    # support is exactly zero (K_k takes k photons), and the rank rule drops it
+    images = _act(rho, (i,), np.stack(loss_kraus(layout.cutoff, eta)))
     return DensityOperator.from_factor(layout, np.concatenate(images, axis=1))
 
 
@@ -507,12 +494,10 @@ def condition(rho: DensityOperator, weights: dict):
     if len(weights) == layout.modes:
         raise ValueError("conditioning every remaining mode leaves no state; "
                          "use detector_probability() for the outcome weight")
-    # scaling the measured axes by the root of the POVM weights and tracing
-    # them out leaves the unnormalized conditional state
+    # the measured modes traced out under the rows diag √POVM: their images
+    # join the rank index as the unnormalized conditional state
     root = functools.reduce(np.multiply.outer, [np.sqrt(w) for w in weights.values()])
-    folded = _fold(rho.factor, layout, tuple(weights))
-    rows = len(folded)
-    unnorm = (folded.reshape(rows, root.size, -1) * root.reshape(-1, 1)).reshape(rows, -1)
+    unnorm = np.concatenate(_act(rho, tuple(weights), np.diag(root.ravel())[:, None]), axis=1)
     sub_layout = ModeLayout(layout.modes - len(weights), layout.cutoff)
     return normalize_outcome(sub_layout, unnorm)
 
@@ -546,7 +531,8 @@ def partial_trace(rho: DensityOperator, modes) -> DensityOperator:
     if len(drop) == layout.modes:
         raise ValueError("tracing out every mode leaves no state; use trace()")
     sub_layout = ModeLayout(layout.modes - len(drop), layout.cutoff)
-    return DensityOperator.from_factor(sub_layout, _fold(rho.factor, layout, drop))
+    images = _act(rho, drop, np.eye(layout.mode_dim ** len(drop))[:, None])
+    return DensityOperator.from_factor(sub_layout, np.concatenate(images, axis=1))
 
 
 def fidelity(rho: DensityOperator, psi: PureState) -> float:

@@ -249,7 +249,8 @@ def lossy_input(layout: fock.ModeLayout, c: float, amps, etas) -> fock.DensityOp
     lost = sum((1.0 - eta) * abs(a) ** 2 for a, eta in zip(amps, etas))
     factor = np.zeros((layout.dim, 2), dtype=complex)
     factor[0, 0] = math.sqrt(c + lost) / root
-    factor[[layout.mode_dim, 1], 1] = [math.sqrt(eta) * a / root for a, eta in zip(amps, etas)]
+    excited = [layout.index((1, 0)), layout.index((0, 1))]
+    factor[excited, 1] = [math.sqrt(eta) * a / root for a, eta in zip(amps, etas)]
     return fock.DensityOperator.from_factor(layout, factor)
 
 
@@ -395,7 +396,8 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
     rho = fock.tensor(lossy_link(layout, c, phase_left, (1.0, eta_s)),
                       lossy_link(layout, c, phase_right, (eta_s, 1.0)))
     # herald patterns: exactly one photon on I1 or I2, splitter rows |1, 0⟩, |0, 1⟩
-    rows = fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0)[[cutoff + 1, 1]]
+    rows = fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0)[
+        [layout.index((1, 0)), layout.index((0, 1))]]
     probs, post = zip(*(fock.normalize_outcome(layout, unnorm)
                         for unnorm in fock.herald(rho, (1, 2), rows)))
     # populations of the two conditional states mixed by probability

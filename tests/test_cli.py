@@ -654,6 +654,19 @@ class TestContract:
                                            err.getvalue()))
         assert broken == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_ensemble_keys_stop_at_the_config(self, tmp_path, capsys, value):
+        # the config refuses a non-finite number before EnsembleParams or
+        # free_space_snr sees it, so their own refusals leave the CLI as it was
+        for key, (conv, *_) in config.SCHEMA["ensemble"].items():
+            if conv is float:
+                ini = write_config(tmp_path, f"[ensemble]\n{key} = {value}\n")
+                assert cli.main(["--config", ini, "rates"]) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.strip() == (f"config error: ensemble.{key}: {value!r} "
+                                       "is not a finite number")
+
 
 class TestConfigModule:
     def test_schema_is_the_only_declaration_of_the_option_keys(self):

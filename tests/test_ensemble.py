@@ -329,6 +329,28 @@ class TestScipyFreeRuntime:
                  & {"apply_beamsplitter", "condition"}]
         assert calls == []
 
+    def test_one_gate_kernel_in_fock(self):
+        # no module calls np.moveaxis; in fock, the gate kernel `_act` moves a
+        # factor's mode axes and `marginal` orders its populations, and no
+        # other function transposes
+        calls = {"moveaxis": [], "transpose": []}
+
+        def visit(node, name, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if called in calls:
+                    calls[called].append(f"{name}:{func}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, name, func)
+
+        for name, tree in package_trees():
+            visit(tree, name, None)
+        assert calls["moveaxis"] == []
+        assert sorted({c for c in calls["transpose"] if c.startswith("fock.py:")}) == [
+            "fock.py:_act", "fock.py:marginal"]
+
 
 def package_trees():
     """``(file name, AST)`` of every module in the package."""
@@ -487,3 +509,37 @@ class TestFreeSpaceSnr:
     def test_positive_inputs_required(self):
         with pytest.raises(ValueError):
             free_space_snr(0.0, 1.0, 1.0)
+
+
+# each non-finite input of the ensemble records and closed forms, by the name
+# its refusal carries
+NON_FINITE_INPUTS = {
+    **{field: (lambda v, field=field: make_params(**{field: v}))
+       for field in ("rabi", "detuning", "coupling", "cavity_decay", "spont_rate",
+                     "interaction_time")},
+    "density": lambda v: free_space_snr(v, 1.0, 1.0),
+    "length": lambda v: free_space_snr(1.0, v, 1.0),
+    "wavenumber": lambda v: free_space_snr(1.0, 1.0, v),
+    "t": lambda v: langevin_mean_solution(make_params(), v),
+}
+# -inf already fails these range checks, whose messages stay as they were
+NEGATIVE_INFINITY_MESSAGES = {
+    "cavity_decay": "cavity_decay must be positive, got -inf",
+    "spont_rate": "spont_rate must be non-negative, got -inf",
+    "interaction_time": "interaction_time must be non-negative, got -inf",
+    "density": "density, length and wavenumber must all be positive",
+    "length": "density, length and wavenumber must all be positive",
+    "wavenumber": "density, length and wavenumber must all be positive",
+    "t": "t must be non-negative",
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_INPUTS))
+def test_non_finite_input_is_refused_by_name(field, value):
+    with pytest.raises(ValueError) as refused:
+        NON_FINITE_INPUTS[field](value)
+    if value == -math.inf and field in NEGATIVE_INFINITY_MESSAGES:
+        assert str(refused.value) == NEGATIVE_INFINITY_MESSAGES[field]
+    else:
+        assert str(refused.value) == f"{field} must be finite, got {value}"

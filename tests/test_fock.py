@@ -330,6 +330,26 @@ class TestLoss:
         out = apply_loss(rho, mode, 0.37)
         assert np.max(np.abs(out.matrix - oracle)) < 1e-14
 
+    @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("most", [0, 1, 3])
+    def test_factor_keeps_the_supported_kraus_images(self, most, eta):
+        # mode i holds at most `most` photons: the factor is exactly the Kraus
+        # images K_0 V, ..., K_most V side by side (K_0 alone at eta = 1, where
+        # the others vanish); images of photons mode i never holds are dropped
+        layout, rank = ModeLayout(3, 3), 2
+        occ = np.array(list(layout.occupations()))
+        for i in range(layout.modes):
+            rng = np.random.default_rng(10 * most + i)
+            v = rng.normal(size=(layout.dim, rank)) + 1j * rng.normal(size=(layout.dim, rank))
+            v[occ[:, i] > most] = 0.0
+            rho = DensityOperator.from_factor(layout, v / np.linalg.norm(v))
+            kept = 1 if eta == 1.0 else most + 1
+            want = np.concatenate([embedded_one_mode(layout, k, i) @ rho.factor
+                                   for k in fock.loss_kraus(layout.cutoff, eta)[:kept]], axis=1)
+            out = apply_loss(rho, i, eta)
+            assert out.factor.shape == (layout.dim, kept * rank)
+            assert np.max(np.abs(out.factor - want)) < 1e-15
+
 
 class TestDetector:
     def test_vacuum_never_clicks_without_dark(self):
