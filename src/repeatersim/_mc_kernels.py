@@ -96,6 +96,7 @@ _BLOCK = 1 << 13      # uniforms per lockstep step, summed over live trials
 _WINDOW = 5           # level-1 attempts per step once few trials are live
 _SCALAR_TAIL = 8      # live trials finished by chain_sample
 _GEN_BLOCK = 1 << 15  # level-0 trials per block; its temporaries stay in cache
+_RANKS = np.arange(_WINDOW)[:, None]   # attempt m of a window, one row each
 
 
 def _mix(z: np.ndarray):
@@ -207,19 +208,22 @@ def chain_times(seed: int, count: int, n: int, p_levels, q: float,
         window = u[:3 * w].reshape(w, 3, live)   # attempt m: leaves, then test
         leaf = _attempts(window[:, :2], q)
         leaf *= t_delta
-        acc = np.empty((w + 1, live))      # the level-1 total after each attempt
+        acc = np.empty((w + 1, live))      # the running total and each attempt
         acc[0] = tot[1]
         join(leaf[:, 0], leaf[:, 1], out=acc[1:])
-        np.add.accumulate(acc, out=acc)
         # the first attempt whose test passed, w where none did
-        m = np.where(window[:, 2] < p_levels[1], np.arange(w)[:, None], w).min(axis=0)
+        m = np.where(window[:, 2] < p_levels[1], _RANKS[:w], w).min(axis=0)
+        # zero the attempts after it: reduce adds the rows in order, and
+        # adding +0.0 to a positive sum is exact, so each total is bit for
+        # bit the in-order sum up to the first passed attempt
+        acc[1:][_RANKS[:w] > m] = 0.0
+        total = np.add.reduce(acc, axis=0)
         at = (m < w).nonzero()[0]          # trials carrying a link up
-        m = m[at] + 1
-        up = acc[m, at]
-        tot[1] = acc[w]
+        up = total[at]
+        tot[1] = total
         tot[1][at] = 0.0
         used = np.full(live, 3 * w, dtype=np.uint64)
-        draw = 3 * m                       # draws used, the index of the next
+        draw = 3 * (m[at] + 1)             # draws used, the index of the next
         used[at] = draw
         for lvl in range(2, n + 1):
             row = first[lvl]

@@ -13,36 +13,36 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .montecarlo import DRAW_BUDGET, check_memory
 from .protocol import InfeasibleError, check_link
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    psi_left: float
-    psi_right: float
+class MeasurementSetting(namedtuple("MeasurementSetting", ("psi_left", "psi_right"))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.psi_left) and math.isfinite(self.psi_right)):
             raise ValueError("settings must be finite")
+        return self
 
 
-@dataclass(frozen=True)
-class PolarizationQubit:
+class PolarizationQubit(namedtuple("PolarizationQubit", ("d0", "d1"))):
     """Single excitation shared between two storage modes, amplitudes
     (d0, d1) with |d0|^2 + |d1|^2 = 1."""
 
-    d0: complex
-    d1: complex
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         norm = abs(self.d0) ** 2 + abs(self.d1) ** 2
         if not math.isfinite(norm):
             raise ValueError("qubit amplitudes must be finite")
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"qubit norm {norm} deviates from 1 beyond 1e-12")
+        return self
 
     @classmethod
     def from_bloch(cls, theta: float, phi: float) -> "PolarizationQubit":
@@ -52,11 +52,9 @@ class PolarizationQubit:
                    complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0))
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    value: float              # E(psi_L, psi_R)
-    coincidence_prob: float
-    pattern_probs: dict       # {"11": .., "12": .., "21": .., "22": ..}
+# value: E(psi_L, psi_R); pattern_probs: {"11": .., "12": .., "21": .., "22": ..}
+CorrelationResult = namedtuple("CorrelationResult", ("value", "coincidence_prob",
+                                                     "pattern_probs"))
 
 
 # below the smallest normal float a coincidence weight has lost its digits
@@ -151,13 +149,8 @@ def _key_table(c_n: float, phi: float, eta_a: float) -> list:
             for a in phases for b in phases]
 
 
-@dataclass(frozen=True)
-class KeyStats:
-    rounds: int
-    sifted_length: int
-    qber: float
-    coincidence_rate: float
-    seed: int
+KeyStats = namedtuple("KeyStats", ("rounds", "sifted_length", "qber", "coincidence_rate",
+                                   "seed"))
 
 
 def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
@@ -206,12 +199,12 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
                     coincidence_rate=int(counts[:, :4].sum()) / rounds, seed=seed)
 
 
-@dataclass(frozen=True)
-class TeleportResult:
-    success_prob: float       # accepted pattern and excitation present on the right
-    output_fidelity: float    # post-selected right-side state vs the input qubit
-    pattern_prob: float       # accepted two-click pattern, before confirmation
-    confirm_prob: float       # excitation found on the right given the pattern
+# success_prob: an accepted pattern and the excitation present on the right;
+# output_fidelity: the post-selected right-side state against the input qubit;
+# pattern_prob: an accepted two-click pattern, before confirmation;
+# confirm_prob: the excitation found on the right given the pattern
+TeleportResult = namedtuple("TeleportResult", ("success_prob", "output_fidelity",
+                                               "pattern_prob", "confirm_prob"))
 
 
 def teleport(qubit: PolarizationQubit, c_n: float, eta_a: float,

@@ -22,7 +22,6 @@ engines are imported by the commands that run them.  Only ``scaling`` and
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import numbers
@@ -133,14 +132,13 @@ def rates_report(cfg: Config, args):
             keys = [k for k in keys if getattr(cfg.ensemble, k) == 0] or keys
             at = ", ".join(f"ensemble.{k} = {getattr(cfg.ensemble, k)!r}" for k in keys)
             raise ValueError(f"{field} is infinite at {at}")
-    return {**dataclasses.asdict(rates), "optical_depth": fs.optical_depth,
+    return {**rates._asdict(), "optical_depth": fs.optical_depth,
             "superradiance_risk": fs.superradiance_risk}, None
 
 
 def chain_report(cfg: Config, args):
     # ChainLevel's fields in order: level, length, c, p, dF, elapsed time
-    table = [dataclasses.astuple(r)
-             for r in chain(cfg.repeater, channel_phase=cfg.applications.phase)]
+    table = chain(cfg.repeater, channel_phase=cfg.applications.phase)
     summary = dict(zip(("levels", "length", "vacuum_coeff", "success_prob",
                         "fidelity_deficit", "time_s"), table[-1]))
     return summary, (("i", "L_i", "c_i", "p_i", "dF_i", "T_i"), table)
@@ -211,7 +209,7 @@ def teleport_report(cfg: Config, args):
                                 cfg.repeater.app_efficiency,
                                 phi=cfg.applications.phase)
     return {"bloch_theta": args.bloch_theta, "bloch_phi": args.bloch_phi,
-            **dataclasses.asdict(res)}, None
+            **res._asdict()}, None
 
 
 def ekert_report(cfg: Config, args):
@@ -231,8 +229,8 @@ def ekert_report(cfg: Config, args):
 def montecarlo_report(cfg: Config, args):
     overrides = {"seed": args.seed, "n_trials": args.trials,
                  "policy": args.policy, "threads": args.threads}
-    trials = dataclasses.replace(
-        cfg.trials, **{k: v for k, v in overrides.items() if v is not None})
+    trials = montecarlo.TrialConfig(**{**cfg.trials._asdict(), **{
+        k: v for k, v in overrides.items() if v is not None}})
     level = args.level if args.level is not None else cfg.repeater.levels
     if args.trace_csv:
         # one formatted row and its tuple per trial (tracemalloc: 210 bytes)

@@ -7,7 +7,6 @@ in multiples of the attenuation length, times in seconds, rates in 1/s.
 
 from __future__ import annotations
 
-import configparser
 import io
 import math
 from collections import namedtuple
@@ -100,6 +99,8 @@ def default_raw() -> dict:
 
 def parse_raw(text: str) -> dict:
     """Merge an INI document over the defaults, rejecting unknown keys."""
+    import configparser   # here, so a run without --config does not load it
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_file(io.StringIO(text))

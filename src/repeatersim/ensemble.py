@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -29,15 +30,17 @@ MAX_RK4_SUBSTEPS = 1_000_000
 
 
 def _check_finite(**values):
-    """Refuse a NaN (which passes every range check) or infinite value by name."""
+    """Refuse a NaN (which passes every range check) or infinite value by name.
+    The chained comparison, unlike ``math.isfinite``, takes any int."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not -math.inf < value < math.inf:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Microscopic parameters of a driven Lambda-level ensemble."""
+    """Microscopic parameters of a driven Lambda-level ensemble.  The one
+    dataclass record: callers copy it with ``dataclasses.replace``."""
 
     atom_count: int
     rabi: float
@@ -58,7 +61,7 @@ class EnsembleParams:
             raise ValueError(f"spont_rate must be non-negative, got {self.spont_rate}")
         if self.interaction_time < 0.0:
             raise ValueError(f"interaction_time must be non-negative, got {self.interaction_time}")
-        _check_finite(**{k: v for k, v in vars(self).items() if k != "atom_count"})
+        _check_finite(**vars(self))
 
     @property
     def bad_cavity_ratio(self) -> float:
@@ -68,15 +71,12 @@ class EnsembleParams:
         return math.inf if coupling_rate == 0 else self.cavity_decay / coupling_rate
 
 
-@dataclass(frozen=True)
-class EffectiveRates:
-    kappa_prime: float        # collective emission rate into the signal mode
-    gamma_s_prime: float      # per-atom spontaneous dephasing rate
-    snr: float                # kappa_prime / gamma_s_prime
-    squeeze: float            # Bogoliubov parameter r_c
-    excitation_prob: float    # tanh^2 r_c
-    bad_cavity_ratio: float
-    adiabatic_marginal: bool
+# kappa_prime: collective emission rate into the signal mode; gamma_s_prime:
+# per-atom spontaneous dephasing rate; snr = kappa_prime / gamma_s_prime;
+# squeeze: Bogoliubov parameter r_c; excitation_prob = tanh^2 r_c
+EffectiveRates = namedtuple("EffectiveRates", (
+    "kappa_prime", "gamma_s_prime", "snr", "squeeze", "excitation_prob",
+    "bad_cavity_ratio", "adiabatic_marginal"))
 
 
 def effective_rates(params: EnsembleParams) -> EffectiveRates:
@@ -85,12 +85,15 @@ def effective_rates(params: EnsembleParams) -> EffectiveRates:
     kappa' = 4 N |Omega g|^2 / (Delta^2 kappa), gamma' = (Omega/Delta)^2 gamma,
     and cosh r_c = exp(kappa' t / 2) for an interaction window t.
     """
-    kp = 4.0 * params.atom_count * abs(params.rabi * params.coupling) ** 2 / (
-        params.detuning ** 2 * params.cavity_decay)
-    gp = (params.rabi / params.detuning) ** 2 * params.spont_rate
-    snr = (4.0 * params.atom_count * abs(params.coupling) ** 2
-           / (params.cavity_decay * params.spont_rate)) if params.spont_rate > 0 else math.inf
-    r_c = math.acosh(math.exp(kp * params.interaction_time / 2.0))
+    try:
+        kp = 4.0 * params.atom_count * abs(params.rabi * params.coupling) ** 2 / (
+            params.detuning ** 2 * params.cavity_decay)
+        gp = (params.rabi / params.detuning) ** 2 * params.spont_rate
+        snr = (4.0 * params.atom_count * abs(params.coupling) ** 2
+               / (params.cavity_decay * params.spont_rate)) if params.spont_rate > 0 else math.inf
+        r_c = math.acosh(math.exp(kp * params.interaction_time / 2.0))
+    except OverflowError as exc:   # raised by a float power or math.exp
+        raise ValueError(f"effective rates overflow a float at {params}") from exc
     p_c = math.tanh(r_c) ** 2
     ratio = params.bad_cavity_ratio
     return EffectiveRates(kp, gp, snr, r_c, p_c, ratio, ratio < ADIABATIC_RATIO_WARN)
@@ -175,16 +178,13 @@ def squeezed_joint_state(rates: EffectiveRates, cutoff: int,
                                        trunc_tol=trunc_tol)
 
 
-@dataclass
-class ModePopulations:
+class ModePopulations(namedtuple("ModePopulations", ("time_grid", "collective",
+                                                     "per_noise_mode", "traces"))):
     """Mean occupations of the collective mode and of one noise mode over a
     time grid (all noise modes are identical), and the trace of the
     truncated multimode state."""
 
-    time_grid: np.ndarray
-    collective: np.ndarray
-    per_noise_mode: np.ndarray
-    traces: np.ndarray
+    __slots__ = ()
 
     def rate_ratio(self) -> float:
         """Least-squares growth-rate ratio (through the origin) of the
@@ -233,11 +233,7 @@ def integrate_master_equation(params: EnsembleParams, n_modes: int, cutoff: int,
                            trace_collective * trace_noise ** (n_modes - 1))
 
 
-@dataclass(frozen=True)
-class FreeSpaceSnr:
-    snr: float
-    optical_depth: float
-    superradiance_risk: bool
+FreeSpaceSnr = namedtuple("FreeSpaceSnr", ("snr", "optical_depth", "superradiance_risk"))
 
 
 def free_space_snr(density: float, length: float, wavenumber: float) -> FreeSpaceSnr:

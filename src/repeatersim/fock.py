@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,18 +31,18 @@ class ImpossibleOutcomeError(ValueError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 
-@dataclass(frozen=True)
-class ModeLayout:
+class ModeLayout(namedtuple("ModeLayout", ("modes", "cutoff"))):
     """Mode count and per-mode photon-number cutoff.
 
     Dimension per mode is ``cutoff + 1``; total dimension is
     ``(cutoff + 1) ** modes`` and must stay below ``DEFAULT_DIM_BOUND``.
+    ``index`` is the flat basis index, not ``tuple.index``.
     """
 
-    modes: int
-    cutoff: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.modes < 1:
             raise ValueError(f"modes must be positive, got {self.modes}")
         if self.cutoff < 1:
@@ -53,6 +53,7 @@ class ModeLayout:
                 f"layout dimension {(self.cutoff + 1)}**{self.modes} = "
                 f"{self.dim} exceeds bound {DEFAULT_DIM_BOUND}"
             )
+        return self
 
     @property
     def dim(self) -> int:
@@ -88,21 +89,20 @@ class ModeLayout:
             raise ValueError(f"{gate} needs two distinct modes")
 
 
-@dataclass
-class PureState:
-    layout: ModeLayout
-    amplitudes: np.ndarray
+class PureState(namedtuple("PureState", ("layout", "amplitudes"))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.layout.dim,):
+    def __new__(cls, layout: ModeLayout, amplitudes):
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        if amplitudes.shape != (layout.dim,):
             raise ValueError("amplitude vector does not match layout dimension")
         # a NaN or infinite amplitude makes the norm NaN or infinite
-        norm = np.linalg.norm(self.amplitudes)
+        norm = np.linalg.norm(amplitudes)
         if not math.isfinite(norm):
             raise ValueError(f"state norm {norm} is not finite")
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
+        return super().__new__(cls, layout, amplitudes)
 
     def to_density(self) -> "DensityOperator":
         return DensityOperator.from_factor(self.layout, self.amplitudes[:, None])
@@ -398,8 +398,8 @@ def apply_loss(rho: DensityOperator, i: int, eta: float) -> DensityOperator:
     return DensityOperator.from_factor(layout, np.concatenate(images, axis=1))
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(namedtuple("DetectorModel", ("efficiency", "dark_count_prob", "resolving"),
+                               defaults=(1.0, 0.0, False))):
     """Single-photon detector.
 
     Non-resolving (default): threshold click with
@@ -408,17 +408,17 @@ class DetectorModel:
     modelled in that mode.
     """
 
-    efficiency: float = 1.0
-    dark_count_prob: float = 0.0
-    resolving: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
         if not 0.0 <= self.dark_count_prob <= 1.0:
             raise ValueError(f"dark_count_prob {self.dark_count_prob} outside [0, 1]")
         if self.resolving and self.dark_count_prob != 0.0:
             raise ValueError("dark counts are not supported for resolving detectors")
+        return self
 
     def no_click_weights(self, cutoff: int) -> np.ndarray:
         n = np.arange(cutoff + 1)

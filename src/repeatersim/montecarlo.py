@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .protocol import InfeasibleError, RepeaterParams, chain
@@ -36,18 +36,16 @@ DRAW_BUDGET = 1e9   # expected draws per chain_times call: minutes of sampling, 
 MEMORY_BUDGET = 2 ** 30   # bytes one batch, trace or key run may hold
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(namedtuple("TrialConfig", ("seed", "n_trials", "policy", "threads"),
+                             defaults=("parallel_max", 1))):
     """Seed, trial count and swap policy of one batch.  ``threads`` is
     validated and reported but does not change the samples; the sampler
     runs on one thread."""
 
-    seed: int
-    n_trials: int
-    policy: str = "parallel_max"
-    threads: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if self.policy not in POLICIES:
@@ -56,6 +54,7 @@ class TrialConfig:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        return self
 
 
 @functools.cache
@@ -174,17 +173,9 @@ def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
                                   cfg.policy == "parallel_max")
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    stddev: float
-    ci95: float
-    analytic_t_n: float
-    vs_analytic_ratio: float
-    n_trials: int
-    seed: int
-    policy: str
-    backend: str
+McEstimate = namedtuple("McEstimate", ("mean", "stddev", "ci95", "analytic_t_n",
+                                       "vs_analytic_ratio", "n_trials", "seed", "policy",
+                                       "backend"))
 
 
 def analytic_chain_time(params: RepeaterParams, n: int) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -33,45 +33,41 @@ class InfeasibleError(ValueError):
     reaches, or a Monte Carlo run over its draw budget."""
 
 
-@dataclass(frozen=True)
-class EMEState:
+class EMEState(namedtuple("EMEState", ("vacuum_coeff", "phase", "fidelity_deficit",
+                                     "span_length"), defaults=(0.0, 0.0, 0.0))):
     """Effective maximally entangled link: vacuum weight c/(c+1), shared
     single excitation weight 1/(c+1), accumulated channel phase, linearized
     fidelity deficit, and span in attenuation lengths."""
 
-    vacuum_coeff: float
-    phase: float = 0.0
-    fidelity_deficit: float = 0.0
-    span_length: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.vacuum_coeff < 0:
             raise ValueError(f"vacuum_coeff must be >= 0, got {self.vacuum_coeff}")
         if not 0.0 <= self.fidelity_deficit <= 1.0:
             raise ValueError(f"fidelity_deficit {self.fidelity_deficit} outside [0, 1]")
         if self.span_length < 0:
             raise ValueError("span_length must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class RepeaterParams:
-    """Full protocol parameter set.
+class RepeaterParams(namedtuple("RepeaterParams", (
+        "excitation_prob", "pulse_time", "local_efficiency", "swap_efficiency",
+        "app_efficiency", "dark_prob", "attenuation_length", "segment_length", "levels"),
+        defaults=(1.0, 1.0, 0))):
+    """Full protocol parameter set: p_c, t_Delta, eta_p' (the
+    distance-independent part), eta_s, eta_a, p_dc per detection window,
+    L_att, L_0 and n doublings.
 
     Lengths are in units of the attenuation length unless
     ``attenuation_length`` is set to a physical value; times are seconds.
     """
 
-    excitation_prob: float        # p_c
-    pulse_time: float             # t_Delta, seconds
-    local_efficiency: float       # eta_p' (distance-independent part)
-    swap_efficiency: float        # eta_s
-    app_efficiency: float         # eta_a
-    dark_prob: float              # p_dc per detection window
-    attenuation_length: float = 1.0
-    segment_length: float = 1.0   # L_0
-    levels: int = 0               # n doublings
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         checks = [
             ("excitation_prob", 0.0 < self.excitation_prob < 1.0),
             ("pulse_time", self.pulse_time > 0.0),
@@ -86,6 +82,7 @@ class RepeaterParams:
         for name, ok in checks:
             if not ok:
                 raise ValueError(f"{name} = {getattr(self, name)} outside its valid range")
+        return self
 
     @property
     def eta_p(self) -> float:
@@ -97,18 +94,15 @@ class RepeaterParams:
         return 2 ** self.levels * self.segment_length
 
     def with_(self, **overrides) -> "RepeaterParams":
-        return replace(self, **overrides)
+        """A copy with ``overrides``, checked (``_replace`` skips the checks)."""
+        return RepeaterParams(**{**self._asdict(), **overrides})
 
 
 # ---------------------------------------------------------------------------
 # analytic layer
 
 
-@dataclass(frozen=True)
-class GenerationResult:
-    state: EMEState
-    click_prob: float
-    t0: float
+GenerationResult = namedtuple("GenerationResult", ("state", "click_prob", "t0"))
 
 
 def generate_analytic(params: RepeaterParams, channel_phase: float = 0.0) -> GenerationResult:
@@ -165,14 +159,10 @@ def vacuum_coeff_closed_form(i: int, eta_s: float, c0: float = 0.0) -> float:
     return (2.0 ** i) * c0 + (2.0 ** i - 1.0) * (1.0 - eta_s)
 
 
-@dataclass(frozen=True)
-class ChainLevel:
-    level: int
-    length: float            # units of attenuation length
-    vacuum_coeff: float
-    success_prob: float      # click probability at level 0, swap probability above
-    fidelity_deficit: float
-    elapsed_time: float      # seconds
+# length in attenuation lengths; success_prob the click probability at level
+# 0, the swap probability above; elapsed_time in seconds
+ChainLevel = namedtuple("ChainLevel", ("level", "length", "vacuum_coeff", "success_prob",
+                                       "fidelity_deficit", "elapsed_time"))
 
 
 def chain(params: RepeaterParams, channel_phase: float = 0.0) -> list[ChainLevel]:
@@ -262,11 +252,8 @@ def lossy_link(layout: fock.ModeLayout, c: float, phase: float, etas) -> fock.De
     return lossy_input(layout, c, (math.sqrt(0.5), e_phi * math.sqrt(0.5)), etas)
 
 
-@dataclass(frozen=True)
-class GenerationOracleResult:
-    c_measured: float
-    infidelity: float
-    click_prob: float
+GenerationOracleResult = namedtuple("GenerationOracleResult",
+                                    ("c_measured", "infidelity", "click_prob"))
 
 
 @functools.lru_cache(maxsize=16)
@@ -372,11 +359,9 @@ def generate_oracle(params: RepeaterParams, cutoff: int = 4,
     )
 
 
-@dataclass(frozen=True)
-class SwapOracleResult:
-    success_prob: float
-    c_measured: float
-    post_states: tuple    # conditional link states for the two herald patterns
+# post_states: the conditional link states of the two herald patterns
+SwapOracleResult = namedtuple("SwapOracleResult", ("success_prob", "c_measured",
+                                                   "post_states"))
 
 
 def swap_oracle(c: float, eta_s: float, cutoff: int = 2,

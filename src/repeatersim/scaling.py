@@ -10,21 +10,16 @@ alongside for cross-reporting, never silently reconciled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .protocol import ChainStallError, InfeasibleError, RepeaterParams, chain
 
 
-@dataclass(frozen=True)
-class FidelityBudget:
-    """Uncorrectable-noise allocation, reported next to the correctable
-    budget rather than folded into it."""
-
-    target: float
-    dark: float          # grows linearly with the segment count
-    asym: float          # grows like sqrt(segment count), random-walk
-    dark_negligible: bool
-    asym_negligible: bool
+# Uncorrectable-noise allocation, reported next to the correctable budget
+# rather than folded into it: ``dark`` grows linearly with the segment count,
+# ``asym`` like its square root (a random walk)
+FidelityBudget = namedtuple("FidelityBudget", ("target", "dark", "asym",
+                                               "dark_negligible", "asym_negligible"))
 
 
 def fidelity_budget(segments: float, per_connection_dark: float, asym: float,
@@ -43,28 +38,23 @@ def fidelity_budget(segments: float, per_connection_dark: float, asym: float,
                           asym_negligible=walk <= 0.1 * tgt)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    t0: float                     # seconds
-    t_n: float                    # seconds
-    t_tot: float                  # seconds
-    t_con: float                  # seconds
-    ratio: float                  # t_tot / t_con
-    chain: list
-    baseline_direct_ratio: float  # exp(L / L_att); inf past the largest float
-    budget: FidelityBudget
-    # companions
-    p_app: float
-    excitation_prob: float
-    segment_length: float
-    total_length: float
-    levels: int
+class ScalingReport(namedtuple("ScalingReport", (
+        "t0", "t_n", "t_tot", "t_con", "ratio", "chain", "baseline_direct_ratio",
+        "budget", "p_app", "excitation_prob", "segment_length", "total_length",
+        "levels"))):
+    """The times in seconds, ``ratio`` = t_tot / t_con, the chain rows,
+    ``baseline_direct_ratio`` = exp(L / L_att) (inf past the largest float)
+    and the fidelity budget; the rest are companions."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.t0, self.t_n, self.t_tot, self.t_con) <= 0:
             raise ValueError("all times must be positive")
         if abs(self.ratio - self.t_tot / self.t_con) > 1e-12 * self.ratio:
             raise ValueError("ratio inconsistent with its factors")
+        return self
 
 
 def direct_ratio(length_ratio: float) -> float:
@@ -146,12 +136,9 @@ def closed_form_time(params: RepeaterParams) -> float:
                              params.swap_efficiency, case)
 
 
-@dataclass(frozen=True)
-class SegmentOptimum:
-    l0_star: float
-    n_star: int | None
-    value: float          # minimized T_tot / T_con (or surrogate objective)
-    scanned: tuple        # (n, L0, value) rows for the integer scan
+# value: the minimized T_tot / T_con (or surrogate objective); scanned: the
+# (n, L0, value) rows of the integer scan
+SegmentOptimum = namedtuple("SegmentOptimum", ("l0_star", "n_star", "value", "scanned"))
 
 
 def optimal_segment_power_law(m: float, l_att: float = 1.0) -> float:

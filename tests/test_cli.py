@@ -684,6 +684,58 @@ class TestConfigModule:
         assert "dataclasses" not in modules
 
 
+class TestRecords:
+    def test_ensemble_params_is_the_only_dataclass(self):
+        # the other records are namedtuples: a cold process pays no dataclass
+        # code generation for them
+        import ast
+        import pathlib
+
+        decorated = [(path.name, node.name)
+                     for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.ClassDef)
+                     and any("dataclass" in ast.unparse(d) for d in node.decorator_list)]
+        assert decorated == [("ensemble.py", "EnsembleParams")]
+
+    def test_with_checks_the_override(self):
+        # namedtuple ``_replace`` builds through tuple.__new__ and would skip
+        # the checks; ``with_`` goes through the class
+        params = config.load().repeater
+        with pytest.raises(ValueError, match="excitation_prob = 1.5 outside its valid range"):
+            params.with_(excitation_prob=1.5)
+        assert params.with_(levels=3) == params._replace(levels=3)
+
+    def test_threads_override_is_checked(self, capsys):
+        code, out = run_cli(["montecarlo", "--trials", "10", "--threads", "0"])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == "numeric failure: threads must be >= 1\n"
+
+    def test_rates_without_config_does_not_load_configparser(self, tmp_path):
+        ini = tmp_path / "unknown_key.ini"
+        ini.write_text("[repeater]\nno_such_key = 1\n")
+        script = (
+            "import contextlib, io, sys\n"
+            "import repeatersim.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = repeatersim.cli.main(sys.argv[1:])\n"
+            "print(code, 'configparser' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def cold(*argv):
+            done = subprocess.run([sys.executable, "-c", script, *argv],
+                                  capture_output=True, env=env, text=True)
+            assert done.returncode == 0, done.stderr
+            return done.stdout.split()
+
+        assert cold("rates") == ["0", "False"]
+        assert cold("--config", str(ini), "rates") == ["2", "True"]
+
+
 class TestOutputDirEnv:
     def test_outdir_redirects_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPEATERSIM_OUTDIR", str(tmp_path))

@@ -63,6 +63,87 @@ class TestEffectiveRates:
         assert not effective_rates(good).adiabatic_marginal
 
 
+class TestOverflowRefusals:
+    @pytest.mark.parametrize("field,value", [("interaction_time", 1e6), ("rabi", 1e200),
+                                             ("atom_count", 10 ** 400)])
+    def test_overflow_is_a_value_error_naming_the_inputs(self, field, value):
+        params = make_params(**{field: value})
+        with pytest.raises(ValueError) as refused:
+            effective_rates(params)
+        assert str(refused.value) == f"effective rates overflow a float at {params!r}"
+        assert f"{field}={value!r}" in str(refused.value)
+
+    def test_overflow_exits_3(self, tmp_path, capsys):
+        from repeatersim import cli
+
+        ini = tmp_path / "run.ini"
+        ini.write_text("[ensemble]\ninteraction_time = 1e6\n")
+        assert cli.main(["--config", str(ini), "rates"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: effective rates overflow a float at "
+                              "EnsembleParams(atom_count=100, ")
+
+
+def single_excitation_rates(params: EnsembleParams):
+    """(kappa', gamma'_s, kappa' / gamma'_s) from the exact single-excitation
+    manifold, an oracle independent of the adiabatic elimination.
+
+    The states |G, 0> (every atom in g), |E, 0> (one collective excitation
+    in e) and |S, 1> (one in s with a cavity photon) span it.  The pump
+    couples the first two with sqrt(N) Omega, the cavity the last two with
+    g; |E> sits at -Delta and decays at gamma, the photon at kappa.  The
+    dressed |G> is the eigenvector of the smallest eigenvalue; scaled to unit
+    |G> amplitude, it leaks out through the cavity at kappa |c_S|^2 and by
+    spontaneous emission at gamma |c_E|^2, N gamma'_s.  Refused where
+    N Omega^2 / Delta^2 >= 0.1, where |G> is no longer weakly dressed.
+    """
+    weak = params.atom_count * params.rabi ** 2 / params.detuning ** 2
+    if weak >= 0.1:
+        raise ValueError(f"N Omega^2 / Delta^2 = {weak} >= 0.1: not weakly dressed")
+    a = math.sqrt(params.atom_count) * params.rabi
+    h = np.array([[0.0, a, 0.0],
+                  [a, -params.detuning - 0.5j * params.spont_rate, params.coupling],
+                  [0.0, params.coupling, -0.5j * params.cavity_decay]])
+    lam, vec = np.linalg.eig(h)
+    c = vec[:, np.argmin(abs(lam))]
+    c = c / c[0]
+    kappa_prime = params.cavity_decay * abs(c[2]) ** 2
+    gamma_s_prime = params.spont_rate * abs(c[1]) ** 2 / params.atom_count
+    return kappa_prime, gamma_s_prime, kappa_prime / gamma_s_prime
+
+
+class TestSingleExcitationOracle:
+    LADDER = (10.0, 20.0, 40.0, 80.0, 160.0)
+
+    def relative_errors(self, detuning):
+        params = make_params(atom_count=4, detuning=detuning)
+        rates = effective_rates(params)
+        exact = single_excitation_rates(params)
+        return np.abs(np.divide(exact, (rates.kappa_prime, rates.gamma_s_prime,
+                                        rates.snr)) - 1.0)
+
+    def test_errors_shrink_as_inverse_square_detuning(self):
+        # each doubling of Delta divides the errors of kappa', gamma' and
+        # the SNR by 4, the ratio tending to 4 as the corrections shrink
+        errors = np.array([self.relative_errors(d) for d in self.LADDER])
+        # error * Delta^2 rises from the first rung towards its limit and
+        # stays within 1.25 times the first rung's (at Delta = 160: 1.10,
+        # 1.11 and 1.17 times for kappa', gamma' and the SNR)
+        scaled = errors * np.square(self.LADDER)[:, None]
+        assert np.all(scaled <= 1.25 * scaled[0]), scaled / scaled[0]
+        ratios = errors[:-1] / errors[1:]
+        assert np.all((ratios > 3.5) & (ratios < 4.5)), ratios
+        assert np.all(np.abs(ratios[-1] - 4.0) < 0.01), ratios
+        assert np.all(np.diff(np.abs(ratios - 4.0), axis=0) < 0), ratios
+        assert np.all(errors[-1] < 4e-4), errors[-1]
+
+    def test_strong_dressing_is_refused(self):
+        # the default ensemble has N Omega^2 / Delta^2 = 1
+        with pytest.raises(ValueError, match="not weakly dressed"):
+            single_excitation_rates(make_params())
+
+
 class TestLangevinGain:
     def test_zero_time(self):
         assert langevin_mean_solution(make_params(), 0.0) == 1.0
@@ -515,8 +596,8 @@ class TestFreeSpaceSnr:
 # its refusal carries
 NON_FINITE_INPUTS = {
     **{field: (lambda v, field=field: make_params(**{field: v}))
-       for field in ("rabi", "detuning", "coupling", "cavity_decay", "spont_rate",
-                     "interaction_time")},
+       for field in ("atom_count", "rabi", "detuning", "coupling", "cavity_decay",
+                     "spont_rate", "interaction_time")},
     "density": lambda v: free_space_snr(v, 1.0, 1.0),
     "length": lambda v: free_space_snr(1.0, v, 1.0),
     "wavenumber": lambda v: free_space_snr(1.0, 1.0, v),
@@ -524,6 +605,7 @@ NON_FINITE_INPUTS = {
 }
 # -inf already fails these range checks, whose messages stay as they were
 NEGATIVE_INFINITY_MESSAGES = {
+    "atom_count": "atom_count must be positive, got -inf",
     "cavity_decay": "cavity_decay must be positive, got -inf",
     "spont_rate": "spont_rate must be non-negative, got -inf",
     "interaction_time": "interaction_time must be non-negative, got -inf",
