@@ -21,6 +21,7 @@ from .protocol import InfeasibleError, check_link
 
 class MeasurementSetting(namedtuple("MeasurementSetting", ("psi_left", "psi_right"))):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -34,6 +35,7 @@ class PolarizationQubit(namedtuple("PolarizationQubit", ("d0", "d1"))):
     (d0, d1) with |d0|^2 + |d1|^2 = 1."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -229,8 +229,7 @@ def ekert_report(cfg: Config, args):
 def montecarlo_report(cfg: Config, args):
     overrides = {"seed": args.seed, "n_trials": args.trials,
                  "policy": args.policy, "threads": args.threads}
-    trials = montecarlo.TrialConfig(**{**cfg.trials._asdict(), **{
-        k: v for k, v in overrides.items() if v is not None}})
+    trials = cfg.trials._replace(**{k: v for k, v in overrides.items() if v is not None})
     level = args.level if args.level is not None else cfg.repeater.levels
     if args.trace_csv:
         # one formatted row and its tuple per trial (tracemalloc: 210 bytes)

@@ -92,7 +92,14 @@ def effective_rates(params: EnsembleParams) -> EffectiveRates:
         snr = (4.0 * params.atom_count * abs(params.coupling) ** 2
                / (params.cavity_decay * params.spont_rate)) if params.spont_rate > 0 else math.inf
         r_c = math.acosh(math.exp(kp * params.interaction_time / 2.0))
-    except OverflowError as exc:   # raised by a float power or math.exp
+        # a float product overflows to inf without raising; snr is meant to
+        # be infinite at spont_rate = 0 only
+        if not all(map(math.isfinite, (kp, gp, r_c))) or (
+                params.spont_rate > 0 and not math.isfinite(snr)):
+            raise OverflowError("an effective rate is not finite")
+    # raised by a float power, math.exp, the check above, or a quotient whose
+    # denominator underflowed to 0
+    except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"effective rates overflow a float at {params}") from exc
     p_c = math.tanh(r_c) ** 2
     ratio = params.bad_cavity_ratio
@@ -135,8 +142,6 @@ def langevin_mean_ode(params: EnsembleParams, t_grid, rtol: float = 1e-11) -> np
     if np.any(steps < 0):
         raise ValueError("t_grid must be non-decreasing")
     lam = 0.5 * effective_rates(params).kappa_prime
-    if not math.isfinite(lam):
-        raise ValueError(f"kappa' = {2 * lam} is not finite")
     exponent = lam * times[-1]
     if not exponent <= math.log(sys.float_info.max):
         raise ValueError(f"gain exp(kappa' T / 2) = exp({exponent:.6g}) overflows a float")

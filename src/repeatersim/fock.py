@@ -40,6 +40,7 @@ class ModeLayout(namedtuple("ModeLayout", ("modes", "cutoff"))):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -91,6 +92,7 @@ class ModeLayout(namedtuple("ModeLayout", ("modes", "cutoff"))):
 
 class PureState(namedtuple("PureState", ("layout", "amplitudes"))):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, layout: ModeLayout, amplitudes):
         amplitudes = np.asarray(amplitudes, dtype=complex)
@@ -409,6 +411,7 @@ class DetectorModel(namedtuple("DetectorModel", ("efficiency", "dark_count_prob"
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

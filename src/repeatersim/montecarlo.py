@@ -43,6 +43,7 @@ class TrialConfig(namedtuple("TrialConfig", ("seed", "n_trials", "policy", "thre
     runs on one thread."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

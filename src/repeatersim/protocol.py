@@ -40,15 +40,17 @@ class EMEState(namedtuple("EMEState", ("vacuum_coeff", "phase", "fidelity_defici
     fidelity deficit, and span in attenuation lengths."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.vacuum_coeff < 0:
+        # written so a NaN fails: an infinite vacuum_coeff or phase stays legal
+        if not self.vacuum_coeff >= 0:
             raise ValueError(f"vacuum_coeff must be >= 0, got {self.vacuum_coeff}")
         if not 0.0 <= self.fidelity_deficit <= 1.0:
             raise ValueError(f"fidelity_deficit {self.fidelity_deficit} outside [0, 1]")
-        if self.span_length < 0:
-            raise ValueError("span_length must be >= 0")
+        if not self.span_length >= 0:
+            raise ValueError(f"span_length must be >= 0, got {self.span_length}")
         return self
 
 
@@ -65,18 +67,19 @@ class RepeaterParams(namedtuple("RepeaterParams", (
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         checks = [
             ("excitation_prob", 0.0 < self.excitation_prob < 1.0),
-            ("pulse_time", self.pulse_time > 0.0),
+            ("pulse_time", 0.0 < self.pulse_time < math.inf),
             ("local_efficiency", 0.0 < self.local_efficiency <= 1.0),
             ("swap_efficiency", 0.0 < self.swap_efficiency <= 1.0),
             ("app_efficiency", 0.0 < self.app_efficiency <= 1.0),
             ("dark_prob", 0.0 <= self.dark_prob < 1.0),
-            ("attenuation_length", self.attenuation_length > 0.0),
-            ("segment_length", self.segment_length > 0.0),
+            ("attenuation_length", 0.0 < self.attenuation_length < math.inf),
+            ("segment_length", 0.0 < self.segment_length < math.inf),
             ("levels", self.levels >= 0),
         ]
         for name, ok in checks:
@@ -94,8 +97,8 @@ class RepeaterParams(namedtuple("RepeaterParams", (
         return 2 ** self.levels * self.segment_length
 
     def with_(self, **overrides) -> "RepeaterParams":
-        """A copy with ``overrides``, checked (``_replace`` skips the checks)."""
-        return RepeaterParams(**{**self._asdict(), **overrides})
+        """A copy with ``overrides``, checked."""
+        return self._replace(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -214,42 +217,31 @@ def check_link(c: float, phase: float):
         raise ValueError(f"link phase {phase} must be finite")
 
 
-def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float) -> fock.DensityOperator:
+def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float,
+                etas=(1.0, 1.0)) -> fock.DensityOperator:
     """Link density operator embedded in ``layout`` with all other modes in
-    vacuum: rank 2, the vacuum with weight c and the shared excitation
-    (|1_a⟩ + e^{i phase} |1_b⟩)/√2, over c + 1."""
+    vacuum: the vacuum with weight c and the shared excitation
+    |a⟩ = (|1_a⟩ + e^{i phase} |1_b⟩)/√2, over c + 1, after loss η_m on the
+    pair's mode m.  Loss only moves weight into the vacuum, so the factor
+    keeps two columns: the vacuum with weight (c + Σ_m (1 − η_m) |a_m|²)/(c + 1)
+    and the excitation √η_m a_m / √(c + 1)."""
+    layout.check_pair(*pair, "link")
     check_link(c, phase)
-    np, fock = _engines()
-    factor = np.zeros((layout.dim, 2), dtype=complex)
-    factor[0, 0] = math.sqrt(c)
-    for mode, amp in zip(pair, (1.0, complex(math.cos(phase), math.sin(phase)))):
-        one = tuple(1 if m == mode else 0 for m in range(layout.modes))
-        factor[layout.index(one), 1] = amp / math.sqrt(2.0)
-    return fock.DensityOperator.from_factor(layout, factor / math.sqrt(c + 1.0))
-
-
-def lossy_input(layout: fock.ModeLayout, c: float, amps, etas) -> fock.DensityOperator:
-    """The state (c |00⟩⟨00| + |a⟩⟨a|)/(c + 1) on the two-mode ``layout``,
-    |a⟩ = a_0 |10⟩ + a_1 |01⟩ of unit norm, after loss η_m on mode m.  Loss
-    only moves weight into the vacuum, so the factor keeps two columns: the
-    vacuum with weight (c + Σ_m (1 − η_m) |a_m|²)/(c + 1) and the excitation
-    √η_m a_m / √(c + 1)."""
+    if len(etas) != 2:
+        raise ValueError(f"etas needs one efficiency per link mode, got {etas!r}")
+    for m, eta in enumerate(etas):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"link efficiency etas[{m}] = {eta} outside [0, 1]")
     np, fock = _engines()
     root = math.sqrt(c + 1.0)
+    amps = (math.sqrt(0.5), complex(math.cos(phase), math.sin(phase)) * math.sqrt(0.5))
     lost = sum((1.0 - eta) * abs(a) ** 2 for a, eta in zip(amps, etas))
     factor = np.zeros((layout.dim, 2), dtype=complex)
     factor[0, 0] = math.sqrt(c + lost) / root
-    excited = [layout.index((1, 0)), layout.index((0, 1))]
+    # |1_m⟩ sits at index d^(n-1-m): mode 0 is the most significant digit
+    excited = [layout.mode_dim ** (layout.modes - 1 - m) for m in pair]
     factor[excited, 1] = [math.sqrt(eta) * a / root for a, eta in zip(amps, etas)]
     return fock.DensityOperator.from_factor(layout, factor)
-
-
-def lossy_link(layout: fock.ModeLayout, c: float, phase: float, etas) -> fock.DensityOperator:
-    """``eme_density(layout, (0, 1), c, phase)`` after loss η_m on mode m,
-    built in closed form by ``lossy_input``."""
-    check_link(c, phase)
-    e_phi = complex(math.cos(phase), math.sin(phase))
-    return lossy_input(layout, c, (math.sqrt(0.5), e_phi * math.sqrt(0.5)), etas)
 
 
 GenerationOracleResult = namedtuple("GenerationOracleResult",
@@ -378,8 +370,8 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
         raise ValueError(f"swap efficiency {eta_s} outside (0, 1]")
     # modes L, I1, I2, R; loss on the inner halves before the tensor product
     layout = fock.ModeLayout(2, cutoff)
-    rho = fock.tensor(lossy_link(layout, c, phase_left, (1.0, eta_s)),
-                      lossy_link(layout, c, phase_right, (eta_s, 1.0)))
+    rho = fock.tensor(eme_density(layout, (0, 1), c, phase_left, (1.0, eta_s)),
+                      eme_density(layout, (0, 1), c, phase_right, (eta_s, 1.0)))
     # herald patterns: exactly one photon on I1 or I2, splitter rows |1, 0⟩, |0, 1⟩
     rows = fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0)[
         [layout.index((1, 0)), layout.index((0, 1))]]

@@ -47,6 +47,7 @@ class ScalingReport(namedtuple("ScalingReport", (
     and the fidelity budget; the rest are companions."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -18,7 +18,7 @@ from repeatersim.applications import (
     ekert_simulation,
     teleport,
 )
-from repeatersim.protocol import eme_density, lossy_input, lossy_link
+from repeatersim.protocol import eme_density
 
 ROOT8 = 2 * math.sqrt(2)
 
@@ -127,7 +127,7 @@ def link(c_n, phi, etas):
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"application efficiency {eta} outside (0, 1]")
-    return lossy_link(PAIR, c_n, phi, etas)
+    return eme_density(PAIR, (0, 1), c_n, phi, etas)
 
 
 def site_view(rho):
@@ -228,18 +228,23 @@ def teleport_response(c_n, phi, eta_a):
     return right.reshape(d * d, 9), fid.transpose(0, 1, 3, 2, 4).reshape(2, 2, 2, 9)
 
 
+def lossy_qubit(qubit, eta_a):
+    """The qubit's factor on ``QUBIT_STATES`` after loss eta_a on both modes:
+    loss only moves weight into the vacuum, so a vacuum and an excitation
+    column."""
+    amps = (qubit.d0, qubit.d1)
+    vac = math.sqrt(sum((1.0 - eta_a) * abs(a) ** 2 for a in amps))
+    return np.array([[vac, 0.0], [0.0, math.sqrt(eta_a) * amps[0]],
+                     [0.0, math.sqrt(eta_a) * amps[1]]])
+
+
 def circuit_teleport(qubit, c_n, eta_a, phi=0.0):
     """``teleport`` on the Fock circuit: ``teleport_response`` contracted
     with the lossy qubit's Gram.  Each pattern's p·w·f (probability,
     confirmation weight, fidelity) is the unnormalised overlap ‖ψ† V_ij‖²,
     so no conditional state is formed."""
     right, fid = teleport_response(c_n, phi, eta_a)
-    # the qubit's factor Q on ``QUBIT_STATES`` after loss eta_a on both
-    # modes, as ``protocol.lossy_input`` builds it: a vacuum and an excitation column
-    amps = (qubit.d0, qubit.d1)
-    vac = math.sqrt(sum((1.0 - eta_a) * abs(a) ** 2 for a in amps))
-    q = np.array([[vac, 0.0], [0.0, math.sqrt(eta_a) * amps[0]],
-                  [0.0, math.sqrt(eta_a) * amps[1]]])
+    q = lossy_qubit(qubit, eta_a)
     gram = (q @ q.conj().T).ravel()
     right = (right @ gram).real
     pattern_prob = float(right.sum())
@@ -641,7 +646,8 @@ class TestTeleport:
 
 
 class TestLossyInput:
-    """The closed-form lossy inputs against the ``fock.apply_loss`` Kraus chain."""
+    """The closed-form lossy inputs (``eme_density`` with ``etas``, and the
+    test circuits' ``lossy_qubit``) against the ``fock.apply_loss`` Kraus chain."""
 
     @pytest.mark.parametrize("c_n,phi,etas", [
         (0.7, 1.3, (1.0, 1.0)),      # no loss: the link itself
@@ -665,8 +671,9 @@ class TestLossyInput:
                                normalize=False).to_density()
         for mode in (0, 1):
             want = fock.apply_loss(want, mode, eta)
-        got = lossy_input(fock.ModeLayout(2, 2), 0.0, (q.d0, q.d1), (eta, eta))
-        assert got.factor.shape[1] <= 2
+        factor = np.zeros((PAIR.dim, 2), dtype=complex)
+        factor[QUBIT_STATES] = lossy_qubit(q, eta)
+        got = fock.DensityOperator.from_factor(PAIR, factor)
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-15
 
     @pytest.mark.parametrize("cutoff", [1, 2, 4])
@@ -677,7 +684,7 @@ class TestLossyInput:
             want = eme_density(layout, (0, 1), c, phi)
             for mode, eta in enumerate(etas):
                 want = fock.apply_loss(want, mode, eta)
-            got = lossy_link(layout, c, phi, etas)
+            got = eme_density(layout, (0, 1), c, phi, etas)
             assert got.factor.shape[1] <= 2
             assert np.max(np.abs(got.matrix - want.matrix)) < 1e-15
 

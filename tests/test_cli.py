@@ -699,12 +699,66 @@ class TestRecords:
         assert decorated == [("ensemble.py", "EnsembleParams")]
 
     def test_with_checks_the_override(self):
-        # namedtuple ``_replace`` builds through tuple.__new__ and would skip
-        # the checks; ``with_`` goes through the class
         params = config.load().repeater
         with pytest.raises(ValueError, match="excitation_prob = 1.5 outside its valid range"):
             params.with_(excitation_prob=1.5)
         assert params.with_(levels=3) == params._replace(levels=3)
+
+    @staticmethod
+    def checked_records():
+        """Each checked record: a valid instance and an override its
+        constructor refuses."""
+        from repeatersim import fock, montecarlo, protocol
+
+        report = scaling.ScalingReport(1.0, 1.0, 2.0, 1.0, 2.0, (), 1.0, None, 0.5, 0.01,
+                                       1.0, 1.0, 0)
+        return {
+            "MeasurementSetting": (applications.MeasurementSetting(0.1, 0.2),
+                                   {"psi_left": math.nan}),
+            "PolarizationQubit": (applications.PolarizationQubit(1.0, 0.0), {"d1": 1.0}),
+            "ModeLayout": (fock.ModeLayout(2, 2), {"modes": 0}),
+            "PureState": (fock.PureState(fock.ModeLayout(1, 1), [1.0, 0.0]),
+                          {"amplitudes": [2.0, 0.0]}),
+            "DetectorModel": (fock.DetectorModel(), {"efficiency": 1.5}),
+            "TrialConfig": (montecarlo.TrialConfig(1, 10), {"threads": 0}),
+            "EMEState": (protocol.EMEState(0.5), {"vacuum_coeff": math.nan}),
+            "RepeaterParams": (config.load().repeater, {"excitation_prob": 1.5}),
+            "ScalingReport": (report, {"t_con": 0.0}),
+        }
+
+    @pytest.mark.parametrize("record", ["MeasurementSetting", "PolarizationQubit",
+                                        "ModeLayout", "PureState", "DetectorModel",
+                                        "TrialConfig", "EMEState", "RepeaterParams",
+                                        "ScalingReport"])
+    def test_replace_refuses_what_the_constructor_refuses(self, record):
+        valid, override = self.checked_records()[record]
+        with pytest.raises(ValueError) as built:
+            type(valid)(**{**valid._asdict(), **override})
+        with pytest.raises(ValueError) as replaced:
+            valid._replace(**override)
+        assert str(replaced.value) == str(built.value)
+        assert type(valid._replace()) is type(valid)
+
+    def test_every_checked_record_routes_replace_through_its_checks(self):
+        # a namedtuple record with a ``__new__`` must also set ``_make``, or
+        # ``_replace`` builds it through tuple.__new__ unchecked
+        import ast
+        import pathlib
+
+        unrouted, checked = [], []
+        for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef) and any(
+                        "namedtuple" in ast.unparse(b) for b in node.bases):
+                    names = {t.id for n in node.body if isinstance(n, ast.Assign)
+                             for t in n.targets if isinstance(t, ast.Name)}
+                    names |= {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                    if "__new__" in names:
+                        checked.append(node.name)
+                        if "_make" not in names:
+                            unrouted.append(node.name)
+        assert unrouted == []
+        assert sorted(checked) == sorted(self.checked_records())
 
     def test_threads_override_is_checked(self, capsys):
         code, out = run_cli(["montecarlo", "--trials", "10", "--threads", "0"])
@@ -837,44 +891,32 @@ class TestEntryPoint:
 
 
 class TestPackage:
-    # the names ``repeatersim`` bound when it imported every layer eagerly
-    EXPORTS = {
-        "applications": ("KeyStats", "MeasurementSetting", "PolarizationQubit",
-                         "TeleportResult", "chsh_value", "correlation",
-                         "ekert_simulation", "teleport"),
-        "ensemble": ("EffectiveRates", "EnsembleParams", "ModePopulations",
-                     "effective_rates", "free_space_snr", "integrate_master_equation",
-                     "langevin_mean_ode", "langevin_mean_solution",
-                     "squeezed_joint_state"),
-        "fock": ("DensityOperator", "DetectorModel", "ModeLayout", "PureState",
-                 "TruncationError", "apply_beamsplitter", "apply_loss", "apply_phase",
-                 "apply_two_mode_squeeze", "fidelity", "measure_detector",
-                 "number_state", "partial_trace", "pure_state", "tensor", "vacuum"),
-        "montecarlo": ("McEstimate", "SplitMix", "TrialConfig", "chain_times",
-                       "estimate", "generation_times", "sample_chain_time",
-                       "sample_generation_time"),
-        "protocol": ("ChainStallError", "EMEState", "RepeaterParams", "chain",
-                     "generate_analytic", "generate_oracle", "swap_analytic",
-                     "swap_oracle", "vacuum_coeff_closed_form"),
-        "scaling": ("FidelityBudget", "InfeasibleError", "ScalingReport",
-                    "closed_form_time", "fidelity_budget", "optimize_segment",
-                    "total_time"),
-    }
-
-    def test_every_public_name_resolves_to_its_layer(self):
-        import importlib
+    def test_init_binds_only_the_version(self):
+        # one path to each public object: ``from repeatersim import protocol``,
+        # never a package-level alias
+        import ast
+        import pathlib
 
         import repeatersim
 
-        for module, names in self.EXPORTS.items():
-            layer = importlib.import_module(f"repeatersim.{module}")
-            assert getattr(repeatersim, module) is layer
-            for name in names:
-                assert getattr(repeatersim, name) is getattr(layer, name), name
-        names = sorted(n for names in self.EXPORTS.values() for n in names)
-        assert sorted(repeatersim.__all__) == names
-        assert set(names) <= set(dir(repeatersim))
+        tree = ast.parse(pathlib.Path(repeatersim.__file__).read_text(encoding="utf-8"))
+        body = [node for node in tree.body
+                if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+        assert [ast.unparse(node) for node in body] == ["__version__ = '0.1.0'"]
         assert repeatersim.__version__ == "0.1.0"
+
+    def test_import_loads_no_submodule(self):
+        script = ("import sys\n"
+                  "import repeatersim\n"
+                  "print(sorted(m for m in sys.modules\n"
+                  "             if m.split('.')[0] in ('repeatersim', 'numpy')))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "['repeatersim']"
 
     def test_unknown_name_is_an_attribute_error(self):
         import repeatersim

@@ -65,7 +65,10 @@ class TestEffectiveRates:
 
 class TestOverflowRefusals:
     @pytest.mark.parametrize("field,value", [("interaction_time", 1e6), ("rabi", 1e200),
-                                             ("atom_count", 10 ** 400)])
+                                             ("atom_count", 10 ** 400),
+                                             ("atom_count", 10 ** 308),
+                                             ("coupling", 1e154),
+                                             ("detuning", 1e-200)])
     def test_overflow_is_a_value_error_naming_the_inputs(self, field, value):
         params = make_params(**{field: value})
         with pytest.raises(ValueError) as refused:
@@ -83,6 +86,21 @@ class TestOverflowRefusals:
         assert out == ""
         assert err.startswith("numeric failure: effective rates overflow a float at "
                               "EnsembleParams(atom_count=100, ")
+
+    @pytest.mark.parametrize("command", ["rates", "dynamics"])
+    def test_overflow_to_inf_is_blamed_on_the_rates(self, tmp_path, capsys, command):
+        # 4.0 * 10**308 is inf without a float exception, so no check of the
+        # CLI's own (snr, time window) may be the one that fires
+        from repeatersim import cli
+
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[ensemble]\natom_count = {10 ** 308}\n")
+        args = ["--config", str(ini), command, "--out", str(tmp_path / "d.csv")]
+        assert cli.main(args if command == "dynamics" else args[:3]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: effective rates overflow a float at "
+                              f"EnsembleParams(atom_count={10 ** 308}, ")
 
 
 def single_excitation_rates(params: EnsembleParams):
@@ -262,9 +280,11 @@ class TestLangevinIntegrator:
             langevin_mean_ode(CRITERION8, grid)
 
     def test_infinite_rate_refused(self):
+        # kappa' overflows to inf without raising; effective_rates refuses it
         params = make_params(atom_count=10 ** 308)
-        with pytest.raises(ValueError, match="kappa' = inf is not finite"):
+        with pytest.raises(ValueError) as refused:
             langevin_mean_ode(params, [0.0])
+        assert str(refused.value) == f"effective rates overflow a float at {params!r}"
 
 
 class TestSqueezedJointState:

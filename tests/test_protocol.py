@@ -15,7 +15,6 @@ from repeatersim.protocol import (
     generate_analytic,
     generate_oracle,
     generation_circuit,
-    lossy_link,
     swap_analytic,
     swap_oracle,
     vacuum_coeff_closed_form,
@@ -28,6 +27,28 @@ def make_params(**overrides):
                 attenuation_length=1.0, segment_length=1e-9, levels=0)
     base.update(overrides)
     return RepeaterParams(**base)
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("field,reason", [
+        ("vacuum_coeff", "vacuum_coeff must be >= 0, got nan"),
+        ("span_length", "span_length must be >= 0, got nan"),
+    ])
+    def test_nan_link_field_refused(self, field, reason):
+        with pytest.raises(ValueError) as refused:
+            EMEState(**{"vacuum_coeff": 0.5, field: math.nan})
+        assert str(refused.value) == reason
+
+    def test_infinite_vacuum_coeff_stays_legal(self):
+        # the scaling scan reaches ChainStallError through it when eta_p p_c
+        # is subnormal
+        assert EMEState(math.inf).vacuum_coeff == math.inf
+
+    @pytest.mark.parametrize("field", ["pulse_time", "attenuation_length", "segment_length"])
+    def test_infinite_length_or_time_refused(self, field):
+        with pytest.raises(ValueError) as refused:
+            make_params(**{field: math.inf})
+        assert str(refused.value) == f"{field} = inf outside its valid range"
 
 
 class TestGenerateAnalytic:
@@ -307,8 +328,8 @@ def gate_swap(c, eta_s, cutoff=2, phase_left=0.0, phase_right=0.0):
     """Reference swap by the gate chain: ``apply_beamsplitter`` on the whole
     (L, I1, I2, R) factor, then one ``condition`` per herald pattern."""
     layout = fock.ModeLayout(2, cutoff)
-    rho = fock.tensor(lossy_link(layout, c, phase_left, (1.0, eta_s)),
-                      lossy_link(layout, c, phase_right, (eta_s, 1.0)))
+    rho = fock.tensor(eme_density(layout, (0, 1), c, phase_left, (1.0, eta_s)),
+                      eme_density(layout, (0, 1), c, phase_right, (eta_s, 1.0)))
     rho = fock.apply_beamsplitter(rho, 1, 2)
     one, none = np.eye(cutoff + 1)[[1, 0]]
     probs, post = zip(*(fock.condition(rho, {1: a, 2: b}) for a, b in ((one, none), (none, one))))
@@ -504,3 +525,45 @@ class TestEmeDensity:
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
         assert rho.population((0, 0)) == pytest.approx(0.5 / 1.5, abs=1e-12)
         assert rho.population((1, 0)) == pytest.approx(1.0 / 1.5 * 0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("modes,pair", [(3, (2, 0)), (4, (1, 3)), (2, (1, 0))])
+    def test_pair_in_a_larger_layout_matches_the_pure_state(self, modes, pair):
+        # the excitation rows sit at d^(n-1-m) for mode m, whatever the pair
+        layout = fock.ModeLayout(modes, 2)
+        c, phase = 0.7, 1.3
+        ones = [tuple(int(m == k) for m in range(modes)) for k in pair]
+        excitation = fock.pure_state(layout, {
+            ones[0]: math.sqrt(0.5),
+            ones[1]: complex(math.cos(phase), math.sin(phase)) * math.sqrt(0.5)})
+        want = (c * fock.vacuum(layout).matrix
+                + excitation.to_density().matrix) / (c + 1.0)
+        got = eme_density(layout, pair, c, phase)
+        assert np.max(np.abs(got.matrix - want)) < 1e-15
+
+    @pytest.mark.parametrize("pair,reason", [
+        ((0, 5), "mode index 5 outside [0, 2)"),
+        ((-1, 1), "mode index -1 outside [0, 2)"),
+        ((1, 1), "link needs two distinct modes"),
+    ])
+    def test_bad_pair_refused(self, pair, reason):
+        with pytest.raises(ValueError) as refused:
+            eme_density(fock.ModeLayout(2, 2), pair, 0.5, 0.0)
+        assert str(refused.value) == reason
+
+    @pytest.mark.parametrize("etas,reason", [
+        ((1.0, 1.5), "link efficiency etas[1] = 1.5 outside [0, 1]"),
+        ((-0.1, 1.0), "link efficiency etas[0] = -0.1 outside [0, 1]"),
+        ((math.nan, 1.0), "link efficiency etas[0] = nan outside [0, 1]"),
+        ((1.0, math.inf), "link efficiency etas[1] = inf outside [0, 1]"),
+        ((0.5,), "etas needs one efficiency per link mode, got (0.5,)"),
+        ((1.0, 1.0, 1.0), "etas needs one efficiency per link mode, got (1.0, 1.0, 1.0)"),
+    ])
+    def test_bad_efficiency_refused(self, etas, reason):
+        with pytest.raises(ValueError) as refused:
+            eme_density(fock.ModeLayout(2, 2), (0, 1), 0.5, 0.0, etas)
+        assert str(refused.value) == reason
+
+    def test_total_loss_leaves_the_vacuum(self):
+        rho = eme_density(fock.ModeLayout(2, 2), (0, 1), 0.5, 0.3, (0.0, 0.0))
+        assert rho.factor.shape[1] == 1
+        assert rho.population((0, 0)) == pytest.approx(1.0, abs=1e-15)
