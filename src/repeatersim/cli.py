@@ -14,8 +14,8 @@ to a file and prints a line of text, alone runs outside it.  A ``--sweep``
 step re-runs the whole command, so only the ``ANALYTIC`` reports sweep.
 
 The analytic commands (``rates``, ``chain``, ``scaling``, ``optimize``,
-``chsh``, ``teleport`` and the sweeps) run without NumPy: the numeric
-engines are imported by the commands that run them.  Only ``scaling`` and
+``chsh``, ``teleport``, ``dynamics`` and the sweeps) run without NumPy: the
+numeric engines are imported by the commands that run them.  Only ``scaling`` and
 ``optimize`` load the ``scaling`` module.
 """
 
@@ -122,16 +122,22 @@ def emit_report(summary: dict, table, cfg: Config, fmt: str, path: str):
 _INFINITE_AT_ZERO = {"snr": ("spont_rate",), "bad_cavity_ratio": ("rabi", "coupling")}
 
 
+def _refuse_infinite(cfg: Config, rates, fields):
+    """Refuse the first infinite one of the rates ``fields``, naming its zero
+    ensemble keys (all of them where their product underflowed)."""
+    for field in fields:
+        keys = _INFINITE_AT_ZERO[field]
+        if math.isinf(getattr(rates, field)):
+            keys = [k for k in keys if getattr(cfg.ensemble, k) == 0] or keys
+            at = ", ".join(f"ensemble.{k} = {getattr(cfg.ensemble, k)!r}" for k in keys)
+            raise ValueError(f"{field} is infinite at {at}")
+
+
 def rates_report(cfg: Config, args):
     rates = ensemble.effective_rates(cfg.ensemble)
     fs = ensemble.free_space_snr(cfg.free_space.density, cfg.free_space.sample_length,
                                  cfg.free_space.wavenumber)
-    for field, keys in _INFINITE_AT_ZERO.items():
-        if math.isinf(getattr(rates, field)):
-            # the zero keys, or all of them where their product underflowed
-            keys = [k for k in keys if getattr(cfg.ensemble, k) == 0] or keys
-            at = ", ".join(f"ensemble.{k} = {getattr(cfg.ensemble, k)!r}" for k in keys)
-            raise ValueError(f"{field} is infinite at {at}")
+    _refuse_infinite(cfg, rates, _INFINITE_AT_ZERO)
     return {**rates._asdict(), "optical_depth": fs.optical_depth,
             "superradiance_risk": fs.superradiance_risk}, None
 
@@ -281,6 +287,7 @@ def _linspace(lo: float, hi: float, num: int) -> list:
 
 def cmd_dynamics(cfg: Config, args) -> int:
     rates = ensemble.effective_rates(cfg.ensemble)
+    _refuse_infinite(cfg, rates, ("bad_cavity_ratio",))   # kappa' = 0: no gain, no window
     t_end = args.t_max if args.t_max is not None else 0.05 / rates.kappa_prime
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"time window t_max = {t_end} must be positive and finite")
@@ -295,11 +302,8 @@ def cmd_dynamics(cfg: Config, args) -> int:
     grid = _linspace(0.0, t_end, args.points)
     pops = ensemble.integrate_master_equation(cfg.ensemble, args.modes,
                                               args.cutoff, grid)
-    rows = []
-    for k in range(len(grid)):
-        noise = pops.per_noise_mode[k]
-        ratio = pops.collective[k] / noise if noise > 0 else math.nan
-        rows.append((grid[k], pops.collective[k], noise, ratio))
+    rows = [(t, c, noise, c / noise if noise > 0 else math.nan)
+            for t, c, noise in zip(grid, pops.collective, pops.per_noise_mode)]
     path = args.out or "dynamics.csv"
     emit_csv(("t", "pop_collective", "pop_noise_mode", "ratio"), rows, cfg, path)
     analytic = ((rates.kappa_prime + rates.gamma_s_prime) / rates.gamma_s_prime

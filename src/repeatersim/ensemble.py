@@ -6,13 +6,14 @@ field while spontaneous emission heats every atomic Fourier mode at the
 same per-mode rate; simulating one collective mode plus a few
 representative noise modes is enough to exhibit the rate separation.
 
-The rate formulas are plain Python; the squeezer, the drift integration
-and the master equation import NumPy when they run.
+The rate formulas and the master equation are plain Python; the squeezer
+and the drift integration import NumPy when they run.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -187,7 +188,7 @@ class ModePopulations(namedtuple("ModePopulations", ("time_grid", "collective",
                                                      "per_noise_mode", "traces"))):
     """Mean occupations of the collective mode and of one noise mode over a
     time grid (all noise modes are identical), and the trace of the
-    truncated multimode state."""
+    truncated multimode state; each field is a list of floats."""
 
     __slots__ = ()
 
@@ -195,10 +196,8 @@ class ModePopulations(namedtuple("ModePopulations", ("time_grid", "collective",
         """Least-squares growth-rate ratio (through the origin) of the
         collective mode over a noise mode."""
         t = self.time_grid
-        denom = float(self.per_noise_mode.dot(t))
-        if denom == 0.0:
-            return math.inf
-        return float(self.collective.dot(t)) / denom
+        denom = sum(a * b for a, b in zip(self.per_noise_mode, t))
+        return sum(a * b for a, b in zip(self.collective, t)) / denom if denom else math.inf
 
 
 def integrate_master_equation(params: EnsembleParams, n_modes: int, cutoff: int,
@@ -214,28 +213,40 @@ def integrate_master_equation(params: EnsembleParams, n_modes: int, cutoff: int,
     diag(1, ..., c, 0)): with x = 1 - exp(-R t) its populations are
     exp(-R t) x^n for n < c and x^c at n = c.  Time runs from t_grid[0].
     """
-    import numpy as np
-
+    for name, value in (("n_modes", n_modes), ("cutoff", cutoff)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_modes < 2:
         raise ValueError("need at least one collective and one noise mode")
     if cutoff < 1:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2:
-        raise ValueError(f"the master equation needs at least two time points, "
-                         f"got {t_grid.size}")
+    try:   # an array converts in one call; a 2-D one nests, which float refuses
+        times = list(map(float, t_grid.tolist() if hasattr(t_grid, "tolist") else t_grid))
+    except TypeError:
+        raise ValueError("t_grid must be a 1-D sequence of times") from None
+    if len(times) < 2:
+        raise ValueError(f"the master equation needs at least two time points, got {len(times)}")
+    if not all(map(math.isfinite, times)):
+        raise ValueError("t_grid must be finite")
+    if times != sorted(times):
+        raise ValueError("t_grid must be non-decreasing")
     rates = effective_rates(params)
-    # axis 0: collective mode, one noise mode; axis 1: time; axis 2: level
-    rate_t = np.array([rates.kappa_prime + rates.gamma_s_prime,
-                       rates.gamma_s_prime])[:, None, None] * (t_grid - t_grid[0])[:, None]
-    x = -np.expm1(-rate_t)
-    levels = np.arange(cutoff + 1)
-    pops = np.exp(-rate_t) * x ** levels
-    pops[..., cutoff] = x[..., 0] ** cutoff
-    collective, per_noise_mode = pops @ levels
-    trace_collective, trace_noise = pops.sum(axis=-1)
-    return ModePopulations(t_grid, collective, per_noise_mode,
-                           trace_collective * trace_noise ** (n_modes - 1))
+    exp, expm1, t0, levels = math.exp, math.expm1, times[0], range(1, cutoff)
+    columns, power = [], float(n_modes - 1)   # means, traces: collective, then a noise mode
+    for rate in (rates.kappa_prime + rates.gamma_s_prime, rates.gamma_s_prime):
+        means, traces = [], []
+        columns += means, traces
+        for t in times:
+            minus_rt = rate * (t0 - t)
+            e, x = exp(minus_rt), -expm1(minus_rt)
+            mean, trace, x_n = 0.0, e, x   # level n holds e x^n, the cutoff x^c
+            for n in levels:
+                p = e * x_n
+                mean, trace, x_n = mean + n * p, trace + p, x_n * x
+            means.append(mean + cutoff * x_n)
+            traces.append(trace + x_n)
+    state_traces = [tc * tn ** power for tc, tn in zip(columns[1], columns[3])]
+    return ModePopulations(times, columns[0], columns[2], state_traces)
 
 
 FreeSpaceSnr = namedtuple("FreeSpaceSnr", ("snr", "optical_depth", "superradiance_risk"))

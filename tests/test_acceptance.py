@@ -275,7 +275,7 @@ def test_criterion_7_collective_enhancement():
                                                   t_grid=np.linspace(0, t_end, 21))
         expected = (rates.kappa_prime + rates.gamma_s_prime) / rates.gamma_s_prime
         worst = max(worst, abs(pops.rate_ratio() / expected - 1.0))
-        worst_trace = max(worst_trace, float(np.max(np.abs(pops.traces - 1.0))))
+        worst_trace = max(worst_trace, float(np.max(np.abs(np.asarray(pops.traces) - 1.0))))
     elapsed = time.time() - t0
     ok = worst <= 0.05 and worst_trace <= 1e-9 and elapsed < 60.0
     assert report(7, ok, f"rate-ratio worst relative error {worst:.3%} (tol 5%), "

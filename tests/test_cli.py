@@ -135,6 +135,29 @@ class TestDynamics:
         noise = [float(r.split(",")[2]) for r in rows]
         assert max(abs(v) for v in noise) < 1e-10
 
+    @pytest.mark.parametrize("ini,reason", [
+        ("[ensemble]\nrabi = 0\n", "bad_cavity_ratio is infinite at ensemble.rabi = 0.0"),
+        ("[ensemble]\ncoupling = 0\n",
+         "bad_cavity_ratio is infinite at ensemble.coupling = 0.0"),
+        ("[ensemble]\nrabi = 1e-200\ncoupling = 1e-200\n",
+         "bad_cavity_ratio is infinite at ensemble.rabi = 1e-200, "
+         "ensemble.coupling = 1e-200"),
+    ])
+    @pytest.mark.parametrize("window", [[], ["--t-max", "1"]])
+    def test_zero_collective_rate_exits_3_naming_its_key(self, tmp_path, capsys, ini,
+                                                         reason, window):
+        # kappa' = 0: no default window and no collective gain; `rates`
+        # refuses the same config with the same message
+        cfg = write_config(tmp_path, ini)
+        out_file = tmp_path / "dyn.csv"
+        code, out = run_cli(["--config", cfg, "dynamics", *window, "--out", str(out_file)])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == f"numeric failure: {reason}\n"
+        assert not out_file.exists()
+        assert run_cli(["--config", cfg, "rates"]) == (3, "")
+        assert capsys.readouterr().err == f"numeric failure: {reason}\n"
+
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_short_time_grid_exits_3(self, tmp_path, capsys, points):
         out_file = tmp_path / "dyn.csv"
@@ -827,6 +850,8 @@ class TestEntryPoint:
             (["chsh"], 0), (["teleport", "--bloch-theta", "1.0", "--bloch-phi", "2.0"], 0),
             (["--config", str(ini), "rates"], 2),
             (["optimize", "--objective", "power_law"], 3),
+            (["dynamics", "--modes", "4", "--out", str(tmp_path / "blocked_m4.csv")], 0),
+            (["dynamics", "--modes", "5", "--out", str(tmp_path / "blocked_m5.csv")], 0),
         ]
         script = (
             "import contextlib, io, json, sys\n"
@@ -849,9 +874,28 @@ class TestEntryPoint:
             capture_output=True, env=env, text=True)
         assert done.returncode == 0, done.stderr
         blocked = json.loads(done.stdout)
+        csv = {m: (tmp_path / f"blocked_m{m}.csv").read_text() for m in (4, 5)}
         for (argv, want), (code, out) in zip(session, blocked):
             assert code == want, argv
             assert [code, out] == list(run_cli(argv)), argv
+        for m in (4, 5):   # the unblocked runs above rewrote the files
+            assert (tmp_path / f"blocked_m{m}.csv").read_text() == csv[m]
+
+    @pytest.mark.parametrize("modes", ["4", "5"])
+    def test_dynamics_leaves_numpy_and_fock_unloaded(self, tmp_path, modes):
+        script = (
+            "import sys\n"
+            "import repeatersim.cli\n"
+            "assert repeatersim.cli.main(sys.argv[1:]) == 0\n"
+            "print([m for m in ('numpy', 'repeatersim.fock') if m in sys.modules])\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script, "dynamics", "--modes", modes,
+                               "--out", str(tmp_path / "d.csv")],
+                              capture_output=True, env=env, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_only_scaling_and_optimize_load_the_scaling_module(self, tmp_path):
         ini = tmp_path / "unknown_key.ini"

@@ -508,6 +508,27 @@ def dense_gain_populations(kappa_prime, gamma_s_prime, n_modes, cutoff, t_grid,
     return number_diag[0] @ diags, noise, diags.sum(axis=0)
 
 
+def vectorised_master_equation(params, n_modes, cutoff, t_grid):
+    """Oracle for the plain-float kernel: the closed form on NumPy arrays,
+    every level of both heated modes at once.  Returns (collective,
+    per_noise_mode, traces, rate_ratio)."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    rates = effective_rates(params)
+    # axis 0: collective mode, one noise mode; axis 1: time; axis 2: level
+    rate_t = np.array([rates.kappa_prime + rates.gamma_s_prime,
+                       rates.gamma_s_prime])[:, None, None] * (t_grid - t_grid[0])[:, None]
+    x = -np.expm1(-rate_t)
+    levels = np.arange(cutoff + 1)
+    pops = np.exp(-rate_t) * x ** levels
+    pops[..., cutoff] = x[..., 0] ** cutoff
+    collective, per_noise_mode = pops @ levels
+    trace_collective, trace_noise = pops.sum(axis=-1)
+    denom = float(per_noise_mode.dot(t_grid))
+    ratio = math.inf if denom == 0.0 else float(collective.dot(t_grid)) / denom
+    return (collective, per_noise_mode, trace_collective * trace_noise ** (n_modes - 1),
+            ratio)
+
+
 class TestMasterEquation:
     def test_no_spontaneous_emission_keeps_noise_modes_dark(self):
         params = make_params(spont_rate=0.0)
@@ -532,15 +553,16 @@ class TestMasterEquation:
         assert effective_rates(params).kappa_prime == 0.0
         pops = integrate_master_equation(params, n_modes=3, cutoff=2,
                                          t_grid=np.linspace(0, 0.2, 9))
-        assert np.max(np.abs(pops.collective - pops.per_noise_mode)) < 1e-9
+        assert np.max(np.abs(np.asarray(pops.collective)
+                             - np.asarray(pops.per_noise_mode))) < 1e-9
 
     def test_trace_preservation_and_positivity(self):
         params = make_params()
         pops = integrate_master_equation(params, n_modes=3, cutoff=2,
                                          t_grid=np.linspace(0, 0.1, 15))
-        assert np.max(np.abs(pops.traces - 1.0)) < 1e-9
-        assert pops.collective.min() >= -1e-10
-        assert pops.per_noise_mode.min() >= -1e-10
+        assert np.max(np.abs(np.asarray(pops.traces) - 1.0)) < 1e-9
+        assert np.asarray(pops.collective).min() >= -1e-10
+        assert np.asarray(pops.per_noise_mode).min() >= -1e-10
 
     def test_populations_non_decreasing(self):
         params = make_params()
@@ -586,7 +608,80 @@ class TestMasterEquation:
         large = integrate_master_equation(params, n_modes=40, cutoff=2, t_grid=grid)
         assert np.array_equal(small.collective, large.collective)
         assert np.array_equal(small.per_noise_mode, large.per_noise_mode)
-        assert np.max(np.abs(large.traces - 1.0)) < 1e-9
+        assert np.max(np.abs(np.asarray(large.traces) - 1.0)) < 1e-9
+
+
+class TestMasterEquationKernel:
+    """The plain-float kernel against its vectorised oracle, and the input
+    refusals."""
+
+    @pytest.mark.parametrize("points", [2, 120, 1000])
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 10, 100])
+    @pytest.mark.parametrize("n_modes", [2, 4, 5, 7])
+    def test_matches_vectorised_oracle(self, n_modes, cutoff, points):
+        params = make_params()
+        rates = effective_rates(params)
+        # the CLI's weak-excitation window, then one that runs both modes into
+        # their cutoff
+        for t_end in (0.05 / rates.kappa_prime, 30.0 / rates.gamma_s_prime):
+            grid = np.linspace(0.0, t_end, points)
+            pops = integrate_master_equation(params, n_modes, cutoff, grid)
+            *columns, ratio = vectorised_master_equation(params, n_modes, cutoff, grid)
+            for got, want in zip((pops.collective, pops.per_noise_mode, pops.traces),
+                                 columns):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            assert pops.rate_ratio() == pytest.approx(ratio, rel=1e-12)
+
+    def test_fields_are_lists_of_floats_for_any_sequence(self):
+        params = make_params()
+        grid = np.linspace(0.0, 0.1, 7)
+        pops = integrate_master_equation(params, 3, 2, grid)
+        for field in pops:
+            assert type(field) is list
+            assert all(type(v) is float for v in field)
+        assert pops.time_grid == grid.tolist()
+        for same in (grid.tolist(), tuple(grid.tolist()), iter(grid.tolist())):
+            assert integrate_master_equation(params, 3, 2, same) == pops
+        assert integrate_master_equation(params, np.int64(3), np.int64(2), grid) == pops
+
+    def test_time_runs_from_the_first_point(self):
+        params = make_params()
+        # shifts that are exact in binary floating point
+        shifted = integrate_master_equation(params, 3, 2, [4.0, 4.5, 5.0])
+        origin = integrate_master_equation(params, 3, 2, [0.0, 0.5, 1.0])
+        assert shifted[1:] == origin[1:]
+        assert shifted.time_grid == [4.0, 4.5, 5.0]
+
+    @pytest.mark.parametrize("t_grid,reason", [
+        ([0.0, math.nan, 0.2], "t_grid must be finite"),
+        ([0.0, 0.1, math.inf], "t_grid must be finite"),
+        ([-math.inf, 0.0], "t_grid must be finite"),
+        ([1.0, 0.5], "t_grid must be non-decreasing"),
+        ([0.0, 0.2, 0.1], "t_grid must be non-decreasing"),
+        (np.zeros((3, 2)), "t_grid must be a 1-D sequence of times"),
+        (np.zeros((3, 1)), "t_grid must be a 1-D sequence of times"),
+        ([[0.0, 0.1]], "t_grid must be a 1-D sequence of times"),
+        (np.float64(0.5), "t_grid must be a 1-D sequence of times"),
+        (0.5, "t_grid must be a 1-D sequence of times"),
+    ])
+    def test_bad_grid_refused_by_name(self, t_grid, reason):
+        with pytest.raises(ValueError) as info:
+            integrate_master_equation(make_params(), 3, 2, t_grid)
+        assert str(info.value) == reason
+
+    @pytest.mark.parametrize("n_modes,cutoff,reason", [
+        (2.5, 2, "n_modes must be an integer, got 2.5"),
+        (4.0, 2, "n_modes must be an integer, got 4.0"),
+        (True, 2, "n_modes must be an integer, got True"),
+        ("3", 2, "n_modes must be an integer, got '3'"),
+        (3, 2.0, "cutoff must be an integer, got 2.0"),
+        (3, True, "cutoff must be an integer, got True"),
+        (3, None, "cutoff must be an integer, got None"),
+    ])
+    def test_non_integer_count_refused_by_name(self, n_modes, cutoff, reason):
+        with pytest.raises(ValueError) as info:
+            integrate_master_equation(make_params(), n_modes, cutoff, [0.0, 0.1])
+        assert str(info.value) == reason
 
 
 class TestFreeSpaceSnr:
