@@ -3,9 +3,10 @@
 Every trial draws from its own counter-based stream: splitmix64 keyed by
 ``(seed, trial index)``.  The scalar functions are the single-sample API
 and the reference.  The bulk samplers advance every live trial of a batch
-in the same NumPy calls, a chain batch one level-1 link per trial and
-step, its last few trials resumed in ``chain_sample`` from their step
-start, and reproduce the scalar samples bit for bit, so a sample depends
+in the same NumPy calls, a chain batch one level-2 attempt per trial and
+step.  The last few trials of a chain batch are resumed from their step
+start in ``_walk``, ``chain_sample``'s loop fed by lists of draws made in
+bulk.  Both reproduce the scalar samples bit for bit, so a sample depends
 only on its seed and trial index.
 """
 
@@ -54,7 +55,7 @@ def geometric(state: int, q: float):
 
 
 def chain_sample(n: int, p_levels, q: float, t_delta: float, parallel: bool,
-                 state: int, tot=None, first=None):
+                 state: int):
     """One hierarchical generate-and-swap trial; returns (state, seconds).
 
     Iterative form of the recursion: a level-l attempt consumes two fresh
@@ -62,15 +63,12 @@ def chain_sample(n: int, p_levels, q: float, t_delta: float, parallel: bool,
     succeeds with probability p_levels[l]; failure regenerates both pairs.
     ``tot[l]`` is the level-l time so far and ``first[l]`` the link waiting
     for its pair at level l: ``first[l] > 0`` exactly where a link waits,
-    and a passed test hands the level's total up and clears it.  Both are
-    all zeros for a fresh trial, or a trial's ``chain_times`` columns at
-    the start of a step, which it resumes from there.
+    and a passed test hands the level's total up and clears it.
     """
     if n == 0:
         state, k = geometric(state, q)
         return state, k * t_delta
-    tot = [0.0] * (n + 1) if tot is None else tot
-    first = [0.0] * (n + 1) if first is None else first
+    tot, first = [0.0] * (n + 1), [0.0] * (n + 1)
     while True:
         state, k = geometric(state, q)
         link, lvl = k * t_delta, 1
@@ -88,13 +86,24 @@ def chain_sample(n: int, p_levels, q: float, t_delta: float, parallel: bool,
             first[lvl] = link
 
 
+def expected_draws(p_levels) -> float:
+    """Expected uniforms of a ``chain_sample`` trial: d_0 = 1, and
+    d_l = (2 d_{l-1} + 1) / p_l for the level success probabilities
+    ``p_levels[1:]``."""
+    d = 1.0
+    for p in p_levels[1:]:
+        d = (2.0 * d + 1.0) / p
+    return d
+
+
 # ---------------------------------------------------------------------------
 # bulk samplers (NumPy, one column per trial)
 
 _U = np.uint64
 _BLOCK = 1 << 13      # uniforms per lockstep step, summed over live trials
-_WINDOW = 5           # level-1 attempts per step once few trials are live
-_SCALAR_TAIL = 8      # live trials finished by chain_sample
+_WINDOW = 7           # level-1 attempts per step once few trials are live
+_SCALAR_TAIL = 16     # live trials finished by _walk
+_TAIL_DRAWS = 256     # at most draws in each of a tail trial's lists
 _GEN_BLOCK = 1 << 15  # level-0 trials per block; its temporaries stay in cache
 _RANKS = np.arange(_WINDOW)[:, None]   # attempt m of a window, one row each
 
@@ -168,30 +177,32 @@ def chain_times(seed: int, count: int, n: int, p_levels, q: float,
                 t_delta: float, parallel: bool) -> np.ndarray:
     """Level-``n`` times of trials 0..count-1, ``chain_sample`` bit for bit.
 
-    Lockstep: in each step every live trial makes one level-1 link and
-    runs the cascade of swap tests it triggers.  A step starts with no
-    level-0 pair waiting; ``tot[l]`` is the level-l time so far and
-    ``first[l]`` the level-(l-1) link waiting for its pair at level l (0
-    where none waits).  The step reads the trial's next ``3w + n - 1``
+    Lockstep: in each step every live trial makes level-1 links up to one
+    level-2 attempt and runs the cascade of swap tests it triggers.  A step
+    starts with no level-0 pair waiting; ``tot[l]`` is the level-l time so
+    far and ``first[l]`` the level-(l-1) link waiting for its pair at level
+    l (0 where none waits).  The step reads the trial's next ``3w + n - 1``
     uniforms, for a window of ``w`` level-1 attempts: attempt m joins the
     leaves drawn at 3m and 3m + 1 and is tested at 3m + 2.  The level-1
-    total adds the attempts in order up to the first passed test; a trial
-    that passes none keeps the running total and has used 3w draws.  A
-    level-1 link goes up level by level: it waits in ``first``, ending the
-    step, or joins the link waiting there into an attempt whose test is
-    the trial's next uniform.  A passed test hands the level's total up
-    and clears it, and a failed one ends the step.  A link handed up from
-    level n is the sample, and finished trials are compacted out.  Each
-    stream then advances by exactly the draws its trial used.  The window
-    narrows as more trials are live, so a step's arrays stay near
-    ``_BLOCK`` elements: a wider one takes fewer steps, but computes more
-    draws that no trial uses.
+    total adds the attempts in order up to the first passed test.  Where
+    level 2 is empty and the window holds two or more attempts, that link
+    parks there and the total restarts after it, up to the second passed
+    test.  A trial that passes no further test keeps the running total
+    and has used 3w draws.  A level-1 link goes up level by level: it
+    waits in ``first``, ending the step, or joins the link waiting there
+    into an attempt whose test is the trial's next uniform.  A passed test
+    hands the level's total up and clears it, and a failed one ends the
+    step.  A link handed up from level n is the sample, and finished
+    trials are compacted out.  Each stream then advances by exactly the
+    draws its trial used.  The window narrows as more trials are live, so
+    a step's arrays stay near ``_BLOCK`` elements: a wider one takes fewer
+    steps, but computes more draws that no trial uses.
 
     A step costs about the same NumPy calls however few trials are live,
     and the step count is set by the longest trial.  So once at most
-    ``_SCALAR_TAIL`` trials are live, each is finished by ``chain_sample``
-    resumed from its stream state and its columns: that is one of the
-    reference trial's own step starts, so the sample is the reference's.
+    ``_SCALAR_TAIL`` trials are live, ``_walk`` finishes them from their
+    stream states and columns: each is one of the reference trial's own
+    step starts, so the sample is the reference's.
     """
     if n == 0:
         return generation_times(seed, count, q, t_delta)
@@ -211,13 +222,29 @@ def chain_times(seed: int, count: int, n: int, p_levels, q: float,
         acc = np.empty((w + 1, live))      # the running total and each attempt
         acc[0] = tot[1]
         join(leaf[:, 0], leaf[:, 1], out=acc[1:])
+        passed = window[:, 2] < p_levels[1]
+        ranks = _RANKS[:w]
         # the first attempt whose test passed, w where none did
-        m = np.where(window[:, 2] < p_levels[1], _RANKS[:w], w).min(axis=0)
-        # zero the attempts after it: reduce adds the rows in order, and
-        # adding +0.0 to a positive sum is exact, so each total is bit for
-        # bit the in-order sum up to the first passed attempt
-        acc[1:][_RANKS[:w] > m] = 0.0
+        m = np.where(passed, ranks, w).min(axis=0)
+        after = ranks > m
+        two = n > 1 and w > 1
+        if two:
+            # where level 2 is empty the first link parks there, and the
+            # attempts after it, up to the second passed test, make the link
+            # this step carries up
+            park = (m < w) & (first[2] == 0.0)
+            second = np.where(passed & after, ranks, w).min(axis=0)
+            rest = np.where(after & (ranks <= second), acc[1:], 0.0)
+        # zero the attempts after the first passed test: reduce adds the rows
+        # in order, and adding +0.0 to a positive sum is exact, so each total
+        # is bit for bit the in-order sum up to that test
+        np.putmask(acc[1:], after, 0.0)
         total = np.add.reduce(acc, axis=0)
+        del passed, after              # free before the cascade, which sets the peak
+        if two:
+            np.copyto(first[2], total, where=park)
+            total = np.where(park, np.add.reduce(rest, axis=0), total)
+            m = np.where(park, second, m)
         at = (m < w).nonzero()[0]          # trials carrying a link up
         up = total[at]
         tot[1] = total
@@ -252,7 +279,60 @@ def chain_times(seed: int, count: int, n: int, p_levels, q: float,
             keep = keep.nonzero()[0]
             trial, state = trial[keep], state[keep]
             tot, first = tot.take(keep, axis=1), first.take(keep, axis=1)
-    for i, s in enumerate(state.tolist()):
-        out[trial[i]] = chain_sample(n, p_levels, q, t_delta, parallel, s,
-                                     tot[:, i].tolist(), first[:, i].tolist())[1]
+    if trial.size:
+        out[trial] = _walk(n, p_levels, q, t_delta, parallel, state.tolist(),
+                           tot.T.tolist(), first.T.tolist())
+    return out
+
+
+def _walk(n: int, p_levels, q: float, t_delta: float, parallel: bool,
+          state, tot, first) -> list:
+    """``chain_sample`` of each trial resumed from ``state[i]``, ``tot[i]``
+    and ``first[i]``, its ``chain_times`` columns at the start of a step;
+    returns the samples.
+
+    The draws come from lists instead of ``next_uniform``: each trial's
+    next uniforms, and as leaves their attempt counts times ``t_delta``,
+    made for all trials in one ``_uniforms`` and one ``_attempts`` call
+    and listed as each trial's turn comes.  A trial that uses its whole
+    list refills it from its state advanced by the list's draws.  A list
+    holds 32 plus twice a fresh trial's expected draws, at most
+    ``_TAIL_DRAWS``: a tail trial has about as many left.
+    """
+    size = int(min(_TAIL_DRAWS, 32 + 2 * expected_draws(p_levels)))
+
+    def block(states):                 # one row per trial
+        u = _uniforms(np.array(states, dtype=np.uint64), size)
+        leaf = _attempts(u, q)
+        leaf *= t_delta
+        return u.T, leaf.T
+
+    out = []
+    for s, us, leaves, t, f in zip(state, *block(state), tot, first):
+        us, leaves = us.tolist(), leaves.tolist()
+        j, lvl = 0, 0                  # the next draw; lvl 0: it is a leaf
+        while True:
+            if j == size:
+                s = (s + _GOLDEN * size) & _MASK
+                us, leaves = (a[0].tolist() for a in block([s]))
+                j = 0
+            if lvl == 0:
+                link = leaves[j]
+            elif us[j] < p_levels[lvl]:
+                link, t[lvl] = t[lvl], 0.0
+                if lvl == n:
+                    break
+            else:
+                lvl = 0                # failed: the next leaf starts at level 1
+                j += 1
+                continue
+            j += 1
+            lvl += 1
+            if f[lvl] > 0.0:
+                t[lvl] += max(f[lvl], link) if parallel else f[lvl] + link
+                f[lvl] = 0.0
+            else:
+                f[lvl] = link
+                lvl = 0
+        out.append(link)
     return out

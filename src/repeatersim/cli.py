@@ -120,6 +120,8 @@ def emit_report(summary: dict, table, cfg: Config, fmt: str, path: str):
 
 # the rates fields that are infinite where one of their ensemble keys is 0
 _INFINITE_AT_ZERO = {"snr": ("spont_rate",), "bad_cavity_ratio": ("rabi", "coupling")}
+# the ensemble keys of kappa' = 4 N |Omega g|^2 / (Delta^2 kappa)
+_KAPPA_KEYS = ("atom_count", "rabi", "coupling", "detuning", "cavity_decay")
 
 
 def _refuse_infinite(cfg: Config, rates, fields):
@@ -286,8 +288,15 @@ def _linspace(lo: float, hi: float, num: int) -> list:
 
 
 def cmd_dynamics(cfg: Config, args) -> int:
+    if args.modes > sys.float_info.max:
+        raise ValueError(f"--modes has {len(str(args.modes))} digits; the mode count "
+                         f"must fit in a float")
     rates = ensemble.effective_rates(cfg.ensemble)
     _refuse_infinite(cfg, rates, ("bad_cavity_ratio",))   # kappa' = 0: no gain, no window
+    if args.t_max is None and rates.kappa_prime == 0.0:   # underflowed at nonzero keys
+        at = ", ".join(f"ensemble.{k} = {getattr(cfg.ensemble, k)!r}" for k in _KAPPA_KEYS)
+        raise ValueError(f"kappa_prime underflows to 0 at {at}, so it sets no time "
+                         f"window; give --t-max")
     t_end = args.t_max if args.t_max is not None else 0.05 / rates.kappa_prime
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"time window t_max = {t_end} must be positive and finite")

@@ -5,11 +5,11 @@ the exact waiting-time distribution.
 Reproducibility contract: every trial draws from its own counter-based
 substream keyed by ``(seed, trial index)``, so a sample depends only on
 the seed and its trial index.  One NumPy sampler advances all trials of a
-batch in lockstep, one level-1 link and the swap tests it triggers per
-step, and finishes its last few live trials in the scalar reference
-``chain_sample``, resumed from their step start; level 0 is sampled
-elementwise in cache-sized blocks.  So both equal the scalar
-``sample_chain_time`` bit for bit.
+batch in lockstep, one level-2 attempt and the swap tests it triggers per
+step, and finishes its last few live trials in a scalar walk of
+``chain_sample``'s loop fed by lists of draws, resumed from their step
+start; level 0 is sampled elementwise in cache-sized blocks.  So both
+equal the scalar ``sample_chain_time`` bit for bit.
 The samplers import ``_mc_kernels`` (and NumPy with it) on their first
 call, so the parameter types and the analytic chain time load without
 NumPy.
@@ -130,8 +130,8 @@ def check_memory(nbytes: float, what: str) -> None:
 def _trial_bytes(n: int) -> int:
     """Bytes a level-``n`` batch holds per trial, an upper bound: the sample
     and its statistics' temporaries, and at n >= 1 the sampler's per-trial
-    state and step arrays (tracemalloc peaks: 16 at level 0, then 149,
-    240 and 292 at levels 1-3)."""
+    state and step arrays (tracemalloc peaks: 16 at level 0, then 162,
+    252 and 305 at levels 1-3)."""
     return 24 if n == 0 else 64 * (n + 2)
 
 
@@ -146,15 +146,6 @@ def generation_times(params: RepeaterParams, cfg: TrialConfig) -> np.ndarray:
                                        click_probability(params), params.pulse_time)
 
 
-def _expected_draws(probs) -> float:
-    """Expected uniforms per trial for level success probabilities
-    ``probs[1:]``: d_0 = 1, d_l = (2 d_{l-1} + 1) / p_l."""
-    d = 1.0
-    for p in probs[1:]:
-        d = (2.0 * d + 1.0) / p
-    return d
-
-
 def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
     """Sampled level-``n`` waiting times, one per trial.
 
@@ -164,7 +155,7 @@ def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
     """
     probs = _level_probs(params, n)
     what = f"level {n} with {cfg.n_trials} trials"
-    draws = cfg.n_trials * _expected_draws(probs)
+    draws = cfg.n_trials * _kernels().expected_draws(probs)
     if draws > DRAW_BUDGET:
         raise InfeasibleError(f"{what} needs about {draws:.3g} random draws, "
                               f"over the budget of {DRAW_BUDGET:.0e}")

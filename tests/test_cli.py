@@ -158,6 +158,32 @@ class TestDynamics:
         assert run_cli(["--config", cfg, "rates"]) == (3, "")
         assert capsys.readouterr().err == f"numeric failure: {reason}\n"
 
+    def test_underflowed_collective_rate_exits_3_naming_its_keys(self, tmp_path, capsys):
+        # kappa' underflows to 0 at nonzero keys: bad_cavity_ratio is finite,
+        # but kappa' sets no default window
+        cfg = write_config(tmp_path, "[ensemble]\nrabi = 1e-170\n")
+        ens = config.from_raw(config.read_raw(cfg)).ensemble
+        out_file = tmp_path / "dyn.csv"
+        code, out = run_cli(["--config", cfg, "dynamics", "--out", str(out_file)])
+        assert code == 3
+        assert out == ""
+        at = ", ".join(f"ensemble.{k} = {getattr(ens, k)!r}" for k in
+                       ("atom_count", "rabi", "coupling", "detuning", "cavity_decay"))
+        assert "ensemble.rabi = 1e-170" in at
+        assert capsys.readouterr().err == (
+            f"numeric failure: kappa_prime underflows to 0 at {at}, so it sets no time "
+            "window; give --t-max\n")
+        assert not out_file.exists()
+
+    def test_mode_count_beyond_a_float_exits_3_naming_modes(self, tmp_path, capsys):
+        out_file = tmp_path / "dyn.csv"
+        code, out = run_cli(["dynamics", "--modes", str(10 ** 400), "--out", str(out_file)])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "numeric failure: --modes has 401 digits; the mode count must fit in a float\n")
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_short_time_grid_exits_3(self, tmp_path, capsys, points):
         out_file = tmp_path / "dyn.csv"

@@ -221,7 +221,8 @@ CERTAIN_CLICK = dict(excitation_prob=0.96875, dark_prob=0.03125, segment_length=
 
 class TestScalarTail:
     """The lockstep sampler finishes its last ``_SCALAR_TAIL`` live trials in
-    scalar code; the samples must stay those of ``chain_sample``."""
+    ``_walk``, scalar code fed by lists of draws; the samples must stay those
+    of ``chain_sample``."""
 
     @pytest.mark.parametrize("overrides", [{}, CERTAIN_CLICK], ids=["q<1", "q=1"])
     @pytest.mark.parametrize("policy", mc.POLICIES)
@@ -239,40 +240,38 @@ class TestScalarTail:
     @pytest.mark.parametrize("policy", mc.POLICIES)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_resume_from_step_starts(self, n, policy, overrides):
-        # chain_sample resumed from any of its own step starts ends in the
-        # fresh trial's final state with the fresh trial's time.  A resume
-        # costs the rest of the trial, so a trial with more than 160 step
-        # starts (here only at level 4) is resumed from 160 of them, evenly
-        # spaced
+        # the walk resumed from any of chain_sample's own step starts ends
+        # with the fresh trial's time.  A resume costs the rest of the
+        # trial, so a trial with more than 160 step starts (here only at
+        # level 4) is resumed from 160 of them, evenly spaced
         params = make_params(**overrides)
         probs, q = mc._level_probs(params, n), mc.click_probability(params)
         parallel = policy == "parallel_max"
         for seed in range(5):
             fresh = kernels.chain_sample(n, probs, q, params.pulse_time, parallel,
-                                         kernels.stream_state(seed, 0))
+                                         kernels.stream_state(seed, 0))[1]
             starts = list(step_starts(n, probs, q, params.pulse_time, parallel,
                                       kernels.stream_state(seed, 0)))
-            for state, tot, first in starts[::-(-len(starts) // 160)]:
-                assert kernels.chain_sample(n, probs, q, params.pulse_time, parallel,
-                                            state, tot, first) == fresh, seed
+            state, tot, first = zip(*starts[::-(-len(starts) // 160)])
+            assert kernels._walk(n, probs, q, params.pulse_time, parallel,
+                                 state, tot, first) == [fresh] * len(state), seed
 
     def test_handoff_states_are_advanced_by_the_draws_used(self, monkeypatch):
         # each stream advances by exactly the draws its trial used, so the
-        # state chain_sample resumes is the trial's own stream at the start
-        # of a step, with the trial's columns there
+        # state the walk resumes is the trial's own stream at the start of a
+        # step, with the trial's columns there
         n, trials, seed = 3, 20, 31
         params = make_params()
         probs, q = mc._level_probs(params, n), mc.click_probability(params)
         inverse = pow(kernels._GOLDEN, -1, 1 << 64)
         handed = []
-        chain_sample = kernels.chain_sample
+        walk = kernels._walk
 
-        def spy(n, p, q, t_delta, parallel, state, tot=None, first=None):
-            if tot is not None:
-                handed.append((state, tot[:], first[:]))
-            return chain_sample(n, p, q, t_delta, parallel, state, tot, first)
+        def spy(n, p, q, t_delta, parallel, state, tot, first):
+            handed.extend(zip(state, (t[:] for t in tot), (f[:] for f in first)))
+            return walk(n, p, q, t_delta, parallel, state, tot, first)
 
-        monkeypatch.setattr(kernels, "chain_sample", spy)
+        monkeypatch.setattr(kernels, "_walk", spy)
         for policy in mc.POLICIES:
             parallel = policy == "parallel_max"
             handed.clear()
@@ -292,6 +291,69 @@ class TestScalarTail:
                 used.append(draws)
             # a level-1 attempt takes three draws; a cascade test moved one
             assert any(d % 3 for d in used), policy
+
+
+    @pytest.mark.parametrize("q", [1.0, 0.3], ids=["q=1", "q<1"])
+    @pytest.mark.parametrize("policy", mc.POLICIES)
+    def test_walk_refills_its_lists(self, monkeypatch, policy, q):
+        # p_1 = 0.01: a level-2 trial takes about 1200 draws, more than the
+        # 256 a list holds, so walked trials refill theirs, fresh ones (the
+        # smaller batch) and ones resumed after lockstep steps
+        n, probs, t_delta, seed = 2, (0.0, 0.01, 0.5), 1e-6, 8
+        parallel = policy == "parallel_max"
+        walks = []                     # the trial counts of each walk's _uniforms calls
+        walk, uniforms = kernels._walk, kernels._uniforms
+
+        def walk_spy(*args):
+            walks.append([])
+            return walk(*args)
+
+        def uniforms_spy(state, draws):
+            if walks:
+                walks[-1].append(state.size)
+            return uniforms(state, draws)
+
+        monkeypatch.setattr(kernels, "_walk", walk_spy)
+        monkeypatch.setattr(kernels, "_uniforms", uniforms_spy)
+        for count in (kernels._SCALAR_TAIL, 2 * kernels._SCALAR_TAIL):
+            walks.clear()
+            scalar = [kernels.chain_sample(n, probs, q, t_delta, parallel,
+                                           kernels.stream_state(seed, k))[1]
+                      for k in range(count)]
+            assert np.array_equal(
+                kernels.chain_times(seed, count, n, probs, q, t_delta, parallel), scalar)
+            # one call makes the lists of all walked trials; each later one
+            # refills a single trial's
+            (sizes,) = walks
+            assert sizes[0] <= kernels._SCALAR_TAIL
+            assert len(sizes) > 1 and set(sizes[1:]) == {1}, count
+
+    @pytest.mark.parametrize("overrides", [{}, CERTAIN_CLICK], ids=["q<1", "q=1"])
+    @pytest.mark.parametrize("policy", mc.POLICIES)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_pass_parks_and_carries(self, monkeypatch, n, policy, overrides):
+        # a first window with exactly one passed test, level 2 empty as in
+        # every fresh trial: the link parks at level 2 and the running total
+        # restarts after it; both carry into the next step
+        params = make_params(**overrides)
+        p_1 = mc._level_probs(params, n)[1]
+        first_step = []
+        uniforms = kernels._uniforms
+
+        def spy(state, draws):
+            u = uniforms(state, draws)
+            first_step.append((draws, u))
+            return u
+
+        monkeypatch.setattr(kernels, "_uniforms", spy)
+        seed, trials = 12, 100
+        assert np.array_equal(bulk_chain(params, n, seed, trials, policy),
+                              scalar_chain(params, n, seed, trials, policy))
+        draws, u = first_step[0]
+        assert u.shape == (draws, trials)
+        w = (draws - n + 1) // 3
+        passes = (u[2:3 * w:3] < p_1).sum(axis=0)
+        assert w > 1 and (passes == 1).any()
 
 
 def step_starts(n, probs, q, t_delta, parallel, state):
@@ -348,7 +410,7 @@ class TestLockstepProperties:
            seed=st.integers(0, 2 ** 64 - 1), t_delta=st.floats(1e-9, 1.0))
     def test_bulk_matches_scalar(self, chain, parallel, count, seed, t_delta):
         n, probs, q = chain
-        assume(count * mc._expected_draws(probs) <= 1e5)
+        assume(count * kernels.expected_draws(probs) <= 1e5)
         scalar = [kernels.chain_sample(n, probs, q, t_delta, parallel,
                                        kernels.stream_state(seed, k))[1]
                   for k in range(count)]
@@ -378,7 +440,8 @@ class TestMemoryGuard:
         cfg = defaults.trials
         assert cfg.n_trials * mc._trial_bytes(defaults.repeater.levels) <= mc.MEMORY_BUDGET
 
-    @pytest.mark.parametrize("n, trials", [(0, 400_000), (1, 100_000), (2, 40_000)])
+    @pytest.mark.parametrize("n, trials", [(0, 400_000), (1, 100_000), (2, 40_000),
+                                           (3, 10_000)])
     def test_trial_bytes_bound_the_peak(self, n, trials):
         params = make_params()
         cfg = TrialConfig(seed=3, n_trials=trials)
@@ -390,6 +453,26 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak <= trials * mc._trial_bytes(n)
+
+
+class TestStepCount:
+    def test_level_three_steps_stay_near_half(self, monkeypatch):
+        # the mc_waiting_times parameters, seed 1, 1000 trials: a lockstep
+        # step of one level-1 link per trial, and chain_sample for the last
+        # 8 trials, called _uniforms 175 times; 86 steps of one level-2
+        # attempt and 11 lists of the walk call it 97 times
+        calls = []
+        uniforms = kernels._uniforms
+
+        def spy(state, draws):
+            calls.append(draws)
+            return uniforms(state, draws)
+
+        monkeypatch.setattr(kernels, "_uniforms", spy)
+        for policy in mc.POLICIES:
+            calls.clear()
+            chain_times(make_params(), 3, TrialConfig(seed=1, n_trials=1000, policy=policy))
+            assert len(calls) <= 0.6 * 175, policy
 
 
 class TestStatisticsOverflow:
