@@ -151,6 +151,9 @@ def _key_table(c_n: float, phi: float, eta_a: float) -> list:
             for a in phases for b in phases]
 
 
+# rounds per block of ``ekert_simulation``'s draws and counts
+_KEY_BLOCK = 8192
+
 KeyStats = namedtuple("KeyStats", ("rounds", "sifted_length", "qber", "coincidence_rate",
                                    "seed"))
 
@@ -171,27 +174,39 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
     if 3 * rounds > DRAW_BUDGET:
         raise InfeasibleError(f"{rounds} rounds need {3 * rounds:.3g} random draws, "
                               f"over the budget of {DRAW_BUDGET:.0e}")
-    # per round: the cell and the uniform, and for a candidate round its
-    # index, cell, uniform and outcome (tracemalloc peak: 21 bytes at
-    # eta_a = 0.5, 37 at the largest coincidence weight of a link, 1/2)
+    # the run holds one byte a round, the cell, and a block's temporaries
+    # (tracemalloc peak at 1e6 rounds: 1.17 bytes a round at eta_a = 0.5,
+    # 1.29 at 1).  The cap stays at the 56 bytes a round the unblocked run
+    # needed, so the same requests are refused with the same exit code.
     check_memory(56 * rounds, f"{rounds} rounds")
     table = _key_table(c_n, phi, eta_a)
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    # cell 2 left + right of the two sites' settings, drawn left then right
-    cell = 2 * rng.integers(0, 2, size=rounds)
-    cell += rng.integers(0, 2, size=rounds)
-    u = rng.random(rounds)
+    # cell 2 left + right of the two sites' settings, drawn left then right.
+    # PCG64 keeps its spare 32-bit half between calls, so the blocked calls
+    # draw the stream of one call per site.
+    cell = np.empty(rounds, np.uint8)
+    blocks = [cell[start:start + _KEY_BLOCK] for start in range(0, rounds, _KEY_BLOCK)]
+    for block in blocks:
+        block[:] = rng.integers(0, 2, size=block.size)
+    cell <<= 1
+    for block in blocks:
+        block += rng.integers(0, 2, size=block.size).astype(np.uint8)
     # 0..3: patterns 11, 12, 21, 22; 4: no coincidence.  The weights are
     # non-negative, so a round with u at or above every cell's total is no
     # coincidence in any cell: only the other rounds are compared, and the
     # no-coincidence counts, which nothing reads, miss the rest.
     cum = np.cumsum(table, axis=1)
-    cand = np.flatnonzero(u < cum[:, 3].max())
-    cand_cell = cell.take(cand)
-    outcome = sum(u.take(cand) >= col.take(cand_cell) for col in cum.T)
-    counts = np.bincount(5 * cand_cell + outcome, minlength=20).reshape(4, 5)
+    top = cum[:, 3].max()
+    counts = np.zeros(20, np.int64)
+    for block in blocks:
+        u = rng.random(block.size)
+        cand = np.flatnonzero(u < top)
+        cand_cell = block.take(cand)
+        outcome = sum(u.take(cand) >= col.take(cand_cell) for col in cum.T)
+        counts += np.bincount(5 * cand_cell + outcome, minlength=20)
+    counts = counts.reshape(4, 5)
     kept = counts[[0, 3], :4]                  # matching settings, coincident
     sifted = int(kept.sum())
     # bit 0 when detector 1 fires (left in 11, 12; right in 11, 21), so the

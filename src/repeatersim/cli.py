@@ -293,10 +293,10 @@ def cmd_dynamics(cfg: Config, args) -> int:
                          f"must fit in a float")
     rates = ensemble.effective_rates(cfg.ensemble)
     _refuse_infinite(cfg, rates, ("bad_cavity_ratio",))   # kappa' = 0: no gain, no window
-    if args.t_max is None and rates.kappa_prime == 0.0:   # underflowed at nonzero keys
+    if rates.kappa_prime == 0.0:   # underflowed at nonzero keys: no gain, no window
         at = ", ".join(f"ensemble.{k} = {getattr(cfg.ensemble, k)!r}" for k in _KAPPA_KEYS)
-        raise ValueError(f"kappa_prime underflows to 0 at {at}, so it sets no time "
-                         f"window; give --t-max")
+        raise ValueError(f"kappa_prime underflows to 0 at {at}, so the collective "
+                         f"mode has no gain")
     t_end = args.t_max if args.t_max is not None else 0.05 / rates.kappa_prime
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValueError(f"time window t_max = {t_end} must be positive and finite")

@@ -159,7 +159,17 @@ def vacuum_coeff_closed_form(i: int, eta_s: float, c0: float = 0.0) -> float:
     """Exact solution 2^i c0 + (2^i - 1)(1 - eta_s) of the affine recursion."""
     if i < 0:
         raise ValueError("level must be >= 0")
-    return (2.0 ** i) * c0 + (2.0 ** i - 1.0) * (1.0 - eta_s)
+    for name, arg in (("eta_s", eta_s), ("c0", c0)):
+        if not math.isfinite(arg):
+            raise ValueError(f"{name} must be finite, got {arg}")
+    try:
+        value = (2.0 ** i) * c0 + (2.0 ** i - 1.0) * (1.0 - eta_s)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the vacuum coefficient overflows a float at i = {i}, "
+                         f"eta_s = {eta_s}, c0 = {c0}")
+    return value
 
 
 # length in attenuation lengths; success_prob the click probability at level

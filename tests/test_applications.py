@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repeatersim.applications import (
 from repeatersim.protocol import eme_density
 
 ROOT8 = 2 * math.sqrt(2)
+BLOCK = applications._KEY_BLOCK
 
 
 def gate_chain(rho, setting):
@@ -526,6 +528,34 @@ class TestEkert:
         for seed in (1, 2, 77):
             got = ekert_simulation(0.0, 0.0, 1.0, rounds=30_000, seed=seed)
             assert got == reference_key_stats(table, 30_000, seed)
+
+    @pytest.mark.parametrize("rounds", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 12_345])
+    def test_block_edges_match_reference_sampler(self, monkeypatch, rounds):
+        # the sampler draws and counts a block of rounds at a time, the
+        # reference in one call per draw: both read one stream
+        rng = np.random.default_rng(5)
+        probs = {(a, b): list(rng.dirichlet(np.ones(5))[:4]) for a in (0, 1) for b in (0, 1)}
+        table = outcome_table(probs)
+        self.use_table(monkeypatch, probs)
+        for seed in (1, 2, 2 ** 64 - 1):
+            got = ekert_simulation(0.0, 0.0, 1.0, rounds=rounds, seed=seed)
+            assert got == reference_key_stats(table, rounds, seed)
+
+    @pytest.mark.parametrize("eta_a", [0.5, 1.0])
+    def test_peak_memory_is_about_a_byte_a_round(self, eta_a):
+        # the cell is one byte a round and a block's temporaries a fixed
+        # allowance, under the 56 bytes a round of the memory check; eta_a = 1
+        # gives the largest coincidence weight, so the most candidate rounds
+        rounds = 10 ** 6
+        ekert_simulation(0.0, 0.0, eta_a, rounds=1000, seed=3)   # imports and caches
+        tracemalloc.start()
+        try:
+            ekert_simulation(0.0, 0.0, eta_a, rounds=rounds, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rounds + 64 * BLOCK
+        assert peak <= 56 * rounds
 
     @staticmethod
     def use_table(monkeypatch, probs):

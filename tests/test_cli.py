@@ -158,21 +158,24 @@ class TestDynamics:
         assert run_cli(["--config", cfg, "rates"]) == (3, "")
         assert capsys.readouterr().err == f"numeric failure: {reason}\n"
 
-    def test_underflowed_collective_rate_exits_3_naming_its_keys(self, tmp_path, capsys):
+    @pytest.mark.parametrize("window", [[], ["--t-max", "1"]])
+    def test_underflowed_collective_rate_exits_3_naming_its_keys(self, tmp_path, capsys,
+                                                                 window):
         # kappa' underflows to 0 at nonzero keys: bad_cavity_ratio is finite,
-        # but kappa' sets no default window
+        # but kappa' sets no default window, and a given window would compare
+        # two infinite rate ratios
         cfg = write_config(tmp_path, "[ensemble]\nrabi = 1e-170\n")
         ens = config.from_raw(config.read_raw(cfg)).ensemble
         out_file = tmp_path / "dyn.csv"
-        code, out = run_cli(["--config", cfg, "dynamics", "--out", str(out_file)])
+        code, out = run_cli(["--config", cfg, "dynamics", *window, "--out", str(out_file)])
         assert code == 3
         assert out == ""
         at = ", ".join(f"ensemble.{k} = {getattr(ens, k)!r}" for k in
                        ("atom_count", "rabi", "coupling", "detuning", "cavity_decay"))
         assert "ensemble.rabi = 1e-170" in at
         assert capsys.readouterr().err == (
-            f"numeric failure: kappa_prime underflows to 0 at {at}, so it sets no time "
-            "window; give --t-max\n")
+            f"numeric failure: kappa_prime underflows to 0 at {at}, so the collective "
+            "mode has no gain\n")
         assert not out_file.exists()
 
     def test_mode_count_beyond_a_float_exits_3_naming_modes(self, tmp_path, capsys):

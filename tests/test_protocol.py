@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,29 @@ class TestClosedForm:
             _, state = swap_analytic(state, state, eta)
         closed = vacuum_coeff_closed_form(i, eta, c0)
         assert state.vacuum_coeff == pytest.approx(closed, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eta_s_refused_by_name(self, bad):
+        with pytest.raises(ValueError, match=f"^eta_s must be finite, got {bad}$"):
+            vacuum_coeff_closed_form(3, bad, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c0_refused_by_name(self, bad):
+        with pytest.raises(ValueError, match=f"^c0 must be finite, got {bad}$"):
+            vacuum_coeff_closed_form(3, 0.5, bad)
+
+    @pytest.mark.parametrize("i, c0", [(1024, 0.0), (5000, 0.1), (1023, 2.0)])
+    def test_overflow_refused_naming_its_arguments(self, i, c0):
+        # 2.0 ** i raises OverflowError from i = 1024; below it the sum itself
+        # can still leave the float range
+        with pytest.raises(ValueError, match=re.escape(
+                f"the vacuum coefficient overflows a float at i = {i}, eta_s = 0.5, "
+                f"c0 = {c0}")):
+            vacuum_coeff_closed_form(i, 0.5, c0)
+
+    def test_largest_finite_level_passes(self):
+        assert vacuum_coeff_closed_form(1023, 1.0, 0.0) == 0.0
+        assert vacuum_coeff_closed_form(1023, 0.5, 0.0) == (2.0 ** 1023 - 1.0) * 0.5
 
 
 class TestGenerateOracle:
