@@ -1,0 +1,28 @@
+"""The records' one way to check their fields, and to refuse a non-finite value."""
+
+import math
+
+
+class Checked:
+    """First base of a namedtuple record that sets ``__slots__ = ()`` and
+    defines ``_check``.  A namedtuple's ``_make``, and with it ``_replace``,
+    skips the subclass's ``__new__``; here both build through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+def check_finite(**values):
+    """Refuse a NaN (which passes every range check) or infinite value by name.
+    The chained comparison, unlike ``math.isfinite``, takes any int."""
+    for name, value in values.items():
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")

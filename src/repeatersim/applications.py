@@ -15,36 +15,31 @@ import math
 import sys
 from collections import namedtuple
 
+from ._records import Checked
 from .montecarlo import DRAW_BUDGET, check_memory
 from .protocol import InfeasibleError, check_link
 
 
-class MeasurementSetting(namedtuple("MeasurementSetting", ("psi_left", "psi_right"))):
+class MeasurementSetting(Checked, namedtuple("MeasurementSetting", ("psi_left", "psi_right"))):
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not (math.isfinite(self.psi_left) and math.isfinite(self.psi_right)):
             raise ValueError("settings must be finite")
-        return self
 
 
-class PolarizationQubit(namedtuple("PolarizationQubit", ("d0", "d1"))):
+class PolarizationQubit(Checked, namedtuple("PolarizationQubit", ("d0", "d1"))):
     """Single excitation shared between two storage modes, amplitudes
     (d0, d1) with |d0|^2 + |d1|^2 = 1."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         norm = abs(self.d0) ** 2 + abs(self.d1) ** 2
         if not math.isfinite(norm):
             raise ValueError("qubit amplitudes must be finite")
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"qubit norm {norm} deviates from 1 beyond 1e-12")
-        return self
 
     @classmethod
     def from_bloch(cls, theta: float, phi: float) -> "PolarizationQubit":
@@ -176,9 +171,8 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
                               f"over the budget of {DRAW_BUDGET:.0e}")
     # the run holds one byte a round, the cell, and a block's temporaries
     # (tracemalloc peak at 1e6 rounds: 1.17 bytes a round at eta_a = 0.5,
-    # 1.29 at 1).  The cap stays at the 56 bytes a round the unblocked run
-    # needed, so the same requests are refused with the same exit code.
-    check_memory(56 * rounds, f"{rounds} rounds")
+    # 1.29 at 1), so the draw budget binds first at the default memory cap
+    check_memory(2 * rounds + 64 * _KEY_BLOCK, f"{rounds} rounds")
     table = _key_table(c_n, phi, eta_a)
     import numpy as np
 

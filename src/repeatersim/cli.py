@@ -42,7 +42,7 @@ EXIT_INFEASIBLE = 4
 
 MAX_SWEEP_STEPS = 10_000   # each step runs the whole command once
 MAX_DYNAMICS_POINTS = 100_000   # the grid, populations and CSV rows are all held
-MAX_DYNAMICS_CUTOFF = 100   # populations hold 2 x points x (cutoff + 1) numbers
+MAX_DYNAMICS_CUTOFF = 100   # the weak-excitation model leaves levels this high empty
 
 
 def _fmt(value, precision: int):
@@ -311,13 +311,16 @@ def cmd_dynamics(cfg: Config, args) -> int:
     grid = _linspace(0.0, t_end, args.points)
     pops = ensemble.integrate_master_equation(cfg.ensemble, args.modes,
                                               args.cutoff, grid)
+    analytic = ((rates.kappa_prime + rates.gamma_s_prime) / rates.gamma_s_prime
+                if rates.gamma_s_prime > 0 else math.inf)
+    extracted = pops.rate_ratio()
+    if math.isfinite(analytic) and not math.isfinite(extracted):
+        raise ValueError(f"the extracted rate ratio is {extracted} at --t-max {t_end!r}: "
+                         f"the noise-mode fit underflows, so the window is too short")
     rows = [(t, c, noise, c / noise if noise > 0 else math.nan)
             for t, c, noise in zip(grid, pops.collective, pops.per_noise_mode)]
     path = args.out or "dynamics.csv"
     emit_csv(("t", "pop_collective", "pop_noise_mode", "ratio"), rows, cfg, path)
-    analytic = ((rates.kappa_prime + rates.gamma_s_prime) / rates.gamma_s_prime
-                if rates.gamma_s_prime > 0 else math.inf)
-    extracted = pops.rate_ratio()
     deviation = abs(extracted / analytic - 1.0) if math.isfinite(analytic) else 0.0
     print(f"extracted rate ratio {extracted:.6g} vs analytic {analytic:.6g} "
           f"(deviation {100 * deviation:.2f}%)")

@@ -19,6 +19,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._records import check_finite
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -28,14 +30,6 @@ ADIABATIC_RATIO_WARN = 10.0
 
 # work cap of the drift cross-check; rtol 1e-11 on the criterion-8 grid needs 317
 MAX_RK4_SUBSTEPS = 1_000_000
-
-
-def _check_finite(**values):
-    """Refuse a NaN (which passes every range check) or infinite value by name.
-    The chained comparison, unlike ``math.isfinite``, takes any int."""
-    for name, value in values.items():
-        if not -math.inf < value < math.inf:
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class EnsembleParams:
             raise ValueError(f"spont_rate must be non-negative, got {self.spont_rate}")
         if self.interaction_time < 0.0:
             raise ValueError(f"interaction_time must be non-negative, got {self.interaction_time}")
-        _check_finite(**vars(self))
+        check_finite(**vars(self))
 
     @property
     def bad_cavity_ratio(self) -> float:
@@ -111,7 +105,7 @@ def langevin_mean_solution(params: EnsembleParams, t: float) -> float:
     """Deterministic amplitude gain exp(kappa' t / 2) of the collective mode."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    _check_finite(t=t)
+    check_finite(t=t)
     kp = effective_rates(params).kappa_prime
     return math.exp(kp * t / 2.0)
 
@@ -231,20 +225,24 @@ def integrate_master_equation(params: EnsembleParams, n_modes: int, cutoff: int,
     if times != sorted(times):
         raise ValueError("t_grid must be non-decreasing")
     rates = effective_rates(params)
-    exp, expm1, t0, levels = math.exp, math.expm1, times[0], range(1, cutoff)
+    exp, expm1, log1p, t0 = math.exp, math.expm1, math.log1p, times[0]
     columns, power = [], float(n_modes - 1)   # means, traces: collective, then a noise mode
     for rate in (rates.kappa_prime + rates.gamma_s_prime, rates.gamma_s_prime):
         means, traces = [], []
         columns += means, traces
         for t in times:
             minus_rt = rate * (t0 - t)
-            e, x = exp(minus_rt), -expm1(minus_rt)
-            mean, trace, x_n = 0.0, e, x   # level n holds e x^n, the cutoff x^c
-            for n in levels:
-                p = e * x_n
-                mean, trace, x_n = mean + n * p, trace + p, x_n * x
-            means.append(mean + cutoff * x_n)
-            traces.append(trace + x_n)
+            e, x = exp(minus_rt), 0.0 - expm1(minus_rt)   # x = +0.0, not -0.0, at t0
+            # P(N >= k) = x^k up to the cutoff, so the mean is x (1 - x^c) / e;
+            # past x = 1/2, 1 - e would lose e's digits, so x^c goes through log1p
+            if x <= 0.5:
+                x_c = x ** cutoff
+                below = 1.0 - x_c
+            else:
+                log_x_c = cutoff * log1p(-e)
+                x_c, below = exp(log_x_c), -expm1(log_x_c)
+            means.append(x * below / e if e else float(cutoff))
+            traces.append(below + x_c)
     state_traces = [tc * tn ** power for tc, tn in zip(columns[1], columns[3])]
     return ModePopulations(times, columns[0], columns[2], state_traces)
 
@@ -261,7 +259,7 @@ def free_space_snr(density: float, length: float, wavenumber: float) -> FreeSpac
     """
     if density <= 0 or length <= 0 or wavenumber <= 0:
         raise ValueError("density, length and wavenumber must all be positive")
-    _check_finite(density=density, length=length, wavenumber=wavenumber)
+    check_finite(density=density, length=length, wavenumber=wavenumber)
     value = 3.0 * density * length / wavenumber ** 2
     dilute = wavenumber / density ** (1.0 / 3.0)
     return FreeSpaceSnr(snr=value, optical_depth=value, superradiance_risk=dilute < 1.0)

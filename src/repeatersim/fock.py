@@ -17,6 +17,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from ._records import Checked
+
 DEFAULT_DIM_BOUND = 1_000_000
 
 # diagonal support above this weight counts as real (not numerical noise)
@@ -31,7 +33,7 @@ class ImpossibleOutcomeError(ValueError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 
-class ModeLayout(namedtuple("ModeLayout", ("modes", "cutoff"))):
+class ModeLayout(Checked, namedtuple("ModeLayout", ("modes", "cutoff"))):
     """Mode count and per-mode photon-number cutoff.
 
     Dimension per mode is ``cutoff + 1``; total dimension is
@@ -40,10 +42,8 @@ class ModeLayout(namedtuple("ModeLayout", ("modes", "cutoff"))):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.modes < 1:
             raise ValueError(f"modes must be positive, got {self.modes}")
         if self.cutoff < 1:
@@ -54,7 +54,6 @@ class ModeLayout(namedtuple("ModeLayout", ("modes", "cutoff"))):
                 f"layout dimension {(self.cutoff + 1)}**{self.modes} = "
                 f"{self.dim} exceeds bound {DEFAULT_DIM_BOUND}"
             )
-        return self
 
     @property
     def dim(self) -> int:
@@ -90,21 +89,21 @@ class ModeLayout(namedtuple("ModeLayout", ("modes", "cutoff"))):
             raise ValueError(f"{gate} needs two distinct modes")
 
 
-class PureState(namedtuple("PureState", ("layout", "amplitudes"))):
+class PureState(Checked, namedtuple("PureState", ("layout", "amplitudes"))):
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
     def __new__(cls, layout: ModeLayout, amplitudes):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (layout.dim,):
+        return super().__new__(cls, layout, np.asarray(amplitudes, dtype=complex))
+
+    def _check(self):
+        if self.amplitudes.shape != (self.layout.dim,):
             raise ValueError("amplitude vector does not match layout dimension")
         # a NaN or infinite amplitude makes the norm NaN or infinite
-        norm = np.linalg.norm(amplitudes)
+        norm = np.linalg.norm(self.amplitudes)
         if not math.isfinite(norm):
             raise ValueError(f"state norm {norm} is not finite")
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
-        return super().__new__(cls, layout, amplitudes)
 
     def to_density(self) -> "DensityOperator":
         return DensityOperator.from_factor(self.layout, self.amplitudes[:, None])
@@ -400,8 +399,9 @@ def apply_loss(rho: DensityOperator, i: int, eta: float) -> DensityOperator:
     return DensityOperator.from_factor(layout, np.concatenate(images, axis=1))
 
 
-class DetectorModel(namedtuple("DetectorModel", ("efficiency", "dark_count_prob", "resolving"),
-                               defaults=(1.0, 0.0, False))):
+class DetectorModel(Checked, namedtuple("DetectorModel",
+                                        ("efficiency", "dark_count_prob", "resolving"),
+                                        defaults=(1.0, 0.0, False))):
     """Single-photon detector.
 
     Non-resolving (default): threshold click with
@@ -411,17 +411,14 @@ class DetectorModel(namedtuple("DetectorModel", ("efficiency", "dark_count_prob"
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
         if not 0.0 <= self.dark_count_prob <= 1.0:
             raise ValueError(f"dark_count_prob {self.dark_count_prob} outside [0, 1]")
         if self.resolving and self.dark_count_prob != 0.0:
             raise ValueError("dark counts are not supported for resolving detectors")
-        return self
 
     def no_click_weights(self, cutoff: int) -> np.ndarray:
         n = np.arange(cutoff + 1)

@@ -22,6 +22,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
+from ._records import Checked
 from .protocol import InfeasibleError, RepeaterParams, chain
 
 if TYPE_CHECKING:
@@ -36,17 +37,15 @@ DRAW_BUDGET = 1e9   # expected draws per chain_times call: minutes of sampling, 
 MEMORY_BUDGET = 2 ** 30   # bytes one batch, trace or key run may hold
 
 
-class TrialConfig(namedtuple("TrialConfig", ("seed", "n_trials", "policy", "threads"),
-                             defaults=("parallel_max", 1))):
+class TrialConfig(Checked, namedtuple("TrialConfig", ("seed", "n_trials", "policy", "threads"),
+                                      defaults=("parallel_max", 1))):
     """Seed, trial count and swap policy of one batch.  ``threads`` is
     validated and reported but does not change the samples; the sampler
     runs on one thread."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if self.policy not in POLICIES:
@@ -55,7 +54,6 @@ class TrialConfig(namedtuple("TrialConfig", ("seed", "n_trials", "policy", "thre
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        return self
 
 
 @functools.cache

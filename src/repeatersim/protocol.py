@@ -17,6 +17,8 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
+from ._records import Checked, check_finite
+
 if TYPE_CHECKING:
     from . import fock
 
@@ -33,17 +35,15 @@ class InfeasibleError(ValueError):
     reaches, or a Monte Carlo run over its draw budget."""
 
 
-class EMEState(namedtuple("EMEState", ("vacuum_coeff", "phase", "fidelity_deficit",
-                                     "span_length"), defaults=(0.0, 0.0, 0.0))):
+class EMEState(Checked, namedtuple("EMEState", ("vacuum_coeff", "phase", "fidelity_deficit",
+                                              "span_length"), defaults=(0.0, 0.0, 0.0))):
     """Effective maximally entangled link: vacuum weight c/(c+1), shared
     single excitation weight 1/(c+1), accumulated channel phase, linearized
     fidelity deficit, and span in attenuation lengths."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         # written so a NaN fails: an infinite vacuum_coeff or phase stays legal
         if not self.vacuum_coeff >= 0:
             raise ValueError(f"vacuum_coeff must be >= 0, got {self.vacuum_coeff}")
@@ -51,10 +51,9 @@ class EMEState(namedtuple("EMEState", ("vacuum_coeff", "phase", "fidelity_defici
             raise ValueError(f"fidelity_deficit {self.fidelity_deficit} outside [0, 1]")
         if not self.span_length >= 0:
             raise ValueError(f"span_length must be >= 0, got {self.span_length}")
-        return self
 
 
-class RepeaterParams(namedtuple("RepeaterParams", (
+class RepeaterParams(Checked, namedtuple("RepeaterParams", (
         "excitation_prob", "pulse_time", "local_efficiency", "swap_efficiency",
         "app_efficiency", "dark_prob", "attenuation_length", "segment_length", "levels"),
         defaults=(1.0, 1.0, 0))):
@@ -67,10 +66,8 @@ class RepeaterParams(namedtuple("RepeaterParams", (
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         checks = [
             ("excitation_prob", 0.0 < self.excitation_prob < 1.0),
             ("pulse_time", 0.0 < self.pulse_time < math.inf),
@@ -85,7 +82,6 @@ class RepeaterParams(namedtuple("RepeaterParams", (
         for name, ok in checks:
             if not ok:
                 raise ValueError(f"{name} = {getattr(self, name)} outside its valid range")
-        return self
 
     @property
     def eta_p(self) -> float:
@@ -159,9 +155,7 @@ def vacuum_coeff_closed_form(i: int, eta_s: float, c0: float = 0.0) -> float:
     """Exact solution 2^i c0 + (2^i - 1)(1 - eta_s) of the affine recursion."""
     if i < 0:
         raise ValueError("level must be >= 0")
-    for name, arg in (("eta_s", eta_s), ("c0", c0)):
-        if not math.isfinite(arg):
-            raise ValueError(f"{name} must be finite, got {arg}")
+    check_finite(eta_s=eta_s, c0=c0)
     try:
         value = (2.0 ** i) * c0 + (2.0 ** i - 1.0) * (1.0 - eta_s)
     except OverflowError:

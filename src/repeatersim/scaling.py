@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from ._records import Checked
 from .protocol import ChainStallError, InfeasibleError, RepeaterParams, chain
 
 
@@ -38,7 +39,7 @@ def fidelity_budget(segments: float, per_connection_dark: float, asym: float,
                           asym_negligible=walk <= 0.1 * tgt)
 
 
-class ScalingReport(namedtuple("ScalingReport", (
+class ScalingReport(Checked, namedtuple("ScalingReport", (
         "t0", "t_n", "t_tot", "t_con", "ratio", "chain", "baseline_direct_ratio",
         "budget", "p_app", "excitation_prob", "segment_length", "total_length",
         "levels"))):
@@ -47,15 +48,12 @@ class ScalingReport(namedtuple("ScalingReport", (
     and the fidelity budget; the rest are companions."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))   # so _replace checks too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self):
         if min(self.t0, self.t_n, self.t_tot, self.t_con) <= 0:
             raise ValueError("all times must be positive")
         if abs(self.ratio - self.t_tot / self.t_con) > 1e-12 * self.ratio:
             raise ValueError("ratio inconsistent with its factors")
-        return self
 
 
 def direct_ratio(length_ratio: float) -> float:
@@ -163,7 +161,13 @@ def optimize_segment(params_base: RepeaterParams, total_length: float,
         if m is None:
             raise ValueError("power_law objective needs the exponent m")
         l0 = optimal_segment_power_law(m, l_att)
-        value = (total_length / l0) ** m * math.exp(l0 / l_att)
+        try:   # in logs, so neither factor overflows or underflows on its own
+            value = math.exp(m * (math.log(total_length) - math.log(l0)) + l0 / l_att)
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"the power-law value is {value} in floats at m = {m}, "
+                             f"total_length = {total_length}, attenuation_length = {l_att}")
         return SegmentOptimum(l0_star=l0, n_star=None, value=value, scanned=())
     if total_length <= l_att:
         raise ValueError("total length must exceed the attenuation length")

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from repeatersim import applications, cli, config, scaling
+from repeatersim import applications, cli, config, montecarlo, scaling
 
 
 def run_cli(argv, tmp_path=None, env_extra=None):
@@ -129,8 +129,10 @@ class TestDynamics:
     def test_no_spontaneous_emission_zeroes_noise_column(self, tmp_path):
         cfg = write_config(tmp_path, "[ensemble]\nspont_rate = 0\n")
         out_file = tmp_path / "dyn.csv"
-        code, _ = run_cli(["--config", cfg, "dynamics", "--out", str(out_file)])
+        code, out = run_cli(["--config", cfg, "dynamics", "--out", str(out_file)])
         assert code == 0
+        # both ratios are infinite: nothing to refuse
+        assert out == "extracted rate ratio inf vs analytic inf (deviation 0.00%)\n"
         rows = out_file.read_text().strip().splitlines()[2:]
         noise = [float(r.split(",")[2]) for r in rows]
         assert max(abs(v) for v in noise) < 1e-10
@@ -176,6 +178,18 @@ class TestDynamics:
         assert capsys.readouterr().err == (
             f"numeric failure: kappa_prime underflows to 0 at {at}, so the collective "
             "mode has no gain\n")
+        assert not out_file.exists()
+
+    def test_underflowed_rate_fit_exits_3_naming_t_max(self, tmp_path, capsys):
+        # every noise-mode term of the fit underflows, so the extracted ratio
+        # is inf against an analytic 41
+        out_file = tmp_path / "dyn.csv"
+        code, out = run_cli(["dynamics", "--t-max", "1e-300", "--out", str(out_file)])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "numeric failure: the extracted rate ratio is inf at --t-max 1e-300: the "
+            "noise-mode fit underflows, so the window is too short\n")
         assert not out_file.exists()
 
     def test_mode_count_beyond_a_float_exits_3_naming_modes(self, tmp_path, capsys):
@@ -433,6 +447,20 @@ class TestOptimize:
         assert out == ""
         assert "exponent must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m,value", [("700", 2.73847842e-288), ("1e-320", 1.0)])
+    def test_power_law_value_is_finite_json(self, m, value):
+        code, out = run_cli(["optimize", "--objective", "power_law", "--m", m])
+        assert code == 0
+        assert json.loads(out, parse_constant=TestContract.refuse_constant)["value"] == value
+
+    def test_power_law_value_beyond_a_float_exits_3_naming_its_inputs(self, capsys):
+        code, out = run_cli(["optimize", "--objective", "power_law", "--m", "800"])
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "numeric failure: the power-law value is 0.0 in floats at m = 800.0, "
+            "total_length = 100.0, attenuation_length = 1.0\n")
+
     def test_compositional_default(self, tmp_path):
         cfg = write_config(tmp_path, "[repeater]\ndark_prob = 0\n")
         code, out = run_cli(["--config", cfg, "optimize"])
@@ -468,13 +496,15 @@ class TestEkert:
         err = capsys.readouterr().err
         assert "1.2e+09 random draws" in err and "budget of 1e+09" in err
 
-    def test_rounds_beyond_memory_cap_exits_4(self, capsys):
-        # 3e8 rounds are within the draw budget but would hold about 16 GiB
-        code, out = run_cli(["ekert", "--rounds", "300000000", "--seed", "9"])
+    def test_rounds_beyond_memory_cap_exits_4(self, monkeypatch, capsys):
+        # the draw budget binds before the 1 GiB cap, so lower the cap: 1e6
+        # rounds hold about 2 MiB, over a cap of 1 MiB
+        monkeypatch.setattr(montecarlo, "MEMORY_BUDGET", 2 ** 20)
+        code, out = run_cli(["ekert", "--rounds", "1000000", "--seed", "9"])
         assert code == 4
         assert out == ""
         err = capsys.readouterr().err
-        assert "300000000 rounds would hold about" in err and "memory cap of 1024 MiB" in err
+        assert "1000000 rounds would hold about 2 MiB" in err and "memory cap of 1 MiB" in err
 
 
 class TestTeleport:
@@ -791,26 +821,28 @@ class TestRecords:
         assert str(replaced.value) == str(built.value)
         assert type(valid._replace()) is type(valid)
 
-    def test_every_checked_record_routes_replace_through_its_checks(self):
-        # a namedtuple record with a ``__new__`` must also set ``_make``, or
-        # ``_replace`` builds it through tuple.__new__ unchecked
+    def test_every_checked_record_checks_through_the_one_base(self):
+        # a namedtuple's ``_make`` and ``_replace`` skip a subclass's
+        # ``__new__``: a record checks its fields in ``_check`` behind
+        # ``Checked``, and only PureState keeps a ``__new__``, to convert
         import ast
         import pathlib
 
-        unrouted, checked = [], []
+        made, built, checked = [], [], []
         for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.ClassDef) and any(
-                        "namedtuple" in ast.unparse(b) for b in node.bases):
-                    names = {t.id for n in node.body if isinstance(n, ast.Assign)
-                             for t in n.targets if isinstance(t, ast.Name)}
-                    names |= {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
-                    if "__new__" in names:
-                        checked.append(node.name)
-                        if "_make" not in names:
-                            unrouted.append(node.name)
-        assert unrouted == []
-        assert sorted(checked) == sorted(self.checked_records())
+                if isinstance(node, ast.ClassDef):
+                    made += [node.name for n in node.body if isinstance(n, ast.Assign)
+                             for t in n.targets if isinstance(t, ast.Name) and t.id == "_make"]
+                    defined = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                    if "__new__" in defined:
+                        built.append(node.name)
+                    if "_check" in defined:
+                        checked.append((node.name, ast.unparse(node.bases[0])))
+        assert made == []
+        assert sorted(built) == ["Checked", "PureState"]
+        assert sorted(checked) == sorted((name, "Checked") for name in self.checked_records())
+        assert not any(hasattr(valid, "__dict__") for valid, _ in self.checked_records().values())
 
     def test_threads_override_is_checked(self, capsys):
         code, out = run_cli(["montecarlo", "--trials", "10", "--threads", "0"])

@@ -652,6 +652,20 @@ class TestMasterEquationKernel:
         assert shifted[1:] == origin[1:]
         assert shifted.time_grid == [4.0, 4.5, 5.0]
 
+    def test_populations_start_at_positive_zero(self):
+        # -expm1(0.0) is -0.0, which the CSV would print as -0
+        pops = integrate_master_equation(make_params(), 3, 2, [0.0, 0.1])
+        assert math.copysign(1.0, pops.collective[0]) == 1.0
+        assert math.copysign(1.0, pops.per_noise_mode[0]) == 1.0
+
+    def test_saturated_modes_sit_at_the_cutoff(self):
+        # e^{-Rt} underflows to 0 for both rates: every mode holds c photons
+        params = make_params()
+        t_end = 1e4 / effective_rates(params).gamma_s_prime
+        pops = integrate_master_equation(params, 3, 5, [0.0, t_end])
+        assert pops.collective[1] == pops.per_noise_mode[1] == 5.0
+        assert pops.traces[1] == 1.0
+
     @pytest.mark.parametrize("t_grid,reason", [
         ([0.0, math.nan, 0.2], "t_grid must be finite"),
         ([0.0, 0.1, math.inf], "t_grid must be finite"),

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -161,6 +162,23 @@ class TestOptimizeSegment:
         opt = optimize_segment(make_params(), 4000.0, objective="compositional")
         assert [row[0] for row in opt.scanned] == list(range(3, 21))
         assert opt.n_star == 9
+
+    @pytest.mark.parametrize("m", [1e-320, 0.1, 2.0, 50.0, 700.0])
+    def test_power_law_value_matches_exact_arithmetic(self, m):
+        # (L/L0)^m e^{L0/L_att} in 40 digits: in floats L/L0 overflows at
+        # m = 1e-320, and at m = 700 (L/L0)^m underflows while e^{L0} is finite
+        with decimal.localcontext(decimal.Context(prec=40)):
+            l0 = decimal.Decimal(m)
+            want = float((100 / l0) ** l0 * l0.exp())
+        opt = optimize_segment(make_params(), 100.0, objective="power_law", m=m)
+        assert opt.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("total,m,value", [(100.0, 800.0, 0.0), (1e300, 50.0, math.inf)])
+    def test_power_law_value_beyond_a_float_is_refused_by_its_inputs(self, total, m, value):
+        with pytest.raises(ValueError) as info:
+            optimize_segment(make_params(), total, objective="power_law", m=m)
+        assert str(info.value) == (f"the power-law value is {value} in floats at m = {m}, "
+                                   f"total_length = {total}, attenuation_length = 1.0")
 
     def test_power_law_requires_m(self):
         with pytest.raises(ValueError):
