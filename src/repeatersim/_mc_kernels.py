@@ -40,7 +40,9 @@ def stream_state(seed: int, index: int) -> int:
 
 
 def next_uniform(state: int):
-    """Advance the stream; returns ``(state, u)`` with u in (0, 1)."""
+    """Advance the stream; returns ``(state, u)``, u = (k + 0.5) / 2**53
+    for the top 53 bits k of the mixed state: in (0, 1), except that
+    k = 2**53 - 1 rounds to 1.0."""
     state = (state + _GOLDEN) & _MASK
     z = mix64(state)
     return state, ((z >> 11) + 0.5) * _INV_2_53
@@ -105,7 +107,47 @@ _WINDOW = 7           # level-1 attempts per step once few trials are live
 _SCALAR_TAIL = 16     # live trials finished by _walk
 _TAIL_DRAWS = 256     # at most draws in each of a tail trial's lists
 _GEN_BLOCK = 1 << 15  # level-0 trials per block; its temporaries stay in cache
-_RANKS = np.arange(_WINDOW)[:, None]   # attempt m of a window, one row each
+_STRIDES = _U(_GOLDEN) * np.arange(_TAIL_DRAWS + 1, dtype=np.uint64)   # k: k draws on
+
+
+def _window_ends() -> np.ndarray:
+    """Where the links of a step's window end, one column per 8-bit code:
+    bit m (m < ``_WINDOW``) is set where attempt m's test passed, and bit
+    ``_WINDOW`` where level 2 is empty and the window may park a link there.
+
+    A window's rows are the running total (row 0) and its attempts (row
+    m + 1).  Row 0 of the table is one past the last row of the link that
+    parks at level 2, 0 where none does.  Row 1 is one past the last row of
+    the link the step carries up or keeps as its running total, past the
+    window where no test ends it.  Row 2 is the draws that a window
+    carrying a link up has used, three for each attempt up to that link's
+    last.  A link parks where a test passes with level 2 empty; the
+    attempts after it, up to the second passed test, then make the carried
+    link.
+    """
+    ends = np.zeros((3, 1 << (_WINDOW + 1)), dtype=np.uint8)
+    for code in range(ends.shape[1]):
+        passes = [m for m in range(_WINDOW) if code >> m & 1] + [_WINDOW, _WINDOW]
+        park = code >> _WINDOW and passes[0] < _WINDOW
+        if park:
+            ends[0, code] = passes[0] + 2
+        ends[1, code] = (passes[1] if park else passes[0]) + 2
+    ends[2] = 3 * (ends[1] - 1)
+    return ends
+
+
+_WINDOW_ENDS = _window_ends()
+_ROWS = np.arange(_WINDOW + 1, dtype=np.uint8)[:, None]
+_PASS_BITS = [np.array([1 << m for m in range(w)] + [1 << _WINDOW], dtype=np.uint8)[:, None]
+              for w in range(_WINDOW + 1)]
+
+
+def _link_ends(flags: np.ndarray) -> np.ndarray:
+    """The ``_WINDOW_ENDS`` columns of a window of w attempts: ``flags``
+    rows 0..w-1 are the attempts' passed tests, row w whether level 2 is
+    empty, one column per trial."""
+    code = np.add.reduce(flags * _PASS_BITS[len(flags) - 1], axis=0, dtype=np.uint8)
+    return _WINDOW_ENDS.take(code, axis=1)
 
 
 def _mix(z: np.ndarray):
@@ -127,8 +169,9 @@ def _stream_states(seed: int, count: int, start: int = 0) -> np.ndarray:
 
 
 def _uniforms(state: np.ndarray, draws: int) -> np.ndarray:
-    """The next ``draws`` uniforms of each stream, one column per stream."""
-    z = _U(_GOLDEN) * np.arange(1, draws + 1, dtype=np.uint64)[:, None] + state
+    """The next ``draws`` (at most ``_TAIL_DRAWS``) uniforms of each
+    stream, one column per stream."""
+    z = _STRIDES[1:draws + 1, None] + state
     _mix(z)
     z >>= _U(11)
     u = z.astype(np.float64)
@@ -143,19 +186,19 @@ def _attempts(u: np.ndarray, q: float) -> np.ndarray:
         return np.ones_like(u)
     c = math.log1p(-q)
     x = np.log(u)
-    x /= c
-    k = np.floor(x)
-    # np.log may differ from math.log by an ulp or so, which can move the
-    # floor only where the quotient sits on an integer: redo those as the
-    # scalar does.  The margin, 2**-40 of the largest quotient, is far
-    # wider than that difference.
+    x *= 1.0 / c
+    k = np.ceil(x)                 # floor(x) + 1 where x is not an integer
+    # np.log may differ from math.log by an ulp or so, and the product from
+    # the quotient by another, which can move the floor only where the
+    # quotient sits on an integer: redo those (and the integers themselves)
+    # as the scalar does.  The margin, 2**-40 of the largest quotient, is
+    # far wider than that difference.
     x -= k
-    x -= 0.5
+    x += 0.5
     np.abs(x, out=x)
     near = np.flatnonzero(x > 0.5 - 2.0 ** -40 * 37.5 / -c)   # -ln(u) < 37.5
     for i in near:
-        k.flat[i] = math.floor(math.log(u.flat[i]) / c)
-    k += 1.0
+        k.flat[i] = 1 + math.floor(math.log(u.flat[i]) / c)
     return k
 
 
@@ -187,22 +230,30 @@ def chain_times(seed: int, count: int, n: int, p_levels, q: float,
     total adds the attempts in order up to the first passed test.  Where
     level 2 is empty and the window holds two or more attempts, that link
     parks there and the total restarts after it, up to the second passed
-    test.  A trial that passes no further test keeps the running total
-    and has used 3w draws.  A level-1 link goes up level by level: it
-    waits in ``first``, ending the step, or joins the link waiting there
-    into an attempt whose test is the trial's next uniform.  A passed test
-    hands the level's total up and clears it, and a failed one ends the
-    step.  A link handed up from level n is the sample, and finished
-    trials are compacted out.  Each stream then advances by exactly the
-    draws its trial used.  The window narrows as more trials are live, so
-    a step's arrays stay near ``_BLOCK`` elements: a wider one takes fewer
-    steps, but computes more draws that no trial uses.
+    test.  A trial that passes no further test keeps the running total and
+    has used 3w draws.  The passed tests of a trial's window, read as the
+    bits of one code, index ``_WINDOW_ENDS``, which says where each link
+    ends; each link is then a masked in-order sum.  A level-1 link goes up
+    level by level: it waits in ``first``, ending the step, or joins the
+    link waiting there into an attempt whose test is the trial's next
+    uniform.  A passed test hands the level's total up and clears it, and a
+    failed one ends the step.  The cascade runs on every live trial at
+    once, one row per level, and a link handed up from level n is the
+    sample.  Finished trials are compacted out, and each stream advances by
+    exactly the draws its trial used.  The window narrows as more trials
+    are live, so a step computes about ``_BLOCK + (n - 1) live`` uniforms:
+    a wider window takes fewer steps, but computes more draws that no trial
+    uses.
 
-    A step costs about the same NumPy calls however few trials are live,
-    and the step count is set by the longest trial.  So once at most
-    ``_SCALAR_TAIL`` trials are live, ``_walk`` finishes them from their
-    stream states and columns: each is one of the reference trial's own
-    step starts, so the sample is the reference's.
+    Cost model: a step makes about 55 + 3(n - 1) NumPy calls with a
+    one-attempt window and 63 + 3(n - 1) with a wider one, plus 8 where
+    trials finish; its array operations touch ``(w + 1) live`` elements in
+    the window and ``(n - 1) live`` in the cascade.  Below a few hundred
+    live trials the calls dominate, so a step costs about the same however
+    few trials are live, and the step count is set by the longest trial.
+    So once at most ``_SCALAR_TAIL`` trials are live, ``_walk`` finishes
+    them from their stream states and columns: each is one of the
+    reference trial's own step starts, so the sample is the reference's.
     """
     if n == 0:
         return generation_times(seed, count, q, t_delta)
@@ -210,78 +261,74 @@ def chain_times(seed: int, count: int, n: int, p_levels, q: float,
     out = np.empty(count)
     trial = np.arange(count)
     state = _stream_states(seed, count)
-    tot = np.zeros((n + 1, count))     # row l: level l, one column per trial
-    first = np.zeros((n + 1, count))
+    levels = np.zeros((2, n, count))   # tot, then first; row l - 1: level l
+    p_up = np.array(p_levels[2:])[:, None]
+    offsets = np.arange(n - 1)[:, None]
     while trial.size > _SCALAR_TAIL:
         live = trial.size
         w = min(_WINDOW, max(1, _BLOCK // (3 * live)))
+        two = n > 1 and w > 1              # the window may park a link at level 2
         u = _uniforms(state, 3 * w + n - 1)
+        tot, first = levels
         window = u[:3 * w].reshape(w, 3, live)   # attempt m: leaves, then test
         leaf = _attempts(window[:, :2], q)
         leaf *= t_delta
         acc = np.empty((w + 1, live))      # the running total and each attempt
-        acc[0] = tot[1]
+        acc[0] = tot[0]
         join(leaf[:, 0], leaf[:, 1], out=acc[1:])
-        passed = window[:, 2] < p_levels[1]
-        ranks = _RANKS[:w]
-        # the first attempt whose test passed, w where none did
-        m = np.where(passed, ranks, w).min(axis=0)
-        after = ranks > m
-        two = n > 1 and w > 1
+        flags = np.empty((w + 1, live), dtype=bool)   # passed tests, level 2 empty
+        np.less(window[:, 2], p_levels[1], out=flags[:w])
         if two:
-            # where level 2 is empty the first link parks there, and the
-            # attempts after it, up to the second passed test, make the link
-            # this step carries up
-            park = (m < w) & (first[2] == 0.0)
-            second = np.where(passed & after, ranks, w).min(axis=0)
-            rest = np.where(after & (ranks <= second), acc[1:], 0.0)
-        # zero the attempts after the first passed test: reduce adds the rows
-        # in order, and adding +0.0 to a positive sum is exact, so each total
-        # is bit for bit the in-order sum up to that test
-        np.putmask(acc[1:], after, 0.0)
-        total = np.add.reduce(acc, axis=0)
-        del passed, after              # free before the cascade, which sets the peak
+            np.equal(first[1], 0.0, out=flags[w])
+        else:
+            flags[w] = False
+        ends = _link_ends(flags)
+        # rows outside a link add +0.0, and adding +0.0 to a positive sum is
+        # exact, so each link is bit for bit the in-order sum of its rows
+        rows = _ROWS[:w + 1]
+        mask = rows < ends[1]
+        used = np.minimum(ends[2], 3 * w)  # draws the window used
         if two:
-            np.copyto(first[2], total, where=park)
-            total = np.where(park, np.add.reduce(rest, axis=0), total)
-            m = np.where(park, second, m)
-        at = (m < w).nonzero()[0]          # trials carrying a link up
-        up = total[at]
-        tot[1] = total
-        tot[1][at] = 0.0
-        used = np.full(live, 3 * w, dtype=np.uint64)
-        draw = 3 * (m[at] + 1)             # draws used, the index of the next
-        used[at] = draw
-        for lvl in range(2, n + 1):
-            row = first[lvl]
-            f = row[at]
-            row[at] = up
-            k = f.nonzero()[0]             # a link waits here: pair the two
-            at, draw = at[k], draw[k]
-            if not at.size:
-                break
-            row[at] = 0.0
-            row = tot[lvl]
-            up = join(f[k], up[k])
-            up += row[at]
-            row[at] = up
-            k = (u[draw, at] < p_levels[lvl]).nonzero()[0]
-            draw += 1
-            used[at] = draw
-            at, up, draw = at[k], up[k], draw[k]
-            row[at] = 0.0
-        used *= _U(_GOLDEN)
-        state += used
+            parked = rows < ends[0]
+            first[1] += np.add.reduce(acc * parked, axis=0)   # +0.0 where none parks
+            np.greater(mask, parked, out=mask)
+            # a carried link's swap tests are the draws after its last attempt
+            tests = u[used + offsets, np.arange(live)]
+        else:
+            tests = u[3 * w:]              # one attempt, or no swap tests
+        chain = np.empty((n, live))        # row j: the link reaching level j + 2
+        np.add.reduce(acc * mask, axis=0, out=chain[0])
+        del acc, flags, mask          # free before the cascade
+        # the cascade on all live trials, level j + 2 in row j: a carried link
+        # reaches a level where every lower test passed, and pairs or parks
+        t, f = tot[1:], first[1:]
+        tests = tests < p_up
+        wait = f > 0.0
+        go = np.empty((n, live), dtype=bool)   # row j: reached level j + 2
+        np.less_equal(ends[1], w + 1, out=go[0])
+        np.logical_and(wait, tests, out=go[1:])
+        for j in range(n - 1):
+            join(f[j], chain[j], out=chain[j + 1])
+            chain[j + 1] += t[j]
+            go[j + 1] &= go[j]
+        reach = go[:-1]
+        paired = reach & wait
+        np.putmask(t, paired, chain[1:])   # paired: the total with the attempt
+        t *= ~go[1:]                       # passed: handed up
+        np.putmask(f, reach > wait, chain[:-1])   # none waited: the link parks
+        np.putmask(f, paired, 0.0)
+        np.multiply(chain[0], ends[1] > w + 1, out=tot[0])   # the total kept
+        used += np.add.reduce(paired.view(np.uint8), axis=0, dtype=np.uint8)   # tests
+        state += _STRIDES.take(used)
+        at = go[n - 1].nonzero()[0]      # finished trials
         if at.size:
-            out[trial[at]] = up
-            keep = np.ones(live, dtype=bool)
-            keep[at] = False
-            keep = keep.nonzero()[0]
-            trial, state = trial[keep], state[keep]
-            tot, first = tot.take(keep, axis=1), first.take(keep, axis=1)
+            out[trial[at]] = chain[n - 1, at]
+            keep = (~go[n - 1]).nonzero()[0]
+            trial, state = trial.take(keep), state.take(keep)
+            levels = levels.take(keep, axis=2)
     if trial.size:
-        out[trial] = _walk(n, p_levels, q, t_delta, parallel, state.tolist(),
-                           tot.T.tolist(), first.T.tolist())
+        tot, first = ([[0.0, *row] for row in a.T.tolist()] for a in levels)
+        out[trial] = _walk(n, p_levels, q, t_delta, parallel, state.tolist(), tot, first)
     return out
 
 

@@ -160,6 +160,8 @@ def optimize_segment(params_base: RepeaterParams, total_length: float,
     if objective == "power_law":
         if m is None:
             raise ValueError("power_law objective needs the exponent m")
+        if not (total_length > 0 and math.isfinite(total_length)):
+            raise ValueError(f"total_length must be positive and finite, got {total_length}")
         l0 = optimal_segment_power_law(m, l_att)
         try:   # in logs, so neither factor overflows or underflows on its own
             value = math.exp(m * (math.log(total_length) - math.log(l0)) + l0 / l_att)

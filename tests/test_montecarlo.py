@@ -198,6 +198,39 @@ class TestDeterminism:
             scalar = [1 + math.floor(math.log(x) / c) for x in u]
             assert np.array_equal(kernels._attempts(u, q), scalar)
 
+    @pytest.mark.parametrize("k", [0, 1, 2 ** 52, 2 ** 53 - 1])
+    def test_uniform_conversion_edges(self, k):
+        # a stream whose next draw has top 53 bits k: the bulk conversion
+        # gives the scalar's u bit for bit.  (k + 0.5) / 2**53 is inside
+        # (0, 1) except at k = 2**53 - 1, where k + 0.5 rounds to 2**53 in
+        # the scalar reference too
+        z = k << 11
+        assert kernels.mix64(unmix64(z)) == z
+        state = (unmix64(z) - kernels._GOLDEN) & kernels._MASK
+        u = kernels.next_uniform(state)[1]
+        bulk = kernels._uniforms(np.array([state], dtype=np.uint64), 1)
+        assert bulk.tobytes() == np.float64(u).tobytes()
+        assert (0.0 < u < 1.0) if k < 2 ** 53 - 1 else u == 1.0
+
+    def test_uniform_rows_follow_the_stream(self):
+        # every row the stride table serves, up to the walk's longest list
+        state = kernels.stream_state(2 ** 63 + 5, 3)
+        bulk = kernels._uniforms(np.array([state], dtype=np.uint64), kernels._TAIL_DRAWS)
+        scalar = []
+        for _ in range(kernels._TAIL_DRAWS):
+            state, u = kernels.next_uniform(state)
+            scalar.append(u)
+        assert bulk[:, 0].tolist() == scalar
+
+
+def unmix64(z):
+    """The inverse of ``kernels.mix64``."""
+    z ^= z >> 31 ^ z >> 62
+    z = z * pow(kernels._MIX2, -1, 1 << 64) & kernels._MASK
+    z ^= z >> 27 ^ z >> 54
+    z = z * pow(kernels._MIX1, -1, 1 << 64) & kernels._MASK
+    return z ^ z >> 30 ^ z >> 60
+
 
 def scalar_chain(params, n, seed, trials, policy):
     """``chain_sample`` of trials 0..trials-1, the reference of the bulk sampler."""
@@ -397,6 +430,29 @@ def hand_made_chains(draw):
     return n, probs, q
 
 
+class TestWindowEnds:
+    """``_link_ends`` against the window's pass logic written as
+    ``np.where(...).min(axis=0)``, for every pattern of passed tests."""
+
+    @pytest.mark.parametrize("w", range(1, kernels._WINDOW + 1))
+    def test_every_pass_pattern(self, w):
+        ranks = np.arange(w)[:, None]
+        passed = (np.arange(1 << w) >> ranks & 1).astype(bool)   # one pattern a column
+        first = np.where(passed, ranks, w).min(axis=0)
+        second = np.where(passed & (ranks > first), ranks, w).min(axis=0)
+        for empty in (False, True):                  # level 2 empty
+            flags = np.vstack([passed, np.full((1, 1 << w), empty)])
+            parked_stop, link_stop, draws = kernels._link_ends(flags).astype(int)
+            park = empty & (first < w)
+            last = np.where(park, second, first)     # the carried link's last attempt
+            carried = last < w
+            # the window's rows: the running total, then attempt m in row m + 1
+            assert np.array_equal(parked_stop, np.where(park, first + 2, 0))
+            assert np.array_equal(link_stop[carried], last[carried] + 2)
+            assert (link_stop[~carried] > w + 1).all()
+            assert np.array_equal(draws[carried], 3 * (last[carried] + 1))
+
+
 class TestLockstepProperties:
     """``kernels.chain_times`` against ``chain_sample`` on hand-made levels."""
 
@@ -473,6 +529,23 @@ class TestStepCount:
             calls.clear()
             chain_times(make_params(), 3, TrialConfig(seed=1, n_trials=1000, policy=policy))
             assert len(calls) <= 0.6 * 175, policy
+
+    def test_level_two_median_batch_steps(self, monkeypatch):
+        # the mc_waiting_times median op, seed 1, 5000 trials: 27 lockstep
+        # steps and one list for the walk call _uniforms 28 times under
+        # either policy; a cheaper step must not take more of them
+        calls = []
+        uniforms = kernels._uniforms
+
+        def spy(state, draws):
+            calls.append(draws)
+            return uniforms(state, draws)
+
+        monkeypatch.setattr(kernels, "_uniforms", spy)
+        for policy in mc.POLICIES:
+            calls.clear()
+            chain_times(make_params(), 2, TrialConfig(seed=1, n_trials=5000, policy=policy))
+            assert len(calls) <= 28, policy
 
 
 class TestStatisticsOverflow:

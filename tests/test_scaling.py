@@ -180,6 +180,12 @@ class TestOptimizeSegment:
         assert str(info.value) == (f"the power-law value is {value} in floats at m = {m}, "
                                    f"total_length = {total}, attenuation_length = 1.0")
 
+    @pytest.mark.parametrize("total", [0.0, -0.0, -5.0, math.inf, -math.inf, math.nan])
+    def test_power_law_refuses_a_length_that_is_not_positive_and_finite(self, total):
+        with pytest.raises(ValueError) as info:
+            optimize_segment(make_params(), total, objective="power_law", m=2.0)
+        assert str(info.value) == f"total_length must be positive and finite, got {total}"
+
     def test_power_law_requires_m(self):
         with pytest.raises(ValueError):
             optimize_segment(make_params(), 100.0, objective="power_law")
