@@ -1,6 +1,8 @@
-"""The records' one way to check their fields, and to refuse a non-finite value."""
+"""The records' one way to check their fields, and to refuse a non-finite
+or non-integer value."""
 
 import math
+import numbers
 
 
 class Checked:
@@ -26,3 +28,13 @@ def check_finite(**values):
     for name, value in values.items():
         if not -math.inf < value < math.inf:
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_int(**values):
+    """Refuse by name a value that is not an integer: a float, even an
+    integral one, or a bool.  A NumPy integer is an integer."""
+    for name, value in values.items():
+        # a plain int passes without the slower abstract-class check
+        if type(value) is not int and (isinstance(value, bool)
+                                       or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")

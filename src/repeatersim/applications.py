@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from itertools import accumulate
 
-from ._records import Checked
+from ._records import Checked, check_int
 from .montecarlo import DRAW_BUDGET, check_memory
 from .protocol import InfeasibleError, check_link
 
@@ -153,6 +154,38 @@ KeyStats = namedtuple("KeyStats", ("rounds", "sifted_length", "qber", "coinciden
                                    "seed"))
 
 
+def _key_cells(bit_generator, rounds: int):
+    """Cell 2 left + right of each round's settings, read off ``rounds`` raw
+    words as ``ekert_simulation`` says.  ``integers(0, 2)`` draws by
+    Lemire's bounded multiply by 2, which never rejects, so each 32-bit
+    half gives one setting."""
+    import numpy as np
+
+    cell = np.empty(rounds, np.uint8)
+    for start in range(0, rounds, _KEY_BLOCK):
+        words = bit_generator.random_raw(min(_KEY_BLOCK, rounds - start))
+        # bit 31 of each half, low half first: the words stored
+        # little-endian (the words themselves on a little-endian host) read
+        # as 32-bit halves, on either host byte order
+        bits = (words.astype("<u8", copy=False).view("<u4") >= 2 ** 31).view(np.uint8)
+        half = 2 * start
+        n_left = min(max(rounds - half, 0), bits.size)
+        left = bits[:n_left]
+        np.add(left, left, out=cell[half:half + n_left])
+        if n_left < bits.size:
+            cell[half + n_left - rounds:half + bits.size - rounds] += bits[n_left:]
+    return cell
+
+
+def _outcomes(u, cell, cum_t):
+    """How many of the cumulative pattern weights ``cum_t[:, cell]`` (a
+    column of four) each uniform ``u`` is at or above: its pattern 0..3, or
+    4 for no coincidence."""
+    import numpy as np
+
+    return np.add.reduce(u >= cum_t.take(cell, axis=1), axis=0, dtype=np.uint8)
+
+
 def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
                      seed: int) -> KeyStats:
     """Sampled key-distribution run.
@@ -161,7 +194,24 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
     outcomes are sampled from the closed-form coincidence patterns; rounds with
     matching settings and a two-side coincidence are kept.  Bit value is 0
     when detector 1 fires.
+
+    The draws are those of ``rng.integers(0, 2, rounds)`` for the left
+    settings, the same for the right, then ``rng.random(rounds)``, with
+    ``rng = np.random.default_rng(seed)``.  ``integers(0, 2)`` returns bit
+    31 of a 32-bit half of a PCG64 word, each word's low half first, so
+    ``_key_cells`` reads both sites' settings off ``rounds`` raw words:
+    half h is round h's left setting for h < rounds, and round
+    h - rounds's right setting after.  The 2 rounds halves fill whole
+    words, so PCG64's spare half stays clear and the uniforms read the
+    words they would after the two ``integers`` calls.  A round whose
+    uniform is at or above every cell's coincidence total is no
+    coincidence in any cell, since the weights are non-negative; the other
+    rounds, the candidates, are classified by ``_outcomes`` a block of
+    ``_KEY_BLOCK`` rounds at a time and counted in one (cell, outcome)
+    table.
     """
+    check_int(rounds=rounds, seed=seed)
+    rounds, seed = int(rounds), int(seed)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if not 0 <= seed < 2 ** 64:
@@ -170,44 +220,40 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
         raise InfeasibleError(f"{rounds} rounds need {3 * rounds:.3g} random draws, "
                               f"over the budget of {DRAW_BUDGET:.0e}")
     # the run holds one byte a round, the cell, and a block's temporaries
-    # (tracemalloc peak at 1e6 rounds: 1.17 bytes a round at eta_a = 0.5,
-    # 1.29 at 1), so the draw budget binds first at the default memory cap
+    # (tracemalloc peak at 1e6 rounds: 1.15 bytes a round at eta_a = 0.5,
+    # 1.26 at 1), so the draw budget binds first at the default memory cap
     check_memory(2 * rounds + 64 * _KEY_BLOCK, f"{rounds} rounds")
     table = _key_table(c_n, phi, eta_a)
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    # cell 2 left + right of the two sites' settings, drawn left then right.
-    # PCG64 keeps its spare 32-bit half between calls, so the blocked calls
-    # draw the stream of one call per site.
-    cell = np.empty(rounds, np.uint8)
-    blocks = [cell[start:start + _KEY_BLOCK] for start in range(0, rounds, _KEY_BLOCK)]
-    for block in blocks:
-        block[:] = rng.integers(0, 2, size=block.size)
-    cell <<= 1
-    for block in blocks:
-        block += rng.integers(0, 2, size=block.size).astype(np.uint8)
-    # 0..3: patterns 11, 12, 21, 22; 4: no coincidence.  The weights are
-    # non-negative, so a round with u at or above every cell's total is no
-    # coincidence in any cell: only the other rounds are compared, and the
-    # no-coincidence counts, which nothing reads, miss the rest.
-    cum = np.cumsum(table, axis=1)
-    top = cum[:, 3].max()
+    cell = _key_cells(rng.bit_generator, rounds)
+    # cum[cell][k]: the cell's weight of patterns 0..k, summed in Python (on
+    # a 4 x 4 table NumPy's fixed costs outweigh the work); cum_t[k][cell]
+    cum = [list(accumulate(row)) for row in table]
+    top = max(row[3] for row in cum)
+    cum_t = np.array(cum).T
+    # 5 cell + outcome: 0..3 patterns 11, 12, 21, 22, 4 no coincidence; the
+    # no-coincidence counts, which nothing reads, miss the rounds that are
+    # not candidates
     counts = np.zeros(20, np.int64)
-    for block in blocks:
+    for start in range(0, rounds, _KEY_BLOCK):
+        block = cell[start:start + _KEY_BLOCK]
         u = rng.random(block.size)
-        cand = np.flatnonzero(u < top)
-        cand_cell = block.take(cand)
-        outcome = sum(u.take(cand) >= col.take(cand_cell) for col in cum.T)
-        counts += np.bincount(5 * cand_cell + outcome, minlength=20)
-    counts = counts.reshape(4, 5)
-    kept = counts[[0, 3], :4]                  # matching settings, coincident
-    sifted = int(kept.sum())
+        cand = (u < top).nonzero()[0]
+        # the candidates' uniforms and cells, rebound so that the block's
+        # uniforms and indices are freed before the thresholds are gathered
+        u, cand = u.take(cand), block.take(cand)
+        counts += np.bincount(5 * cand + _outcomes(u, cand, cum_t), minlength=20)
+    counts = counts.tolist()
+    by_cell = [counts[c:c + 4] for c in range(0, 20, 5)]   # coincident rounds by pattern
+    kept = by_cell[0] + by_cell[3]             # matching settings
+    sifted = sum(kept)
     # bit 0 when detector 1 fires (left in 11, 12; right in 11, 21), so the
     # two bits differ in patterns 12 and 21
-    qber = int(kept[:, 1:3].sum()) / sifted if sifted else 0.0
+    qber = (kept[1] + kept[2] + kept[5] + kept[6]) / sifted if sifted else 0.0
     return KeyStats(rounds=rounds, sifted_length=sifted, qber=qber,
-                    coincidence_rate=int(counts[:, :4].sum()) / rounds, seed=seed)
+                    coincidence_rate=sum(map(sum, by_cell)) / rounds, seed=seed)
 
 
 # success_prob: an accepted pattern and the excitation present on the right;

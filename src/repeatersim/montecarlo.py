@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from ._records import Checked
+from ._records import Checked, check_int
 from .protocol import InfeasibleError, RepeaterParams, chain
 
 if TYPE_CHECKING:
@@ -46,6 +46,7 @@ class TrialConfig(Checked, namedtuple("TrialConfig", ("seed", "n_trials", "polic
     __slots__ = ()
 
     def _check(self):
+        check_int(seed=self.seed, n_trials=self.n_trials, threads=self.threads)
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if self.policy not in POLICIES:

@@ -541,6 +541,76 @@ class TestEkert:
             got = ekert_simulation(0.0, 0.0, 1.0, rounds=rounds, seed=seed)
             assert got == reference_key_stats(table, rounds, seed)
 
+    @pytest.mark.parametrize("rounds", [1, 2, 3, BLOCK // 2 - 1, BLOCK // 2 + 1, BLOCK - 1,
+                                        BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 1, 12_345])
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+    def test_settings_are_the_draws_of_two_integers_calls(self, rounds, seed):
+        # the sampler reads the settings off raw words; the reference draws
+        # them as the key run is defined, through Generator.integers
+        algorithm = ("NumPy's Generator.integers(0, 2) no longer returns bit 31 of each "
+                     "PCG64 32-bit half, low half first (Lemire's bounded multiply, "
+                     "buffered_bounded_lemire_uint32): _key_cells must follow it")
+        rng = np.random.default_rng(seed)
+        cell = applications._key_cells(rng.bit_generator, rounds)
+        ref = np.random.default_rng(seed)
+        left = ref.integers(0, 2, size=rounds)
+        right = ref.integers(0, 2, size=rounds)
+        assert np.array_equal(cell, 2 * left + right), algorithm
+        got, want = rng.bit_generator.state, ref.bit_generator.state
+        assert ((got["state"], got["has_uint32"])
+                == (want["state"], want["has_uint32"])), algorithm
+
+    def test_settings_read_big_endian_words_alike(self):
+        # a big-endian host's raw words: the same values, stored high byte first
+        class BigEndianWords:
+            def __init__(self, seed):
+                self.bit_generator = np.random.default_rng(seed).bit_generator
+
+            def random_raw(self, size):
+                return self.bit_generator.random_raw(size).astype(">u8")
+
+        rounds = 2 * BLOCK + 1
+        assert np.array_equal(applications._key_cells(BigEndianWords(5), rounds),
+                              applications._key_cells(np.random.default_rng(5).bit_generator,
+                                                      rounds))
+
+    def test_outcome_counts_a_tie_as_at_or_above(self):
+        # zero-weight patterns give cells equal neighbouring thresholds; each
+        # uniform sits on a threshold or one float either side of it
+        table = [[0.1, 0.0, 0.2, 0.3], [0.25, 0.25, 0.0, 0.0],
+                 [0.0, 0.0, 0.0, 0.5], [0.125, 0.125, 0.125, 0.125]]
+        cum_t = np.cumsum(np.transpose(table), axis=0)
+        cell, u = [], []
+        for c in range(4):
+            for t in cum_t[:, c]:
+                for x in (0.0, np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)):
+                    cell.append(c)
+                    u.append(x)
+        cell, u = np.array(cell, np.uint8), np.array(u)
+        got = applications._outcomes(u, cell, cum_t)
+        assert np.array_equal(got, sum(u >= row.take(cell) for row in cum_t))
+        # cell 1 (thresholds 0.25, 0.5, 0.5, 0.5): at 0.5 every threshold is
+        # passed, one float below it only the first
+        assert got[(cell == 1) & (u == 0.5)].tolist() == [4] * 3
+        assert got[(cell == 1) & (u == np.nextafter(0.5, 0.0))].tolist() == [1] * 3
+        # cell 2 (0, 0, 0, 0.5): a uniform of 0 passes the three zero thresholds
+        assert set(got[(cell == 2) & (u == 0.0)].tolist()) == {3}
+
+    @pytest.mark.parametrize("field,value", [("rounds", 2.5), ("rounds", 100.0),
+                                             ("rounds", True), ("rounds", np.float64(100)),
+                                             ("seed", 1.5), ("seed", True),
+                                             ("seed", np.True_)])
+    def test_non_integer_rounds_or_seed_refused_by_name(self, field, value):
+        args = {"rounds": 100, "seed": 1, field: value}
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            ekert_simulation(0.2, 0.1, 0.8, **args)
+
+    def test_numpy_integers_taken_as_ints(self):
+        got = ekert_simulation(0.2, 0.1, 0.8, rounds=np.int64(100), seed=np.uint64(7))
+        assert got == ekert_simulation(0.2, 0.1, 0.8, rounds=100, seed=7)
+        assert [type(x) for x in got] == [int, int, float, float, int]
+
     @pytest.mark.parametrize("eta_a", [0.5, 1.0])
     def test_peak_memory_is_about_a_byte_a_round(self, eta_a):
         # the cell is one byte a round and a block's temporaries a fixed

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -567,6 +568,20 @@ class TestConfig:
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
             TrialConfig(seed=1, n_trials=0)
+
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", True), ("seed", 1.0),
+                                             ("n_trials", 5.0), ("n_trials", np.float64(5)),
+                                             ("threads", 1.5), ("threads", np.True_)])
+    def test_non_integer_fields_refused_by_name(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            TrialConfig(**{"seed": 1, "n_trials": 10, field: value})
+
+    def test_numpy_integers_accepted(self):
+        params = make_params(levels=2)
+        cfg = TrialConfig(seed=np.uint64(9), n_trials=np.int64(50), threads=np.int32(2))
+        assert np.array_equal(chain_times(params, 2, cfg),
+                              chain_times(params, 2, TrialConfig(seed=9, n_trials=50)))
 
     def test_analytic_reference(self):
         params = make_params()
