@@ -102,7 +102,7 @@ def expected_draws(p_levels) -> float:
 # bulk samplers (NumPy, one column per trial)
 
 _U = np.uint64
-_BLOCK = 1 << 13      # uniforms per lockstep step, summed over live trials
+_BLOCK = 1 << 15      # uniforms per lockstep step, summed over live trials
 _WINDOW = 7           # level-1 attempts per step once few trials are live
 _SCALAR_TAIL = 16     # live trials finished by _walk
 _TAIL_DRAWS = 256     # at most draws in each of a tail trial's lists
@@ -241,19 +241,21 @@ def chain_times(seed: int, count: int, n: int, p_levels, q: float,
     once, one row per level, and a link handed up from level n is the
     sample.  Finished trials are compacted out, and each stream advances by
     exactly the draws its trial used.  The window narrows as more trials
-    are live, so a step computes about ``_BLOCK + (n - 1) live`` uniforms:
-    a wider window takes fewer steps, but computes more draws that no trial
-    uses.
+    are live, w = min(7, max(1, 32768 // (3 live))), so from 10922 live
+    trials down to 1560 a step computes about ``_BLOCK + (n - 1) live``
+    uniforms: a wider window takes fewer steps, but computes more draws
+    that no trial uses.
 
     Cost model: a step makes about 55 + 3(n - 1) NumPy calls with a
-    one-attempt window and 63 + 3(n - 1) with a wider one, plus 8 where
-    trials finish; its array operations touch ``(w + 1) live`` elements in
-    the window and ``(n - 1) live`` in the cascade.  Below a few hundred
-    live trials the calls dominate, so a step costs about the same however
-    few trials are live, and the step count is set by the longest trial.
-    So once at most ``_SCALAR_TAIL`` trials are live, ``_walk`` finishes
-    them from their stream states and columns: each is one of the
-    reference trial's own step starts, so the sample is the reference's.
+    one-attempt window (more than 5461 live trials) and 63 + 3(n - 1) with
+    a wider one, plus 8 where trials finish; its array operations touch
+    ``(w + 1) live`` elements in the window and ``(n - 1) live`` in the
+    cascade.  Below a few hundred live trials the calls dominate, so a step
+    costs about the same however few trials are live, and the step count is
+    set by the longest trial.  So once at most ``_SCALAR_TAIL`` trials are
+    live, ``_walk`` finishes them from their stream states and columns:
+    each is one of the reference trial's own step starts, so the sample is
+    the reference's.
     """
     if n == 0:
         return generation_times(seed, count, q, t_delta)
