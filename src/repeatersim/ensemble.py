@@ -260,6 +260,11 @@ def free_space_snr(density: float, length: float, wavenumber: float) -> FreeSpac
     if density <= 0 or length <= 0 or wavenumber <= 0:
         raise ValueError("density, length and wavenumber must all be positive")
     check_finite(density=density, length=length, wavenumber=wavenumber)
-    value = 3.0 * density * length / wavenumber ** 2
+    # a product overflows to inf without raising; k^2 may underflow to 0
+    k2 = wavenumber ** 2
+    value = 3.0 * density * length / k2 if k2 > 0 else math.inf
+    if value == math.inf:
+        raise ValueError(f"3 rho L / k^2 overflows a float at density = {density}, "
+                         f"length = {length}, wavenumber = {wavenumber}")
     dilute = wavenumber / density ** (1.0 / 3.0)
     return FreeSpaceSnr(snr=value, optical_depth=value, superradiance_risk=dilute < 1.0)

@@ -8,6 +8,9 @@ The entangled-link descriptor mixes a vacuum component of relative weight
 
 The analytic layer is plain Python; the oracles import NumPy and the Fock
 engine on their first call, so the analytic commands never load them.
+``generation_circuit`` returns the normalized conditional state under the
+rank rule; ``generate_oracle`` reads its figures off the unnormalized
+heralded factor, with no conditional state and no ``eigh`` re-factor.
 """
 
 from __future__ import annotations
@@ -278,15 +281,21 @@ def _herald(cutoff: int, p_dc: float):
     return rows
 
 
-def generation_circuit(p_c: float, eta_p: float, p_dc: float,
-                       channel_phase: float = 0.0, cutoff: int = 4,
-                       include_second_order: bool = True):
-    """Exact generation circuit: two squeezed-pair sources, channel loss, a
-    balanced beamsplitter and one heralding click.
+@functools.lru_cache(maxsize=16)
+def _swap_rows(cutoff: int):
+    """``swap_oracle``'s herald patterns, exactly one photon on I1 or I2: the
+    balanced splitter's output rows |1, 0⟩ and |0, 1⟩, at pair index d and 1
+    (read-only, memoised)."""
+    _, fock = _engines()
+    rows = fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0)[[cutoff + 1, 1]]
+    rows.flags.writeable = False
+    return rows
 
-    Returns ``(joint click probability, conditional 2-mode atomic state)``
-    with the click taken on the port that heralds the plus-superposition.
-    """
+
+def _heralded_factor(p_c: float, eta_p: float, p_dc: float, channel_phase: float,
+                     cutoff: int, include_second_order: bool):
+    """``generation_circuit`` up to its herald: the unnormalized factor H
+    (d², r) of the conditional atomic state, rows (atom_L, atom_R)."""
     if not (math.isfinite(p_c) and 0.0 <= p_c <= 1.0):
         raise ValueError(f"excitation probability p_c = {p_c} outside [0, 1]")
     if not 0.0 <= eta_p <= 1.0:
@@ -320,7 +329,21 @@ def generation_circuit(p_c: float, eta_p: float, p_dc: float,
     vt *= 1.0 / math.sqrt(np.vdot(vt, vt).real)
     rho = fock.DensityOperator.from_factor(layout4, vt.T)
     # the herald's weighted splitter rows on (phot_L, phot_R) join the rank
-    unnorm = fock.herald(rho, (1, 3), _herald(cutoff, p_dc)).swapaxes(0, 1).reshape(d * d, -1)
+    return fock.herald(rho, (1, 3), _herald(cutoff, p_dc)).swapaxes(0, 1).reshape(d * d, -1)
+
+
+def generation_circuit(p_c: float, eta_p: float, p_dc: float,
+                       channel_phase: float = 0.0, cutoff: int = 4,
+                       include_second_order: bool = True):
+    """Exact generation circuit: two squeezed-pair sources, channel loss, a
+    balanced beamsplitter and one heralding click.
+
+    Returns ``(joint click probability, conditional 2-mode atomic state)``
+    with the click taken on the port that heralds the plus-superposition;
+    the state is built under the rank rule.
+    """
+    unnorm = _heralded_factor(p_c, eta_p, p_dc, channel_phase, cutoff, include_second_order)
+    _, fock = _engines()
     return fock.normalize_outcome(fock.ModeLayout(2, cutoff), unnorm)
 
 
@@ -334,23 +357,27 @@ def generate_oracle(params: RepeaterParams, cutoff: int = 4,
     support (vacuum plus the plus-superposition), the multi-excitation noise
     that survives a single click.  It is summed from non-negative terms, the
     population above one excitation plus the minus-superposition weight, so
-    no O(1) terms cancel.
+    no O(1) terms cancel.  Each is read off the heralded factor H, whose
+    squared norm is the click probability p: p times the population of
+    (n_L, n_R) is the squared norm of H's row, and p times the weight of
+    ψ₋ = (|1, 0⟩ − e^{iφ}|0, 1⟩)/√2 is ‖ψ₋† H‖².
     """
     np, fock = _engines()
-    prob, rho = generation_circuit(params.excitation_prob, params.eta_p,
-                                   params.dark_prob, channel_phase, cutoff,
-                                   include_second_order)
-    vac = rho.population((0, 0))
-    singles = rho.population((1, 0)) + rho.population((0, 1))
-    n = np.arange(rho.layout.mode_dim)
-    multi = float(fock.marginal(rho, (0, 1))[np.add.outer(n, n) > 1].sum())
-    psi_minus = fock.pure_state(rho.layout, {
-        (1, 0): 1.0 / math.sqrt(2.0),
-        (0, 1): -complex(math.cos(channel_phase), math.sin(channel_phase)) / math.sqrt(2.0),
-    }, normalize=False)
+    h = _heralded_factor(params.excitation_prob, params.eta_p, params.dark_prob,
+                         channel_phase, cutoff, include_second_order)
+    prob = float(np.vdot(h, h).real)
+    if prob < 1e-15:   # normalize_outcome's refusal
+        raise fock.ImpossibleOutcomeError("impossible-outcome conditioning")
+    # p times each population; (1, 0) and (0, 1) sit at rows d and 1
+    pops = (h.real ** 2 + h.imag ** 2).sum(axis=1)
+    n = np.arange(cutoff + 1)
+    multi = float(pops[np.add.outer(n, n).ravel() > 1].sum())
+    vac, one_left, one_right = pops[[0, cutoff + 1, 1]].tolist()
+    # √2 ψ₋† H: the (0, 1) amplitude −e^{iφ} enters conjugated
+    minus = h[cutoff + 1] - complex(math.cos(channel_phase), -math.sin(channel_phase)) * h[1]
     return GenerationOracleResult(
-        c_measured=vac / singles,
-        infidelity=multi + fock.fidelity(rho, psi_minus),
+        c_measured=vac / (one_left + one_right),
+        infidelity=(multi + 0.5 * float(np.vdot(minus, minus).real)) / prob,
         click_prob=prob,
     )
 
@@ -376,11 +403,8 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
     layout = fock.ModeLayout(2, cutoff)
     rho = fock.tensor(eme_density(layout, (0, 1), c, phase_left, (1.0, eta_s)),
                       eme_density(layout, (0, 1), c, phase_right, (eta_s, 1.0)))
-    # herald patterns: exactly one photon on I1 or I2, splitter rows |1, 0⟩, |0, 1⟩
-    rows = fock.beamsplitter_matrix(cutoff, math.pi / 4, 0.0)[
-        [layout.index((1, 0)), layout.index((0, 1))]]
     probs, post = zip(*(fock.normalize_outcome(layout, unnorm)
-                        for unnorm in fock.herald(rho, (1, 2), rows)))
+                        for unnorm in fock.herald(rho, (1, 2), _swap_rows(cutoff))))
     # populations of the two conditional states mixed by probability
     vac = sum(p * cond.population((0, 0)) for p, cond in zip(probs, post))
     singles = sum(p * (cond.population((1, 0)) + cond.population((0, 1)))

@@ -99,6 +99,21 @@ class TestRates:
         assert out == ""
         assert capsys.readouterr().err == f"numeric failure: {reason}\n"
 
+    @pytest.mark.parametrize("key,value,at", [
+        ("density", "1e308", "density = 1e+308, length = 1.0, wavenumber = 10.0"),
+        ("sample_length", "1e308", "density = 100.0, length = 1e+308, wavenumber = 10.0"),
+        # k^2 is subnormal: 3 rho L / k^2 overflows
+        ("wavenumber", "1e-160", "density = 100.0, length = 1.0, wavenumber = 1e-160"),
+        # k^2 underflows to 0
+        ("wavenumber", "1e-170", "density = 100.0, length = 1.0, wavenumber = 1e-170"),
+    ])
+    def test_overflowed_optical_depth_exits_3_naming_its_inputs(self, tmp_path, capsys,
+                                                                key, value, at):
+        ini = write_config(tmp_path, f"[ensemble]\n{key} = {value}\n")
+        assert run_cli(["--config", ini, "rates"]) == (3, "")
+        assert capsys.readouterr().err == (
+            f"numeric failure: 3 rho L / k^2 overflows a float at {at}\n")
+
     def test_unwritable_output_is_an_output_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -720,6 +720,24 @@ class TestFreeSpaceSnr:
         with pytest.raises(ValueError):
             free_space_snr(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("args", [
+        (1e308, 1.0, 10.0),
+        (100.0, 1e308, 10.0),
+        (100.0, 1.0, 1e-160),     # k^2 subnormal
+        (100.0, 1.0, 1e-170),     # k^2 underflows to 0
+    ])
+    def test_overflow_refused_naming_every_input(self, args):
+        density, length, wavenumber = args
+        with pytest.raises(ValueError) as info:
+            free_space_snr(*args)
+        assert str(info.value) == (f"3 rho L / k^2 overflows a float at density = {density}, "
+                                   f"length = {length}, wavenumber = {wavenumber}")
+
+    def test_largest_finite_value_passes(self):
+        # 3 rho L / k^2 just below the largest float
+        result = free_space_snr(5e307, 1.0, 1.0)
+        assert result.optical_depth == pytest.approx(1.5e308, rel=1e-15)
+
 
 # each non-finite input of the ensemble records and closed forms, by the name
 # its refusal carries

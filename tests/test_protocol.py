@@ -237,6 +237,64 @@ class TestGenerateOracle:
         old = self.complement(params, phase, include_second_order)
         assert abs(res.infidelity - old) <= 1e-15
 
+    @pytest.mark.parametrize("cutoff", range(2, 7))
+    @pytest.mark.parametrize("p_dc", [0.0, 1e-5, 0.3])
+    @pytest.mark.parametrize("include_second_order", [True, False])
+    def test_direct_reads_match_the_normalized_state(self, cutoff, p_dc, include_second_order):
+        # the oracle reads the heralded factor; generation_circuit's state
+        # answers the same questions through population, marginal and fidelity
+        params = make_params(excitation_prob=0.01, local_efficiency=0.3, dark_prob=p_dc)
+        for phase in (0.7, 2.9, 5.1):
+            try:
+                prob, rho = generation_circuit(0.01, params.eta_p, p_dc, phase, cutoff,
+                                               include_second_order)
+            except fock.TruncationError:   # the pair above cutoffs 2 and 3
+                return
+            res = generate_oracle(params, cutoff, phase, include_second_order)
+            assert res.click_prob == prob
+            singles = rho.population((1, 0)) + rho.population((0, 1))
+            assert res.c_measured == pytest.approx(rho.population((0, 0)) / singles,
+                                                   rel=1e-12, abs=0)
+            n = np.arange(cutoff + 1)
+            multi = fock.marginal(rho, (0, 1))[np.add.outer(n, n) > 1].sum()
+            # ⟨ψ₋| = (⟨1, 0| − e^{−iφ}⟨0, 1|)/√2: its ket carries −e^{iφ}
+            psi_minus = fock.pure_state(rho.layout, {
+                (1, 0): 1.0, (0, 1): -complex(math.cos(phase), math.sin(phase))})
+            # without dark counts and the second-order term the infidelity is
+            # exactly 0, and both reads are rounding of order eps² ≈ 5e-32
+            assert res.infidelity == pytest.approx(multi + fock.fidelity(rho, psi_minus),
+                                                   rel=1e-12, abs=1e-30)
+
+    def test_all_but_certain_dark_herald_is_refused_as_by_the_circuit(self):
+        # p_dc = 1 - 2^-53: the minus port clicks but for a weight of 1e-16
+        params = make_params(excitation_prob=0.05, local_efficiency=0.3,
+                             dark_prob=1.0 - 2.0 ** -53)
+        with pytest.raises(fock.ImpossibleOutcomeError, match="impossible-outcome"):
+            generation_circuit(0.05, params.eta_p, params.dark_prob)
+        with pytest.raises(fock.ImpossibleOutcomeError, match="impossible-outcome"):
+            generate_oracle(params)
+
+    def test_runs_no_eigh_and_builds_no_conditional_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate_oracle reads the heralded factor")
+
+        compacted = []
+
+        def spy(v, compact=fock._compact):
+            compacted.append(v.shape)
+            return compact(v)
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for name in ("normalize_outcome", "pure_state", "marginal", "fidelity"):
+            monkeypatch.setattr(fock, name, refuse)
+        monkeypatch.setattr(fock, "_compact", spy)
+        res = generate_oracle(make_params(excitation_prob=0.005, local_efficiency=0.2),
+                              channel_phase=1.1)
+        assert res.click_prob > 0.0 and res.infidelity > 0.0
+        # the rank rule runs once, on the 4-mode source factor (625 x 9),
+        # whose rank is below its dimension
+        assert compacted == [(625, 9)]
+
 
 class TestGenerationCircuit:
     @pytest.mark.parametrize("p_c", [-0.1, 1.5, math.nan, math.inf])
