@@ -134,8 +134,16 @@ def _convert(raw: dict) -> dict:
     return values
 
 
-def _build_section(section: str, cls, values: dict):
-    """The library record ``cls`` of ``values``; it checks them itself."""
+def _section(section: str, cls, values: dict):
+    """``cls`` of ``values``: each key first against its schema checks (none
+    for a key that a library record owns and checks itself), then the
+    record's own checks, their message prefixed with the key's path."""
+    schema = SCHEMA[section]
+    for key, value in values.items():
+        for ok, reason in schema[key][2:]:
+            if not ok(value):
+                raise ConfigError(f"{section}.{key}: "
+                                  + reason.format(key=key, value=value))
     try:
         return cls(**values)
     except ValueError as exc:
@@ -147,30 +155,18 @@ def _build_section(section: str, cls, values: dict):
         raise ConfigError(f"{section}: {msg}") from exc
 
 
-def _option_section(section: str, record, values: dict):
-    """``record`` of ``values``, each checked against its schema entry."""
-    schema = SCHEMA[section]
-    for key, value in values.items():
-        for ok, reason in schema[key][2:]:
-            if not ok(value):
-                raise ConfigError(f"{section}.{key}: "
-                                  + reason.format(key=key, value=value))
-    return record(**values)
-
-
 def from_raw(raw: dict) -> Config:
     values = _convert(raw)
     ens = values["ensemble"]
     geometry = {k: ens.pop(k) for k in FreeSpace._fields}
     return Config(
-        ensemble=_build_section("ensemble", EnsembleParams, ens),
-        free_space=_option_section("ensemble", FreeSpace, geometry),
-        repeater=_build_section("repeater", RepeaterParams, values["repeater"]),
-        scaling=_option_section("scaling", Scaling, values["scaling"]),
-        applications=_option_section("applications", Applications,
-                                     values["applications"]),
-        trials=_build_section("trials", TrialConfig, values["trials"]),
-        output=_option_section("output", Output, values["output"]),
+        ensemble=_section("ensemble", EnsembleParams, ens),
+        free_space=_section("ensemble", FreeSpace, geometry),
+        repeater=_section("repeater", RepeaterParams, values["repeater"]),
+        scaling=_section("scaling", Scaling, values["scaling"]),
+        applications=_section("applications", Applications, values["applications"]),
+        trials=_section("trials", TrialConfig, values["trials"]),
+        output=_section("output", Output, values["output"]),
     )
 
 

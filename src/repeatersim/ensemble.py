@@ -13,13 +13,12 @@ and the drift integration import NumPy when they run.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._records import check_finite
+from ._records import check_finite, check_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -207,9 +206,7 @@ def integrate_master_equation(params: EnsembleParams, n_modes: int, cutoff: int,
     diag(1, ..., c, 0)): with x = 1 - exp(-R t) its populations are
     exp(-R t) x^n for n < c and x^c at n = c.  Time runs from t_grid[0].
     """
-    for name, value in (("n_modes", n_modes), ("cutoff", cutoff)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_int(n_modes=n_modes, cutoff=cutoff)
     if n_modes < 2:
         raise ValueError("need at least one collective and one noise mode")
     if cutoff < 1:

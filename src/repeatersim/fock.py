@@ -17,7 +17,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._records import Checked
+from ._records import Checked, check_int
 
 DEFAULT_DIM_BOUND = 1_000_000
 
@@ -44,6 +44,7 @@ class ModeLayout(Checked, namedtuple("ModeLayout", ("modes", "cutoff"))):
     __slots__ = ()
 
     def _check(self):
+        check_int(modes=self.modes, cutoff=self.cutoff)
         if self.modes < 1:
             raise ValueError(f"modes must be positive, got {self.modes}")
         if self.cutoff < 1:
@@ -502,13 +503,20 @@ def condition(rho: DensityOperator, weights: dict):
     return normalize_outcome(sub_layout, unnorm)
 
 
-def normalize_outcome(layout: ModeLayout, unnorm: np.ndarray):
-    """``(probability, normalized state)`` of the unnormalized conditional
-    factor ``unnorm``; an outcome of (numerically) zero probability is
-    refused."""
+def outcome_probability(unnorm: np.ndarray) -> float:
+    """The probability ‖unnorm‖² of the outcome whose unnormalized
+    conditional factor is ``unnorm``; an outcome of (numerically) zero
+    probability is refused."""
     prob = float(np.vdot(unnorm, unnorm).real)
     if prob < 1e-15:
         raise ImpossibleOutcomeError("impossible-outcome conditioning")
+    return prob
+
+
+def normalize_outcome(layout: ModeLayout, unnorm: np.ndarray):
+    """``(probability, normalized state)`` of the unnormalized conditional
+    factor ``unnorm``, refused as ``outcome_probability`` refuses it."""
+    prob = outcome_probability(unnorm)
     return prob, DensityOperator.from_factor(layout, unnorm / math.sqrt(prob))
 
 

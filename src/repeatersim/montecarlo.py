@@ -9,7 +9,9 @@ batch in lockstep, one level-2 attempt and the swap tests it triggers per
 step, and finishes its last few live trials in a scalar walk of
 ``chain_sample``'s loop fed by lists of draws, resumed from their step
 start; level 0 is sampled elementwise in cache-sized blocks.  So both
-equal the scalar ``sample_chain_time`` bit for bit.
+equal the scalar ``sample_chain_time`` bit for bit.  Generation is level
+0 of the chain, so ``generation_times`` and ``sample_generation_time``
+refuse what ``chain_times`` and ``sample_chain_time`` refuse at n = 0.
 The samplers import ``_mc_kernels`` (and NumPy with it) on their first
 call, so the parameter types and the analytic chain time load without
 NumPy.
@@ -75,10 +77,6 @@ class SplitMix:
         # Python ints: NumPy integer arithmetic would overflow the mixing
         self.state = _kernels().stream_state(operator.index(seed), operator.index(trial_index))
 
-    def geometric(self, q: float) -> int:
-        self.state, k = _kernels().geometric(self.state, q)
-        return k
-
 
 def click_probability(params: RepeaterParams) -> float:
     """Per-attempt herald probability, dark counts included."""
@@ -86,12 +84,6 @@ def click_probability(params: RepeaterParams) -> float:
     if not 0.0 < q <= 1.0:
         raise ValueError(f"click probability {q} outside (0, 1]")
     return q
-
-
-def sample_generation_time(params: RepeaterParams, rng: SplitMix) -> float:
-    """One segment-generation waiting time: geometric attempts times the
-    pulse interval."""
-    return rng.geometric(click_probability(params)) * params.pulse_time
 
 
 @functools.lru_cache(maxsize=256)
@@ -120,6 +112,11 @@ def sample_chain_time(params: RepeaterParams, n: int, rng: SplitMix,
     return t
 
 
+def sample_generation_time(params: RepeaterParams, rng: SplitMix) -> float:
+    """One segment-generation waiting time: level 0 of the chain."""
+    return sample_chain_time(params, 0, rng)
+
+
 def check_memory(nbytes: float, what: str) -> None:
     """Raise ``InfeasibleError`` when ``what`` would hold more than
     ``MEMORY_BUDGET`` bytes."""
@@ -134,17 +131,6 @@ def _trial_bytes(n: int) -> int:
     state and step arrays (tracemalloc peaks: 16 at level 0, then 130, 225
     and 301 at levels 1-3; under 10 922 trials a step's window adds < 1 MB)."""
     return 24 if n == 0 else 64 * (n + 2)
-
-
-def generation_times(params: RepeaterParams, cfg: TrialConfig) -> np.ndarray:
-    """Sampled segment-generation times, one per trial.
-
-    Raises ``InfeasibleError`` before sampling when the batch would hold
-    more than ``MEMORY_BUDGET`` bytes.
-    """
-    check_memory(cfg.n_trials * _trial_bytes(0), f"level 0 with {cfg.n_trials} trials")
-    return _kernels().generation_times(cfg.seed, cfg.n_trials,
-                                       click_probability(params), params.pulse_time)
 
 
 def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
@@ -164,6 +150,12 @@ def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
     return _kernels().chain_times(cfg.seed, cfg.n_trials, n, probs,
                                   click_probability(params), params.pulse_time,
                                   cfg.policy == "parallel_max")
+
+
+def generation_times(params: RepeaterParams, cfg: TrialConfig) -> np.ndarray:
+    """Sampled segment-generation times, one per trial: level 0 of the
+    chain, refused where ``chain_times`` refuses it."""
+    return chain_times(params, 0, cfg)
 
 
 McEstimate = namedtuple("McEstimate", ("mean", "stddev", "ci95", "analytic_t_n",

@@ -365,9 +365,7 @@ def generate_oracle(params: RepeaterParams, cutoff: int = 4,
     np, fock = _engines()
     h = _heralded_factor(params.excitation_prob, params.eta_p, params.dark_prob,
                          channel_phase, cutoff, include_second_order)
-    prob = float(np.vdot(h, h).real)
-    if prob < 1e-15:   # normalize_outcome's refusal
-        raise fock.ImpossibleOutcomeError("impossible-outcome conditioning")
+    prob = fock.outcome_probability(h)
     # p times each population; (1, 0) and (0, 1) sit at rows d and 1
     pops = (h.real ** 2 + h.imag ** 2).sum(axis=1)
     n = np.arange(cutoff + 1)

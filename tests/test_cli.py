@@ -751,6 +751,65 @@ class TestContract:
                                            err.getvalue()))
         assert broken == []
 
+    # the generated contract: two or three keys a case, from every section
+    # but output (its keys redirect or reformat stdout)
+    GENERATED_KEYS = [(section, key, conv) for section, keys in config.SCHEMA.items()
+                      if section != "output" for key, (conv, *_) in keys.items()]
+    INT_EDGES = (0, -1, 1023, 1024, 10 ** 9, 2 ** 63, 10 ** 400)
+    POLICIES = ("", *montecarlo.POLICIES)
+    GENERATED_CASES = 1500
+
+    @classmethod
+    def generated_value(cls, rng, conv):
+        """A float log-uniform in magnitude over [1e-323, 1e308], either
+        sign, or 0; an int from the edges; a policy, or the empty string."""
+        if conv is float:
+            if rng.random() < 0.05:
+                return "0"
+            return repr(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.0, 308.0))
+        if conv is int:
+            return str(rng.choice(cls.INT_EDGES))
+        return rng.choice(cls.POLICIES)
+
+    def test_generated_configs_exit_with_a_code_and_a_reason(self, tmp_path, monkeypatch):
+        # each case: 2-3 keys at generated values (trials.n_trials = 200
+        # unless the case sets it) against one subcommand, checked as the
+        # single-key extremes above are
+        import contextlib
+        import io
+        import random
+
+        monkeypatch.setenv("REPEATERSIM_OUTDIR", str(tmp_path))
+        rng = random.Random(20)
+        broken = []
+        for case in range(self.GENERATED_CASES):
+            values = {("trials", "n_trials"): "200"}
+            for section, key, conv in rng.sample(self.GENERATED_KEYS, rng.choice((2, 3))):
+                values[section, key] = self.generated_value(rng, conv)
+            sections = {}
+            for (section, key), value in values.items():
+                sections.setdefault(section, []).append(f"{key} = {value}")
+            # a new file a case: re-truncating one file can wait on a flush
+            ini = tmp_path / f"case{case}.ini"
+            ini.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                                   for section, lines in sections.items()))
+            command = rng.choice(self.COMMANDS)
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(["--config", str(ini), command])
+            except Exception as exc:   # reported with its case
+                code = repr(exc)
+            if code == 0 and command != "dynamics":
+                try:
+                    json.loads(out.getvalue(), parse_constant=self.refuse_constant)
+                except ValueError as exc:
+                    code = f"stdout: {exc}"
+            if code not in (0, 2, 3, 4) or (
+                    code != 0 and (out.getvalue() or not err.getvalue().strip())):
+                broken.append((values, command, code, err.getvalue()))
+        assert broken == []
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_ensemble_keys_stop_at_the_config(self, tmp_path, capsys, value):
         # the config refuses a non-finite number before EnsembleParams or
@@ -1043,3 +1102,65 @@ class TestPackage:
 
         with pytest.raises(AttributeError, match="no_such_name"):
             repeatersim.no_such_name
+
+
+class TestOneHome:
+    """Each rule is written once in the package; these pins find a second
+    copy by where its marks appear."""
+
+    @staticmethod
+    def marks(match):
+        """``(file name, innermost enclosing function, mark)`` for every node
+        of the package for which ``match`` returns a mark other than None."""
+        import ast
+        import pathlib
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, ast.FunctionDef) else where
+                yield inner, child
+                yield from visit(child, inner)
+
+        return sorted((path.name, where, mark)
+                      for path in pathlib.Path(cli.__file__).parent.glob("*.py")
+                      for where, node in visit(ast.parse(path.read_text(encoding="utf-8")), "")
+                      if (mark := match(node)) is not None)
+
+    def test_impossible_outcome_is_refused_in_one_place(self):
+        import ast
+
+        def raised(node):
+            if isinstance(node, ast.Raise) and node.exc is not None \
+                    and "ImpossibleOutcomeError" in ast.unparse(node.exc):
+                return "raise"
+            return None
+
+        assert self.marks(raised) == [("fock.py", "outcome_probability", "raise")]
+
+    def test_integer_check_is_written_once(self):
+        # check_int is the rule; _fmt only reads an integer back out
+        import ast
+
+        def integral(node):
+            if isinstance(node, ast.Attribute) and node.attr == "Integral":
+                return ast.unparse(node)
+            if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                return ast.unparse(node)
+            return None
+
+        assert self.marks(integral) == [("_records.py", "check_int", "numbers.Integral"),
+                                        ("cli.py", "_fmt", "numbers.Integral")]
+
+    def test_level_zero_is_sampled_through_the_chain(self):
+        # generation_times and sample_generation_time are level 0 of the
+        # chain: only chain_times reaches the bulk kernels
+        import ast
+
+        def kernel_call(node):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and ast.unparse(node.func.value) == "_kernels()" \
+                    and node.func.attr in ("generation_times", "chain_times"):
+                return node.func.attr
+            return None
+
+        assert self.marks(kernel_call) == [("montecarlo.py", "chain_times", "chain_times")]

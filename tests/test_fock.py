@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from repeatersim import fock
+from repeatersim import fock, protocol
 from repeatersim.fock import (
     DensityOperator,
     DetectorModel,
@@ -58,6 +58,29 @@ class TestLayout:
     def test_dimension_bound(self):
         with pytest.raises(ValueError, match="exceeds bound"):
             ModeLayout(9, 4)
+
+    @pytest.mark.parametrize("modes, cutoff, message", [
+        (2, 2.0, "cutoff must be an integer, got 2.0"),
+        (2.0, 2, "modes must be an integer, got 2.0"),
+        (True, 1, "modes must be an integer, got True"),
+        (2, False, "cutoff must be an integer, got False"),
+        (2, "2", "cutoff must be an integer, got '2'"),
+    ])
+    def test_non_integer_modes_or_cutoff_refused_by_name(self, modes, cutoff, message):
+        with pytest.raises(ValueError, match=message):
+            ModeLayout(modes, cutoff)
+
+    def test_numpy_integers_are_integers(self):
+        assert ModeLayout(np.int64(2), np.uint8(2)).dim == 9
+
+    @pytest.mark.parametrize("oracle", [
+        lambda: protocol.swap_oracle(0.1, 0.5, cutoff=2.0),
+        lambda: protocol.generate_oracle(protocol.RepeaterParams(0.01, 1e-6, 0.5, 0.5, 0.5,
+                                                                 1e-5), cutoff=2.0),
+    ], ids=["swap", "generate"])
+    def test_oracles_refuse_a_float_cutoff_by_name(self, oracle):
+        with pytest.raises(ValueError, match="cutoff must be an integer, got 2.0"):
+            oracle()
 
     def test_index_roundtrip(self):
         layout = ModeLayout(3, 2)

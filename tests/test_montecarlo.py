@@ -41,9 +41,9 @@ class TestGenerationSampling:
     def test_certain_click_is_one_attempt(self):
         params = make_params(excitation_prob=0.999999, local_efficiency=1.0)
         q = params.eta_p * params.excitation_prob
-        rng = SplitMix(1, 0)
-        # force q to 1 through the scalar API
-        assert rng.geometric(1.0) == 1
+        # q = 1 through the scalar API: one attempt
+        certain = make_params(**CERTAIN_CLICK)
+        assert sample_generation_time(certain, SplitMix(1, 0)) == certain.pulse_time
         times = generation_times(params, TrialConfig(seed=3, n_trials=1000))
         assert np.all(times >= params.pulse_time)
         assert q < 1.0  # the sampled path uses the true q
@@ -98,6 +98,24 @@ class TestChainSampling:
         cfg = TrialConfig(seed=9, n_trials=2000)
         assert np.array_equal(chain_times(params, 0, cfg),
                               generation_times(params, cfg))
+        # dark counts alone herald no link: every level-0 path refuses it
+        dark = make_params(local_efficiency=1e-300, excitation_prob=1e-30, dark_prob=1e-5)
+        assert mc.click_probability(dark) == 1e-5
+        for sample in (lambda: generation_times(dark, cfg),
+                       lambda: sample_generation_time(dark, SplitMix(9)),
+                       lambda: chain_times(dark, 0, cfg)):
+            with pytest.raises(protocol.ChainStallError, match="all-dark generation"):
+                sample()
+        # as does a T_0 = t_Δ / (η_p p_c) that overflows a float
+        slow = make_params(pulse_time=1e300, excitation_prob=1e-10)
+        with pytest.raises(OverflowError, match="time T_0"):
+            generation_times(slow, cfg)
+        with pytest.raises(InfeasibleError, match="level 0 with 1000000000 trials .* "
+                                                  "over the memory cap"):
+            generation_times(params, TrialConfig(seed=9, n_trials=10 ** 9))
+        # one draw a trial: past 1e9 trials the draw budget refuses first
+        with pytest.raises(InfeasibleError, match="random draws, over the budget"):
+            generation_times(params, TrialConfig(seed=9, n_trials=10 ** 9 + 1))
 
     def test_level_one_serial_matches_renewal_oracle(self):
         # renewal equation: each attempt costs two fresh pairs, expected
