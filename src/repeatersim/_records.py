@@ -1,5 +1,5 @@
 """The records' one way to check their fields, and to refuse a non-finite
-or non-integer value."""
+or non-integer value, or a closed form that leaves the float range."""
 
 import math
 import numbers
@@ -38,3 +38,21 @@ def check_int(**values):
         if type(value) is not int and (isinstance(value, bool)
                                        or not isinstance(value, numbers.Integral)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+class FloatRangeError(OverflowError, ValueError):
+    """A closed form left the float range: the scan skips its row as an
+    ``OverflowError``, and a refusal of bad input catches a ``ValueError``."""
+
+
+def in_float_range(what: str, compute, **inputs):
+    """``compute()``, refused by name where it is not finite or raises
+    ``OverflowError`` or ``ZeroDivisionError`` (an underflowed denominator)."""
+    try:
+        value = compute()
+        if -math.inf < value < math.inf:
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    at = ", ".join(f"{name} = {arg!r}" for name, arg in inputs.items())
+    raise FloatRangeError(f"{what} overflows a float at {at}")

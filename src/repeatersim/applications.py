@@ -17,7 +17,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from ._records import Checked, check_int
-from .montecarlo import DRAW_BUDGET, check_memory
+from .montecarlo import DRAW_BUDGET, check_memory, format_count
 from .protocol import InfeasibleError, check_link
 
 
@@ -216,8 +216,8 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
         raise ValueError("rounds must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    if 3 * rounds > DRAW_BUDGET:
-        raise InfeasibleError(f"{rounds} rounds need {3 * rounds:.3g} random draws, "
+    if rounds > DRAW_BUDGET / 3:
+        raise InfeasibleError(f"{rounds} rounds need {format_count(rounds, 3)} random draws, "
                               f"over the budget of {DRAW_BUDGET:.0e}")
     # the run holds one byte a round, the cell, and a block's temporaries
     # (tracemalloc peak at 1e6 rounds: 1.15 bytes a round at eta_a = 0.5,

@@ -29,6 +29,7 @@ import os
 import sys
 
 from . import config, ensemble, montecarlo
+from ._records import in_float_range
 from .config import Config, ConfigError
 from .protocol import ChainStallError, InfeasibleError, chain
 
@@ -160,7 +161,7 @@ def scaling_report(cfg: Config, args):
     def closed_form(params) -> float:
         try:
             return scaling.closed_form_time(params)
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError):   # a companion cell, so nan and not a refusal
             return math.nan
 
     best = scaling.optimize_segment(cfg.repeater, cfg.scaling.total_length,
@@ -168,10 +169,9 @@ def scaling_report(cfg: Config, args):
                                     df_target=cfg.scaling.target_infidelity,
                                     n_max=cfg.scaling.n_max)
     total, latt = cfg.scaling.total_length, cfg.repeater.attenuation_length
-    direct = scaling.direct_ratio(total / latt)
-    if math.isinf(direct):
-        raise OverflowError(f"direct baseline exp(L/L_att) = exp({total / latt!r}) "
-                            "overflows a float")
+    direct = in_float_range("direct baseline exp(L/L_att)",
+                            lambda: scaling.direct_ratio(total / latt),
+                            total_length=total, attenuation_length=latt)
     rows = ((total / latt, l0 / latt, n, ratio,
              closed_form(cfg.repeater.with_(segment_length=l0, levels=n)), direct)
             for n, l0, ratio in best.scanned)

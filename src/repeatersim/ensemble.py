@@ -18,7 +18,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._records import check_finite, check_int
+from ._records import check_finite, check_int, in_float_range
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,22 +79,15 @@ def effective_rates(params: EnsembleParams) -> EffectiveRates:
     kappa' = 4 N |Omega g|^2 / (Delta^2 kappa), gamma' = (Omega/Delta)^2 gamma,
     and cosh r_c = exp(kappa' t / 2) for an interaction window t.
     """
-    try:
-        kp = 4.0 * params.atom_count * abs(params.rabi * params.coupling) ** 2 / (
-            params.detuning ** 2 * params.cavity_decay)
-        gp = (params.rabi / params.detuning) ** 2 * params.spont_rate
-        snr = (4.0 * params.atom_count * abs(params.coupling) ** 2
-               / (params.cavity_decay * params.spont_rate)) if params.spont_rate > 0 else math.inf
-        r_c = math.acosh(math.exp(kp * params.interaction_time / 2.0))
-        # a float product overflows to inf without raising; snr is meant to
-        # be infinite at spont_rate = 0 only
-        if not all(map(math.isfinite, (kp, gp, r_c))) or (
-                params.spont_rate > 0 and not math.isfinite(snr)):
-            raise OverflowError("an effective rate is not finite")
-    # raised by a float power, math.exp, the check above, or a quotient whose
-    # denominator underflowed to 0
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ValueError(f"effective rates overflow a float at {params}") from exc
+    p, at = params, vars(params)
+    kp = in_float_range("kappa_prime", lambda: 4.0 * p.atom_count * abs(p.rabi * p.coupling) ** 2
+                        / (p.detuning ** 2 * p.cavity_decay), **at)
+    gp = in_float_range("gamma_s_prime", lambda: (p.rabi / p.detuning) ** 2 * p.spont_rate, **at)
+    # snr is meant to be infinite at spont_rate = 0 only
+    snr = in_float_range("snr", lambda: 4.0 * p.atom_count * abs(p.coupling) ** 2
+                         / (p.cavity_decay * p.spont_rate), **at) if p.spont_rate > 0 else math.inf
+    r_c = in_float_range("squeeze", lambda: math.acosh(math.exp(kp * p.interaction_time / 2.0)),
+                         **at)
     p_c = math.tanh(r_c) ** 2
     ratio = params.bad_cavity_ratio
     return EffectiveRates(kp, gp, snr, r_c, p_c, ratio, ratio < ADIABATIC_RATIO_WARN)
@@ -137,7 +130,7 @@ def langevin_mean_ode(params: EnsembleParams, t_grid, rtol: float = 1e-11) -> np
         raise ValueError("t_grid must be non-decreasing")
     lam = 0.5 * effective_rates(params).kappa_prime
     exponent = lam * times[-1]
-    if not exponent <= math.log(sys.float_info.max):
+    if not exponent <= math.log(sys.float_info.max):   # before any RK4 step can overflow
         raise ValueError(f"gain exp(kappa' T / 2) = exp({exponent:.6g}) overflows a float")
     if exponent == 0.0:
         return np.ones_like(times)
@@ -257,11 +250,7 @@ def free_space_snr(density: float, length: float, wavenumber: float) -> FreeSpac
     if density <= 0 or length <= 0 or wavenumber <= 0:
         raise ValueError("density, length and wavenumber must all be positive")
     check_finite(density=density, length=length, wavenumber=wavenumber)
-    # a product overflows to inf without raising; k^2 may underflow to 0
-    k2 = wavenumber ** 2
-    value = 3.0 * density * length / k2 if k2 > 0 else math.inf
-    if value == math.inf:
-        raise ValueError(f"3 rho L / k^2 overflows a float at density = {density}, "
-                         f"length = {length}, wavenumber = {wavenumber}")
+    value = in_float_range("3 rho L / k^2", lambda: 3.0 * density * length / wavenumber ** 2,
+                           density=density, length=length, wavenumber=wavenumber)
     dilute = wavenumber / density ** (1.0 / 3.0)
     return FreeSpaceSnr(snr=value, optical_depth=value, superradiance_risk=dilute < 1.0)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
@@ -35,8 +36,7 @@ BACKEND = "numpy"
 
 POLICIES = ("serial_redo", "parallel_max")
 
-MAX_LEVEL = 30   # recursion depth guard; expected work grows like prod(1/p_i)
-DRAW_BUDGET = 1e9   # expected draws per chain_times call: minutes of sampling, not years
+DRAW_BUDGET = 1e9   # expected draws per sampler call: minutes of sampling, not years
 MEMORY_BUDGET = 2 ** 30   # bytes one batch, trace or key run may hold
 
 
@@ -90,8 +90,6 @@ def click_probability(params: RepeaterParams) -> float:
 def _level_probs(params: RepeaterParams, n: int) -> tuple:
     """``(0.0, p_1, ..., p_n)`` of the analytic chain, memoised on the frozen
     arguments; a tuple, so no caller can change the cached value."""
-    if n > MAX_LEVEL:
-        raise ValueError(f"level {n} beyond supported depth {MAX_LEVEL}")
     rows = chain(params.with_(levels=n))
     return (0.0,) + tuple(row.success_prob for row in rows[1:])
 
@@ -101,11 +99,14 @@ def sample_chain_time(params: RepeaterParams, n: int, rng: SplitMix,
     """One full waiting time for a level-``n`` link.
 
     Both sub-pairs are regenerated after a failed swap (retrieval is
-    destructive, nothing survives to reuse).
+    destructive, nothing survives to reuse).  Raises ``InfeasibleError``
+    before sampling when the expected number of draws exceeds
+    ``DRAW_BUDGET``.
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
     probs = _level_probs(params, n)
+    _check_draws(probs, 1, f"a level-{n} sample")
     q = click_probability(params)
     rng.state, t = _kernels().chain_sample(n, probs, q, params.pulse_time,
                                            policy == "parallel_max", rng.state)
@@ -117,12 +118,31 @@ def sample_generation_time(params: RepeaterParams, rng: SplitMix) -> float:
     return sample_chain_time(params, 0, rng)
 
 
-def check_memory(nbytes: float, what: str) -> None:
+def format_count(count: int, scale: float = 1.0, spec: str = ".3g") -> str:
+    """``format(count * scale, spec)``; for an int ``count`` past float
+    range, where the float product would raise, the product in ``Decimal``."""
+    if count <= sys.float_info.max:
+        return format(count * scale, spec)
+    from decimal import Decimal
+
+    return format(Decimal(count) * Decimal(scale), spec)
+
+
+def _check_draws(probs: tuple, count: int, what: str) -> None:
+    """Raise ``InfeasibleError`` when ``count`` samples of the chain with
+    level probabilities ``probs`` expect more than ``DRAW_BUDGET`` draws."""
+    per_sample = _kernels().expected_draws(probs)
+    if count > DRAW_BUDGET / per_sample:
+        raise InfeasibleError(f"{what} needs about {format_count(count, per_sample)} random "
+                              f"draws, over the budget of {DRAW_BUDGET:.0e}")
+
+
+def check_memory(nbytes: int, what: str) -> None:
     """Raise ``InfeasibleError`` when ``what`` would hold more than
     ``MEMORY_BUDGET`` bytes."""
     if nbytes > MEMORY_BUDGET:
-        raise InfeasibleError(f"{what} would hold about {nbytes / 2 ** 20:.0f} MiB, "
-                              f"over the memory cap of {MEMORY_BUDGET / 2 ** 20:.0f} MiB")
+        raise InfeasibleError(f"{what} would hold about {format_count(nbytes, 2 ** -20, '.0f')} "
+                              f"MiB, over the memory cap of {MEMORY_BUDGET / 2 ** 20:.0f} MiB")
 
 
 def _trial_bytes(n: int) -> int:
@@ -142,10 +162,7 @@ def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
     """
     probs = _level_probs(params, n)
     what = f"level {n} with {cfg.n_trials} trials"
-    draws = cfg.n_trials * _kernels().expected_draws(probs)
-    if draws > DRAW_BUDGET:
-        raise InfeasibleError(f"{what} needs about {draws:.3g} random draws, "
-                              f"over the budget of {DRAW_BUDGET:.0e}")
+    _check_draws(probs, cfg.n_trials, what)
     check_memory(cfg.n_trials * _trial_bytes(n), what)
     return _kernels().chain_times(cfg.seed, cfg.n_trials, n, probs,
                                   click_probability(params), params.pulse_time,
@@ -180,7 +197,7 @@ def estimate(params: RepeaterParams, n: int, cfg: TrialConfig,
 
     if times is None:
         times = chain_times(params, n, cfg)
-    with np.errstate(over="ignore"):   # refused below, with the reason
+    with np.errstate(over="ignore"):   # NumPy warns, not raises: refused below, by name
         mean = float(times.mean())
         stddev = float(times.std(ddof=1)) if cfg.n_trials > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(stddev)):

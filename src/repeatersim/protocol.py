@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from ._records import Checked, check_finite
+from ._records import Checked, check_finite, in_float_range
 
 if TYPE_CHECKING:
     from . import fock
@@ -125,8 +125,8 @@ def generate_analytic(params: RepeaterParams, channel_phase: float = 0.0) -> Gen
         fidelity_deficit=params.excitation_prob,
         span_length=params.segment_length / params.attenuation_length,
     )
-    return GenerationResult(state=state, click_prob=signal + params.dark_prob,
-                            t0=params.pulse_time / signal)
+    t0 = in_float_range("time T_0", lambda: params.pulse_time / signal, **params._asdict())
+    return GenerationResult(state=state, click_prob=signal + params.dark_prob, t0=t0)
 
 
 def swap_analytic(left: EMEState, right: EMEState, eta_s: float):
@@ -159,14 +159,9 @@ def vacuum_coeff_closed_form(i: int, eta_s: float, c0: float = 0.0) -> float:
     if i < 0:
         raise ValueError("level must be >= 0")
     check_finite(eta_s=eta_s, c0=c0)
-    try:
-        value = (2.0 ** i) * c0 + (2.0 ** i - 1.0) * (1.0 - eta_s)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"the vacuum coefficient overflows a float at i = {i}, "
-                         f"eta_s = {eta_s}, c0 = {c0}")
-    return value
+    return in_float_range("the vacuum coefficient",
+                          lambda: (2.0 ** i) * c0 + (2.0 ** i - 1.0) * (1.0 - eta_s),
+                          i=i, eta_s=eta_s, c0=c0)
 
 
 # length in attenuation lengths; success_prob the click probability at level
@@ -179,7 +174,7 @@ def chain(params: RepeaterParams, channel_phase: float = 0.0) -> list[ChainLevel
     """Per-level state of the doubling chain, levels 0..n.
 
     Cumulative time follows the multiplicative rule T_i = T_{i-1} / p_i.
-    Raises ``OverflowError`` naming the first level whose T_i is not finite.
+    Raises ``FloatRangeError`` naming the first level whose T_i is not finite.
     """
     gen = generate_analytic(params, channel_phase)
     state = gen.state
@@ -190,13 +185,9 @@ def chain(params: RepeaterParams, channel_phase: float = 0.0) -> list[ChainLevel
         p, state = swap_analytic(state, state, params.swap_efficiency)
         if p < 1e-12:
             raise ChainStallError(f"success probability {p} at level {i}")
-        t /= p
+        t = in_float_range(f"time T_{i}", lambda: t / p, **{f"T_{i - 1}": t, f"p_{i}": p})
         rows.append(ChainLevel(i, state.span_length, state.vacuum_coeff, p,
                                state.fidelity_deficit, t))
-    for row in rows:
-        if not math.isfinite(row.elapsed_time):
-            raise OverflowError(f"time T_{row.level} = {row.elapsed_time} s at level "
-                                f"{row.level} overflows a float")
     return rows
 
 

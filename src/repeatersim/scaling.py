@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._records import Checked
+from ._records import Checked, in_float_range
 from .protocol import ChainStallError, InfeasibleError, RepeaterParams, chain
 
 
@@ -86,9 +86,8 @@ def total_time(params: RepeaterParams, df_target: float,
     t_n = rows[-1].elapsed_time
     c_n = rows[-1].vacuum_coeff
     p_app = params.app_efficiency / (2.0 * (c_n + 1.0) ** 2)
-    t_tot = t_n / p_app
-    if not math.isfinite(t_tot):
-        raise OverflowError(f"total time T_tot = {t_tot} s at level {n} overflows a float")
+    t_tot = in_float_range("total time T_tot", lambda: t_n / p_app, levels=n, T_n=t_n, c_n=c_n,
+                           app_efficiency=params.app_efficiency)
     t_con = 2.0 * params.pulse_time / (params.local_efficiency * params.app_efficiency * df_target)
     seg_ratio = params.total_length / params.segment_length   # = 2^n
     return ScalingReport(
@@ -167,7 +166,7 @@ def optimize_segment(params_base: RepeaterParams, total_length: float,
             value = math.exp(m * (math.log(total_length) - math.log(l0)) + l0 / l_att)
         except OverflowError:
             value = math.inf
-        if not 0.0 < value < math.inf:
+        if not 0.0 < value < math.inf:   # its own check: an underflow to 0 is refused too
             raise ValueError(f"the power-law value is {value} in floats at m = {m}, "
                              f"total_length = {total_length}, attenuation_length = {l_att}")
         return SegmentOptimum(l0_star=l0, n_star=None, value=value, scanned=())
@@ -185,7 +184,7 @@ def optimize_segment(params_base: RepeaterParams, total_length: float,
             else:
                 raise ValueError(f"unknown objective {objective!r}")
         except (InfeasibleError, ChainStallError, OverflowError):
-            continue
+            continue   # the row has no finite time; the scan goes on without it
         rows.append((n, l0, value))
     if not rows:
         raise InfeasibleError("no feasible segmentation in the scanned range")

@@ -408,13 +408,24 @@ class TestOverflowRefusals:
         assert capsys.readouterr().err == (
             "infeasible: no feasible segmentation in the scanned range\n")
 
+    @pytest.mark.parametrize("command", ["scaling", "optimize"])
+    def test_underflowed_app_efficiency_skips_every_row_and_exits_4(self, tmp_path, capsys,
+                                                                     command):
+        # p_app underflows to 0, so T_tot = T_n / p_app leaves the float range
+        # on every row, which the scan skips as it skips any other such row
+        cfg = write_config(tmp_path, "[repeater]\napp_efficiency = 2.3e-310\n")
+        assert run_cli(["--config", cfg, command]) == (4, "")
+        assert capsys.readouterr().err == (
+            "infeasible: no feasible segmentation in the scanned range\n")
+
     def test_overflowed_chain_time_exits_3_naming_the_level(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[repeater]\npulse_time = 1e300\nlevels = 8\n")
         code, out = run_cli(["--config", cfg, "chain"])
         assert code == 3
         assert out == ""
         assert capsys.readouterr().err == (
-            "numeric failure: time T_7 = inf s at level 7 overflows a float\n")
+            "numeric failure: time T_7 overflows a float at T_6 = 1.152393874492528e+307, "
+            "p_7 = 0.02938628434091792\n")
 
     @pytest.mark.parametrize("length,n_star,value", [(1000, 9, 3.76168325e24),
                                                      (4000, 11, 4.26791645e39)])
@@ -435,8 +446,8 @@ class TestOverflowRefusals:
         assert code == 3
         assert out == ""
         assert capsys.readouterr().err == (
-            f"numeric failure: direct baseline exp(L/L_att) = exp({float(length)!r}) "
-            "overflows a float\n")
+            "numeric failure: direct baseline exp(L/L_att) overflows a float at "
+            f"total_length = {float(length)!r}, attenuation_length = 1.0\n")
 
     def test_overflowed_montecarlo_statistics_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[repeater]\npulse_time = 1e300\n")
@@ -475,6 +486,23 @@ class TestOptimize:
         assert capsys.readouterr().err == (
             "numeric failure: the power-law value is 0.0 in floats at m = 800.0, "
             "total_length = 100.0, attenuation_length = 1.0\n")
+
+    def test_closed_form_is_the_least_closed_form_cell_of_the_scaling_table(self):
+        # the closed_form objective scans the rows the scaling table prints;
+        # both outputs round to the same configured precision
+        import csv
+
+        code, out = run_cli(["optimize", "--objective", "closed_form"])
+        assert code == 0
+        best = json.loads(out)
+        code, table = run_cli(["scaling", "--format", "csv"])
+        assert code == 0
+        rows = csv.DictReader(table.splitlines()[1:])
+        cells = {int(row["n"]): float(row["ratio_closed_form"]) for row in rows}
+        n_star = min(cells, key=cells.get)
+        assert (best["n_star"], best["value"]) == (n_star, cells[n_star])
+        # not the compositional optimum the same table ranks first
+        assert best["value"] != json.loads(run_cli(["optimize"])[1])["value"]
 
     def test_compositional_default(self, tmp_path):
         cfg = write_config(tmp_path, "[repeater]\ndark_prob = 0\n")
@@ -594,6 +622,35 @@ class TestMonteCarlo:
         assert out == ""
         assert "MiB, over the memory cap of 1024 MiB" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,budget", [
+        (["ekert", "--rounds"], " rounds need 3.00e+400 random draws, over the budget of 1e+09\n"),
+        (["montecarlo", "--trials"],
+         " trials needs about 3.90e+401 random draws, over the budget of 1e+09\n"),
+        (["montecarlo", "--trace-csv", "trials.csv", "--trials"],
+         " MiB, over the memory cap of 1024 MiB\n"),
+    ], ids=["rounds", "trials", "trace"])
+    def test_count_past_float_range_exits_4_naming_the_budget(self, tmp_path, monkeypatch,
+                                                               capsys, argv, budget):
+        # the budgets compare the int as it is and print it without a float
+        monkeypatch.setenv("REPEATERSIM_OUTDIR", str(tmp_path))
+        assert run_cli([*argv, str(10 ** 400)]) == (4, "")
+        assert capsys.readouterr().err.endswith(budget)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("level", [31, 41])
+    def test_deep_level_exits_4_on_the_draw_budget(self, level, capsys):
+        assert run_cli(["montecarlo", "--level", str(level)]) == (4, "")
+        assert capsys.readouterr().err.startswith(
+            f"infeasible: level {level} with 10000 trials needs about ")
+
+    def test_level_past_the_chain_stall_exits_3_as_chain_does(self, tmp_path, capsys):
+        assert run_cli(["montecarlo", "--level", "42"]) == (3, "")
+        stalled = capsys.readouterr().err
+        cfg = write_config(tmp_path, "[repeater]\nlevels = 42\n")
+        assert run_cli(["--config", cfg, "chain"]) == (3, "")
+        assert capsys.readouterr().err == stalled
+        assert stalled.startswith("numeric failure: success probability ")
+
     def test_trace_beyond_memory_cap_exits_4(self, tmp_path, capsys):
         # 1e7 level-0 samples fit, their formatted trace rows do not
         trace = tmp_path / "trials.csv"
@@ -706,9 +763,43 @@ class TestContract:
     EXTREMES = {float: ("0", "-1", "1e300", "1e-300"), int: ("0", "-1", "1000000000"),
                 str: ("",)}
 
+    # an interpreter's own arithmetic message: a refusal that names no input
+    BARE_MESSAGES = ("int too large to convert to float", "integer division result too large",
+                     "float division by zero", "Numerical result out of range",
+                     "math domain error")
+
     @staticmethod
     def refuse_constant(name):
         raise ValueError(f"{name} is not JSON")
+
+    @classmethod
+    def breach(cls, ini, command):
+        """``(code, stderr)`` of one in-process run of ``command`` where it
+        breaks the contract, else None.  A run breaks it by raising, by an
+        exit code outside 0, 2, 3 and 4, by an exit-0 JSON stdout (every
+        command's but dynamics', which writes its CSV to a file) that does
+        not parse without NaN or Infinity, or by a non-zero exit that
+        writes stdout, gives no reason or gives a bare arithmetic message."""
+        import contextlib
+        import io
+
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["--config", str(ini), command])
+        except Exception as exc:   # reported with its setting
+            code = repr(exc)
+        if code == 0 and command != "dynamics":
+            try:
+                json.loads(out.getvalue(), parse_constant=cls.refuse_constant)
+            except ValueError as exc:
+                code = f"stdout: {exc}"
+        reason = err.getvalue()
+        if code not in (0, 2, 3, 4) or (code != 0 and (
+                out.getvalue() or not reason.strip()
+                or any(bare in reason for bare in cls.BARE_MESSAGES))):
+            return code, reason
+        return None
 
     def test_the_parser_declares_exactly_the_table_and_dynamics(self):
         # a new subcommand must join REPORTS (or be dynamics), so the fuzz
@@ -720,12 +811,7 @@ class TestContract:
     def test_every_single_key_extreme_exits_with_a_code_and_a_reason(self, tmp_path,
                                                                     monkeypatch):
         # each schema key alone at each extreme, against every subcommand at the
-        # default seeds; files go to tmp_path.  An exit-0 JSON stdout (every
-        # command's but dynamics', which writes its CSV to a file) must parse
-        # without NaN or Infinity.
-        import contextlib
-        import io
-
+        # default seeds; files go to tmp_path
         monkeypatch.setenv("REPEATERSIM_OUTDIR", str(tmp_path))
         broken = []
         for section, keys in config.SCHEMA.items():
@@ -733,22 +819,8 @@ class TestContract:
                 for value in self.EXTREMES[conv]:
                     ini = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
                     for command in self.COMMANDS:
-                        out, err = io.StringIO(), io.StringIO()
-                        try:
-                            with contextlib.redirect_stdout(out), \
-                                    contextlib.redirect_stderr(err):
-                                code = cli.main(["--config", ini, command])
-                        except Exception as exc:   # reported with its setting
-                            code = repr(exc)
-                        if code == 0 and command != "dynamics":
-                            try:
-                                json.loads(out.getvalue(), parse_constant=self.refuse_constant)
-                            except ValueError as exc:
-                                code = f"stdout: {exc}"
-                        if code not in (0, 2, 3, 4) or (
-                                code != 0 and (out.getvalue() or not err.getvalue().strip())):
-                            broken.append((f"{section}.{key}={value}", command, code,
-                                           err.getvalue()))
+                        if breach := self.breach(ini, command):
+                            broken.append((f"{section}.{key}={value}", command, *breach))
         assert broken == []
 
     # the generated contract: two or three keys a case, from every section
@@ -775,8 +847,6 @@ class TestContract:
         # each case: 2-3 keys at generated values (trials.n_trials = 200
         # unless the case sets it) against one subcommand, checked as the
         # single-key extremes above are
-        import contextlib
-        import io
         import random
 
         monkeypatch.setenv("REPEATERSIM_OUTDIR", str(tmp_path))
@@ -794,20 +864,8 @@ class TestContract:
             ini.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n"
                                    for section, lines in sections.items()))
             command = rng.choice(self.COMMANDS)
-            out, err = io.StringIO(), io.StringIO()
-            try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(["--config", str(ini), command])
-            except Exception as exc:   # reported with its case
-                code = repr(exc)
-            if code == 0 and command != "dynamics":
-                try:
-                    json.loads(out.getvalue(), parse_constant=self.refuse_constant)
-                except ValueError as exc:
-                    code = f"stdout: {exc}"
-            if code not in (0, 2, 3, 4) or (
-                    code != 0 and (out.getvalue() or not err.getvalue().strip())):
-                broken.append((values, command, code, err.getvalue()))
+            if breach := self.breach(ini, command):
+                broken.append((values, command, *breach))
         assert broken == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -853,6 +911,23 @@ class TestRecords:
                      if isinstance(node, ast.ClassDef)
                      and any("dataclass" in ast.unparse(d) for d in node.decorator_list)]
         assert decorated == [("ensemble.py", "EnsembleParams")]
+
+    @pytest.mark.parametrize("compute", [lambda: 2.0 ** 1024, lambda: 1.0 / (1e-170 ** 2),
+                                         lambda: 1e308 * 10.0, lambda: math.inf - math.inf],
+                             ids=["raises", "underflowed denominator", "inf", "nan"])
+    def test_float_range_refusal_names_every_input(self, compute):
+        from repeatersim._records import FloatRangeError, in_float_range
+
+        with pytest.raises(FloatRangeError) as refused:
+            in_float_range("the value", compute, a=1, b=2.5)
+        assert str(refused.value) == "the value overflows a float at a = 1, b = 2.5"
+        # the scan skips a row on OverflowError; a caller refusing input catches ValueError
+        assert isinstance(refused.value, OverflowError) and isinstance(refused.value, ValueError)
+
+    def test_finite_value_passes_the_float_range_check(self):
+        from repeatersim._records import in_float_range
+
+        assert in_float_range("the value", lambda: 1.5e308, a=1) == 1.5e308
 
     def test_with_checks_the_override(self):
         params = config.load().repeater
@@ -1150,6 +1225,26 @@ class TestOneHome:
 
         assert self.marks(integral) == [("_records.py", "check_int", "numbers.Integral"),
                                         ("cli.py", "_fmt", "numbers.Integral")]
+
+    def test_float_overflow_is_caught_in_the_allowed_places(self):
+        # in_float_range is the rule; direct_ratio's inf, the power-law value
+        # (which refuses an underflow to 0 as well), the scan's row skip and
+        # the scaling table's nan cell keep a non-finite result on purpose
+        import ast
+
+        def caught(node):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                return ", ".join(sorted(names & {"OverflowError", "ZeroDivisionError"})) or None
+            return None
+
+        assert self.marks(caught) == [
+            ("_records.py", "in_float_range", "OverflowError, ZeroDivisionError"),
+            ("cli.py", "closed_form", "OverflowError"),
+            ("scaling.py", "direct_ratio", "OverflowError"),
+            ("scaling.py", "optimize_segment", "OverflowError"),
+            ("scaling.py", "optimize_segment", "OverflowError"),
+        ]
 
     def test_level_zero_is_sampled_through_the_chain(self):
         # generation_times and sample_generation_time are level 0 of the

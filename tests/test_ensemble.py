@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -63,6 +64,12 @@ class TestEffectiveRates:
         assert not effective_rates(good).adiabatic_marginal
 
 
+def overflow_message(rate, params):
+    """The refusal of ``rate``, naming every field of ``params``."""
+    return f"{rate} overflows a float at " + ", ".join(
+        f"{name} = {value!r}" for name, value in vars(params).items())
+
+
 class TestOverflowRefusals:
     @pytest.mark.parametrize("field,value", [("interaction_time", 1e6), ("rabi", 1e200),
                                              ("atom_count", 10 ** 400),
@@ -70,11 +77,13 @@ class TestOverflowRefusals:
                                              ("coupling", 1e154),
                                              ("detuning", 1e-200)])
     def test_overflow_is_a_value_error_naming_the_inputs(self, field, value):
+        # the interaction time enters only the squeezing; the rest overflow kappa'
+        rate = "squeeze" if field == "interaction_time" else "kappa_prime"
         params = make_params(**{field: value})
         with pytest.raises(ValueError) as refused:
             effective_rates(params)
-        assert str(refused.value) == f"effective rates overflow a float at {params!r}"
-        assert f"{field}={value!r}" in str(refused.value)
+        assert str(refused.value) == overflow_message(rate, params)
+        assert f"{field} = {value!r}" in str(refused.value)
 
     def test_overflow_exits_3(self, tmp_path, capsys):
         from repeatersim import cli
@@ -84,8 +93,8 @@ class TestOverflowRefusals:
         assert cli.main(["--config", str(ini), "rates"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("numeric failure: effective rates overflow a float at "
-                              "EnsembleParams(atom_count=100, ")
+        assert err.startswith("numeric failure: squeeze overflows a float at "
+                              "atom_count = 100, ")
 
     @pytest.mark.parametrize("command", ["rates", "dynamics"])
     def test_overflow_to_inf_is_blamed_on_the_rates(self, tmp_path, capsys, command):
@@ -99,8 +108,8 @@ class TestOverflowRefusals:
         assert cli.main(args if command == "dynamics" else args[:3]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("numeric failure: effective rates overflow a float at "
-                              f"EnsembleParams(atom_count={10 ** 308}, ")
+        assert err.startswith("numeric failure: kappa_prime overflows a float at "
+                              f"atom_count = {10 ** 308}, ")
 
 
 def single_excitation_rates(params: EnsembleParams):
@@ -284,7 +293,7 @@ class TestLangevinIntegrator:
         params = make_params(atom_count=10 ** 308)
         with pytest.raises(ValueError) as refused:
             langevin_mean_ode(params, [0.0])
-        assert str(refused.value) == f"effective rates overflow a float at {params!r}"
+        assert str(refused.value) == overflow_message("kappa_prime", params)
 
 
 class TestSqueezedJointState:
@@ -732,6 +741,13 @@ class TestFreeSpaceSnr:
             free_space_snr(*args)
         assert str(info.value) == (f"3 rho L / k^2 overflows a float at density = {density}, "
                                    f"length = {length}, wavenumber = {wavenumber}")
+
+    def test_squared_wavenumber_past_a_float_is_refused_naming_every_input(self):
+        # k^2 itself overflows, which a float power raises on
+        with pytest.raises(ValueError, match=re.escape(
+                "3 rho L / k^2 overflows a float at density = 100.0, length = 1.0, "
+                "wavenumber = 8e+266")):
+            free_space_snr(100.0, 1.0, 8e266)
 
     def test_largest_finite_value_passes(self):
         # 3 rho L / k^2 just below the largest float

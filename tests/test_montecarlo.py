@@ -166,6 +166,18 @@ class TestChainSampling:
         ])
         assert np.array_equal(bulk, scalar)
 
+    def test_scalar_sample_over_the_draw_budget_is_refused_before_drawing(self, monkeypatch):
+        # at CLI defaults a level-8 sample expects about 2e10 draws, hours of
+        # the scalar walk; the budget refuses it as it refuses a batch
+        def no_draws(*args):
+            raise AssertionError("sampled past the draw budget")
+
+        monkeypatch.setattr(kernels, "chain_sample", no_draws)
+        params = config.from_raw(config.default_raw()).repeater
+        with pytest.raises(InfeasibleError, match=re.escape(
+                "a level-8 sample needs about 2.01e+10 random draws, over the budget of 1e+09")):
+            sample_chain_time(params, 8, SplitMix(1))
+
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=["int64", "uint64"])
     def test_scalar_api_takes_numpy_integer_seeds(self, seed):
         # the lockstep API takes them; the scalar one must not overflow on them

@@ -584,7 +584,7 @@ class TestChain:
     def test_overflowed_time_names_its_level(self, pulse_time, level):
         # T_6 = 2.0e307 at pulse_time 1e300; T_0 = 1e310 at 1e307
         params = make_params(pulse_time=pulse_time, dark_prob=0.0, levels=8)
-        with pytest.raises(OverflowError, match=f"time T_{level} = inf s at level {level} "):
+        with pytest.raises(OverflowError, match=f"time T_{level} overflows a float at "):
             chain(params)
         if level:
             assert math.isfinite(chain(params.with_(levels=level - 1))[-1].elapsed_time)

@@ -67,7 +67,8 @@ class TestTotalTime:
         # T_tot = T_n / p_app overflows
         params = make_params(pulse_time=1e305, levels=1, segment_length=1.0)
         assert math.isfinite(chain(params.with_(excitation_prob=0.025))[-1].elapsed_time)
-        with pytest.raises(OverflowError, match="total time T_tot = inf s at level 1 "):
+        with pytest.raises(OverflowError,
+                           match="total time T_tot overflows a float at levels = 1, "):
             total_time(params, df_target=0.05)
 
     def test_budget_infeasible(self):
