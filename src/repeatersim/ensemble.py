@@ -99,7 +99,8 @@ def langevin_mean_solution(params: EnsembleParams, t: float) -> float:
         raise ValueError("t must be non-negative")
     check_finite(t=t)
     kp = effective_rates(params).kappa_prime
-    return math.exp(kp * t / 2.0)
+    return in_float_range("exp(kappa' t / 2)", lambda: math.exp(kp * t / 2.0),
+                          t=t, **vars(params))
 
 
 def langevin_mean_ode(params: EnsembleParams, t_grid, rtol: float = 1e-11) -> np.ndarray:

@@ -237,25 +237,13 @@ def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float,
     factor = np.zeros((layout.dim, 2), dtype=complex)
     factor[0, 0] = math.sqrt(c + lost) / root
     # |1_m⟩ sits at index d^(n-1-m): mode 0 is the most significant digit
-    excited = [layout.mode_dim ** (layout.modes - 1 - m) for m in pair]
-    factor[excited, 1] = [math.sqrt(eta) * a / root for a, eta in zip(amps, etas)]
+    for m, a, eta in zip(pair, amps, etas):
+        factor[layout.mode_dim ** (layout.modes - 1 - m), 1] = math.sqrt(eta) * a / root
     return fock.DensityOperator.from_factor(layout, factor)
 
 
 GenerationOracleResult = namedtuple("GenerationOracleResult",
                                     ("c_measured", "infidelity", "click_prob"))
-
-
-@functools.lru_cache(maxsize=16)
-def _atom_rows(cutoff: int, max_atoms: int):
-    """0/1 mask of the generation circuit's basis states (atom_L, phot_L,
-    atom_R, phot_R) with at most ``max_atoms`` atomic excitations in all
-    (read-only, memoised)."""
-    np, _ = _engines()
-    occ = np.indices([cutoff + 1] * 4).reshape(4, -1)
-    mask = (occ[0] + occ[2] <= max_atoms).astype(float)
-    mask.flags.writeable = False
-    return mask
 
 
 @functools.lru_cache(maxsize=16)
@@ -314,9 +302,11 @@ def _heralded_factor(p_c: float, eta_p: float, p_dc: float, channel_phase: float
     # pass below runs along the d^4 rows
     vt = (left[:, None, :, None] * right[None, :, None, :]).reshape(9, layout4.dim)
     # the ideal case drops every probability-p_c^2 term, including the
-    # one-excitation-per-side cross product; the loss keeps the atom number,
-    # so the cut commutes with it (each side holds at most two atoms)
-    vt *= _atom_rows(cutoff, 4 if include_second_order else 1)
+    # one-excitation-per-side cross product: the rows with more than one atom
+    # on (atom_L, atom_R).  The loss keeps the atom number, so the cut
+    # commutes with it
+    if not include_second_order:
+        vt[:, fock.pair_rows_over(4, cutoff, 0, 2, 1)] = 0.0
     vt *= 1.0 / math.sqrt(np.vdot(vt, vt).real)
     rho = fock.DensityOperator.from_factor(layout4, vt.T)
     # the herald's weighted splitter rows on (phot_L, phot_R) join the rank
@@ -358,10 +348,9 @@ def generate_oracle(params: RepeaterParams, cutoff: int = 4,
                          channel_phase, cutoff, include_second_order)
     prob = fock.outcome_probability(h)
     # p times each population; (1, 0) and (0, 1) sit at rows d and 1
-    pops = (h.real ** 2 + h.imag ** 2).sum(axis=1)
-    n = np.arange(cutoff + 1)
-    multi = float(pops[np.add.outer(n, n).ravel() > 1].sum())
-    vac, one_left, one_right = pops[[0, cutoff + 1, 1]].tolist()
+    over = h.take(fock.pair_rows_over(2, cutoff, 0, 1, 1), axis=0)
+    multi = float(np.vdot(over, over).real)
+    vac, one_left, one_right = [float(np.vdot(h[k], h[k]).real) for k in (0, cutoff + 1, 1)]
     # √2 ψ₋† H: the (0, 1) amplitude −e^{iφ} enters conjugated
     minus = h[cutoff + 1] - complex(math.cos(channel_phase), -math.sin(channel_phase)) * h[1]
     return GenerationOracleResult(

@@ -1246,6 +1246,39 @@ class TestOneHome:
             ("scaling.py", "optimize_segment", "OverflowError"),
         ]
 
+    def test_squared_norms_of_every_row_are_summed_only_in_marginal(self):
+        # everywhere else a squared norm is one vdot over the rows it needs
+        import ast
+
+        def split_norm(node):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                text = ast.unparse(node)
+                if ".real ** 2" in text and ".imag ** 2" in text:
+                    return text
+            return None
+
+        assert self.marks(split_norm) == [
+            ("fock.py", "marginal", "v.real ** 2 + v.imag ** 2")]
+
+    def test_pair_total_rows_are_built_in_one_place(self):
+        import ast
+
+        def pair_rows(node):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "pair_rows_over", "fock.pair_rows_over"):
+                return "call"
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.indices",
+                                                                          "np.add.outer"):
+                return ast.unparse(node.func)
+            return None
+
+        assert self.marks(pair_rows) == [
+            ("fock.py", "_check_pair_support", "call"),
+            ("fock.py", "pair_rows_over", "np.indices"),
+            ("protocol.py", "_heralded_factor", "call"),
+            ("protocol.py", "generate_oracle", "call"),
+        ]
+
     def test_level_zero_is_sampled_through_the_chain(self):
         # generation_times and sample_generation_time are level 0 of the
         # chain: only chain_times reaches the bulk kernels

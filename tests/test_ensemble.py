@@ -187,6 +187,13 @@ class TestLangevinGain:
         gains = [langevin_mean_solution(params, t) for t in ts]
         assert all(b > a for a, b in zip(gains, gains[1:]))
 
+    def test_overflow_is_refused_by_name(self):
+        from repeatersim._records import FloatRangeError
+
+        # kappa' = 0.4: exp(0.2 t) leaves the float range above t = 3549
+        with pytest.raises(FloatRangeError, match=r"t = 1000000\.0, atom_count = 100"):
+            langevin_mean_solution(make_params(), 1e6)
+
     def test_ode_cross_check(self):
         params = make_params()
         t_grid = np.linspace(0.0, 3.0 / 0.4, 60)   # kappa' t in [0, 3]

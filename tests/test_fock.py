@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -1023,6 +1024,34 @@ class TestPairSupportCheck:
                 == support_outcome(marginal_pair_support, rho, pairs))
 
 
+class TestPairRowsOver:
+    @pytest.mark.parametrize("modes", range(2, 5))
+    @pytest.mark.parametrize("cutoff", range(1, 5))
+    def test_rows_are_the_states_over_the_threshold(self, modes, cutoff):
+        occupations = list(ModeLayout(modes, cutoff).occupations())
+        for i, j in itertools.permutations(range(modes), 2):
+            for n in range(2 * cutoff + 1):
+                want = [k for k, occ in enumerate(occupations) if occ[i] + occ[j] > n]
+                assert fock.pair_rows_over(modes, cutoff, i, j, n).tolist() == want
+
+    @pytest.mark.parametrize("pairs,refused", [
+        ([(0, 1), (2, 3)], "(0, 1): population 3.000e-01"),
+        ([(2, 3), (0, 1)], "(2, 3): population 7.000e-01"),
+        ([(0, 2), (3, 2), (0, 1)], "(3, 2): population 7.000e-01"),
+        ([(1, 3), (1, 0)], "(1, 0): population 3.000e-01"),
+    ])
+    def test_the_first_listed_leaking_pair_is_refused(self, pairs, refused):
+        # at cutoff 1 the pair (0, 1) leaks 0.3, the pair (2, 3) 0.7, and the
+        # cross pairs nothing
+        layout = ModeLayout(4, 1)
+        rho = pure_state(layout, {(1, 1, 0, 0): math.sqrt(0.3),
+                                  (0, 0, 1, 1): math.sqrt(0.7)}).to_density()
+        with pytest.raises(TruncationError) as err:
+            fock._check_pair_support(rho, pairs, "beamsplitter")
+        assert str(err.value) == (f"beamsplitter on modes {refused} has pair photon "
+                                  "number above cutoff 1")
+
+
 class TestGateTables:
     @pytest.mark.parametrize("cutoff", range(2, 9))
     @pytest.mark.parametrize("r", [0.05, 0.3, 0.6, 0.9])
@@ -1052,11 +1081,11 @@ class TestGateTables:
 
     def test_tables_are_memoised_and_read_only(self):
         tables = [fock.beamsplitter_matrix(2, 0.4, 0.1), *fock.loss_kraus(2, 0.3),
-                  fock._above_cutoff(4, 2, ((0, 2), (1, 3)))]
+                  fock.pair_rows_over(4, 2, 0, 2, 2)]
         assert fock.beamsplitter_matrix(2, 0.4, 0.1) is tables[0]
-        assert fock._above_cutoff(4, 2, ((0, 2), (1, 3))) is tables[-1]
+        assert fock.pair_rows_over(4, 2, 0, 2, 2) is tables[-1]
         assert fock.loss_kraus(2, 0.3) is fock.loss_kraus(2, 0.3)
         assert isinstance(fock.loss_kraus(2, 0.3), tuple)
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 1.0
+                table[(0,) * table.ndim] = 1
