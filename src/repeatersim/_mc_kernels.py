@@ -42,7 +42,8 @@ def stream_state(seed: int, index: int) -> int:
 def next_uniform(state: int):
     """Advance the stream; returns ``(state, u)``, u = (k + 0.5) / 2**53
     for the top 53 bits k of the mixed state: in (0, 1), except that
-    k = 2**53 - 1 rounds to 1.0."""
+    k = 2**53 - 1 rounds to 1.0, which fails every swap test (p <= 1/2) and
+    counts one attempt, as the draw below it does unless q <= 2**-52."""
     state = (state + _GOLDEN) & _MASK
     z = mix64(state)
     return state, ((z >> 11) + 0.5) * _INV_2_53

@@ -17,8 +17,8 @@ from collections import namedtuple
 from itertools import accumulate
 
 from ._records import Checked, check_int
-from .montecarlo import DRAW_BUDGET, check_memory, format_count
-from .protocol import InfeasibleError, check_link
+from .montecarlo import check_draws, check_memory
+from .protocol import check_link
 
 
 class MeasurementSetting(Checked, namedtuple("MeasurementSetting", ("psi_left", "psi_right"))):
@@ -216,9 +216,7 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
         raise ValueError("rounds must be >= 1")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    if rounds > DRAW_BUDGET / 3:
-        raise InfeasibleError(f"{rounds} rounds need {format_count(rounds, 3)} random draws, "
-                              f"over the budget of {DRAW_BUDGET:.0e}")
+    check_draws(rounds, 3, f"{rounds} rounds")
     # the run holds one byte a round, the cell, and a block's temporaries
     # (tracemalloc peak at 1e6 rounds: 1.15 bytes a round at eta_a = 0.5,
     # 1.26 at 1), so the draw budget binds first at the default memory cap

@@ -103,6 +103,19 @@ def langevin_mean_solution(params: EnsembleParams, t: float) -> float:
                           t=t, **vars(params))
 
 
+def _time_grid(t_grid) -> list:
+    """``t_grid`` as floats, refused unless 1-D, finite and non-decreasing."""
+    try:   # an array converts in one call; a 2-D one nests, which float refuses
+        times = list(map(float, t_grid.tolist() if hasattr(t_grid, "tolist") else t_grid))
+    except TypeError:
+        raise ValueError("t_grid must be a 1-D sequence of times") from None
+    if not all(map(math.isfinite, times)):
+        raise ValueError("t_grid must be finite")
+    if times != sorted(times):
+        raise ValueError("t_grid must be non-decreasing")
+    return times
+
+
 def langevin_mean_ode(params: EnsembleParams, t_grid, rtol: float = 1e-11) -> np.ndarray:
     """Numerical integration of the drift equation dS/dt = (kappa'/2) S.
 
@@ -114,36 +127,32 @@ def langevin_mean_ode(params: EnsembleParams, t_grid, rtol: float = 1e-11) -> np
     error over [0, T] stays below lam T (lam h)^4 / 120 <= ``rtol``, where
     h is the largest substep.  Rounding adds about one ulp per substep.
     """
-    import numpy as np
-
     if not (math.isfinite(rtol) and rtol > 0):
         raise ValueError(f"rtol must be finite and positive, got {rtol}")
-    times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError(f"t_grid must be a non-empty 1-D grid, got shape {times.shape}")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("t_grid must be finite")
+    times = _time_grid(t_grid)
+    if not times:
+        raise ValueError("the drift needs at least one time point, got 0")
     if times[0] < 0:
         raise ValueError(f"t_grid must be non-negative (the drift starts at t = 0), "
                          f"got {times[0]}")
-    steps = np.diff(times, prepend=0.0)
-    if np.any(steps < 0):
-        raise ValueError("t_grid must be non-decreasing")
     lam = 0.5 * effective_rates(params).kappa_prime
     exponent = lam * times[-1]
     if not exponent <= math.log(sys.float_info.max):   # before any RK4 step can overflow
         raise ValueError(f"gain exp(kappa' T / 2) = exp({exponent:.6g}) overflows a float")
+    import numpy as np
+
     if exponent == 0.0:
-        return np.ones_like(times)
-    z_max = (120.0 * rtol / exponent) ** 0.25
-    counts = np.where(steps > 0, np.maximum(np.ceil(lam * steps / z_max), 1.0), 0.0)
-    total = float(counts.sum())
+        return np.ones(len(times))
+    z_max = (120.0 * rtol / exponent) ** 0.25   # 0 only where 120 rtol / exponent underflows
+    counts = [0 if t == prev else max(math.ceil(lam * (t - prev) / z_max), 1) if z_max
+              else math.inf for prev, t in zip([0.0, *times], times)]
+    total = sum(counts)
     if total > MAX_RK4_SUBSTEPS:
         raise ValueError(f"rtol {rtol} needs {total:.6g} RK4 substeps, above the cap "
                          f"of {MAX_RK4_SUBSTEPS}")
 
     s, t_prev, out = 1.0, 0.0, []
-    for t, n in zip(times.tolist(), counts.astype(int).tolist()):
+    for t, n in zip(times, counts):
         if n:
             h = (t - t_prev) / n
             for _ in range(n):
@@ -205,16 +214,9 @@ def integrate_master_equation(params: EnsembleParams, n_modes: int, cutoff: int,
         raise ValueError("need at least one collective and one noise mode")
     if cutoff < 1:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    try:   # an array converts in one call; a 2-D one nests, which float refuses
-        times = list(map(float, t_grid.tolist() if hasattr(t_grid, "tolist") else t_grid))
-    except TypeError:
-        raise ValueError("t_grid must be a 1-D sequence of times") from None
+    times = _time_grid(t_grid)
     if len(times) < 2:
         raise ValueError(f"the master equation needs at least two time points, got {len(times)}")
-    if not all(map(math.isfinite, times)):
-        raise ValueError("t_grid must be finite")
-    if times != sorted(times):
-        raise ValueError("t_grid must be non-decreasing")
     rates = effective_rates(params)
     exp, expm1, log1p, t0 = math.exp, math.expm1, math.log1p, times[0]
     columns, power = [], float(n_modes - 1)   # means, traces: collective, then a noise mode

@@ -106,7 +106,7 @@ def sample_chain_time(params: RepeaterParams, n: int, rng: SplitMix,
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
     probs = _level_probs(params, n)
-    _check_draws(probs, 1, f"a level-{n} sample")
+    check_draws(1, _kernels().expected_draws(probs), f"a level-{n} sample")
     q = click_probability(params)
     rng.state, t = _kernels().chain_sample(n, probs, q, params.pulse_time,
                                            policy == "parallel_max", rng.state)
@@ -128,12 +128,11 @@ def format_count(count: int, scale: float = 1.0, spec: str = ".3g") -> str:
     return format(Decimal(count) * Decimal(scale), spec)
 
 
-def _check_draws(probs: tuple, count: int, what: str) -> None:
-    """Raise ``InfeasibleError`` when ``count`` samples of the chain with
-    level probabilities ``probs`` expect more than ``DRAW_BUDGET`` draws."""
-    per_sample = _kernels().expected_draws(probs)
-    if count > DRAW_BUDGET / per_sample:
-        raise InfeasibleError(f"{what} needs about {format_count(count, per_sample)} random "
+def check_draws(count: int, per_item: float, what: str) -> None:
+    """Raise ``InfeasibleError`` when ``count`` items of ``per_item``
+    expected random draws each would use more than ``DRAW_BUDGET``."""
+    if count > DRAW_BUDGET / per_item:
+        raise InfeasibleError(f"{what} needs about {format_count(count, per_item)} random "
                               f"draws, over the budget of {DRAW_BUDGET:.0e}")
 
 
@@ -145,12 +144,12 @@ def check_memory(nbytes: int, what: str) -> None:
                               f"MiB, over the memory cap of {MEMORY_BUDGET / 2 ** 20:.0f} MiB")
 
 
-def _trial_bytes(n: int) -> int:
-    """Bytes a level-``n`` batch holds per trial, an upper bound: the sample
-    and its statistics' temporaries, and at n >= 1 the sampler's per-trial
-    state and step arrays (tracemalloc peaks: 16 at level 0, then 130, 225
-    and 301 at levels 1-3; under 10 922 trials a step's window adds < 1 MB)."""
-    return 24 if n == 0 else 64 * (n + 2)
+def _batch_bytes(n: int, trials: int) -> int:
+    """Bytes a level-``n`` batch of ``trials`` holds, an upper bound: per trial
+    the sample, its statistics' temporaries and at n >= 1 the sampler's state
+    and step arrays, plus 32 per uniform of a lockstep step or level-0 block
+    (tracemalloc: at most 0.78 MiB over the per-trial term, 100-15 000 trials)."""
+    return trials * (24 if n == 0 else 64 * (n + 2)) + 32 * _kernels()._BLOCK
 
 
 def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
@@ -162,8 +161,8 @@ def chain_times(params: RepeaterParams, n: int, cfg: TrialConfig) -> np.ndarray:
     """
     probs = _level_probs(params, n)
     what = f"level {n} with {cfg.n_trials} trials"
-    _check_draws(probs, cfg.n_trials, what)
-    check_memory(cfg.n_trials * _trial_bytes(n), what)
+    check_draws(cfg.n_trials, _kernels().expected_draws(probs), what)
+    check_memory(_batch_bytes(n, cfg.n_trials), what)
     return _kernels().chain_times(cfg.seed, cfg.n_trials, n, probs,
                                   click_probability(params), params.pulse_time,
                                   cfg.policy == "parallel_max")

@@ -41,11 +41,11 @@ def fidelity_budget(segments: float, per_connection_dark: float, asym: float,
 
 class ScalingReport(Checked, namedtuple("ScalingReport", (
         "t0", "t_n", "t_tot", "t_con", "ratio", "chain", "baseline_direct_ratio",
-        "budget", "p_app", "excitation_prob", "segment_length", "total_length",
-        "levels"))):
+        "budget", "p_app", "excitation_prob"))):
     """The times in seconds, ``ratio`` = t_tot / t_con, the chain rows,
-    ``baseline_direct_ratio`` = exp(L / L_att) (inf past the largest float)
-    and the fidelity budget; the rest are companions."""
+    ``baseline_direct_ratio`` = exp(L / L_att) (inf past the largest float),
+    the fidelity budget, ``p_app`` and the allocated p_c; the layout (L0, L,
+    n) is the caller's ``RepeaterParams``."""
 
     __slots__ = ()
 
@@ -97,9 +97,6 @@ def total_time(params: RepeaterParams, df_target: float,
         budget=fidelity_budget(seg_ratio, per_connection_dark, asym, df_target),
         p_app=p_app,
         excitation_prob=p_c,
-        segment_length=params.segment_length,
-        total_length=params.total_length,
-        levels=n,
     )
 
 

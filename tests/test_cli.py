@@ -623,7 +623,8 @@ class TestMonteCarlo:
         assert "MiB, over the memory cap of 1024 MiB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,budget", [
-        (["ekert", "--rounds"], " rounds need 3.00e+400 random draws, over the budget of 1e+09\n"),
+        (["ekert", "--rounds"],
+         " rounds needs about 3.00e+400 random draws, over the budget of 1e+09\n"),
         (["montecarlo", "--trials"],
          " trials needs about 3.90e+401 random draws, over the budget of 1e+09\n"),
         (["montecarlo", "--trace-csv", "trials.csv", "--trials"],
@@ -941,8 +942,7 @@ class TestRecords:
         constructor refuses."""
         from repeatersim import fock, montecarlo, protocol
 
-        report = scaling.ScalingReport(1.0, 1.0, 2.0, 1.0, 2.0, (), 1.0, None, 0.5, 0.01,
-                                       1.0, 1.0, 0)
+        report = scaling.ScalingReport(1.0, 1.0, 2.0, 1.0, 2.0, (), 1.0, None, 0.5, 0.01)
         return {
             "MeasurementSetting": (applications.MeasurementSetting(0.1, 0.2),
                                    {"psi_left": math.nan}),
@@ -1277,6 +1277,47 @@ class TestOneHome:
             ("fock.py", "pair_rows_over", "np.indices"),
             ("protocol.py", "_heralded_factor", "call"),
             ("protocol.py", "generate_oracle", "call"),
+        ]
+
+    def test_time_grids_are_checked_in_one_place(self):
+        # both ensemble integrators read their grid through _time_grid and
+        # keep only their own rules: a minimum length, the drift's start
+        import ast
+
+        def grid_rule(node):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text = [n.value for n in ast.walk(node.exc) if isinstance(n, ast.Constant)]
+                return next((t for t in text if str(t).startswith("t_grid")), None)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_time_grid":
+                return "call"
+            return None
+
+        assert self.marks(grid_rule) == [
+            ("ensemble.py", "_time_grid", "t_grid must be a 1-D sequence of times"),
+            ("ensemble.py", "_time_grid", "t_grid must be finite"),
+            ("ensemble.py", "_time_grid", "t_grid must be non-decreasing"),
+            ("ensemble.py", "integrate_master_equation", "call"),
+            ("ensemble.py", "langevin_mean_ode", "call"),
+            ("ensemble.py", "langevin_mean_ode",
+             "t_grid must be non-negative (the drift starts at t = 0), got "),
+        ]
+
+    def test_draw_budget_is_compared_in_one_place(self):
+        # the sampler passes its expected draws a trial, the key run 3 a round
+        import ast
+
+        def budget(node):
+            if isinstance(node, ast.Compare) and "DRAW_BUDGET" in ast.unparse(node):
+                return ast.unparse(node)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "check_draws":
+                return ast.unparse(node.args[1])
+            return None
+
+        assert self.marks(budget) == [
+            ("applications.py", "ekert_simulation", "3"),
+            ("montecarlo.py", "chain_times", "_kernels().expected_draws(probs)"),
+            ("montecarlo.py", "check_draws", "count > DRAW_BUDGET / per_item"),
+            ("montecarlo.py", "sample_chain_time", "_kernels().expected_draws(probs)"),
         ]
 
     def test_level_zero_is_sampled_through_the_chain(self):

@@ -271,9 +271,9 @@ class TestLangevinIntegrator:
         ({"rtol": 0.0}, "rtol must be finite and positive, got 0.0"),
         ({"rtol": -1e-9}, "rtol must be finite and positive, got -1e-09"),
         ({"rtol": math.nan}, "rtol must be finite and positive, got nan"),
-        ({"t_grid": []}, "t_grid must be a non-empty 1-D grid, got shape (0,)"),
-        ({"t_grid": [[0.0, 1.0]]}, "t_grid must be a non-empty 1-D grid, got shape (1, 2)"),
-        ({"t_grid": 1.0}, "t_grid must be a non-empty 1-D grid, got shape ()"),
+        ({"t_grid": []}, "the drift needs at least one time point, got 0"),
+        ({"t_grid": [[0.0, 1.0]]}, "t_grid must be a 1-D sequence of times"),
+        ({"t_grid": 1.0}, "t_grid must be a 1-D sequence of times"),
         ({"t_grid": [0.0, math.nan]}, "t_grid must be finite"),
         ({"t_grid": [0.0, math.inf]}, "t_grid must be finite"),
         ({"t_grid": [-1.0, 0.0]},

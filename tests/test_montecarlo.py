@@ -253,6 +253,22 @@ class TestDeterminism:
         assert bulk.tobytes() == np.float64(u).tobytes()
         assert (0.0 < u < 1.0) if k < 2 ** 53 - 1 else u == 1.0
 
+    def test_top_uniforms_fail_every_swap_test(self):
+        # p = x - x^2 / 2 with x = eta_s / (c + 1) <= 1 peaks at 1/2, and the
+        # rounded formula keeps p <= 1/2 at its peak, where the exact product
+        # of its rounded factors can pass 1/2; so the two largest uniforms,
+        # 1.0 and 1 - 2^-52, fail every swap test alike
+        top = [(k + 0.5) * kernels._INV_2_53 for k in (2 ** 53 - 1, 2 ** 53 - 2)]
+        assert top == [1.0, 1.0 - 2.0 ** -52]
+        rng = np.random.default_rng(5)
+        edges = [(c, 1.0 - k * 2.0 ** -53) for c in (0.0, 5e-324, 2.0 ** -53, 1e-9)
+                 for k in range(4096)]
+        swept = zip(10.0 ** rng.uniform(-20.0, 3.0, 4000), 1.0 - rng.random(4000))
+        p = max(protocol.swap_analytic(protocol.EMEState(c), protocol.EMEState(c), eta)[0]
+                for c, eta in [*edges, *swept])
+        assert p == 0.5
+        assert not any(u < p for u in top)
+
     def test_uniform_rows_follow_the_stream(self):
         # every row the stride table serves, up to the walk's longest list
         state = kernels.stream_state(2 ** 63 + 5, 3)
@@ -554,14 +570,18 @@ class TestMemoryGuard:
             generation_times(params, TrialConfig(seed=1, n_trials=10 ** 9))
 
     def test_benchmark_and_default_sizes_fit(self):
-        assert 10 ** 6 * mc._trial_bytes(0) <= mc.MEMORY_BUDGET
+        assert mc._batch_bytes(0, 10 ** 6) <= mc.MEMORY_BUDGET
         defaults = config.from_raw(config.default_raw())
         cfg = defaults.trials
-        assert cfg.n_trials * mc._trial_bytes(defaults.repeater.levels) <= mc.MEMORY_BUDGET
+        assert mc._batch_bytes(defaults.repeater.levels, cfg.n_trials) <= mc.MEMORY_BUDGET
 
-    @pytest.mark.parametrize("n, trials", [(0, 400_000), (1, 100_000), (2, 40_000),
-                                           (3, 10_000)])
-    def test_trial_bytes_bound_the_peak(self, n, trials):
+    # below 10 922 trials a lockstep step's window holds about as much as in
+    # a large batch; 1560 and 1900 trials gave the largest excess over the
+    # per-trial term at levels 1-3
+    @pytest.mark.parametrize("n, trials", [
+        (0, 100), (0, 15_000), (0, 400_000), (1, 100_000), (2, 40_000), (3, 10_000),
+        *((n, trials) for n in (1, 2, 3) for trials in (100, 1560, 1900, 5000, 15_000))])
+    def test_batch_bytes_bound_the_peak(self, n, trials):
         params = make_params()
         cfg = TrialConfig(seed=3, n_trials=trials)
         estimate(params, n, TrialConfig(seed=3, n_trials=100))   # imports and caches
@@ -571,7 +591,7 @@ class TestMemoryGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= trials * mc._trial_bytes(n)
+        assert peak <= mc._batch_bytes(n, trials)
 
 
 class TestStepCount:
