@@ -1,5 +1,6 @@
-"""The records' one way to check their fields, and to refuse a non-finite
-or non-integer value, or a closed form that leaves the float range."""
+"""The records' one way to check their fields, and to refuse a value
+outside its interval, a non-integer value, or a closed form that leaves the
+float range."""
 
 import math
 import numbers
@@ -22,12 +23,27 @@ class Checked:
         return cls(*fields)
 
 
-def check_finite(**values):
-    """Refuse a NaN (which passes every range check) or infinite value by name.
-    The chained comparison, unlike ``math.isfinite``, takes any int."""
-    for name, value in values.items():
-        if not -math.inf < value < math.inf:
-            raise ValueError(f"{name} must be finite, got {value}")
+def _bounds(interval: str) -> tuple:
+    """``(low, high, low closed, high closed)`` of an interval written as
+    "[0, inf)": a square bracket closes its end."""
+    low, high = map(float, interval[1:-1].split(", "))
+    return low, high, interval[0] == "[", interval[-1] == "]"
+
+
+# the intervals a value is checked against; "[-inf, inf]" refuses a NaN alone
+_INTERVALS = {interval: _bounds(interval) for interval in (
+    "[0, 1]", "(0, 1]", "(0, inf)", "(1, inf)", "[0, inf)", "[0, inf]", "(-inf, inf)",
+    "[-inf, inf]")}
+
+
+def check_in(interval: str, name: str, value):
+    """Refuse ``value`` outside ``interval``, one of ``_INTERVALS``, by its
+    ``name``; a NaN fails every comparison.  One value a call, compared here:
+    keyword arguments or a comparison function cost a closed form more."""
+    low, high, low_closed, high_closed = _INTERVALS[interval]
+    if not ((low <= value if low_closed else low < value)
+            and (value <= high if high_closed else value < high)):
+        raise ValueError(f"{name} = {value} outside {interval}")
 
 
 def check_int(**values):

@@ -16,17 +16,16 @@ import sys
 from collections import namedtuple
 from itertools import accumulate
 
-from ._records import Checked, check_int
+from ._records import Checked, check_in, check_int
 from .montecarlo import check_draws, check_memory
-from .protocol import check_link
 
 
 class MeasurementSetting(Checked, namedtuple("MeasurementSetting", ("psi_left", "psi_right"))):
     __slots__ = ()
 
     def _check(self):
-        if not (math.isfinite(self.psi_left) and math.isfinite(self.psi_right)):
-            raise ValueError("settings must be finite")
+        for name, value in zip(self._fields, self):
+            check_in("(-inf, inf)", name, value)
 
 
 class PolarizationQubit(Checked, namedtuple("PolarizationQubit", ("d0", "d1"))):
@@ -36,10 +35,10 @@ class PolarizationQubit(Checked, namedtuple("PolarizationQubit", ("d0", "d1"))):
     __slots__ = ()
 
     def _check(self):
+        for name, value in zip(self._fields, self):
+            check_in("(-inf, inf)", name, abs(value))
         norm = abs(self.d0) ** 2 + abs(self.d1) ** 2
-        if not math.isfinite(norm):
-            raise ValueError("qubit amplitudes must be finite")
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:   # an overflowed norm fails too
             raise ValueError(f"qubit norm {norm} deviates from 1 beyond 1e-12")
 
     @classmethod
@@ -62,9 +61,9 @@ _TINY = sys.float_info.min
 def _delivery(c_n: float, phi: float, eta_a: float) -> float:
     """s = eta_a / (c_n + 1): the chance that the link (c_n, phi) holds its
     excitation and that it survives the loss eta_a."""
-    if not 0.0 < eta_a <= 1.0:
-        raise ValueError(f"application efficiency {eta_a} outside (0, 1]")
-    check_link(c_n, phi)
+    check_in("(0, 1]", "eta_a", eta_a)
+    check_in("[0, inf)", "c_n", c_n)
+    check_in("(-inf, inf)", "phi", phi)
     return eta_a / (c_n + 1.0)
 
 
@@ -81,10 +80,8 @@ def _coincidences(c_n: float, phi: float, eta_a: float, dark_prob: float = 0.0) 
     the link's coherence, so V = (s²/2) / D; the phase phi cancels between
     the two links."""
     s = _delivery(c_n, phi, eta_a)
-    d = dark_prob
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"dark_count_prob {d} outside [0, 1]")
-    v = 1.0 - s
+    check_in("[0, 1]", "dark_prob", dark_prob)
+    d, v = dark_prob, 1.0 - s
     one_each = s * s / 2
     weight = one_each + s * s * d + 4 * s * v * d + 4 * v * v * d * d
     total = (1.0 - d) ** 2 * weight

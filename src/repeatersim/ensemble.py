@@ -18,7 +18,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._records import check_finite, check_int, in_float_range
+from ._records import check_in, check_int, in_float_range
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,7 +55,8 @@ class EnsembleParams:
             raise ValueError(f"spont_rate must be non-negative, got {self.spont_rate}")
         if self.interaction_time < 0.0:
             raise ValueError(f"interaction_time must be non-negative, got {self.interaction_time}")
-        check_finite(**vars(self))
+        for name, value in vars(self).items():
+            check_in("(-inf, inf)", name, value)
 
     @property
     def bad_cavity_ratio(self) -> float:
@@ -95,9 +96,7 @@ def effective_rates(params: EnsembleParams) -> EffectiveRates:
 
 def langevin_mean_solution(params: EnsembleParams, t: float) -> float:
     """Deterministic amplitude gain exp(kappa' t / 2) of the collective mode."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    check_finite(t=t)
+    check_in("[0, inf)", "t", t)
     kp = effective_rates(params).kappa_prime
     return in_float_range("exp(kappa' t / 2)", lambda: math.exp(kp * t / 2.0),
                           t=t, **vars(params))
@@ -127,14 +126,11 @@ def langevin_mean_ode(params: EnsembleParams, t_grid, rtol: float = 1e-11) -> np
     error over [0, T] stays below lam T (lam h)^4 / 120 <= ``rtol``, where
     h is the largest substep.  Rounding adds about one ulp per substep.
     """
-    if not (math.isfinite(rtol) and rtol > 0):
-        raise ValueError(f"rtol must be finite and positive, got {rtol}")
+    check_in("(0, inf)", "rtol", rtol)
     times = _time_grid(t_grid)
     if not times:
         raise ValueError("the drift needs at least one time point, got 0")
-    if times[0] < 0:
-        raise ValueError(f"t_grid must be non-negative (the drift starts at t = 0), "
-                         f"got {times[0]}")
+    check_in("[0, inf)", "t_grid[0]", times[0])   # the drift starts at t = 0
     lam = 0.5 * effective_rates(params).kappa_prime
     exponent = lam * times[-1]
     if not exponent <= math.log(sys.float_info.max):   # before any RK4 step can overflow
@@ -166,8 +162,7 @@ def langevin_mean_ode(params: EnsembleParams, t_grid, rtol: float = 1e-11) -> np
     return np.array(out)
 
 
-def squeezed_joint_state(rates: EffectiveRates, cutoff: int,
-                         trunc_tol: float = 1e-6) -> fock.DensityOperator:
+def squeezed_joint_state(rates: EffectiveRates, cutoff: int) -> fock.DensityOperator:
     """Joint atomic/photonic state after the interaction window.
 
     Two-mode squeezed vacuum with parameter ``rates.squeeze``; mode 0 is the
@@ -176,8 +171,7 @@ def squeezed_joint_state(rates: EffectiveRates, cutoff: int,
     from . import fock
 
     layout = fock.ModeLayout(2, cutoff)
-    return fock.apply_two_mode_squeeze(fock.vacuum(layout), 0, 1, rates.squeeze,
-                                       trunc_tol=trunc_tol)
+    return fock.apply_two_mode_squeeze(fock.vacuum(layout), 0, 1, rates.squeeze)
 
 
 class ModePopulations(namedtuple("ModePopulations", ("time_grid", "collective",
@@ -250,9 +244,8 @@ def free_space_snr(density: float, length: float, wavenumber: float) -> FreeSpac
     superradiance flag is raised when the gas is not dilute on the optical
     wavelength scale (k / rho^{1/3} < 1).
     """
-    if density <= 0 or length <= 0 or wavenumber <= 0:
-        raise ValueError("density, length and wavenumber must all be positive")
-    check_finite(density=density, length=length, wavenumber=wavenumber)
+    for name, value in (("density", density), ("length", length), ("wavenumber", wavenumber)):
+        check_in("(0, inf)", name, value)
     value = in_float_range("3 rho L / k^2", lambda: 3.0 * density * length / wavenumber ** 2,
                            density=density, length=length, wavenumber=wavenumber)
     dilute = wavenumber / density ** (1.0 / 3.0)

@@ -17,7 +17,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._records import Checked, check_int
+from ._records import Checked, check_in, check_int
 
 DEFAULT_DIM_BOUND = 1_000_000
 
@@ -101,8 +101,7 @@ class PureState(Checked, namedtuple("PureState", ("layout", "amplitudes"))):
             raise ValueError("amplitude vector does not match layout dimension")
         # a NaN or infinite amplitude makes the norm NaN or infinite
         norm = math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
-        if not math.isfinite(norm):
-            raise ValueError(f"state norm {norm} is not finite")
+        check_in("[0, inf)", "state norm", norm)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
 
@@ -141,9 +140,7 @@ class DensityOperator:
         if v.ndim != 2 or v.shape[0] != layout.dim:
             raise ValueError("factor does not match layout dimension")
         w = v if v.flags.c_contiguous else v.T   # vdot copies an F-ordered v
-        norm2 = np.vdot(w, w).real
-        if not math.isfinite(norm2):
-            raise ValueError(f"factor's squared norm {norm2} is not finite")
+        check_in("[0, inf)", "factor's squared norm", np.vdot(w, w).real)
         rho = cls()
         rho.layout, rho.factor = layout, _compact(v)
         return rho
@@ -190,8 +187,7 @@ def pure_state(layout: ModeLayout, components: dict, normalize: bool = True) -> 
         v[layout.index(occ)] = amp
     if normalize:
         norm = math.sqrt(np.vdot(v, v).real)
-        if not 0 < norm < math.inf:
-            raise ValueError(f"state norm {norm} must be positive and finite")
+        check_in("(0, inf)", "state norm", norm)
         v = v / norm
     return PureState(layout, v)
 
@@ -243,6 +239,8 @@ def beamsplitter_matrix(cutoff: int, theta: float, phase: float) -> np.ndarray:
     conserved; pair blocks with total above the cutoff are left as the
     identity (callers must reject support there first).
     """
+    check_in("(-inf, inf)", "theta", theta)
+    check_in("(-inf, inf)", "phase", phase)
     d = cutoff + 1
     u = np.eye(d * d, dtype=complex)
     c, s = math.cos(theta), math.sin(theta)
@@ -294,12 +292,9 @@ def _check_pair_support(rho: DensityOperator, pairs, gate: str):
 
 def apply_beamsplitter(rho: DensityOperator, i: int, j: int,
                        theta: float = math.pi / 4, phase: float = 0.0) -> DensityOperator:
-    """Two-mode beamsplitter; ``theta = π/4`` is the balanced splitter."""
+    """Two-mode beamsplitter at finite angles; ``theta = π/4`` is the balanced splitter."""
     layout = rho.layout
     layout.check_pair(i, j, "beamsplitter")
-    if not (math.isfinite(theta) and math.isfinite(phase)):
-        raise ValueError(f"beamsplitter angles theta = {theta}, phase = {phase} "
-                         "must be finite")
     _check_pair_support(rho, [(i, j)], "beamsplitter")
     u = beamsplitter_matrix(layout.cutoff, theta, phase)
     return DensityOperator.from_factor(layout, _act(rho, (i, j), u[None])[0])
@@ -321,8 +316,7 @@ def apply_phase(rho: DensityOperator, i: int, psi: float) -> DensityOperator:
     """Number-basis phase ``e^{i psi n}`` on mode ``i``."""
     layout = rho.layout
     layout.check_mode(i)
-    if not math.isfinite(psi):
-        raise ValueError(f"phase psi = {psi} must be finite")
+    check_in("(-inf, inf)", "psi", psi)
     phases = np.diag(np.exp(1j * psi * np.arange(layout.mode_dim)))
     return DensityOperator.from_factor(layout, _act(rho, (i,), phases[None])[0])
 
@@ -351,10 +345,8 @@ def apply_two_mode_squeeze(rho: DensityOperator, i: int, j: int, r: float,
     """
     layout = rho.layout
     layout.check_pair(i, j, "squeezer")
-    if not math.isfinite(r):
-        raise ValueError(f"squeeze parameter r = {r} must be finite")
-    if not 0 < trunc_tol < math.inf:
-        raise ValueError(f"trunc_tol = {trunc_tol} must be positive and finite")
+    check_in("(-inf, inf)", "r", r)
+    check_in("(0, inf)", "trunc_tol", trunc_tol)
     tail = math.tanh(abs(r)) ** (2 * (layout.cutoff + 1))
     if tail >= trunc_tol:
         raise TruncationError(
@@ -374,6 +366,7 @@ def apply_two_mode_squeeze(rho: DensityOperator, i: int, j: int, r: float,
 def loss_kraus(cutoff: int, eta: float) -> tuple:
     """Kraus operators of the single-mode pure-loss channel (read-only,
     memoised)."""
+    check_in("[0, 1]", "eta", eta)
     d = cutoff + 1
     ops = []
     for k in range(d):
@@ -386,9 +379,7 @@ def loss_kraus(cutoff: int, eta: float) -> tuple:
 
 
 def apply_loss(rho: DensityOperator, i: int, eta: float) -> DensityOperator:
-    """Pure-loss channel with transmission ``eta`` on mode ``i``."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"loss transmission {eta} outside [0, 1]")
+    """Pure-loss channel with transmission ``eta`` in [0, 1] on mode ``i``."""
     layout = rho.layout
     layout.check_mode(i)
     if eta == 1.0:   # K_0 = 1 alone; the kernel's matmul would turn -0.0 into 0.0
@@ -413,10 +404,8 @@ class DetectorModel(Checked, namedtuple("DetectorModel",
     __slots__ = ()
 
     def _check(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
-        if not 0.0 <= self.dark_count_prob <= 1.0:
-            raise ValueError(f"dark_count_prob {self.dark_count_prob} outside [0, 1]")
+        check_in("[0, 1]", "efficiency", self.efficiency)
+        check_in("[0, 1]", "dark_count_prob", self.dark_count_prob)
         if self.resolving and self.dark_count_prob != 0.0:
             raise ValueError("dark counts are not supported for resolving detectors")
 
@@ -434,11 +423,11 @@ class DetectorModel(Checked, namedtuple("DetectorModel",
 
 
 @functools.lru_cache(maxsize=16)
-def alone_weights(cutoff: int, dark_prob: float = 0.0) -> np.ndarray:
+def alone_weights(cutoff: int, dark_count_prob: float = 0.0) -> np.ndarray:
     """(2, d²) unit-efficiency threshold-POVM weights on a detector pair's
     number index: row i is "detector i alone clicks", detector 1 on the
     first mode, 2 on the second (read-only, memoised)."""
-    w = DetectorModel(dark_count_prob=dark_prob).no_click_weights(cutoff)
+    w = DetectorModel(dark_count_prob=dark_count_prob).no_click_weights(cutoff)
     click = np.array([1.0 - w, w])
     alone = (click[:, :, None] * click[::-1, None, :]).reshape(2, -1)
     alone.flags.writeable = False

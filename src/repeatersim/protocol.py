@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from ._records import Checked, check_finite, in_float_range
+from ._records import Checked, check_in, in_float_range
 
 if TYPE_CHECKING:
     from . import fock
@@ -47,13 +47,12 @@ class EMEState(Checked, namedtuple("EMEState", ("vacuum_coeff", "phase", "fideli
     __slots__ = ()
 
     def _check(self):
-        # written so a NaN fails: an infinite vacuum_coeff or phase stays legal
-        if not self.vacuum_coeff >= 0:
-            raise ValueError(f"vacuum_coeff must be >= 0, got {self.vacuum_coeff}")
-        if not 0.0 <= self.fidelity_deficit <= 1.0:
-            raise ValueError(f"fidelity_deficit {self.fidelity_deficit} outside [0, 1]")
-        if not self.span_length >= 0:
-            raise ValueError(f"span_length must be >= 0, got {self.span_length}")
+        # an infinite vacuum_coeff, phase or span stays legal: the scan
+        # stalls through the first, and each swap doubles the others
+        check_in("[0, inf]", "vacuum_coeff", self.vacuum_coeff)
+        check_in("[-inf, inf]", "phase", self.phase)
+        check_in("[0, 1]", "fidelity_deficit", self.fidelity_deficit)
+        check_in("[0, inf]", "span_length", self.span_length)
 
 
 class RepeaterParams(Checked, namedtuple("RepeaterParams", (
@@ -115,6 +114,7 @@ def generate_analytic(params: RepeaterParams, channel_phase: float = 0.0) -> Gen
     is the paper's per-link budget unit; the threshold-herald oracle
     (``generate_oracle``) measures (3 - 2 eta_p) p_c to leading order.
     """
+    check_in("(-inf, inf)", "channel_phase", channel_phase)
     signal = params.eta_p * params.excitation_prob
     if signal <= 0.0:
         # level 0 never heralds a link: the chain stalls at its first level
@@ -135,8 +135,7 @@ def swap_analytic(left: EMEState, right: EMEState, eta_s: float):
     Returns ``(success_prob, fused_state)``.  Defined only for matching
     vacuum coefficients; unequal inputs must go through the circuit oracle.
     """
-    if not 0.0 < eta_s <= 1.0:
-        raise ValueError(f"swap efficiency {eta_s} outside (0, 1]")
+    check_in("(0, 1]", "eta_s", eta_s)
     if abs(left.vacuum_coeff - right.vacuum_coeff) > _C_MATCH_TOL:
         raise ValueError(
             "analytic swap requires equal vacuum coefficients "
@@ -158,7 +157,8 @@ def vacuum_coeff_closed_form(i: int, eta_s: float, c0: float = 0.0) -> float:
     """Exact solution 2^i c0 + (2^i - 1)(1 - eta_s) of the affine recursion."""
     if i < 0:
         raise ValueError("level must be >= 0")
-    check_finite(eta_s=eta_s, c0=c0)
+    check_in("(-inf, inf)", "eta_s", eta_s)
+    check_in("(-inf, inf)", "c0", c0)
     return in_float_range("the vacuum coefficient",
                           lambda: (2.0 ** i) * c0 + (2.0 ** i - 1.0) * (1.0 - eta_s),
                           i=i, eta_s=eta_s, c0=c0)
@@ -206,15 +206,6 @@ def _engines():
     return np, fock
 
 
-def check_link(c: float, phase: float):
-    """Refuse a link vacuum coefficient that is not finite and non-negative,
-    or a link phase that is not finite."""
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError(f"link vacuum coefficient c = {c} must be finite and non-negative")
-    if not math.isfinite(phase):
-        raise ValueError(f"link phase {phase} must be finite")
-
-
 def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float,
                 etas=(1.0, 1.0)) -> fock.DensityOperator:
     """Link density operator embedded in ``layout`` with all other modes in
@@ -224,12 +215,12 @@ def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float,
     keeps two columns: the vacuum with weight (c + Σ_m (1 − η_m) |a_m|²)/(c + 1)
     and the excitation √η_m a_m / √(c + 1)."""
     layout.check_pair(*pair, "link")
-    check_link(c, phase)
+    check_in("[0, inf)", "c", c)
+    check_in("(-inf, inf)", "phase", phase)
     if len(etas) != 2:
         raise ValueError(f"etas needs one efficiency per link mode, got {etas!r}")
-    for m, eta in enumerate(etas):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"link efficiency etas[{m}] = {eta} outside [0, 1]")
+    check_in("[0, 1]", "etas[0]", etas[0])
+    check_in("[0, 1]", "etas[1]", etas[1])
     np, fock = _engines()
     root = math.sqrt(c + 1.0)
     amps = (math.sqrt(0.5), complex(math.cos(phase), math.sin(phase)) * math.sqrt(0.5))
@@ -275,12 +266,9 @@ def _heralded_factor(p_c: float, eta_p: float, p_dc: float, channel_phase: float
                      cutoff: int, include_second_order: bool):
     """``generation_circuit`` up to its herald: the unnormalized factor H
     (d², r) of the conditional atomic state, rows (atom_L, atom_R)."""
-    if not (math.isfinite(p_c) and 0.0 <= p_c <= 1.0):
-        raise ValueError(f"excitation probability p_c = {p_c} outside [0, 1]")
-    if not 0.0 <= eta_p <= 1.0:
-        raise ValueError(f"generation efficiency eta_p = {eta_p} outside [0, 1]")
-    if not math.isfinite(channel_phase):
-        raise ValueError(f"channel phase {channel_phase} must be finite")
+    for name, value in (("p_c", p_c), ("eta_p", eta_p), ("p_dc", p_dc)):
+        check_in("[0, 1]", name, value)
+    check_in("(-inf, inf)", "channel_phase", channel_phase)
     if cutoff < 2 and include_second_order:
         raise ValueError(f"the second-order source term |2,2⟩ needs cutoff >= 2, got {cutoff}")
     np, fock = _engines()
@@ -375,8 +363,10 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
     photon is indistinguishable from it and feeds the vacuum term).
     """
     _, fock = _engines()
-    if not 0.0 < eta_s <= 1.0:
-        raise ValueError(f"swap efficiency {eta_s} outside (0, 1]")
+    check_in("(0, 1]", "eta_s", eta_s)
+    check_in("[0, inf)", "c", c)
+    check_in("(-inf, inf)", "phase_left", phase_left)
+    check_in("(-inf, inf)", "phase_right", phase_right)
     # modes L, I1, I2, R; loss on the inner halves before the tensor product
     layout = fock.ModeLayout(2, cutoff)
     rho = fock.tensor(eme_density(layout, (0, 1), c, phase_left, (1.0, eta_s)),

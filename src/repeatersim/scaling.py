@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._records import Checked, in_float_range
+from ._records import Checked, check_in, in_float_range
 from .protocol import ChainStallError, InfeasibleError, RepeaterParams, chain
 
 
@@ -50,9 +50,12 @@ class ScalingReport(Checked, namedtuple("ScalingReport", (
     __slots__ = ()
 
     def _check(self):
-        if min(self.t0, self.t_n, self.t_tot, self.t_con) <= 0:
-            raise ValueError("all times must be positive")
-        if abs(self.ratio - self.t_tot / self.t_con) > 1e-12 * self.ratio:
+        for name in ("t0", "t_n", "t_tot", "t_con", "ratio"):
+            check_in("(0, inf)", name, getattr(self, name))
+        check_in("[0, inf]", "baseline_direct_ratio", self.baseline_direct_ratio)
+        check_in("(0, 1]", "p_app", self.p_app)
+        check_in("(0, 1]", "excitation_prob", self.excitation_prob)
+        if not abs(self.ratio - self.t_tot / self.t_con) <= 1e-12 * self.ratio:
             raise ValueError("ratio inconsistent with its factors")
 
 
@@ -60,6 +63,7 @@ def direct_ratio(length_ratio: float) -> float:
     """exp(L / L_att), the direct-transmission baseline over a channel of
     ``length_ratio`` attenuation lengths; inf where it exceeds a float, so a
     scan row's repeater times never fail on it."""
+    check_in("[-inf, inf]", "length_ratio", length_ratio)
     try:
         return math.exp(length_ratio)
     except OverflowError:
@@ -100,35 +104,30 @@ def total_time(params: RepeaterParams, df_target: float,
     )
 
 
-def closed_form_ratio(length_ratio: float, l0_over_latt: float, eta_s: float,
-                      case: str) -> float:
-    """Printed limiting-case expressions for T_tot / T_con.
-
-    ``high_eta``: (L/L0)^2 e^{L0/L_att}.  ``general``:
-    (L/L0)^{[log2(L/L0)+1]/2 + log2(1/eta_s - 1) + 2} e^{L0/L_att}.
+def closed_form_ratio(length_ratio: float, l0_over_latt: float, eta_s: float) -> float:
+    """Printed limiting-case expressions for T_tot / T_con: at unit swap
+    efficiency the ``high_eta`` case (L/L0)^2 e^{L0/L_att}, below it the
+    ``general`` case (L/L0)^{[log2(L/L0)+1]/2 + log2(1/eta_s - 1) + 2} e^{L0/L_att}.
     """
-    if length_ratio <= 1.0:
-        raise ValueError("closed forms need L/L0 > 1")
-    if case == "high_eta":
+    check_in("(1, inf)", "length_ratio", length_ratio)
+    check_in("(-inf, inf)", "l0_over_latt", l0_over_latt)
+    check_in("(0, 1]", "eta_s", eta_s)
+    if eta_s == 1.0:
         exponent = 2.0
-    elif case == "general":
-        if eta_s >= 1.0:
-            raise ValueError("general case undefined at unit swap efficiency; "
-                             "use case='high_eta'")
+    else:
         exponent = ((math.log2(length_ratio) + 1.0) / 2.0
                     + math.log2(1.0 / eta_s - 1.0) + 2.0)
-    else:
-        raise ValueError(f"unknown case {case!r}")
     return length_ratio ** exponent * math.exp(l0_over_latt)
 
 
 def closed_form_time(params: RepeaterParams) -> float:
-    """Closed-form T_tot / T_con for the configured segment layout: the
-    ``high_eta`` case at unit swap efficiency, ``general`` below it."""
-    ratio = params.total_length / params.segment_length
-    case = "high_eta" if params.swap_efficiency >= 1.0 else "general"
-    return closed_form_ratio(ratio, params.segment_length / params.attenuation_length,
-                             params.swap_efficiency, case)
+    """Closed-form T_tot / T_con for the configured segment layout; a
+    ``FloatRangeError``, which the scan skips, where L0 / L_att overflows."""
+    l0, latt = params.segment_length, params.attenuation_length
+    return closed_form_ratio(params.total_length / l0,
+                             in_float_range("L0 / L_att", lambda: l0 / latt,
+                                            segment_length=l0, attenuation_length=latt),
+                             params.swap_efficiency)
 
 
 # value: the minimized T_tot / T_con (or surrogate objective); scanned: the
@@ -140,6 +139,7 @@ def optimal_segment_power_law(m: float, l_att: float = 1.0) -> float:
     """Continuous minimizer of (L/L0)^m e^{L0/L_att}: exactly m * L_att."""
     if not (m > 0 and math.isfinite(m)):
         raise ValueError(f"power-law exponent must be positive and finite, got {m}")
+    check_in("(0, inf)", "l_att", l_att)
     return m * l_att
 
 
@@ -153,11 +153,10 @@ def optimize_segment(params_base: RepeaterParams, total_length: float,
     the surrogate model (requires ``m``).
     """
     l_att = params_base.attenuation_length
+    check_in("(0, inf)", "total_length", total_length)
     if objective == "power_law":
         if m is None:
             raise ValueError("power_law objective needs the exponent m")
-        if not (total_length > 0 and math.isfinite(total_length)):
-            raise ValueError(f"total_length must be positive and finite, got {total_length}")
         l0 = optimal_segment_power_law(m, l_att)
         try:   # in logs, so neither factor overflows or underflows on its own
             value = math.exp(m * (math.log(total_length) - math.log(l0)) + l0 / l_att)

@@ -231,7 +231,7 @@ def test_criterion_6_headline_ratio(headline_scan):
         value > best.value for n, _, value in best.scanned if n != best.n_star)
     exact = exact_headline_ratio(4, 6.25, 2 / 3)           # 16 * 36 * 120 e^{6.25}
     rel = abs(best.value / exact - 1)
-    printed = scaling.closed_form_ratio(16, 6.25, 2 / 3, "general")   # 2^14 e^{6.25}
+    printed = scaling.closed_form_ratio(16, 6.25, 2 / 3)   # 2^14 e^{6.25}
     gap_rel = abs(best.value / printed / (135 / 32) - 1)
     ok = strict_min and rel <= 1e-12 and gap_rel <= 1e-12
     assert report("6/ratio", ok,

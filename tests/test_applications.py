@@ -19,6 +19,7 @@ from repeatersim.applications import (
     ekert_simulation,
     teleport,
 )
+from repeatersim._records import check_in
 from repeatersim.protocol import eme_density
 
 ROOT8 = 2 * math.sqrt(2)
@@ -125,10 +126,12 @@ QUBIT_STATES = [PAIR.index((0, 0)), *SINGLES]
 
 
 def link(c_n, phi, etas):
-    """The link (c_n, phi) after loss ``etas`` on its two halves."""
+    """The link (c_n, phi) after loss ``etas`` on its two halves, its
+    inputs refused by the names the closed forms give them."""
     for eta in etas:
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"application efficiency {eta} outside (0, 1]")
+        check_in("(0, 1]", "eta_a", eta)
+    check_in("[0, inf)", "c_n", c_n)
+    check_in("(-inf, inf)", "phi", phi)
     return eme_density(PAIR, (0, 1), c_n, phi, etas)
 
 
@@ -165,6 +168,7 @@ def circuit_correlations(v, settings, dark_prob=0.0):
     pops = (out.real ** 2 + out.imag ** 2).sum(axis=-1)   # (L1 L2, R1 R2) marginals
     # threshold POVMs are diagonal, so a pattern's probability is the number
     # marginal weighted by "detector i alone clicks"
+    check_in("[0, 1]", "dark_prob", dark_prob)
     alone = fock.alone_weights(cutoff, dark_prob)
     results = []
     for probs in alone @ pops @ alone.T:
@@ -389,7 +393,7 @@ class TestCoincidenceMarginal:
 
     @pytest.mark.parametrize("dark_prob", [-0.1, 1.5])
     def test_dark_probability_outside_unit_interval_rejected(self, dark_prob):
-        with pytest.raises(ValueError, match="dark_count_prob"):
+        with pytest.raises(ValueError, match=re.escape(f"dark_prob = {dark_prob} outside [0, 1]")):
             correlation(0.0, 0.0, MeasurementSetting(0.0, 0.0), 1.0, dark_prob)
 
     def test_efficiency_outside_unit_interval_rejected(self):
@@ -400,7 +404,7 @@ class TestCoincidenceMarginal:
                     lambda: ekert_simulation(0.0, 0.0, eta_a, rounds=100, seed=1),
                     lambda: teleport(PolarizationQubit(1.0, 0.0), 0.0, eta_a)):
                 with pytest.raises(ValueError,
-                                   match=re.escape(f"application efficiency {eta_a} outside")):
+                                   match=re.escape(f"eta_a = {eta_a} outside (0, 1]")):
                     circuit()
 
 
@@ -645,12 +649,12 @@ class TestLinkParameters:
 
     @pytest.mark.parametrize("circuit", CIRCUITS)
     @pytest.mark.parametrize("c_n,phi,reason", [
-        (math.nan, 0.0, "link vacuum coefficient c = nan must be finite and non-negative"),
-        (math.inf, 0.0, "link vacuum coefficient c = inf must be finite and non-negative"),
-        (-0.5, 0.0, "link vacuum coefficient c = -0.5 must be finite and non-negative"),
-        (1.0, math.nan, "link phase nan must be finite"),
-        (1.0, math.inf, "link phase inf must be finite"),
-        (1.0, -math.inf, "link phase -inf must be finite"),
+        (math.nan, 0.0, "c_n = nan outside [0, inf)"),
+        (math.inf, 0.0, "c_n = inf outside [0, inf)"),
+        (-0.5, 0.0, "c_n = -0.5 outside [0, inf)"),
+        (1.0, math.nan, "phi = nan outside (-inf, inf)"),
+        (1.0, math.inf, "phi = inf outside (-inf, inf)"),
+        (1.0, -math.inf, "phi = -inf outside (-inf, inf)"),
     ])
     def test_bad_link_parameters_rejected(self, circuit, c_n, phi, reason):
         with pytest.raises(ValueError) as exc:
@@ -666,10 +670,12 @@ class TestTeleport:
         with pytest.raises(ValueError, match="Bloch angles must be finite"):
             PolarizationQubit.from_bloch(theta, phi)
 
-    @pytest.mark.parametrize("d0,d1", [(math.nan, 0.0), (1.0, complex(0.0, math.nan)),
-                                       (math.inf, 0.0)])
-    def test_non_finite_amplitudes_rejected(self, d0, d1):
-        with pytest.raises(ValueError, match="amplitudes must be finite"):
+    @pytest.mark.parametrize("d0,d1,reason", [
+        (math.nan, 0.0, "d0 = nan outside (-inf, inf)"),
+        (1.0, complex(0.0, math.nan), "d1 = nan outside (-inf, inf)"),
+        (math.inf, 0.0, "d0 = inf outside (-inf, inf)")])
+    def test_non_finite_amplitudes_rejected(self, d0, d1, reason):
+        with pytest.raises(ValueError, match=re.escape(reason)):
             PolarizationQubit(d0, d1)
 
     @pytest.mark.parametrize("c_n", [0.0, 1.0])
@@ -937,14 +943,13 @@ class TestRefusalOrder:
     weight below the smallest normal float."""
 
     @pytest.mark.parametrize("c_n,phi,eta_a,dark_prob,reason", [
-        (-1.0, math.nan, 0.0, math.nan, "application efficiency 0.0 outside (0, 1]"),
-        (-1.0, 0.4, 1.5, 2.0, "application efficiency 1.5 outside (0, 1]"),
-        (math.nan, 0.4, math.nan, 0.0, "application efficiency nan outside (0, 1]"),
-        (-0.5, math.nan, 0.5, -1.0,
-         "link vacuum coefficient c = -0.5 must be finite and non-negative"),
-        (1.0, math.inf, 0.5, math.nan, "link phase inf must be finite"),
-        (1.0, 0.4, 1e-160, math.nan, "dark_count_prob nan outside [0, 1]"),
-        (1.0, 0.4, 1e-160, 1.5, "dark_count_prob 1.5 outside [0, 1]"),
+        (-1.0, math.nan, 0.0, math.nan, "eta_a = 0.0 outside (0, 1]"),
+        (-1.0, 0.4, 1.5, 2.0, "eta_a = 1.5 outside (0, 1]"),
+        (math.nan, 0.4, math.nan, 0.0, "eta_a = nan outside (0, 1]"),
+        (-0.5, math.nan, 0.5, -1.0, "c_n = -0.5 outside [0, inf)"),
+        (1.0, math.inf, 0.5, math.nan, "phi = inf outside (-inf, inf)"),
+        (1.0, 0.4, 1e-160, math.nan, "dark_prob = nan outside [0, 1]"),
+        (1.0, 0.4, 1e-160, 1.5, "dark_prob = 1.5 outside [0, 1]"),
         (1.0, 0.4, 1e-160, 0.0, "no coincidences: correlation undefined"),
         (1.0, 0.4, 0.5, 1.0, "no coincidences: correlation undefined"),
     ])
@@ -957,9 +962,9 @@ class TestRefusalOrder:
             assert str(exc.value) == reason
 
     @pytest.mark.parametrize("c_n,phi,eta_a,reason", [
-        (-1.0, math.nan, 0.0, "application efficiency 0.0 outside (0, 1]"),
-        (-0.5, math.nan, 0.5, "link vacuum coefficient c = -0.5 must be finite and non-negative"),
-        (0.5, math.nan, 1e-160, "link phase nan must be finite"),
+        (-1.0, math.nan, 0.0, "eta_a = 0.0 outside (0, 1]"),
+        (-0.5, math.nan, 0.5, "c_n = -0.5 outside [0, inf)"),
+        (0.5, math.nan, 1e-160, "phi = nan outside (-inf, inf)"),
         (0.0, 0.4, 1e-160, "no accepted click pattern has support"),
         (1e300, 0.4, 0.5, "no accepted click pattern has support"),
     ])

@@ -418,6 +418,16 @@ class TestOverflowRefusals:
         assert capsys.readouterr().err == (
             "infeasible: no feasible segmentation in the scanned range\n")
 
+    def test_overflowed_closed_form_segment_skips_every_row_and_exits_4(self, tmp_path,
+                                                                        capsys):
+        # L0 / L_att overflows on rows n = 1, 2 and exp(L0 / L_att) on the
+        # rest, so the closed-form scan keeps no row and prints no Infinity
+        cfg = write_config(tmp_path, "[scaling]\ntotal_length = 1e308\n"
+                                     "[repeater]\nattenuation_length = 0.1\n")
+        assert run_cli(["--config", cfg, "optimize", "--objective", "closed_form"]) == (4, "")
+        assert capsys.readouterr().err == (
+            "infeasible: no feasible segmentation in the scanned range\n")
+
     def test_overflowed_chain_time_exits_3_naming_the_level(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[repeater]\npulse_time = 1e300\nlevels = 8\n")
         code, out = run_cli(["--config", cfg, "chain"])
@@ -1226,6 +1236,66 @@ class TestOneHome:
         assert self.marks(integral) == [("_records.py", "check_int", "numbers.Integral"),
                                         ("cli.py", "_fmt", "numbers.Integral")]
 
+    def test_float_ranges_are_refused_by_hand_only_where_allowed(self):
+        # _records.check_in is the rule.  By hand stay the refusals the command
+        # line prints as they are (from_bloch's angles, EnsembleParams'
+        # signs, the --m exponent), total_time's InfeasibleError on its
+        # budget, which the scan skips, and fidelity_budget, which ROADMAP
+        # item 13 deletes.  A mark is an ``if`` that raises and bounds an
+        # argument or record field by 0.0, 1.0 or inf (or by 0, where the
+        # argument is annotated float), or asks math.isfinite of it
+        import ast
+        import pathlib
+
+        def by_hand(node, function):
+            if function is None or not isinstance(node, ast.If) \
+                    or not any(isinstance(n, ast.Raise) for n in node.body):
+                return None
+            args = function.args.args + function.args.kwonlyargs
+            floats = {a.arg for a in args if a.annotation is not None
+                      and ast.unparse(a.annotation) == "float"}
+            inputs = {a.arg for a in args} - {"self"}
+
+            def named(text):
+                return text in inputs or text.startswith("self.")
+
+            for n in ast.walk(node.test):
+                if isinstance(n, ast.Call) and ast.unparse(n.func) == "math.isfinite" \
+                        and named(ast.unparse(n.args[0])):
+                    return ast.unparse(node.test)
+                if isinstance(n, ast.Compare) and not any(
+                        isinstance(op, (ast.Eq, ast.NotEq)) for op in n.ops):
+                    operands = [ast.unparse(m) for m in (n.left, *n.comparators)]
+                    bounded = [o for o in operands if named(o)]
+                    if bounded and any(o in ("0.0", "1.0", "math.inf")
+                                       or (o == "0" and set(bounded) & floats)
+                                       for o in operands):
+                        return ast.unparse(node.test)
+            return None
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                inner = child if isinstance(child, ast.FunctionDef) else function
+                yield inner, child
+                yield from visit(child, inner)
+
+        marks = sorted((path.name, function.name, mark)
+                       for path in pathlib.Path(cli.__file__).parent.glob("*.py")
+                       for function, node in visit(ast.parse(path.read_text(encoding="utf-8")),
+                                                   None)
+                       if (mark := by_hand(node, function)) is not None)
+        assert marks == [
+            ("applications.py", "from_bloch",
+             "not (math.isfinite(theta) and math.isfinite(phi))"),
+            ("ensemble.py", "__post_init__", "self.cavity_decay <= 0.0"),
+            ("ensemble.py", "__post_init__", "self.interaction_time < 0.0"),
+            ("ensemble.py", "__post_init__", "self.spont_rate < 0.0"),
+            ("scaling.py", "fidelity_budget",
+             "segments < 0 or per_connection_dark < 0 or asym < 0"),
+            ("scaling.py", "optimal_segment_power_law", "not (m > 0 and math.isfinite(m))"),
+            ("scaling.py", "total_time", "not 0.0 < df_target < 1.0"),
+        ]
+
     def test_float_overflow_is_caught_in_the_allowed_places(self):
         # in_float_range is the rule; direct_ratio's inf, the power-law value
         # (which refuses an underflow to 0 as well), the scan's row skip and
@@ -1281,7 +1351,8 @@ class TestOneHome:
 
     def test_time_grids_are_checked_in_one_place(self):
         # both ensemble integrators read their grid through _time_grid and
-        # keep only their own rules: a minimum length, the drift's start
+        # keep only their own rules: a minimum length, and the drift's start
+        # through check_in
         import ast
 
         def grid_rule(node):
@@ -1298,8 +1369,6 @@ class TestOneHome:
             ("ensemble.py", "_time_grid", "t_grid must be non-decreasing"),
             ("ensemble.py", "integrate_master_equation", "call"),
             ("ensemble.py", "langevin_mean_ode", "call"),
-            ("ensemble.py", "langevin_mean_ode",
-             "t_grid must be non-negative (the drift starts at t = 0), got "),
         ]
 
     def test_draw_budget_is_compared_in_one_place(self):

@@ -268,16 +268,15 @@ class TestLangevinIntegrator:
         assert best(lambda: langevin_mean_ode(CRITERION8, grid)) <= dop853
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"rtol": 0.0}, "rtol must be finite and positive, got 0.0"),
-        ({"rtol": -1e-9}, "rtol must be finite and positive, got -1e-09"),
-        ({"rtol": math.nan}, "rtol must be finite and positive, got nan"),
+        ({"rtol": 0.0}, "rtol = 0.0 outside (0, inf)"),
+        ({"rtol": -1e-9}, "rtol = -1e-09 outside (0, inf)"),
+        ({"rtol": math.nan}, "rtol = nan outside (0, inf)"),
         ({"t_grid": []}, "the drift needs at least one time point, got 0"),
         ({"t_grid": [[0.0, 1.0]]}, "t_grid must be a 1-D sequence of times"),
         ({"t_grid": 1.0}, "t_grid must be a 1-D sequence of times"),
         ({"t_grid": [0.0, math.nan]}, "t_grid must be finite"),
         ({"t_grid": [0.0, math.inf]}, "t_grid must be finite"),
-        ({"t_grid": [-1.0, 0.0]},
-         "t_grid must be non-negative (the drift starts at t = 0), got -1.0"),
+        ({"t_grid": [-1.0, 0.0]}, "t_grid[0] = -1.0 outside [0, inf)"),
         ({"t_grid": [0.0, 2.0, 1.0]}, "t_grid must be non-decreasing"),
         ({"rtol": 1e-40},
          "rtol 1e-40 needs 5.01555e+09 RK4 substeps, above the cap of 1000000"),
@@ -773,17 +772,18 @@ NON_FINITE_INPUTS = {
     "wavenumber": lambda v: free_space_snr(1.0, 1.0, v),
     "t": lambda v: langevin_mean_solution(make_params(), v),
 }
-# -inf already fails these range checks, whose messages stay as they were
+# -inf already fails these EnsembleParams range checks, whose messages the
+# command line prints and so stay as they were
 NEGATIVE_INFINITY_MESSAGES = {
     "atom_count": "atom_count must be positive, got -inf",
     "cavity_decay": "cavity_decay must be positive, got -inf",
     "spont_rate": "spont_rate must be non-negative, got -inf",
     "interaction_time": "interaction_time must be non-negative, got -inf",
-    "density": "density, length and wavenumber must all be positive",
-    "length": "density, length and wavenumber must all be positive",
-    "wavenumber": "density, length and wavenumber must all be positive",
-    "t": "t must be non-negative",
 }
+# the interval each closed-form input is refused outside; every
+# EnsembleParams field must be finite
+INTERVALS = {"density": "(0, inf)", "length": "(0, inf)", "wavenumber": "(0, inf)",
+             "t": "[0, inf)"}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -794,4 +794,5 @@ def test_non_finite_input_is_refused_by_name(field, value):
     if value == -math.inf and field in NEGATIVE_INFINITY_MESSAGES:
         assert str(refused.value) == NEGATIVE_INFINITY_MESSAGES[field]
     else:
-        assert str(refused.value) == f"{field} must be finite, got {value}"
+        interval = INTERVALS.get(field, "(-inf, inf)")
+        assert str(refused.value) == f"{field} = {value} outside {interval}"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,7 +166,8 @@ class TestBeamsplitter:
                                              (0.3, math.nan), (0.3, -math.inf)])
     def test_non_finite_angles_are_refused(self, theta, phase):
         rho = number_state(ModeLayout(2, 2), (1, 0)).to_density()
-        with pytest.raises(ValueError, match=f"theta = {theta}, phase = {phase} must be finite"):
+        bad = f"theta = {theta}" if not math.isfinite(theta) else f"phase = {phase}"
+        with pytest.raises(ValueError, match=re.escape(f"{bad} outside (-inf, inf)")):
             apply_beamsplitter(rho, 0, 1, theta, phase)
 
     def test_trace_and_purity_preserved(self):
@@ -248,7 +250,7 @@ class TestPhase:
 
     @pytest.mark.parametrize("psi", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_is_refused(self, psi):
-        with pytest.raises(ValueError, match=f"phase psi = {psi} must be finite"):
+        with pytest.raises(ValueError, match=re.escape(f"psi = {psi} outside (-inf, inf)")):
             apply_phase(vacuum(ModeLayout(2, 2)), 0, psi)
 
 
@@ -290,13 +292,13 @@ class TestTwoModeSqueeze:
     def test_trunc_tol_not_positive_finite_is_refused(self, tol):
         # tanh^6(1.5) = 0.6 exceeds the default tolerance, so a tolerance that
         # compares False (NaN) or passes any tail (inf) must not let it through
-        with pytest.raises(ValueError, match=f"trunc_tol = {tol} must be positive and finite"):
+        with pytest.raises(ValueError, match=re.escape(f"trunc_tol = {tol} outside (0, inf)")):
             apply_two_mode_squeeze(vacuum(ModeLayout(2, 2)), 0, 1, 1.5, trunc_tol=tol)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
     def test_non_finite_r_is_refused(self, r):
         # a loose tolerance, so only the finiteness guard can refuse
-        with pytest.raises(ValueError, match=f"squeeze parameter r = {r} must be finite"):
+        with pytest.raises(ValueError, match=re.escape(f"r = {r} outside (-inf, inf)")):
             apply_two_mode_squeeze(vacuum(ModeLayout(2, 2)), 0, 1, r, trunc_tol=2.0)
 
 
@@ -480,17 +482,17 @@ class TestPureState:
     @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_non_finite_amplitudes_are_refused(self, amp):
         layout = ModeLayout(2, 1)
-        with pytest.raises(ValueError, match=r"state norm (nan|inf) .*finite"):
+        with pytest.raises(ValueError, match=r"^state norm = (nan|inf) outside \(0, inf\)$"):
             pure_state(layout, {(1, 0): amp})
-        with pytest.raises(ValueError, match=r"state norm (nan|inf) .*finite"):
+        with pytest.raises(ValueError, match=r"^state norm = (nan|inf) outside \[0, inf\)$"):
             pure_state(layout, {(1, 0): amp}, normalize=False)
         v = np.zeros(layout.dim, dtype=complex)
         v[layout.index((1, 0))] = amp
-        with pytest.raises(ValueError, match=r"state norm (nan|inf) .*finite"):
+        with pytest.raises(ValueError, match=r"^state norm = (nan|inf) outside \[0, inf\)$"):
             fock.PureState(layout, v)
 
     def test_zero_state_is_refused(self):
-        with pytest.raises(ValueError, match="state norm 0.0 must be positive"):
+        with pytest.raises(ValueError, match=re.escape("state norm = 0.0 outside (0, inf)")):
             pure_state(ModeLayout(2, 1), {(1, 0): 0.0})
 
 
@@ -897,7 +899,7 @@ class TestRankRule:
         layout = ModeLayout(2, 1)
         v = np.full((layout.dim, rank), 0.1, dtype=complex)
         v[2, 0] = entry
-        with pytest.raises(ValueError, match="factor's squared norm .* is not finite"):
+        with pytest.raises(ValueError, match=r"factor's squared norm = .* outside \[0, inf\)"):
             DensityOperator.from_factor(layout, v)
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf])
@@ -908,7 +910,8 @@ class TestRankRule:
         v = np.full((9, layout.dim), 0.01, dtype=complex)
         v[4, 300] = entry
         assert v.T.flags.f_contiguous and not v.T.flags.c_contiguous
-        with pytest.raises(ValueError, match="^factor's squared norm (nan|inf) is not finite$"):
+        with pytest.raises(ValueError,
+                           match=r"^factor's squared norm = (nan|inf) outside \[0, inf\)$"):
             DensityOperator.from_factor(layout, v.T)
 
     def test_from_factor_is_the_only_constructor(self):

@@ -32,8 +32,8 @@ def make_params(**overrides):
 
 class TestRecordChecks:
     @pytest.mark.parametrize("field,reason", [
-        ("vacuum_coeff", "vacuum_coeff must be >= 0, got nan"),
-        ("span_length", "span_length must be >= 0, got nan"),
+        ("vacuum_coeff", "vacuum_coeff = nan outside [0, inf]"),
+        ("span_length", "span_length = nan outside [0, inf]"),
     ])
     def test_nan_link_field_refused(self, field, reason):
         with pytest.raises(ValueError) as refused:
@@ -159,13 +159,15 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_eta_s_refused_by_name(self, bad):
-        with pytest.raises(ValueError, match=f"^eta_s must be finite, got {bad}$"):
+        with pytest.raises(ValueError) as refused:
             vacuum_coeff_closed_form(3, bad, 0.1)
+        assert str(refused.value) == f"eta_s = {bad} outside (-inf, inf)"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_c0_refused_by_name(self, bad):
-        with pytest.raises(ValueError, match=f"^c0 must be finite, got {bad}$"):
+        with pytest.raises(ValueError) as refused:
             vacuum_coeff_closed_form(3, 0.5, bad)
+        assert str(refused.value) == f"c0 = {bad} outside (-inf, inf)"
 
     @pytest.mark.parametrize("i, c0", [(1024, 0.0), (5000, 0.1), (1023, 2.0)])
     def test_overflow_refused_naming_its_arguments(self, i, c0):
@@ -299,19 +301,18 @@ class TestGenerateOracle:
 class TestGenerationCircuit:
     @pytest.mark.parametrize("p_c", [-0.1, 1.5, math.nan, math.inf])
     def test_refuses_excitation_probability(self, p_c):
-        with pytest.raises(ValueError, match=f"excitation probability p_c = {p_c} "
-                                             r"outside \[0, 1\]"):
+        with pytest.raises(ValueError, match=re.escape(f"p_c = {p_c} outside [0, 1]")):
             generation_circuit(p_c, 0.3, 1e-5)
 
     @pytest.mark.parametrize("eta_p", [-0.1, 1.2, math.nan])
     def test_refuses_generation_efficiency(self, eta_p):
-        with pytest.raises(ValueError, match=f"generation efficiency eta_p = {eta_p} "
-                                             r"outside \[0, 1\]"):
+        with pytest.raises(ValueError, match=re.escape(f"eta_p = {eta_p} outside [0, 1]")):
             generation_circuit(0.01, eta_p, 1e-5)
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
     def test_refuses_channel_phase(self, phase):
-        with pytest.raises(ValueError, match=f"channel phase {phase} must be finite"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"channel_phase = {phase} outside (-inf, inf)")):
             generation_circuit(0.01, 0.3, 1e-5, channel_phase=phase)
 
     def test_refuses_second_order_term_above_the_cutoff(self):
@@ -468,26 +469,26 @@ class TestSwapOracle:
             swap_oracle(0.5, 0.7, cutoff=1)
 
     @pytest.mark.parametrize("args,kwargs,message", [
-        ((0.5, 0.0), {}, r"swap efficiency 0.0 outside \(0, 1\]"),
-        ((0.5, 1.5), {}, r"swap efficiency 1.5 outside \(0, 1\]"),
-        ((0.5, math.nan), {}, r"swap efficiency nan outside \(0, 1\]"),
-        ((-0.5, 0.7), {}, "link vacuum coefficient c = -0.5 must be finite and non-negative"),
-        ((0.5, 0.7), {"phase_left": math.nan}, "link phase nan must be finite"),
-        ((0.5, 0.7), {"phase_right": math.nan}, "link phase nan must be finite"),
-        # the order: swap efficiency, then the left link, the right link, the cutoff
-        ((-0.5, math.nan), {}, r"swap efficiency nan outside \(0, 1\]"),
-        ((-0.5, 0.7), {"phase_left": math.nan},
-         "link vacuum coefficient c = -0.5 must be finite and non-negative"),
+        ((0.5, 0.0), {}, "eta_s = 0.0 outside (0, 1]"),
+        ((0.5, 1.5), {}, "eta_s = 1.5 outside (0, 1]"),
+        ((0.5, math.nan), {}, "eta_s = nan outside (0, 1]"),
+        ((-0.5, 0.7), {}, "c = -0.5 outside [0, inf)"),
+        ((0.5, 0.7), {"phase_left": math.nan}, "phase_left = nan outside (-inf, inf)"),
+        ((0.5, 0.7), {"phase_right": math.nan}, "phase_right = nan outside (-inf, inf)"),
+        # the order: swap efficiency, then the link coefficient, the left
+        # phase, the right phase, the cutoff
+        ((-0.5, math.nan), {}, "eta_s = nan outside (0, 1]"),
+        ((-0.5, 0.7), {"phase_left": math.nan}, "c = -0.5 outside [0, inf)"),
         ((0.5, 0.7), {"phase_left": math.inf, "phase_right": math.nan},
-         "link phase inf must be finite"),
-        ((-0.5, 0.7), {"cutoff": 1},
-         "link vacuum coefficient c = -0.5 must be finite and non-negative"),
-        ((0.5, 0.7), {"cutoff": 1, "phase_right": math.nan}, "link phase nan must be finite"),
-        ((0.5, math.nan), {"cutoff": 0}, r"swap efficiency nan outside \(0, 1\]"),
+         "phase_left = inf outside (-inf, inf)"),
+        ((-0.5, 0.7), {"cutoff": 1}, "c = -0.5 outside [0, inf)"),
+        ((0.5, 0.7), {"cutoff": 1, "phase_right": math.nan},
+         "phase_right = nan outside (-inf, inf)"),
+        ((0.5, math.nan), {"cutoff": 0}, "eta_s = nan outside (0, 1]"),
         ((0.5, 0.7), {"cutoff": 0}, "cutoff must be positive, got 0"),
     ])
     def test_refusals_and_their_order(self, args, kwargs, message):
-        with pytest.raises(ValueError, match=f"^{message}$") as info:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
             swap_oracle(*args, **kwargs)
         assert not isinstance(info.value, fock.TruncationError)
 
@@ -633,10 +634,10 @@ class TestEmeDensity:
         assert str(refused.value) == reason
 
     @pytest.mark.parametrize("etas,reason", [
-        ((1.0, 1.5), "link efficiency etas[1] = 1.5 outside [0, 1]"),
-        ((-0.1, 1.0), "link efficiency etas[0] = -0.1 outside [0, 1]"),
-        ((math.nan, 1.0), "link efficiency etas[0] = nan outside [0, 1]"),
-        ((1.0, math.inf), "link efficiency etas[1] = inf outside [0, 1]"),
+        ((1.0, 1.5), "etas[1] = 1.5 outside [0, 1]"),
+        ((-0.1, 1.0), "etas[0] = -0.1 outside [0, 1]"),
+        ((math.nan, 1.0), "etas[0] = nan outside [0, 1]"),
+        ((1.0, math.inf), "etas[1] = inf outside [0, 1]"),
         ((0.5,), "etas needs one efficiency per link mode, got (0.5,)"),
         ((1.0, 1.0, 1.0), "etas needs one efficiency per link mode, got (1.0, 1.0, 1.0)"),
     ])
