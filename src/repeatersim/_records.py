@@ -30,15 +30,18 @@ def _bounds(interval: str) -> tuple:
     return low, high, interval[0] == "[", interval[-1] == "]"
 
 
-# the intervals a value is checked against; "[-inf, inf]" refuses a NaN alone
+# the intervals a value is checked against; "[-inf, inf]" refuses a NaN alone,
+# and the last is the 64-bit seed range, 2^64 being exact as a float
 _INTERVALS = {interval: _bounds(interval) for interval in (
-    "[0, 1]", "(0, 1]", "(0, inf)", "(1, inf)", "[0, inf)", "[0, inf]", "(-inf, inf)",
-    "[-inf, inf]")}
+    "[0, 1]", "(0, 1]", "(0, 1)", "[0, 1)", "(0, inf)", "(1, inf)", "[0, inf)", "[0, inf]",
+    "[1, inf)", "[2, inf)", "[1, 17]", "[1, 1023]", "(-inf, inf)", "[-inf, inf]",
+    "[0, 18446744073709551616)")}
 
 
 def check_in(interval: str, name: str, value):
-    """Refuse ``value`` outside ``interval``, one of ``_INTERVALS``, by its
-    ``name``; a NaN fails every comparison.  One value a call, compared here:
+    """Refuse ``value``, a float or an int, outside ``interval``, one of
+    ``_INTERVALS``, by its ``name``; a NaN fails every comparison, and an int
+    compares with a float bound exactly.  One value a call, compared here:
     keyword arguments or a comparison function cost a closed form more."""
     low, high, low_closed, high_closed = _INTERVALS[interval]
     if not ((low <= value if low_closed else low < value)

@@ -43,8 +43,8 @@ class PolarizationQubit(Checked, namedtuple("PolarizationQubit", ("d0", "d1"))):
 
     @classmethod
     def from_bloch(cls, theta: float, phi: float) -> "PolarizationQubit":
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ValueError("Bloch angles must be finite")
+        check_in("(-inf, inf)", "theta", theta)
+        check_in("(-inf, inf)", "phi", phi)
         return cls(math.cos(theta / 2.0),
                    complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0))
 
@@ -209,10 +209,8 @@ def ekert_simulation(c_n: float, phi: float, eta_a: float, rounds: int,
     """
     check_int(rounds=rounds, seed=seed)
     rounds, seed = int(rounds), int(seed)
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    check_in("[1, inf)", "rounds", rounds)
+    check_in("[0, 18446744073709551616)", "seed", seed)
     check_draws(rounds, 3, f"{rounds} rounds")
     # the run holds one byte a round, the cell, and a block's temporaries
     # (tracemalloc peak at 1e6 rounds: 1.15 bytes a round at eta_a = 0.5,

@@ -29,7 +29,7 @@ import os
 import sys
 
 from . import config, ensemble, montecarlo
-from ._records import in_float_range
+from ._records import check_in, in_float_range
 from .config import Config, ConfigError
 from .protocol import ChainStallError, InfeasibleError, chain
 
@@ -298,10 +298,8 @@ def cmd_dynamics(cfg: Config, args) -> int:
         raise ValueError(f"kappa_prime underflows to 0 at {at}, so the collective "
                          f"mode has no gain")
     t_end = args.t_max if args.t_max is not None else 0.05 / rates.kappa_prime
-    if not (t_end > 0 and math.isfinite(t_end)):
-        raise ValueError(f"time window t_max = {t_end} must be positive and finite")
-    if args.points < 2:
-        raise ValueError(f"the time grid needs at least two time points, got {args.points}")
+    check_in("(0, inf)", "t_max", t_end)
+    check_in("[2, inf)", "points", args.points)
     if args.points > MAX_DYNAMICS_POINTS:
         raise InfeasibleError(f"{args.points} time points are over the limit of "
                               f"{MAX_DYNAMICS_POINTS}")

@@ -11,6 +11,7 @@ import io
 import math
 from collections import namedtuple
 
+from ._records import check_in
 from .ensemble import EnsembleParams
 from .montecarlo import TrialConfig
 from .protocol import RepeaterParams
@@ -20,15 +21,10 @@ class ConfigError(ValueError):
     """Configuration failed validation; message names the field path."""
 
 
-# a range check: (predicate, reason); the reason is formatted with the key
-# and its value
-_POSITIVE = (lambda v: v > 0, "{key} must be positive")
-_NON_NEGATIVE = (lambda v: v >= 0, "{key} must be >= 0")
-_AT_LEAST_ONE = (lambda n: n >= 1, "{key} must be >= 1")
-
-# section -> key -> (converter, default-as-string, *range checks).  A key
-# that EnsembleParams, RepeaterParams or TrialConfig takes is checked by
-# that record; every other key carries its checks here.
+# section -> key -> (converter, default-as-string[, rule]).  A key that
+# EnsembleParams, RepeaterParams or TrialConfig takes is checked by that
+# record; every other key carries its rule here: an interval of check_in, or
+# output.format's tuple of choices.
 SCHEMA = {
     "ensemble": {
         "atom_count": (int, "100"),
@@ -38,9 +34,9 @@ SCHEMA = {
         "cavity_decay": (float, "10.0"),
         "spont_rate": (float, "1.0"),
         "interaction_time": (float, "0.0502"),
-        "density": (float, "100.0", _POSITIVE),
-        "sample_length": (float, "1.0", _POSITIVE),
-        "wavenumber": (float, "10.0", _POSITIVE),
+        "density": (float, "100.0", "(0, inf)"),
+        "sample_length": (float, "1.0", "(0, inf)"),
+        "wavenumber": (float, "10.0", "(0, inf)"),
     },
     "repeater": {
         "excitation_prob": (float, "0.01"),
@@ -54,19 +50,16 @@ SCHEMA = {
         "levels": (int, "2"),
     },
     "scaling": {
-        "total_length": (float, "100.0", _POSITIVE),   # in attenuation lengths
-        "target_infidelity": (float, "0.05",
-                              (lambda v: 0 < v < 1, "{key} must be in (0, 1)")),
-        "per_connection_dark": (float, "1e-5", _NON_NEGATIVE),
-        "asym": (float, "1e-4", _NON_NEGATIVE),
-        "n_max": (int, "12", _AT_LEAST_ONE,
-                  (lambda n: n <= 1023, "{key} must be <= 1023, got {value}: the "
-                                        "segment length L/2^n must be a float")),
+        "total_length": (float, "100.0", "(0, inf)"),   # in attenuation lengths
+        "target_infidelity": (float, "0.05", "(0, 1)"),
+        "per_connection_dark": (float, "1e-5", "[0, inf)"),
+        "asym": (float, "1e-4", "[0, inf)"),
+        "n_max": (int, "12", "[1, 1023]"),   # the segment length L/2^n is a float
     },
     "applications": {
-        "vacuum_coeff": (float, "0.0", _NON_NEGATIVE),
+        "vacuum_coeff": (float, "0.0", "[0, inf)"),
         "phase": (float, "0.0"),
-        "rounds": (int, "100000", _AT_LEAST_ONE),
+        "rounds": (int, "100000", "[1, inf)"),
     },
     "trials": {
         "seed": (int, "42"),
@@ -75,10 +68,9 @@ SCHEMA = {
         "threads": (int, "1"),
     },
     "output": {
-        "format": (str, "json",
-                   (lambda v: v in ("json", "csv"), "{key} must be json or csv")),
+        "format": (str, "json", ("json", "csv")),
         "path": (str, ""),
-        "precision": (int, "9", (lambda n: 1 <= n <= 17, "{key} must be in [1, 17]")),
+        "precision": (int, "9", "[1, 17]"),
     },
 }
 
@@ -135,16 +127,16 @@ def _convert(raw: dict) -> dict:
 
 
 def _section(section: str, cls, values: dict):
-    """``cls`` of ``values``: each key first against its schema checks (none
+    """``cls`` of ``values``: each key first against its schema rule (none
     for a key that a library record owns and checks itself), then the
     record's own checks, their message prefixed with the key's path."""
-    schema = SCHEMA[section]
-    for key, value in values.items():
-        for ok, reason in schema[key][2:]:
-            if not ok(value):
-                raise ConfigError(f"{section}.{key}: "
-                                  + reason.format(key=key, value=value))
     try:
+        for key, value in values.items():
+            for rule in SCHEMA[section][key][2:]:
+                if isinstance(rule, str):
+                    check_in(rule, key, value)
+                elif value not in rule:
+                    raise ValueError(f"{key} must be {' or '.join(rule)}")
         return cls(**values)
     except ValueError as exc:
         # surface the offending field with its section path

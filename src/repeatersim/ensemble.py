@@ -31,6 +31,11 @@ ADIABATIC_RATIO_WARN = 10.0
 MAX_RK4_SUBSTEPS = 1_000_000
 
 
+# EnsembleParams' fields bounded past finiteness; the others are "(-inf, inf)"
+_ENSEMBLE_INTERVALS = {"atom_count": "[1, inf)", "cavity_decay": "(0, inf)",
+                       "spont_rate": "[0, inf)", "interaction_time": "[0, inf)"}
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Microscopic parameters of a driven Lambda-level ensemble.  The one
@@ -45,18 +50,10 @@ class EnsembleParams:
     interaction_time: float
 
     def __post_init__(self):
-        if self.atom_count < 1:
-            raise ValueError(f"atom_count must be positive, got {self.atom_count}")
-        if self.detuning == 0.0:
-            raise ValueError("detuning must be nonzero")
-        if self.cavity_decay <= 0.0:
-            raise ValueError(f"cavity_decay must be positive, got {self.cavity_decay}")
-        if self.spont_rate < 0.0:
-            raise ValueError(f"spont_rate must be non-negative, got {self.spont_rate}")
-        if self.interaction_time < 0.0:
-            raise ValueError(f"interaction_time must be non-negative, got {self.interaction_time}")
         for name, value in vars(self).items():
-            check_in("(-inf, inf)", name, value)
+            check_in(_ENSEMBLE_INTERVALS.get(name, "(-inf, inf)"), name, value)
+            if name == "detuning" and value == 0.0:   # not an interval
+                raise ValueError("detuning must be nonzero")
 
     @property
     def bad_cavity_ratio(self) -> float:
@@ -204,10 +201,8 @@ def integrate_master_equation(params: EnsembleParams, n_modes: int, cutoff: int,
     exp(-R t) x^n for n < c and x^c at n = c.  Time runs from t_grid[0].
     """
     check_int(n_modes=n_modes, cutoff=cutoff)
-    if n_modes < 2:
-        raise ValueError("need at least one collective and one noise mode")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    check_in("[2, inf)", "n_modes", n_modes)   # one collective and one noise mode
+    check_in("[1, inf)", "cutoff", cutoff)
     times = _time_grid(t_grid)
     if len(times) < 2:
         raise ValueError(f"the master equation needs at least two time points, got {len(times)}")

@@ -45,10 +45,8 @@ class ModeLayout(Checked, namedtuple("ModeLayout", ("modes", "cutoff"))):
 
     def _check(self):
         check_int(modes=self.modes, cutoff=self.cutoff)
-        if self.modes < 1:
-            raise ValueError(f"modes must be positive, got {self.modes}")
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        check_in("[1, inf)", "modes", self.modes)
+        check_in("[1, inf)", "cutoff", self.cutoff)
         # integer power cannot overflow in Python; just enforce the bound
         if self.dim > DEFAULT_DIM_BOUND:
             raise ValueError(

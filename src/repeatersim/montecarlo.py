@@ -26,7 +26,7 @@ import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from ._records import Checked, check_int
+from ._records import Checked, check_in, check_int
 from .protocol import InfeasibleError, RepeaterParams, chain
 
 if TYPE_CHECKING:
@@ -50,14 +50,11 @@ class TrialConfig(Checked, namedtuple("TrialConfig", ("seed", "n_trials", "polic
 
     def _check(self):
         check_int(seed=self.seed, n_trials=self.n_trials, threads=self.threads)
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        check_in("[0, 18446744073709551616)", "seed", self.seed)
+        check_in("[1, inf)", "n_trials", self.n_trials)
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        check_in("[1, inf)", "threads", self.threads)
 
 
 @functools.cache
@@ -81,8 +78,7 @@ class SplitMix:
 def click_probability(params: RepeaterParams) -> float:
     """Per-attempt herald probability, dark counts included."""
     q = params.eta_p * params.excitation_prob + params.dark_prob
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"click probability {q} outside (0, 1]")
+    check_in("(0, 1]", "click probability", q)
     return q
 
 
@@ -130,7 +126,9 @@ def format_count(count: int, scale: float = 1.0, spec: str = ".3g") -> str:
 
 def check_draws(count: int, per_item: float, what: str) -> None:
     """Raise ``InfeasibleError`` when ``count`` items of ``per_item``
-    expected random draws each would use more than ``DRAW_BUDGET``."""
+    expected random draws each would use more than ``DRAW_BUDGET``; an
+    infinite ``per_item`` is over it."""
+    check_in("[0, inf]", "per_item", per_item)
     if count > DRAW_BUDGET / per_item:
         raise InfeasibleError(f"{what} needs about {format_count(count, per_item)} random "
                               f"draws, over the budget of {DRAW_BUDGET:.0e}")

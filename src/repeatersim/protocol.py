@@ -20,7 +20,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from ._records import Checked, check_in, in_float_range
+from ._records import Checked, check_in, check_int, in_float_range
 
 if TYPE_CHECKING:
     from . import fock
@@ -68,22 +68,14 @@ class RepeaterParams(Checked, namedtuple("RepeaterParams", (
     """
 
     __slots__ = ()
+    # the fields' intervals, in field order
+    _intervals = ("(0, 1)", "(0, inf)", "(0, 1]", "(0, 1]", "(0, 1]", "[0, 1)", "(0, inf)",
+                  "(0, inf)", "[0, inf)")
 
     def _check(self):
-        checks = [
-            ("excitation_prob", 0.0 < self.excitation_prob < 1.0),
-            ("pulse_time", 0.0 < self.pulse_time < math.inf),
-            ("local_efficiency", 0.0 < self.local_efficiency <= 1.0),
-            ("swap_efficiency", 0.0 < self.swap_efficiency <= 1.0),
-            ("app_efficiency", 0.0 < self.app_efficiency <= 1.0),
-            ("dark_prob", 0.0 <= self.dark_prob < 1.0),
-            ("attenuation_length", 0.0 < self.attenuation_length < math.inf),
-            ("segment_length", 0.0 < self.segment_length < math.inf),
-            ("levels", self.levels >= 0),
-        ]
-        for name, ok in checks:
-            if not ok:
-                raise ValueError(f"{name} = {getattr(self, name)} outside its valid range")
+        for interval, name, value in zip(self._intervals, self._fields, self):
+            check_in(interval, name, value)
+        check_int(levels=self.levels)
 
     @property
     def eta_p(self) -> float:
@@ -155,8 +147,8 @@ def swap_analytic(left: EMEState, right: EMEState, eta_s: float):
 
 def vacuum_coeff_closed_form(i: int, eta_s: float, c0: float = 0.0) -> float:
     """Exact solution 2^i c0 + (2^i - 1)(1 - eta_s) of the affine recursion."""
-    if i < 0:
-        raise ValueError("level must be >= 0")
+    check_int(i=i)
+    check_in("[0, inf)", "i", i)
     check_in("(-inf, inf)", "eta_s", eta_s)
     check_in("(-inf, inf)", "c0", c0)
     return in_float_range("the vacuum coefficient",
@@ -269,8 +261,8 @@ def _heralded_factor(p_c: float, eta_p: float, p_dc: float, channel_phase: float
     for name, value in (("p_c", p_c), ("eta_p", eta_p), ("p_dc", p_dc)):
         check_in("[0, 1]", name, value)
     check_in("(-inf, inf)", "channel_phase", channel_phase)
-    if cutoff < 2 and include_second_order:
-        raise ValueError(f"the second-order source term |2,2⟩ needs cutoff >= 2, got {cutoff}")
+    if include_second_order:   # the second-order source term |2,2⟩
+        check_in("[2, inf)", "cutoff", cutoff)
     np, fock = _engines()
     layout4 = fock.ModeLayout(4, cutoff)      # atom_L, phot_L, atom_R, phot_R
     d = layout4.mode_dim

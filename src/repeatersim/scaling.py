@@ -29,8 +29,9 @@ def fidelity_budget(segments: float, per_connection_dark: float, asym: float,
 
     Negligibility means at most a tenth of the target budget.
     """
-    if segments < 0 or per_connection_dark < 0 or asym < 0:
-        raise ValueError("budget inputs must be non-negative")
+    for name, value in (("segments", segments), ("per_connection_dark", per_connection_dark),
+                        ("asym", asym)):
+        check_in("[0, inf)", name, value)
     dark = segments * per_connection_dark
     walk = math.sqrt(segments) * asym
     tgt = target if target is not None else math.inf
@@ -78,8 +79,7 @@ def total_time(params: RepeaterParams, df_target: float,
     p_c = df_target * L0 / L.  Application success uses the printed
     first-power lumped-efficiency form eta_a / (2 (c_n + 1)^2).
     """
-    if not 0.0 < df_target < 1.0:
-        raise InfeasibleError(f"fidelity budget {df_target} outside (0, 1)")
+    check_in("(0, 1)", "df_target", df_target)
     n = params.levels
     p_c = df_target / 2 ** n
     if not 0.0 < p_c < 1.0:
@@ -137,8 +137,7 @@ SegmentOptimum = namedtuple("SegmentOptimum", ("l0_star", "n_star", "value", "sc
 
 def optimal_segment_power_law(m: float, l_att: float = 1.0) -> float:
     """Continuous minimizer of (L/L0)^m e^{L0/L_att}: exactly m * L_att."""
-    if not (m > 0 and math.isfinite(m)):
-        raise ValueError(f"power-law exponent must be positive and finite, got {m}")
+    check_in("(0, inf)", "m", m)
     check_in("(0, inf)", "l_att", l_att)
     return m * l_att
 
@@ -168,6 +167,7 @@ def optimize_segment(params_base: RepeaterParams, total_length: float,
         return SegmentOptimum(l0_star=l0, n_star=None, value=value, scanned=())
     if total_length <= l_att:
         raise ValueError("total length must exceed the attenuation length")
+    check_in("(0, 1)", "df_target", df_target)   # once, for either scan, before any row
     rows = []
     for n in range(1, n_max + 1):
         l0 = total_length / 2 ** n

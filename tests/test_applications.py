@@ -475,7 +475,8 @@ class TestEkert:
             raise AssertionError("generator built for a refused seed")
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
-        with pytest.raises(ValueError, match=re.escape(f"seed must fit in 64 bits, got {seed}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed = {seed} outside [0, 18446744073709551616)")):
             ekert_simulation(0.2, 0.1, 0.8, rounds=1000, seed=seed)
 
     def test_largest_64_bit_seed_accepted(self):
@@ -664,11 +665,14 @@ class TestLinkParameters:
 
 
 class TestTeleport:
-    @pytest.mark.parametrize("theta,phi", [(math.nan, 0.0), (1.0, math.inf),
-                                           (-math.inf, 0.0)])
-    def test_non_finite_bloch_angles_rejected(self, theta, phi):
-        with pytest.raises(ValueError, match="Bloch angles must be finite"):
+    @pytest.mark.parametrize("theta,phi,reason", [
+        (math.nan, 0.0, "theta = nan outside (-inf, inf)"),
+        (1.0, math.inf, "phi = inf outside (-inf, inf)"),
+        (-math.inf, 0.0, "theta = -inf outside (-inf, inf)")])
+    def test_non_finite_bloch_angles_rejected(self, theta, phi, reason):
+        with pytest.raises(ValueError) as refused:
             PolarizationQubit.from_bloch(theta, phi)
+        assert str(refused.value) == reason
 
     @pytest.mark.parametrize("d0,d1,reason", [
         (math.nan, 0.0, "d0 = nan outside (-inf, inf)"),

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -222,15 +223,15 @@ class TestDynamics:
         code, out = run_cli(["dynamics", "--points", points, "--out", str(out_file)])
         assert code == 3
         assert out == ""
-        assert "at least two time points" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"numeric failure: points = {points} outside [2, inf)\n"
         assert not out_file.exists()
 
     @pytest.mark.parametrize("args,reason", [
-        (["--t-max", "nan"], "time window t_max = nan must be positive and finite"),
-        (["--t-max", "inf"], "time window t_max = inf must be positive and finite"),
-        (["--t-max", "-1"], "time window t_max = -1.0 must be positive and finite"),
-        (["--t-max", "0"], "time window t_max = 0.0 must be positive and finite"),
-        (["--points", "-1"], "the time grid needs at least two time points, got -1"),
+        (["--t-max", "nan"], "t_max = nan outside (0, inf)"),
+        (["--t-max", "inf"], "t_max = inf outside (0, inf)"),
+        (["--t-max", "-1"], "t_max = -1.0 outside (0, inf)"),
+        (["--t-max", "0"], "t_max = 0.0 outside (0, inf)"),
+        (["--points", "-1"], "points = -1 outside [2, inf)"),
     ])
     def test_bad_time_grid_exits_3_with_own_reason(self, tmp_path, capsys, args, reason):
         out_file = tmp_path / "dyn.csv"
@@ -367,22 +368,22 @@ class TestScaling:
         assert calls == list(range(1, n_max + 1))
 
     @pytest.mark.parametrize("section,key,value,reason", [
-        ("ensemble", "density", "0", "density must be positive"),
-        ("ensemble", "sample_length", "0", "sample_length must be positive"),
-        ("ensemble", "wavenumber", "0", "wavenumber must be positive"),
-        ("scaling", "total_length", "0", "total_length must be positive"),
-        ("scaling", "target_infidelity", "0", "target_infidelity must be in (0, 1)"),
-        ("scaling", "target_infidelity", "1", "target_infidelity must be in (0, 1)"),
-        ("scaling", "per_connection_dark", "-1e-300", "per_connection_dark must be >= 0"),
-        ("scaling", "asym", "-1e-300", "asym must be >= 0"),
-        ("scaling", "n_max", "0", "n_max must be >= 1"),
-        ("scaling", "n_max", "1024",
-         "n_max must be <= 1023, got 1024: the segment length L/2^n must be a float"),
-        ("applications", "vacuum_coeff", "-1e-300", "vacuum_coeff must be >= 0"),
-        ("applications", "rounds", "0", "rounds must be >= 1"),
+        ("ensemble", "density", "0", "density = 0.0 outside (0, inf)"),
+        ("ensemble", "sample_length", "0", "sample_length = 0.0 outside (0, inf)"),
+        ("ensemble", "wavenumber", "0", "wavenumber = 0.0 outside (0, inf)"),
+        ("scaling", "total_length", "0", "total_length = 0.0 outside (0, inf)"),
+        ("scaling", "target_infidelity", "0", "target_infidelity = 0.0 outside (0, 1)"),
+        ("scaling", "target_infidelity", "1", "target_infidelity = 1.0 outside (0, 1)"),
+        ("scaling", "per_connection_dark", "-1e-300",
+         "per_connection_dark = -1e-300 outside [0, inf)"),
+        ("scaling", "asym", "-1e-300", "asym = -1e-300 outside [0, inf)"),
+        ("scaling", "n_max", "0", "n_max = 0 outside [1, 1023]"),
+        ("scaling", "n_max", "1024", "n_max = 1024 outside [1, 1023]"),
+        ("applications", "vacuum_coeff", "-1e-300", "vacuum_coeff = -1e-300 outside [0, inf)"),
+        ("applications", "rounds", "0", "rounds = 0 outside [1, inf)"),
         ("output", "format", "xml", "format must be json or csv"),
-        ("output", "precision", "0", "precision must be in [1, 17]"),
-        ("output", "precision", "18", "precision must be in [1, 17]"),
+        ("output", "precision", "0", "precision = 0 outside [1, 17]"),
+        ("output", "precision", "18", "precision = 18 outside [1, 17]"),
     ])
     def test_option_key_just_outside_its_range_exits_2_naming_it(
             self, tmp_path, capsys, section, key, value, reason):
@@ -476,12 +477,13 @@ class TestOptimize:
         payload = json.loads(out)
         assert payload["L0_star"] == pytest.approx(2.0, rel=1e-9)
 
-    @pytest.mark.parametrize("m", ["nan", "inf", "-inf", "0"])
-    def test_power_law_exponent_not_positive_finite_exits_3(self, m, capsys):
+    @pytest.mark.parametrize("m,value", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                                         ("0", "0.0")])
+    def test_power_law_exponent_not_positive_finite_exits_3(self, m, value, capsys):
         code, out = run_cli(["optimize", "--objective", "power_law", f"--m={m}"])
         assert code == 3
         assert out == ""
-        assert "exponent must be positive and finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"numeric failure: m = {value} outside (0, inf)\n"
 
     @pytest.mark.parametrize("m,value", [("700", 2.73847842e-288), ("1e-320", 1.0)])
     def test_power_law_value_is_finite_json(self, m, value):
@@ -538,7 +540,7 @@ class TestEkert:
         assert code == 3
         assert out == ""
         assert capsys.readouterr().err == \
-            f"numeric failure: seed must fit in 64 bits, got {seed}\n"
+            f"numeric failure: seed = {seed} outside [0, 18446744073709551616)\n"
 
     def test_rounds_beyond_draw_budget_exits_4(self, capsys):
         # three draws a round: 4e8 rounds need 1.2e9 draws, past the 1e9 budget;
@@ -567,13 +569,13 @@ class TestTeleport:
         payload = json.loads(out)
         assert payload["output_fidelity"] == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("flag,value", [("--bloch-theta", "nan"),
-                                            ("--bloch-phi", "inf")])
-    def test_non_finite_angle_exits_3_naming_reason(self, flag, value, capsys):
+    @pytest.mark.parametrize("flag,value,reason", [("--bloch-theta", "nan", "theta = nan"),
+                                                   ("--bloch-phi", "inf", "phi = inf")])
+    def test_non_finite_angle_exits_3_naming_reason(self, flag, value, reason, capsys):
         code, out = run_cli(["teleport", flag, value])
         assert code == 3
         assert out == ""
-        assert "Bloch angles must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"numeric failure: {reason} outside (-inf, inf)\n"
 
 
 class TestMonteCarlo:
@@ -599,15 +601,15 @@ class TestMonteCarlo:
         assert code == 3
         assert out == ""
         assert capsys.readouterr().err == \
-            f"numeric failure: seed must fit in 64 bits, got {seed}\n"
+            f"numeric failure: seed = {seed} outside [0, 18446744073709551616)\n"
 
     def test_config_seed_outside_64_bits_exits_2_naming_the_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[trials]\nseed = 18446744073709551616\n")
         code, out = run_cli(["--config", cfg, "montecarlo"])
         assert code == 2
         assert out == ""
-        assert capsys.readouterr().err == ("config error: trials.seed: seed must fit in "
-                                           "64 bits, got 18446744073709551616\n")
+        assert capsys.readouterr().err == ("config error: trials.seed: seed = 18446744073709551616 "
+                                           "outside [0, 18446744073709551616)\n")
 
     def test_trace_csv(self, tmp_path):
         trace = tmp_path / "trials.csv"
@@ -942,7 +944,7 @@ class TestRecords:
 
     def test_with_checks_the_override(self):
         params = config.load().repeater
-        with pytest.raises(ValueError, match="excitation_prob = 1.5 outside its valid range"):
+        with pytest.raises(ValueError, match=re.escape("excitation_prob = 1.5 outside (0, 1)")):
             params.with_(excitation_prob=1.5)
         assert params.with_(levels=3) == params._replace(levels=3)
 
@@ -1007,7 +1009,7 @@ class TestRecords:
         code, out = run_cli(["montecarlo", "--trials", "10", "--threads", "0"])
         assert code == 3
         assert out == ""
-        assert capsys.readouterr().err == "numeric failure: threads must be >= 1\n"
+        assert capsys.readouterr().err == "numeric failure: threads = 0 outside [1, inf)\n"
 
     def test_rates_without_config_does_not_load_configparser(self, tmp_path):
         ini = tmp_path / "unknown_key.ini"
@@ -1237,63 +1239,87 @@ class TestOneHome:
                                         ("cli.py", "_fmt", "numbers.Integral")]
 
     def test_float_ranges_are_refused_by_hand_only_where_allowed(self):
-        # _records.check_in is the rule.  By hand stay the refusals the command
-        # line prints as they are (from_bloch's angles, EnsembleParams'
-        # signs, the --m exponent), total_time's InfeasibleError on its
-        # budget, which the scan skips, and fidelity_budget, which ROADMAP
-        # item 13 deletes.  A mark is an ``if`` that raises and bounds an
-        # argument or record field by 0.0, 1.0 or inf (or by 0, where the
-        # argument is annotated float), or asks math.isfinite of it
+        # _records.check_in states every fixed interval, of a float or an int.
+        # A mark is an ``if`` that raises and asks math.isfinite or math.isinf,
+        # or compares a parameter, field or local with a number or math.inf; a
+        # lambda in config.py; a (name, comparison) table.  What stays is no
+        # fixed interval, each for the reason beside it; the choices (policy,
+        # output format, a detector's click outcome) are membership tests
         import ast
-        import pathlib
 
-        def by_hand(node, function):
-            if function is None or not isinstance(node, ast.If) \
-                    or not any(isinstance(n, ast.Raise) for n in node.body):
-                return None
-            args = function.args.args + function.args.kwonlyargs
-            floats = {a.arg for a in args if a.annotation is not None
-                      and ast.unparse(a.annotation) == "float"}
-            inputs = {a.arg for a in args} - {"self"}
+        def number(node):
+            if isinstance(node, ast.Constant):
+                return type(node.value) in (int, float)
+            if isinstance(node, ast.UnaryOp):
+                return number(node.operand)
+            if isinstance(node, ast.BinOp):
+                return number(node.left) and number(node.right)
+            return ast.unparse(node) == "math.inf"
 
-            def named(text):
-                return text in inputs or text.startswith("self.")
+        def compared(compare):
+            operands = (compare.left, *compare.comparators)
+            return (not all(isinstance(op, (ast.In, ast.NotIn, ast.Is, ast.IsNot))
+                            for op in compare.ops)
+                    and any(isinstance(o, (ast.Name, ast.Attribute)) and not number(o)
+                            for o in operands)
+                    and any(map(number, operands)))
 
-            for n in ast.walk(node.test):
-                if isinstance(n, ast.Call) and ast.unparse(n.func) == "math.isfinite" \
-                        and named(ast.unparse(n.args[0])):
-                    return ast.unparse(node.test)
-                if isinstance(n, ast.Compare) and not any(
-                        isinstance(op, (ast.Eq, ast.NotEq)) for op in n.ops):
-                    operands = [ast.unparse(m) for m in (n.left, *n.comparators)]
-                    bounded = [o for o in operands if named(o)]
-                    if bounded and any(o in ("0.0", "1.0", "math.inf")
-                                       or (o == "0" and set(bounded) & floats)
-                                       for o in operands):
-                        return ast.unparse(node.test)
+        def by_hand(node):
+            if isinstance(node, ast.If) and any(isinstance(n, ast.Raise) for n in node.body) \
+                    and any(isinstance(n, ast.Compare) and compared(n)
+                            or isinstance(n, ast.Call)
+                            and ast.unparse(n.func) in ("math.isfinite", "math.isinf")
+                            for n in ast.walk(node.test)):
+                return ast.unparse(node.test)
+            if isinstance(node, ast.Lambda):
+                return "lambda"
+            if isinstance(node, ast.Tuple) and len(node.elts) > 1 \
+                    and isinstance(node.elts[0], ast.Constant) \
+                    and isinstance(node.elts[0].value, str) \
+                    and any(isinstance(e, ast.Compare) for e in node.elts[1:]):
+                return "table"
             return None
 
-        def visit(node, function):
-            for child in ast.iter_child_nodes(node):
-                inner = child if isinstance(child, ast.FunctionDef) else function
-                yield inner, child
-                yield from visit(child, inner)
-
-        marks = sorted((path.name, function.name, mark)
-                       for path in pathlib.Path(cli.__file__).parent.glob("*.py")
-                       for function, node in visit(ast.parse(path.read_text(encoding="utf-8")),
-                                                   None)
-                       if (mark := by_hand(node, function)) is not None)
+        marks = [m for m in self.marks(by_hand) if m[2] != "lambda" or m[0] == "config.py"]
         assert marks == [
-            ("applications.py", "from_bloch",
-             "not (math.isfinite(theta) and math.isfinite(phi))"),
-            ("ensemble.py", "__post_init__", "self.cavity_decay <= 0.0"),
-            ("ensemble.py", "__post_init__", "self.interaction_time < 0.0"),
-            ("ensemble.py", "__post_init__", "self.spont_rate < 0.0"),
-            ("scaling.py", "fidelity_budget",
-             "segments < 0 or per_connection_dark < 0 or asym < 0"),
-            ("scaling.py", "optimal_segment_power_law", "not (m > 0 and math.isfinite(m))"),
-            ("scaling.py", "total_time", "not 0.0 < df_target < 1.0"),
+            ("cli.py", "_parse_sweep", "not (math.isfinite(lo) and math.isfinite(hi))"),
+            ("cli.py", "_parse_sweep", "not 1 <= steps <= MAX_SWEEP_STEPS"),
+            # a rates field is infinite: the refusal names its zero ensemble keys
+            ("cli.py", "_refuse_infinite", "math.isinf(getattr(rates, field))"),
+            # a result, not an input: the noise-mode fit underflowed
+            ("cli.py", "cmd_dynamics",
+             "math.isfinite(analytic) and (not math.isfinite(extracted))"),
+            # a result: kappa' underflowed to 0 at nonzero keys
+            ("cli.py", "cmd_dynamics", "rates.kappa_prime == 0.0"),
+            # the parse rule, before any record sees the value
+            ("config.py", "_convert", "conv is float and (not math.isfinite(value))"),
+            # detuning != 0 is not an interval
+            ("ensemble.py", "__post_init__", "name == 'detuning' and value == 0.0"),
+            # a rule of two fields: a resolving detector has no dark counts
+            ("fock.py", "_check", "self.resolving and self.dark_count_prob != 0.0"),
+            # the detector outcome: a photon count, else a click choice
+            ("fock.py", "_outcome_weights",
+             "not isinstance(outcome, (int, np.integer)) or outcome < 0"),
+            # layout-dependent index bounds, and weights of a layout's shape
+            ("fock.py", "check_mode", "not 0 <= i < self.modes"),
+            ("fock.py", "condition", "w.shape != (layout.mode_dim,) or not all((0 <= x < "
+                                     "math.inf for x in w.tolist()))"),
+            # a computed fidelity's rounding tolerance
+            ("fock.py", "fidelity", "val > 1 + 1e-12"),
+            # an array's shape
+            ("fock.py", "from_factor", "v.ndim != 2 or v.shape[0] != layout.dim"),
+            ("fock.py", "index", "not 0 <= n <= self.cutoff"),
+            # the impossible-outcome threshold
+            ("fock.py", "outcome_probability", "prob < 1e-15"),
+            # a result: the statistics of finite samples overflow
+            ("montecarlo.py", "estimate", "not (math.isfinite(mean) and math.isfinite(stddev))"),
+            # the stall thresholds
+            ("protocol.py", "chain", "p < 1e-12"),
+            ("protocol.py", "generate_analytic", "signal <= 0.0"),
+            # the power-law value, refused on underflow to 0 as well
+            ("scaling.py", "optimize_segment", "not 0.0 < value < math.inf"),
+            # an InfeasibleError cap, which the scan skips
+            ("scaling.py", "total_time", "not 0.0 < p_c < 1.0"),
         ]
 
     def test_float_overflow_is_caught_in_the_allowed_places(self):

@@ -772,18 +772,11 @@ NON_FINITE_INPUTS = {
     "wavenumber": lambda v: free_space_snr(1.0, 1.0, v),
     "t": lambda v: langevin_mean_solution(make_params(), v),
 }
-# -inf already fails these EnsembleParams range checks, whose messages the
-# command line prints and so stay as they were
-NEGATIVE_INFINITY_MESSAGES = {
-    "atom_count": "atom_count must be positive, got -inf",
-    "cavity_decay": "cavity_decay must be positive, got -inf",
-    "spont_rate": "spont_rate must be non-negative, got -inf",
-    "interaction_time": "interaction_time must be non-negative, got -inf",
-}
-# the interval each closed-form input is refused outside; every
-# EnsembleParams field must be finite
-INTERVALS = {"density": "(0, inf)", "length": "(0, inf)", "wavenumber": "(0, inf)",
-             "t": "[0, inf)"}
+# the interval each input is refused outside; every other EnsembleParams
+# field must be finite
+INTERVALS = {"atom_count": "[1, inf)", "cavity_decay": "(0, inf)", "spont_rate": "[0, inf)",
+             "interaction_time": "[0, inf)", "density": "(0, inf)", "length": "(0, inf)",
+             "wavenumber": "(0, inf)", "t": "[0, inf)"}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -791,8 +784,5 @@ INTERVALS = {"density": "(0, inf)", "length": "(0, inf)", "wavenumber": "(0, inf
 def test_non_finite_input_is_refused_by_name(field, value):
     with pytest.raises(ValueError) as refused:
         NON_FINITE_INPUTS[field](value)
-    if value == -math.inf and field in NEGATIVE_INFINITY_MESSAGES:
-        assert str(refused.value) == NEGATIVE_INFINITY_MESSAGES[field]
-    else:
-        interval = INTERVALS.get(field, "(-inf, inf)")
-        assert str(refused.value) == f"{field} = {value} outside {interval}"
+    interval = INTERVALS.get(field, "(-inf, inf)")
+    assert str(refused.value) == f"{field} = {value} outside {interval}"

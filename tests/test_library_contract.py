@@ -131,34 +131,13 @@ EXCEPTIONS = {
     ("scaling.direct_ratio", "length_ratio"): (
         ("inf", "-inf"), "exp of an infinite length is its limit, inf or 0, so a scan "
                          "row's repeater times never fail on it"),
-    **{("scaling.fidelity_budget", name): (
-        tuple(VALUES), "ROADMAP item 13 deletes it; it refuses only a negative input, "
-                       "in a message that names none")
-       for name in ("segments", "per_connection_dark", "asym", "target")},
-    **{("scaling.total_time", name): (
-        tuple(VALUES), "passed to fidelity_budget alone")
-       for name in ("per_connection_dark", "asym")},
-    ("scaling.total_time", "df_target"): (
-        tuple(VALUES), "refused as InfeasibleError, a ValueError the scan skips on purpose"),
-    ("scaling.optimize_segment", "df_target"): (
-        tuple(VALUES), "each row's total_time refuses it as InfeasibleError, which the "
-                       "scan skips, so the scan finds no feasible row"),
-    ("applications.PolarizationQubit.from_bloch", "theta"): (
-        tuple(VALUES), "the command line prints its refusal, 'Bloch angles must be "
-                       "finite', as it is"),
-    ("applications.PolarizationQubit.from_bloch", "phi"): (
-        tuple(VALUES), "the command line prints its refusal, 'Bloch angles must be "
-                       "finite', as it is"),
-    ("scaling.optimal_segment_power_law", "m"): (
-        tuple(VALUES), "the command line prints its refusal of --m, 'power-law exponent "
-                       "must be positive and finite', as it is"),
-    ("scaling.optimize_segment[power_law]", "m"): (
-        tuple(VALUES), "optimal_segment_power_law's refusal of --m, printed as it is"),
+    ("scaling.fidelity_budget", "target"): (
+        tuple(VALUES), "ROADMAP item 13 deletes it; an absent target reads as inf, and the "
+                       "target only scales the negligibility flags"),
     ("montecarlo.format_count", "scale"): (
         tuple(VALUES), "formats a figure for a refusal message as it is given"),
     ("montecarlo.check_draws", "per_item"): (
-        tuple(VALUES), "takes the expected draws the library computed itself, and "
-                       "refuses an infinite count as over the budget"),
+        ("inf",), "an infinite count of draws is over the budget, an InfeasibleError"),
 }
 
 # the public callables without a float parameter: result records, which the

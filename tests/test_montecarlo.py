@@ -66,7 +66,8 @@ class TestGenerationSampling:
 
     def test_click_probability_range(self):
         params = make_params(dark_prob=0.0)
-        with pytest.raises(ValueError):
+        # eta_p p_c underflows to 0
+        with pytest.raises(ValueError, match=re.escape("click probability = 0.0 outside (0, 1]")):
             mc.click_probability(params.with_(local_efficiency=1e-300,
                                               excitation_prob=1e-300))
 
@@ -592,6 +593,20 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak <= mc._batch_bytes(n, trials)
+
+
+class TestDrawBudget:
+    @pytest.mark.parametrize("per_item", [math.nan, -math.inf, -1.0])
+    def test_draws_per_item_outside_its_range_refused_by_name(self, per_item):
+        with pytest.raises(ValueError) as refused:
+            mc.check_draws(3, per_item, "a run")
+        assert str(refused.value) == f"per_item = {per_item} outside [0, inf]"
+        assert not isinstance(refused.value, InfeasibleError)
+
+    def test_infinite_draws_are_over_the_budget(self):
+        with pytest.raises(InfeasibleError, match="^a run needs about inf random draws, "
+                                                  "over the budget of 1e[+]09$"):
+            mc.check_draws(3, math.inf, "a run")
 
 
 class TestStepCount:

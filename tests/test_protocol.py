@@ -49,7 +49,13 @@ class TestRecordChecks:
     def test_infinite_length_or_time_refused(self, field):
         with pytest.raises(ValueError) as refused:
             make_params(**{field: math.inf})
-        assert str(refused.value) == f"{field} = inf outside its valid range"
+        assert str(refused.value) == f"{field} = inf outside (0, inf)"
+
+    def test_float_levels_refused(self):
+        # chain's range(levels + 1) would raise a bare TypeError on it
+        with pytest.raises(ValueError) as refused:
+            make_params(levels=2.0)
+        assert str(refused.value) == "levels must be an integer, got 2.0"
 
 
 class TestGenerateAnalytic:
@@ -177,6 +183,14 @@ class TestClosedForm:
                 f"the vacuum coefficient overflows a float at i = {i}, eta_s = 0.5, "
                 f"c0 = {c0}")):
             vacuum_coeff_closed_form(i, 0.5, c0)
+
+    @pytest.mark.parametrize("i,reason", [(2.5, "i must be an integer, got 2.5"),
+                                          (2.0, "i must be an integer, got 2.0"),
+                                          (-1, "i = -1 outside [0, inf)")])
+    def test_level_not_a_non_negative_integer_refused(self, i, reason):
+        with pytest.raises(ValueError) as refused:
+            vacuum_coeff_closed_form(i, 0.5)
+        assert str(refused.value) == reason
 
     def test_largest_finite_level_passes(self):
         assert vacuum_coeff_closed_form(1023, 1.0, 0.0) == 0.0
@@ -316,7 +330,7 @@ class TestGenerationCircuit:
             generation_circuit(0.01, 0.3, 1e-5, channel_phase=phase)
 
     def test_refuses_second_order_term_above_the_cutoff(self):
-        with pytest.raises(ValueError, match=r"needs cutoff >= 2, got 1"):
+        with pytest.raises(ValueError, match=re.escape("cutoff = 1 outside [2, inf)")):
             generation_circuit(0.01, 0.3, 1e-5, cutoff=1)
         # without it, cutoff 1 holds the whole ideal source
         prob, _ = generation_circuit(0.01, 0.3, 1e-5, cutoff=1, include_second_order=False)
@@ -485,7 +499,7 @@ class TestSwapOracle:
         ((0.5, 0.7), {"cutoff": 1, "phase_right": math.nan},
          "phase_right = nan outside (-inf, inf)"),
         ((0.5, math.nan), {"cutoff": 0}, "eta_s = nan outside (0, 1]"),
-        ((0.5, 0.7), {"cutoff": 0}, "cutoff must be positive, got 0"),
+        ((0.5, 0.7), {"cutoff": 0}, "cutoff = 0 outside [1, inf)"),
     ])
     def test_refusals_and_their_order(self, args, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:

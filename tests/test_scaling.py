@@ -72,8 +72,12 @@ class TestTotalTime:
             total_time(params, df_target=0.05)
 
     def test_budget_infeasible(self):
-        with pytest.raises(InfeasibleError):
+        # a budget outside (0, 1) is bad input, refused by name: not an
+        # InfeasibleError, which the scan would skip row by row
+        with pytest.raises(ValueError) as refused:
             total_time(make_params(), df_target=1.5)
+        assert str(refused.value) == "df_target = 1.5 outside (0, 1)"
+        assert not isinstance(refused.value, InfeasibleError)
 
     def test_budget_allocation(self):
         report = total_time(make_params(levels=3, segment_length=12.5), df_target=0.08)
@@ -186,6 +190,14 @@ class TestOptimizeSegment:
             optimize_segment(make_params(), total, objective="power_law", m=2.0)
         assert str(info.value) == f"total_length = {total} outside (0, inf)"
 
+    @pytest.mark.parametrize("df_target", [math.nan, 0.0, 1.0, math.inf])
+    def test_budget_outside_its_range_refused_before_the_scan(self, df_target):
+        # not "no feasible segmentation": total_time's refusal on every row
+        # would be skipped
+        with pytest.raises(ValueError) as refused:
+            optimize_segment(make_params(), 100.0, df_target=df_target)
+        assert str(refused.value) == f"df_target = {df_target} outside (0, 1)"
+
     def test_power_law_requires_m(self):
         with pytest.raises(ValueError):
             optimize_segment(make_params(), 100.0, objective="power_law")
@@ -208,8 +220,9 @@ class TestFidelityBudget:
         assert budget.dark_negligible and budget.asym_negligible
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             fidelity_budget(-1, 0.0, 0.0)
+        assert str(refused.value) == "segments = -1 outside [0, inf)"
 
 
 class TestAdvantage:
