@@ -90,11 +90,14 @@ def _coincidences(c_n: float, phi: float, eta_a: float, dark_prob: float = 0.0) 
     return total, one_each / weight
 
 
-def _result(total: float, visibility: float, delta: float) -> CorrelationResult:
-    """The coincidence patterns at the phase difference delta = psi_L − psi_R:
-    p_11 = p_22 = (T/4)(1 + V cos delta), p_12 = p_21 = (T/4)(1 − V cos delta)."""
+def _patterns(total: float, visibility: float, delta: float) -> tuple:
+    """(E, p_same, p_differ) = (V cos δ, T/4 (1 + E), T/4 (1 − E)) at δ = ψ_L − ψ_R."""
     value = visibility * math.cos(delta)
-    same, differ = total / 4 * (1.0 + value), total / 4 * (1.0 - value)
+    return value, total / 4 * (1.0 + value), total / 4 * (1.0 - value)
+
+
+def _result(total: float, visibility: float, delta: float) -> CorrelationResult:
+    value, same, differ = _patterns(total, visibility, delta)
     return CorrelationResult(value=value, coincidence_prob=total,
                              pattern_probs={"11": same, "12": differ, "21": differ, "22": same})
 
@@ -131,17 +134,19 @@ def chsh_combination(results) -> float:
 
 
 def chsh_value(c_n: float, phi: float, eta_a: float) -> float:
-    """The CHSH combination of the circuit at (c_n, phi, eta_a)."""
-    return chsh_combination(chsh_correlations(c_n, phi, eta_a))
+    """``chsh_combination`` of the circuit at (c_n, phi, eta_a), from E alone."""
+    total, visibility = _coincidences(c_n, phi, eta_a)
+    e = [_patterns(total, visibility, a - b)[0] for a, b in CHSH_SETTINGS]
+    return abs(e[0] + e[1] + e[2] - e[3])
 
 
 def _key_table(c_n: float, phi: float, eta_a: float) -> list:
-    """The four coincidence patterns of ``ekert_simulation``'s settings
+    """The patterns 11, 12, 21, 22 of ``ekert_simulation``'s settings
     (i, j), each site's phase from {0, π/2}, as row 2 i + j."""
     total, visibility = _coincidences(c_n, phi, eta_a)
     phases = (0.0, math.pi / 2)
-    return [list(_result(total, visibility, a - b).pattern_probs.values())
-            for a in phases for b in phases]
+    return [[same, differ, differ, same] for _, same, differ in
+            (_patterns(total, visibility, a - b) for a in phases for b in phases)]
 
 
 # rounds per block of ``ekert_simulation``'s draws and counts

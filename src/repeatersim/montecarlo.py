@@ -127,9 +127,9 @@ def format_count(count: int, scale: float = 1.0, spec: str = ".3g") -> str:
 def check_draws(count: int, per_item: float, what: str) -> None:
     """Raise ``InfeasibleError`` when ``count`` items of ``per_item``
     expected random draws each would use more than ``DRAW_BUDGET``; an
-    infinite ``per_item`` is over it."""
+    infinite ``per_item`` is over it, and no draws an item fit any budget."""
     check_in("[0, inf]", "per_item", per_item)
-    if count > DRAW_BUDGET / per_item:
+    if per_item and count > DRAW_BUDGET / per_item:
         raise InfeasibleError(f"{what} needs about {format_count(count, per_item)} random "
                               f"draws, over the budget of {DRAW_BUDGET:.0e}")
 

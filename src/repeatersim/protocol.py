@@ -9,8 +9,8 @@ The entangled-link descriptor mixes a vacuum component of relative weight
 The analytic layer is plain Python; the oracles import NumPy and the Fock
 engine on their first call, so the analytic commands never load them.
 ``generation_circuit`` returns the normalized conditional state under the
-rank rule; ``generate_oracle`` reads its figures off the unnormalized
-heralded factor, with no conditional state and no ``eigh`` re-factor.
+rank rule; ``generate_oracle`` and ``swap_oracle`` read their figures off
+the unnormalized heralded factors, with no conditional state and no ``eigh``.
 """
 
 from __future__ import annotations
@@ -198,6 +198,20 @@ def _engines():
     return np, fock
 
 
+def _link_factor(layout: fock.ModeLayout, pair, c: float, phase: float, etas):
+    """``eme_density``'s two-column factor (dim, 2), unchecked."""
+    np, _ = _engines()
+    root = math.sqrt(c + 1.0)
+    amps = (math.sqrt(0.5), complex(math.cos(phase), math.sin(phase)) * math.sqrt(0.5))
+    lost = sum((1.0 - eta) * abs(a) ** 2 for a, eta in zip(amps, etas))
+    factor = np.zeros((layout.dim, 2), dtype=complex)
+    factor[0, 0] = math.sqrt(c + lost) / root
+    # |1_m⟩ sits at index d^(n-1-m): mode 0 is the most significant digit
+    for m, a, eta in zip(pair, amps, etas):
+        factor[layout.mode_dim ** (layout.modes - 1 - m), 1] = math.sqrt(eta) * a / root
+    return factor
+
+
 def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float,
                 etas=(1.0, 1.0)) -> fock.DensityOperator:
     """Link density operator embedded in ``layout`` with all other modes in
@@ -213,16 +227,8 @@ def eme_density(layout: fock.ModeLayout, pair, c: float, phase: float,
         raise ValueError(f"etas needs one efficiency per link mode, got {etas!r}")
     check_in("[0, 1]", "etas[0]", etas[0])
     check_in("[0, 1]", "etas[1]", etas[1])
-    np, fock = _engines()
-    root = math.sqrt(c + 1.0)
-    amps = (math.sqrt(0.5), complex(math.cos(phase), math.sin(phase)) * math.sqrt(0.5))
-    lost = sum((1.0 - eta) * abs(a) ** 2 for a, eta in zip(amps, etas))
-    factor = np.zeros((layout.dim, 2), dtype=complex)
-    factor[0, 0] = math.sqrt(c + lost) / root
-    # |1_m⟩ sits at index d^(n-1-m): mode 0 is the most significant digit
-    for m, a, eta in zip(pair, amps, etas):
-        factor[layout.mode_dim ** (layout.modes - 1 - m), 1] = math.sqrt(eta) * a / root
-    return fock.DensityOperator.from_factor(layout, factor)
+    _, fock = _engines()
+    return fock.DensityOperator.from_factor(layout, _link_factor(layout, pair, c, phase, etas))
 
 
 GenerationOracleResult = namedtuple("GenerationOracleResult",
@@ -340,9 +346,16 @@ def generate_oracle(params: RepeaterParams, cutoff: int = 4,
     )
 
 
-# post_states: the conditional link states of the two herald patterns
-SwapOracleResult = namedtuple("SwapOracleResult", ("success_prob", "c_measured",
-                                                   "post_states"))
+class SwapOracleResult(namedtuple("SwapOracleResult", ("success_prob", "c_measured",
+                                                         "heralded"))):
+    __slots__ = ()
+
+    @property
+    def post_states(self) -> tuple:
+        """The patterns' link states: ``heralded``'s factors (2, d², r), normalized when read."""
+        _, fock = _engines()
+        layout = fock.ModeLayout(2, math.isqrt(self.heralded.shape[1]) - 1)
+        return tuple(fock.normalize_outcome(layout, h)[1] for h in self.heralded)
 
 
 def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
@@ -354,20 +367,22 @@ def swap_oracle(c: float, eta_s: float, cutoff: int = 2,
     event the analytic recursion counts (a two-photon event that loses one
     photon is indistinguishable from it and feeds the vacuum term).
     """
-    _, fock = _engines()
+    np, fock = _engines()
     check_in("(0, 1]", "eta_s", eta_s)
     check_in("[0, inf)", "c", c)
     check_in("(-inf, inf)", "phase_left", phase_left)
     check_in("(-inf, inf)", "phase_right", phase_right)
-    # modes L, I1, I2, R; loss on the inner halves before the tensor product
+    # modes L, I1, I2, R; loss on the inner halves, then fock.tensor's products
     layout = fock.ModeLayout(2, cutoff)
-    rho = fock.tensor(eme_density(layout, (0, 1), c, phase_left, (1.0, eta_s)),
-                      eme_density(layout, (0, 1), c, phase_right, (eta_s, 1.0)))
-    probs, post = zip(*(fock.normalize_outcome(layout, unnorm)
-                        for unnorm in fock.herald(rho, (1, 2), _swap_rows(cutoff))))
-    # populations of the two conditional states mixed by probability
-    vac = sum(p * cond.population((0, 0)) for p, cond in zip(probs, post))
-    singles = sum(p * (cond.population((1, 0)) + cond.population((0, 1)))
-                  for p, cond in zip(probs, post))
-    return SwapOracleResult(success_prob=sum(probs), c_measured=vac / singles,
-                            post_states=post)
+    left = _link_factor(layout, (0, 1), c, phase_left, (1.0, eta_s))
+    right = _link_factor(layout, (0, 1), c, phase_right, (eta_s, 1.0))
+    joint = (left[:, None, :, None] * right[None, :, None, :]).reshape(layout.dim ** 2, -1)
+    rho = fock.DensityOperator.from_factor(fock.ModeLayout(4, cutoff), joint)
+    heralded = fock.herald(rho, (1, 2), _swap_rows(cutoff))
+    success = vac = singles = 0
+    for h in heralded:
+        p = fock.outcome_probability(h)
+        # the populations of (0, 0), (1, 0) and (0, 1): rows 0, d and 1 of H/√p
+        v00, v10, v01 = [float(np.vdot(r, r).real) for r in h[[0, cutoff + 1, 1]] / math.sqrt(p)]
+        success, vac, singles = success + p, vac + p * v00, singles + p * (v10 + v01)
+    return SwapOracleResult(success, vac / singles, heralded)

@@ -452,6 +452,31 @@ class TestChsh:
             assert val <= ROOT8 + 1e-9
 
 
+class TestRecordFreeReads:
+    """``chsh_value`` and ``_key_table`` read the patterns alone: no
+    ``CorrelationResult`` is built, and the values are the record path's."""
+
+    def test_chsh_value_and_key_table_build_no_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the value is read without a record")
+
+        rng = np.random.default_rng(4646)
+        grid = [(0.0, 0.0, 1.0)] + [(rng.choice([0.0, rng.uniform(0, 5)]), rng.uniform(0, 7),
+                                     rng.choice([1.0, rng.uniform(0.01, 1)])) for _ in range(24)]
+        phases = (0.0, math.pi / 2)
+
+        def by_record(c_n, phi, eta_a):
+            total, visibility = applications._coincidences(c_n, phi, eta_a)
+            return (applications.chsh_combination(chsh_correlations(c_n, phi, eta_a)),
+                    [list(applications._result(total, visibility, a - b).pattern_probs.values())
+                     for a in phases for b in phases])
+
+        want = [by_record(*link) for link in grid]
+        monkeypatch.setattr(applications, "CorrelationResult", refuse)
+        got = [(chsh_value(*link), applications._key_table(*link)) for link in grid]
+        assert got == want
+
+
 class TestEkert:
     def test_zero_qber_and_sifting(self):
         stats = ekert_simulation(0.0, 0.0, 1.0, rounds=100_000, seed=7)

@@ -1415,6 +1415,23 @@ class TestOneHome:
             ("montecarlo.py", "sample_chain_time", "_kernels().expected_draws(probs)"),
         ]
 
+    def test_coincidence_patterns_are_formed_in_one_place(self):
+        # correlation, chsh_value and the key table all read _patterns
+        import ast
+
+        def pattern(node):
+            if isinstance(node, ast.BinOp):
+                text = ast.unparse(node)
+                return next((mark for mark in ("visibility * math.cos(", "total / 4 *")
+                             if text.startswith(mark)), None)
+            return None
+
+        assert self.marks(pattern) == [
+            ("applications.py", "_patterns", "total / 4 *"),
+            ("applications.py", "_patterns", "total / 4 *"),
+            ("applications.py", "_patterns", "visibility * math.cos("),
+        ]
+
     def test_level_zero_is_sampled_through_the_chain(self):
         # generation_times and sample_generation_time are level 0 of the
         # chain: only chain_times reaches the bulk kernels

@@ -603,6 +603,10 @@ class TestDrawBudget:
         assert str(refused.value) == f"per_item = {per_item} outside [0, inf]"
         assert not isinstance(refused.value, InfeasibleError)
 
+    @pytest.mark.parametrize("count", [0, 3, 10 ** 400], ids=["none", "three", "past-floats"])
+    def test_no_draws_an_item_fit_any_budget(self, count):
+        assert mc.check_draws(count, 0.0, "a run") is None
+
     def test_infinite_draws_are_over_the_budget(self):
         with pytest.raises(InfeasibleError, match="^a run needs about inf random draws, "
                                                   "over the budget of 1e[+]09$"):

@@ -476,6 +476,32 @@ class TestSwapOracle:
             assert cond.factor.shape == want.factor.shape
             assert np.max(np.abs(cond.factor - want.factor)) <= 1e-15
 
+    def test_builds_no_tensor_no_conditional_state_and_runs_no_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("swap_oracle reads the heralded factors")
+
+        compacted = []
+
+        def spy(v, compact=fock._compact):
+            compacted.append(v.shape)
+            return compact(v)
+
+        phases = dict(phase_left=0.4, phase_right=2.9)
+        total, c_measured, post = gate_swap(1 / 3, 2 / 3, **phases)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", refuse)
+            for name in ("tensor", "normalize_outcome"):
+                patch.setattr(fock, name, refuse)
+            patch.setattr(fock.DensityOperator, "population", refuse)
+            patch.setattr(fock, "_compact", spy)
+            got = swap_oracle(1 / 3, 2 / 3, **phases)
+        assert got.success_prob == total and got.c_measured == c_measured
+        # the rank rule runs once, on the (L, I1, I2, R) factor of two
+        # two-column links
+        assert compacted == [(81, 4)]
+        for cond, want in zip(got.post_states, post, strict=True):
+            assert np.array_equal(cond.factor, want.factor)
+
     def test_pair_above_the_cutoff_is_refused(self):
         with pytest.raises(fock.TruncationError,
                            match=r"^beamsplitter on modes \(1, 2\): population 5\.444e-02 "
